@@ -5,28 +5,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use powifi_core::{Router, RouterConfig};
 use powifi_deploy::three_channel_world;
 use powifi_harvest::{MatchingNetwork, Rectifier};
-use powifi_mac::{enqueue, Frame, Mac, MacWorld, Queue, RateController, StationId};
-use powifi_net::{dispatch_stack, start_tcp_flow, tcp_push, NetState, NetWorld, StackEvent};
+use powifi_mac::{start_source, Frame, Mac, MacWorld, Queue, RateController, Source, StationId};
+use powifi_net::{dispatch_stack, start_tcp_flow, tcp_push_at, NetState, NetWorld, StackEvent};
 use powifi_rf::{Bitrate, Dbm, Hertz};
 use powifi_sim::{Dispatch, EventQueue, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/schedule_and_run_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::<u64>::new();
-            let mut w = 0u64;
-            for i in 0..10_000u64 {
-                q.schedule_at(
-                    SimTime::from_nanos((i * 2_654_435_761) % 1_000_000),
-                    |w, _| {
-                        *w += 1;
-                    },
-                );
-            }
-            q.run_to_completion(&mut w);
-            assert_eq!(w, 10_000);
-        })
-    });
     struct Counter(u64);
     impl Dispatch<u32> for Counter {
         fn dispatch(&mut self, _q: &mut EventQueue<Self, u32>, ev: u32) {
@@ -86,15 +70,12 @@ fn bench_mac_saturation(c: &mut Criterion) {
             let m = w.mac.add_medium(SimDuration::from_secs(1));
             let sta = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
             let mut q = Queue::new();
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut W, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            let src = Source {
+                frame: Frame::power(sta, 1500, Bitrate::G54),
+                period: SimDuration::from_micros(100),
+                below: 5,
+            };
+            start_source(&mut w, &mut q, SimTime::ZERO, src);
             q.run_until(&mut w, SimTime::from_secs(1));
             w.mac.station(sta).frames_sent
         })
@@ -113,9 +94,7 @@ fn bench_tcp(c: &mut Criterion) {
             let cl = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
             let mut q = Queue::new();
             let flow = start_tcp_flow(&mut w, ap, cl);
-            q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-                tcp_push(w, q, flow, 100_000_000);
-            });
+            tcp_push_at(&mut q, SimTime::ZERO, flow, 100_000_000);
             q.run_until(&mut w, SimTime::from_secs(1));
             w.net.tcp(flow).mean_mbps()
         })

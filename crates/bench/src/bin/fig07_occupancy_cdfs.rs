@@ -4,8 +4,10 @@
 
 use powifi_bench::{banner, row, summarize, BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
-use powifi_deploy::{build_office, OfficeConfig, SimWorld};
-use powifi_net::{start_page_load, start_tcp_flow, start_udp_flow, tcp_push, top10_us, WanConfig};
+use powifi_deploy::{build_office, OfficeConfig};
+use powifi_net::{
+    start_page_load, start_tcp_flow, start_udp_flow, tcp_push_at, top10_us, WanConfig,
+};
 use powifi_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
@@ -77,9 +79,7 @@ impl Experiment for OccupancyCdfs {
             }
             "tcp" => {
                 let flow = start_tcp_flow(&mut w, router_sta, client);
-                q.schedule_at(SimTime::from_millis(100), move |w: &mut SimWorld, q| {
-                    tcp_push(w, q, flow, u64::MAX / 4);
-                });
+                tcp_push_at(&mut q, SimTime::from_millis(100), flow, u64::MAX / 4);
             }
             "plt" => {
                 let mut t = SimTime::from_millis(200);

@@ -58,10 +58,7 @@ struct RunOutput {
 impl Serialize for RunOutput {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            (
-                "throughput_mbps".into(),
-                Value::Float(self.throughput_mbps),
-            ),
+            ("throughput_mbps".into(), Value::Float(self.throughput_mbps)),
             ("final_hash".into(), Value::Str(self.final_hash.clone())),
             (
                 "checkpoints".into(),
@@ -139,9 +136,13 @@ impl Experiment for OfficeExperiment {
         let checkpoints = ckpt_run::drive(&mut run, self.policy.as_ref(), "office")
             .unwrap_or_else(|e| panic!("checkpoint write: {e}"));
         run.record_run_telemetry();
-        let final_hash = powifi_deploy::checkpoint(&run)
-            .map(|(_, h)| h)
-            .unwrap_or_default();
+        let final_hash = match powifi_deploy::checkpoint(&run) {
+            Ok((_, hash)) => hash,
+            Err(e) => {
+                eprintln!("error: final state hash: {e}");
+                exit(2);
+            }
+        };
         RunOutput {
             throughput_mbps: run.throughput_mbps(),
             final_hash,

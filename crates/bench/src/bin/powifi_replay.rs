@@ -82,7 +82,11 @@ fn verify(path: &Path) {
     let run = match powifi_deploy::ckpt::resume_value(&c.root) {
         Ok(run) => run,
         Err(e) => {
-            println!("{}: hash OK ({}), restore FAILED: {e}", path.display(), c.hash);
+            println!(
+                "{}: hash OK ({}), restore FAILED: {e}",
+                path.display(),
+                c.hash
+            );
             exit(1);
         }
     };

@@ -169,7 +169,7 @@ pub fn drive(
     while !run.done() {
         let t = run.step_epoch();
         let due = match policy {
-            Some(p) => run.done() || (p.every > 0 && run.epochs_done % p.every == 0),
+            Some(p) => run.done() || (p.every > 0 && run.epochs_done.is_multiple_of(p.every)),
             None => false,
         };
         if due {

@@ -38,10 +38,7 @@ fn bad(msg: String) -> io::Error {
 /// parsing the body — the cheap probe the bisector runs O(log n) times.
 pub fn header_hash(path: &Path) -> io::Result<String> {
     let bytes = fs::read(path)?;
-    let header = bytes
-        .split(|&b| b == b'\n')
-        .next()
-        .unwrap_or_default();
+    let header = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
     let header = std::str::from_utf8(header)
         .map_err(|e| bad(format!("{}: container line not utf-8: {e}", path.display())))?;
     let mut parts = header.split(' ');
@@ -100,12 +97,10 @@ pub struct BisectReport {
 /// field-diff the state trees there (at most `diff_limit` entries,
 /// 0 = unlimited). Chains must share at least one epoch.
 pub fn bisect(dir_a: &Path, dir_b: &Path, diff_limit: usize) -> io::Result<BisectReport> {
-    let a: std::collections::BTreeMap<u64, PathBuf> = ckpt_run::chain(dir_a, None)?
-        .into_iter()
-        .collect();
-    let b: std::collections::BTreeMap<u64, PathBuf> = ckpt_run::chain(dir_b, None)?
-        .into_iter()
-        .collect();
+    let a: std::collections::BTreeMap<u64, PathBuf> =
+        ckpt_run::chain(dir_a, None)?.into_iter().collect();
+    let b: std::collections::BTreeMap<u64, PathBuf> =
+        ckpt_run::chain(dir_b, None)?.into_iter().collect();
     let common: Vec<u64> = a.keys().filter(|e| b.contains_key(e)).copied().collect();
     if common.is_empty() {
         return Err(bad(format!(
@@ -200,11 +195,7 @@ pub fn render_report(r: &BisectReport) -> String {
                     );
                 }
                 None => {
-                    let _ = writeln!(
-                        out,
-                        "chains diverge at the first common epoch {}",
-                        d.epoch
-                    );
+                    let _ = writeln!(out, "chains diverge at the first common epoch {}", d.epoch);
                 }
             }
             let _ = writeln!(out, "  left  {}", d.hash_a);

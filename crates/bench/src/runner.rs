@@ -175,15 +175,13 @@ impl BenchArgs {
                     out.stream = Some(it.next().ok_or("--stream needs host:port")?);
                 }
                 "--checkpoint-every" => {
-                    let v = it.next().ok_or("--checkpoint-every needs a positive epoch count")?;
-                    out.checkpoint_every = Some(
-                        v.parse()
-                            .ok()
-                            .filter(|&n: &u64| n >= 1)
-                            .ok_or_else(|| {
-                                format!("--checkpoint-every needs a positive epoch count, got `{v}`")
-                            })?,
-                    );
+                    let v = it
+                        .next()
+                        .ok_or("--checkpoint-every needs a positive epoch count")?;
+                    out.checkpoint_every =
+                        Some(v.parse().ok().filter(|&n: &u64| n >= 1).ok_or_else(|| {
+                            format!("--checkpoint-every needs a positive epoch count, got `{v}`")
+                        })?);
                 }
                 "--ckpt-dir" => {
                     out.ckpt_dir = Some(PathBuf::from(it.next().ok_or("--ckpt-dir needs a dir")?));

@@ -10,8 +10,11 @@
 
 use crate::injector::InjectorHandle;
 use crate::router::Router;
+use crate::CoreEvent;
 use powifi_mac::{MacWorld, MediumId, Queue};
 use powifi_sim::{SimDuration, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
@@ -37,39 +40,65 @@ impl Default for CapperConfig {
     }
 }
 
+/// Spawn-time state of one capper, carried inside its
+/// [`CoreEvent::CapperTick`] event: the router's channels and injectors,
+/// plus the previous step's cumulative on-air seconds, to compute windowed
+/// occupancy.
+pub struct CapperSt {
+    cfg: CapperConfig,
+    mediums: Vec<MediumId>,
+    injectors: Vec<InjectorHandle>,
+    prev_total: f64,
+    prev_t: SimTime,
+}
+
 /// Spawn the capper controlling `router`'s injectors.
-pub fn spawn_capper<W: MacWorld>(q: &mut Queue<W>, router: &Router, cfg: CapperConfig) {
-    let mediums: Vec<MediumId> = router.ifaces.iter().map(|i| i.medium).collect();
-    let injectors: Vec<InjectorHandle> = router.injectors.clone();
-    // Previous cumulative on-air seconds, to compute windowed occupancy.
-    let mut prev_total = 0.0f64;
-    let mut prev_t = SimTime::ZERO;
-    // powifi-lint: allow(R8) — 500 ms control loop, cold path
-    q.schedule_repeating(
-        SimTime::ZERO + cfg.interval,
-        cfg.interval,
-        move |w: &mut W, q| {
-            let now = q.now();
-            let total: f64 = mediums
-                .iter()
-                .map(|&m| w.mac().monitor(m).mean_tracked(now) * now.as_secs_f64())
-                .sum();
-            let window = now.duration_since(prev_t).as_secs_f64();
-            if window > 0.0 {
-                let occ = (total - prev_total) / window;
-                for inj in &injectors {
-                    let mut c = inj.borrow_mut();
-                    if occ > cfg.target {
-                        c.delay_scale = (c.delay_scale * cfg.up).min(1000.0);
-                    } else {
-                        c.delay_scale = (c.delay_scale * cfg.down).max(1.0);
-                    }
+pub fn spawn_capper<W>(q: &mut Queue<W>, router: &Router, cfg: CapperConfig)
+where
+    W: MacWorld,
+    W::Ev: From<CoreEvent>,
+{
+    let st = CapperSt {
+        cfg,
+        mediums: router.ifaces.iter().map(|i| i.medium).collect(),
+        injectors: router.injectors.clone(),
+        prev_total: 0.0,
+        prev_t: SimTime::ZERO,
+    };
+    let ev = CoreEvent::CapperTick(Rc::new(RefCell::new(st)));
+    q.post_at(SimTime::ZERO + cfg.interval, ev.into());
+}
+
+pub(crate) fn capper_tick<W>(w: &mut W, q: &mut Queue<W>, st: Rc<RefCell<CapperSt>>)
+where
+    W: MacWorld,
+    W::Ev: From<CoreEvent>,
+{
+    let interval = {
+        let mut s = st.borrow_mut();
+        let now = q.now();
+        let total: f64 = s
+            .mediums
+            .iter()
+            .map(|&m| w.mac().monitor(m).mean_tracked(now) * now.as_secs_f64())
+            .sum();
+        let window = now.duration_since(s.prev_t).as_secs_f64();
+        if window > 0.0 {
+            let occ = (total - s.prev_total) / window;
+            for inj in &s.injectors {
+                let mut c = inj.borrow_mut();
+                if occ > s.cfg.target {
+                    c.delay_scale = (c.delay_scale * s.cfg.up).min(1000.0);
+                } else {
+                    c.delay_scale = (c.delay_scale * s.cfg.down).max(1.0);
                 }
             }
-            prev_total = total;
-            prev_t = now;
-        },
-    );
+        }
+        s.prev_total = total;
+        s.prev_t = now;
+        s.cfg.interval
+    };
+    q.post_in(interval, CoreEvent::CapperTick(st).into());
 }
 
 #[cfg(test)]

@@ -30,10 +30,7 @@ pub fn save_injector(st: &InjectorSt) -> Value {
         .field("queue_full", Value::U64(ctl.queue_full))
         .field("delay_scale", Value::f64(ctl.delay_scale))
         .field("enabled", Value::Bool(ctl.enabled))
-        .field(
-            "gate_open",
-            Value::opt(ctl.gate_open, Value::Bool),
-        )
+        .field("gate_open", Value::opt(ctl.gate_open, Value::Bool))
         .build()
 }
 

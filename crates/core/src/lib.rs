@@ -66,6 +66,12 @@ pub enum CoreEvent {
         /// Attack parameters.
         cfg: AttackConfig,
     },
+    /// One occupancy-capper control step, then re-post. Carries the
+    /// capper's spawn-time state block.
+    CapperTick(Rc<RefCell<capper::CapperSt>>),
+    /// One time-division slot change of a router fleet, then re-post.
+    /// Carries the fleet's rotation block.
+    TdmRotate(Rc<RefCell<multi_router::TdmSt>>),
 }
 
 /// Route a [`CoreEvent`] to its handler. Worlds call this from their
@@ -82,6 +88,8 @@ where
             silent_slot::silent_tick(w, q, iface, cfg, ctl)
         }
         CoreEvent::AttackTick { sta, cfg } => pdos::attack_tick(w, q, sta, cfg),
+        CoreEvent::CapperTick(st) => capper::capper_tick(w, q, st),
+        CoreEvent::TdmRotate(st) => multi_router::tdm_rotate(q, st),
     }
 }
 

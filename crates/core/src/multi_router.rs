@@ -5,11 +5,14 @@
 //! proposed **concurrent** injection — power packets need no receiver, so
 //! colliding power traffic is harmless and every router's channels stay hot.
 
+use crate::injector::InjectorHandle;
 use crate::router::{Router, RouterConfig};
 use crate::CoreEvent;
 use powifi_mac::{MacWorld, MediumId, Queue};
 use powifi_rf::WifiChannel;
 use powifi_sim::{SimDuration, SimRng, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// How a fleet of routers shares the air for power traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +24,15 @@ pub enum FleetMode {
         /// Slot length.
         slot_ms: u64,
     },
+}
+
+/// Spawn-time state of a time-division fleet, carried inside its
+/// [`CoreEvent::TdmRotate`] event: every router's injector handles and
+/// whose turn it is.
+pub struct TdmSt {
+    routers: Vec<Vec<InjectorHandle>>,
+    slot: SimDuration,
+    turn: usize,
 }
 
 /// Install `n` routers over the same channel set and arrange their power
@@ -43,31 +55,42 @@ where
         .map(|i| Router::install(w, q, channels, cfg, &rng.derive_idx("router", i)))
         .collect();
     if let FleetMode::TimeDivision { slot_ms } = mode {
-        // Collect injector handles per router and rotate the enable flag.
-        let handles: Vec<Vec<_>> = routers.iter().map(|r| r.injectors.clone()).collect();
-        let n_routers = handles.len();
         // Initially only router 0 is enabled.
-        for (i, hs) in handles.iter().enumerate() {
-            for h in hs {
-                h.borrow_mut().enabled = i == 0;
-            }
-        }
-        let mut turn = 0usize;
-        // powifi-lint: allow(R8) — slot rotation every `slot_ms` ms, cold path
-        q.schedule_repeating(
-            SimTime::from_millis(slot_ms),
-            SimDuration::from_millis(slot_ms),
-            move |_w: &mut W, _q| {
-                turn = (turn + 1) % n_routers;
-                for (i, hs) in handles.iter().enumerate() {
-                    for h in hs {
-                        h.borrow_mut().enabled = i == turn;
-                    }
-                }
-            },
-        );
+        let st = TdmSt {
+            routers: routers.iter().map(|r| r.injectors.clone()).collect(),
+            slot: SimDuration::from_millis(slot_ms),
+            turn: 0,
+        };
+        st.enable_turn();
+        let ev = CoreEvent::TdmRotate(Rc::new(RefCell::new(st)));
+        q.post_at(SimTime::from_millis(slot_ms), ev.into());
     }
     routers
+}
+
+impl TdmSt {
+    /// Enable the injectors of the router whose turn it is, and only those.
+    fn enable_turn(&self) {
+        for (i, hs) in self.routers.iter().enumerate() {
+            for h in hs {
+                h.borrow_mut().enabled = i == self.turn;
+            }
+        }
+    }
+}
+
+pub(crate) fn tdm_rotate<W>(q: &mut Queue<W>, st: Rc<RefCell<TdmSt>>)
+where
+    W: MacWorld,
+    W::Ev: From<CoreEvent>,
+{
+    let slot = {
+        let mut s = st.borrow_mut();
+        s.turn = (s.turn + 1) % s.routers.len();
+        s.enable_turn();
+        s.slot
+    };
+    q.post_in(slot, CoreEvent::TdmRotate(st).into());
 }
 
 #[cfg(test)]

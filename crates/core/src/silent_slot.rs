@@ -101,7 +101,7 @@ pub(crate) fn silent_tick<W>(
 mod tests {
     use super::*;
     use crate::{dispatch_core_stack, CoreStackEvent};
-    use powifi_mac::{Mac, RateController};
+    use powifi_mac::{start_source, Mac, RateController, Source};
     use powifi_sim::{Dispatch, SimRng};
 
     struct W {
@@ -155,15 +155,12 @@ mod tests {
         let mut q = Queue::<W>::new();
         // Saturate the channel with 12.5 ms frames: idle windows stay far
         // below the guard.
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            move |w: &mut W, q| {
-                if w.mac.queue_depth(hog) < 3 {
-                    enqueue(w, q, hog, Frame::power(hog, 1500, Bitrate::B1));
-                }
-            },
-        );
+        let src = Source {
+            frame: Frame::power(hog, 1500, Bitrate::B1),
+            period: SimDuration::from_millis(2),
+            below: 3,
+        };
+        start_source(&mut w, &mut q, SimTime::ZERO, src);
         let ctl = spawn_silent_injector(&mut q, iface, SilentSlotConfig::default(), SimTime::ZERO);
         q.run_until(&mut w, SimTime::from_secs(2));
         let c = ctl.borrow();

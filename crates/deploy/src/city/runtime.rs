@@ -36,8 +36,8 @@ use super::topology::{CityTopology, BEACON_INTERVAL};
 use powifi_harvest::Harvester;
 use powifi_mac::conformance as mac_conformance;
 use powifi_mac::{
-    dispatch_mac, enqueue, start_beacons, Dest, Frame, Mac, MacEvent, MacWorld, MediumId,
-    PayloadTag, Queue, RateController,
+    dispatch_mac, start_beacons, start_source, Dest, Frame, Mac, MacEvent, MacWorld, MediumId,
+    PayloadTag, Queue, RateController, Source,
 };
 use powifi_rf::{snr, Db, Dbm, Meters, PathLoss, Transmitter};
 use powifi_sensors::sensor_pathloss;
@@ -219,25 +219,19 @@ fn build_shard(
                 net.beacon_rate,
             );
             if let Some(client) = client {
-                let (bytes, rate) = (net.burst_bytes, net.burst_rate);
-                let flow = nid as u32;
-                let mut seq = 0u64;
-                q.schedule_repeating(
-                    SimTime::ZERO + net.beacon_phase,
-                    net.burst_period,
-                    move |w: &mut CityWorld, q| {
-                        if w.mac.queue_depth(sta) < 3 {
-                            seq += 1;
-                            let mut f = Frame::data(
-                                sta,
-                                Dest::Unicast(client),
-                                PayloadTag { flow, seq, bytes },
-                            );
-                            f.rate = Some(rate);
-                            enqueue(w, q, sta, f);
-                        }
-                    },
-                );
+                let tag = PayloadTag {
+                    flow: nid as u32,
+                    seq: 0,
+                    bytes: net.burst_bytes,
+                };
+                let mut frame = Frame::data(sta, Dest::Unicast(client), tag);
+                frame.rate = Some(net.burst_rate);
+                let burst = Source {
+                    frame,
+                    period: net.burst_period,
+                    below: 3,
+                };
+                start_source(&mut world, &mut q, SimTime::ZERO + net.beacon_phase, burst);
             }
         }
         mediums.push(m);
@@ -454,13 +448,13 @@ fn shard_outcome(shard: &Shard) -> ShardOutcome {
 
 /// Content hash of a shard's dynamic state at an epoch barrier: event-queue
 /// counters, the full MAC state tree, and every harvester's accumulated
-/// joules. The city world schedules through boxed closures, so a full
-/// restorable checkpoint is impossible here — but the *hash* gives the
-/// divergence observatory the same signal: two city runs that should agree
-/// (same topology across `--jobs` levels, same build across days) emit
-/// equal per-shard hash sequences, and the first unequal `(shard, epoch)`
-/// localizes a divergence to one shard and one epoch. Only computed when a
-/// stream handle is installed; purely observational.
+/// joules. The city has no restorable checkpoint form (burst sources have
+/// no serial form yet, and no resume path rebuilds a shard) — but the
+/// *hash* gives the divergence observatory the same signal: two city runs
+/// that should agree (same topology across `--jobs` levels, same build
+/// across days) emit equal per-shard hash sequences, and the first unequal
+/// `(shard, epoch)` localizes a divergence to one shard and one epoch. Only
+/// computed when a stream handle is installed; purely observational.
 fn shard_state_hash(sh: &Shard) -> String {
     use powifi_sim::ckpt::{self, Value};
     let (now, next_seq, executed) = sh.q.ckpt_counters();

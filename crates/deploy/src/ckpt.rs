@@ -6,7 +6,7 @@
 //!
 //! ## Restore is rebuild-and-overlay
 //!
-//! A checkpoint does not serialize closures, `Rc` graphs or derived caches.
+//! A checkpoint does not serialize `Rc` graphs, builder tables or derived caches.
 //! Instead [`resume_value`] re-executes the deterministic builder
 //! ([`build_office`]) to get the static topology — stations, mediums,
 //! path-loss links, intensity schedules, spawn-time `Rc` state blocks —
@@ -25,8 +25,9 @@
 //! *not* serialized: recomputation is bit-identical, which the roundtrip
 //! tests prove by comparing state hashes, not struct spot checks.
 //!
-//! Checkpoints taken under the conformance checker are refused: audits are
-//! boxed closures in the queue, the one payload kind with no serial form.
+//! A checkpoint taken under the conformance checker carries the pending
+//! MAC audit event. It resumes only into a checked run, whose builder
+//! re-installs the audit period that event re-posts with.
 
 use crate::background::BurstSt;
 use crate::office::{build_office, OfficeConfig, OfficeScenario};
@@ -39,7 +40,7 @@ use powifi_mac::ckpt::{
 };
 use powifi_mac::{MacEvent, MediumId, Queue, RateController, StationId};
 use powifi_net::ckpt::{restore_net, save_net};
-use powifi_net::{start_tcp_flow, start_udp_flow, NetEvent};
+use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, NetEvent};
 use powifi_rf::Bitrate;
 use powifi_sim::ckpt::{self, CkptError, Value};
 use powifi_sim::obs::metrics::{self, HistogramSummary, MetricsSnapshot};
@@ -131,14 +132,7 @@ impl OfficeRun {
             }
             TrafficSpec::Tcp => {
                 let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-                q.post_at(
-                    SimTime::from_millis(100),
-                    NetEvent::TcpPush {
-                        flow,
-                        bytes: u64::MAX / 4,
-                    }
-                    .into(),
-                );
+                tcp_push_at(&mut q, SimTime::from_millis(100), flow, u64::MAX / 4);
             }
         }
         let drv = EpochDriver::new(spec.epoch, &s);
@@ -169,8 +163,8 @@ impl OfficeRun {
     pub fn step_epoch(&mut self) -> SimTime {
         let end = SimTime::from_secs(self.spec.secs);
         let width = self.spec.epoch;
-        let t = SimTime::from_nanos((width.as_nanos()).saturating_mul(self.epochs_done + 1))
-            .min(end);
+        let t =
+            SimTime::from_nanos((width.as_nanos()).saturating_mul(self.epochs_done + 1)).min(end);
         self.q.run_until(&mut self.w, t);
         self.drv.after_epoch(&self.w, &self.s, t);
         self.epochs_done += 1;
@@ -190,10 +184,11 @@ impl OfficeRun {
         self.w
             .net
             .flows()
-            .find_map(|(_, f)| match f {
-                powifi_net::Flow::Udp(u) => Some(u.mean_mbps()),
-                powifi_net::Flow::Tcp(t) => Some(t.mean_mbps()),
+            .map(|(_, f)| match f {
+                powifi_net::Flow::Udp(u) => u.mean_mbps(),
+                powifi_net::Flow::Tcp(t) => t.mean_mbps(),
             })
+            .next()
             .unwrap_or(0.0)
     }
 
@@ -232,7 +227,12 @@ fn scheme_from(v: &Value) -> Result<Scheme, CkptError> {
         "powifi" => Scheme::PoWiFi,
         other => match other.strip_prefix("equal_share:") {
             Some(rate) => Scheme::EqualShare(bitrate_from_name(rate, "spec.scheme")?),
-            None => return Err(field_err("spec.scheme", format!("unknown scheme {other:?}"))),
+            None => {
+                return Err(field_err(
+                    "spec.scheme",
+                    format!("unknown scheme {other:?}"),
+                ))
+            }
         },
     })
 }
@@ -323,6 +323,7 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
             .field("interval", Value::U64(interval.as_nanos()))
             .field("rate", Value::str(bitrate_name(*rate)))
             .build(),
+        WorldEvent::Mac(MacEvent::Audit) => Value::map().field("kind", Value::str("audit")).build(),
         WorldEvent::Net(NetEvent::UdpTick {
             flow,
             src,
@@ -359,10 +360,15 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
             .field("kind", Value::str("injector_tick"))
             .field("st", powifi_core::ckpt::save_injector(&st.borrow()))
             .build(),
-        WorldEvent::Core(CoreEvent::SilentTick { .. })
-        | WorldEvent::Core(CoreEvent::AttackTick { .. }) => {
+        WorldEvent::Mac(MacEvent::Source { .. })
+        | WorldEvent::Core(CoreEvent::SilentTick { .. })
+        | WorldEvent::Core(CoreEvent::AttackTick { .. })
+        | WorldEvent::Core(CoreEvent::CapperTick(_))
+        | WorldEvent::Core(CoreEvent::TdmRotate(_)) => {
             return Err(CkptError::Unsupported(
-                "silent-slot / power-DoS events have no checkpoint form".into(),
+                "traffic-source, silent-slot, power-DoS, capper and time-division \
+                 events have no checkpoint form"
+                    .into(),
             ))
         }
         WorldEvent::Deploy(DeployEvent::Burst(st)) => {
@@ -382,24 +388,20 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
 }
 
 /// Spawn-time `Rc` state blocks harvested from a freshly rebuilt world's
-/// queue, keyed for re-linking.
+/// queue, keyed for re-linking, plus whether the rebuilt world audits.
 struct FreshBlocks {
     injectors: BTreeMap<u32, Rc<RefCell<InjectorSt>>>,
     bursts: BTreeMap<u32, Rc<RefCell<BurstSt>>>,
+    audit: bool,
 }
 
-fn harvest_blocks(q: &Queue<SimWorld>) -> Result<FreshBlocks, CkptError> {
-    let pending = q.ckpt_pending().map_err(|seq| {
-        CkptError::Unsupported(format!(
-            "rebuilt world has a boxed-closure event (seq {seq}); \
-             resume is incompatible with conformance mode"
-        ))
-    })?;
+fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
     let mut blocks = FreshBlocks {
         injectors: BTreeMap::new(),
         bursts: BTreeMap::new(),
+        audit: false,
     };
-    for (_, _, ev) in pending {
+    for (_, _, ev) in q.ckpt_pending() {
         match ev {
             WorldEvent::Core(CoreEvent::InjectorTick(st)) => {
                 let iface = powifi_core::ckpt::injector_iface(&st.borrow()).0;
@@ -409,14 +411,15 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> Result<FreshBlocks, CkptError> {
                 let src = st.borrow().src.0;
                 blocks.bursts.insert(src, Rc::clone(st));
             }
+            WorldEvent::Mac(MacEvent::Audit) => blocks.audit = true,
             // powifi-lint: allow(non-exhaustive-dispatch) — collection
-            // filter, not a dispatch: only the two Rc-carrying kinds need
-            // re-linking, and a new kind cannot slip through silently
-            // because `event_value` matches exhaustively at save time.
+            // filter, not a dispatch: only the Rc-carrying kinds and the
+            // audit need re-linking, and a new kind cannot slip through
+            // silently because `event_v` matches exhaustively at save time.
             _ => {}
         }
     }
-    Ok(blocks)
+    blocks
 }
 
 fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> {
@@ -429,6 +432,12 @@ fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> 
             rate: bitrate_from_name(v.str_field("rate")?, "rate")?,
         }
         .into(),
+        "audit" if blocks.audit => MacEvent::Audit.into(),
+        "audit" => {
+            return Err(CkptError::Unsupported(
+                "checkpoint was taken under the conformance checker; resume it checked".into(),
+            ))
+        }
         "udp_tick" => NetEvent::UdpTick {
             flow: v.u64_field("flow")? as u32,
             src: StationId(v.u64_field("src")? as u32),
@@ -591,7 +600,10 @@ fn harvester_v(h: &Harvester) -> Value {
     Value::map()
         .field("output_on", Value::Bool(output_on))
         .field("elapsed", Value::U64(elapsed.as_nanos()))
-        .field("design_efficiency", Value::opt(design_efficiency, Value::f64))
+        .field(
+            "design_efficiency",
+            Value::opt(design_efficiency, Value::f64),
+        )
         .field("store", store)
         .field("harvested_j", Value::f64(h.harvested.0))
         .field("incident_j", Value::f64(h.incident.0))
@@ -668,15 +680,11 @@ fn driver_overlay(d: &mut EpochDriver, v: &Value) -> Result<(), CkptError> {
 /// queue time.
 pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
     let (now, next_seq, executed) = run.q.ckpt_counters();
-    let pending = run.q.ckpt_pending().map_err(|seq| {
-        CkptError::Unsupported(format!(
-            "pending event seq {seq} is a boxed closure; \
-             checkpointing is incompatible with conformance mode"
-        ))
-    })?;
-    let events = pending
-        .iter()
-        .map(|&(t, seq, ev)| {
+    let events = run
+        .q
+        .ckpt_pending()
+        .into_iter()
+        .map(|(t, seq, ev)| {
             Ok(Value::map()
                 .field("t", Value::U64(t))
                 .field("seq", Value::U64(seq))
@@ -722,7 +730,7 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
     // state come from the tree. (Traffic spec is applied on cold starts;
     // here the flow table arrives wholesale from `restore_net`.)
     let (mut w, mut q, s) = build_office(spec.seed, spec.scheme, spec.cfg);
-    let blocks = harvest_blocks(&q)?;
+    let blocks = harvest_blocks(&q);
     let qv = v.get("queue")?;
     let entries = qv
         .list_field("events")?
@@ -740,7 +748,7 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
         qv.u64_field("next_seq")?,
         qv.u64_field("executed")?,
         entries,
-    );
+    )?;
     restore_mac(&mut w.mac, v.get("mac")?)?;
     w.net = restore_net(v.get("net")?)?;
     metrics::restore(&snapshot_from(v.get("metrics")?)?);
@@ -851,23 +859,65 @@ mod tests {
         }
     }
 
+    /// A checked run's checkpoint carries the pending audit event, which
+    /// re-posts with the checked builder's audit period: an unchecked
+    /// resume is refused.
     #[test]
-    fn checkpoint_refuses_conformance_mode() {
-        powifi_sim::conformance::set_enabled(true);
-        let run = OfficeRun::start(&spec(TrafficSpec::None));
-        powifi_sim::conformance::set_enabled(false);
-        assert!(matches!(
-            checkpoint(&run),
-            Err(CkptError::Unsupported(_))
-        ));
-        powifi_sim::conformance::reset();
+    fn checked_checkpoint_resumes_only_checked() {
+        let bytes = {
+            let _g = powifi_sim::conformance::check();
+            let mut run = OfficeRun::start(&spec(TrafficSpec::None));
+            run.step_epoch();
+            checkpoint(&run).unwrap().0
+        };
+        assert!(matches!(resume(&bytes), Err(CkptError::Unsupported(_))));
+        metrics::reset();
+    }
+
+    /// `v[key]` of a map value, mutably.
+    fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Map(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("{key}: not a map: {other:?}"),
+        }
+    }
+
+    /// A checkpoint with a valid hash but impossible queue content — an
+    /// event before `queue.now`, or a seq the counter never issued — is
+    /// refused with an error instead of aborting the process.
+    #[test]
+    fn resume_rejects_impossible_queue_content() {
+        metrics::reset();
+        let mut run = OfficeRun::start(&spec(TrafficSpec::Udp { rate_mbps: 10.0 }));
+        run.step_epoch();
+        let root = save_office(&run).unwrap();
+        let q = root.get("queue").unwrap();
+        let (now, next_seq) = (
+            q.u64_field("now").unwrap(),
+            q.u64_field("next_seq").unwrap(),
+        );
+        let edits: [(&str, Value); 2] = [("t", Value::U64(now - 1)), ("seq", Value::U64(next_seq))];
+        for (key, bad) in edits {
+            let mut tree = root.clone();
+            let Value::List(events) = field_mut(field_mut(&mut tree, "queue"), "events") else {
+                panic!("queue.events is not a list");
+            };
+            *field_mut(&mut events[1], key) = bad;
+            let bytes = ckpt::save(&tree);
+            assert!(
+                matches!(resume(&bytes), Err(CkptError::Field { .. })),
+                "edited {key} was accepted"
+            );
+        }
+        metrics::reset();
     }
 
     /// Property sweep: checkpoint at a *random* epoch, restore, run to the
     /// end — events executed, harvested joules (bit-exact), the metrics
     /// snapshot and the final state hash must all equal the uninterrupted
     /// run's. Cases are drawn from a seeded stream, so the exploration is
-    /// random-looking but reproducible.
+    /// random-looking but reproducible. The second half of the cases runs
+    /// under the conformance checker and must stay clean.
     #[test]
     fn checkpoint_at_random_epoch_is_transparent() {
         let mut rng = powifi_sim::SimRng::from_seed(0x5EED_CA5E);
@@ -892,7 +942,12 @@ mod tests {
                 secs: 2,
                 epoch: SimDuration::from_millis(500),
             };
-            let ctx = format!("case {case}: seed {seed}, {:?}", sp.traffic);
+            let checking = (case >= 3).then(powifi_sim::conformance::check);
+            let ctx = format!(
+                "case {case}: seed {seed}, {:?}, checked {}",
+                sp.traffic,
+                checking.is_some()
+            );
 
             metrics::reset();
             let mut a = OfficeRun::start(&sp);
@@ -926,6 +981,9 @@ mod tests {
                 "{ctx}: harvested joules"
             );
             assert_eq!(snap_a, metrics::snapshot(), "{ctx}: metrics snapshot");
+            if checking.is_some() {
+                powifi_sim::conformance::assert_clean(&ctx);
+            }
         }
         metrics::reset();
     }

@@ -7,7 +7,7 @@ use crate::world::SimWorld;
 use powifi_core::Scheme;
 use powifi_mac::RateController;
 use powifi_net::{
-    start_page_load, start_tcp_flow, start_udp_flow, Flow, SiteProfile, WanConfig,
+    start_page_load, start_tcp_flow, start_udp_flow, tcp_push_at, Flow, SiteProfile, WanConfig,
 };
 use powifi_rf::{Bitrate, Dbm, Hertz, Meters, PathLoss, Transmitter, WifiChannel};
 use powifi_sensors::{sensor_pathloss, TemperatureSensor};
@@ -121,16 +121,7 @@ pub fn tcp_experiment_epochs(
     let (mut w, mut q, s) = build_office(seed, scheme, cfg);
     let end = SimTime::from_secs(secs);
     let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-    // Typed rather than a one-shot closure, so the pending push survives
-    // checkpointing (`crate::ckpt`).
-    q.post_at(
-        SimTime::from_millis(100),
-        powifi_net::NetEvent::TcpPush {
-            flow,
-            bytes: u64::MAX / 4,
-        }
-        .into(),
-    );
+    tcp_push_at(&mut q, SimTime::from_millis(100), flow, u64::MAX / 4);
     crate::telemetry::drive(&mut w, &mut q, &s, end, epoch);
     let tcp = w.net.tcp(flow);
     let (_, cum) = s.router.occupancy(&w.mac, end);

@@ -127,7 +127,7 @@ pub fn three_channel_world(
         // periodic whole-world airtime audit for free. The audit only reads
         // world state and writes the thread-local sink, so installing it
         // never changes simulation results.
-        powifi_mac::conformance::install_audit(&mut q, SimDuration::from_millis(100));
+        powifi_mac::conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(100));
     }
     (w, q, channels)
 }

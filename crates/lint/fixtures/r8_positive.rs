@@ -1,11 +1,9 @@
-// Fixture: R8 must fire — boxed-closure scheduling on the hot path. Each
-// call below heap-allocates one handler per event; under saturation that is
+// Fixture: R8 must fire — boxed handlers on the hot path. Every event that
+// carries one of these heap-allocates its handler; under saturation that is
 // one malloc per frame, per retry, per tick.
 pub type Callback = Box<dyn FnMut(&mut World)>;
 
-pub fn arm_timers(world: &mut World, q: &mut Queue) {
-    q.schedule_at(world.now, |w, _| w.fire());
-    q.schedule_in(BACKOFF, move |w, q| retry(w, q));
-    q.schedule_repeating(START, TICK, |w, _| w.poll());
-    q.schedule_repeating_while(START, TICK, |w, _| w.alive());
+pub struct Timer {
+    pub at: SimTime,
+    pub fire: Box<dyn FnOnce(&mut World, &mut Queue)>,
 }

@@ -12,9 +12,10 @@ pub fn exact(x: f64) -> bool {
     x == -1.0
 }
 
-pub fn audit(q: &mut Queue) {
-    // powifi-lint: allow(R8) — fixture: one closure per run, cold path
-    q.schedule_repeating(START, PERIOD, |w, _| w.audit());
+pub fn audit(world: &mut World) {
+    // powifi-lint: allow(R8) — fixture: one hook per run, cold path
+    let hook: Box<dyn FnMut(&mut World)> = make_hook();
+    world.install(hook);
 }
 
 pub fn replay_probe(rng: &mut SimRng) -> SimRng {

@@ -122,9 +122,6 @@ pub fn classify(rel: &str) -> Option<FileContext> {
     // The profiler is the one library file sanctioned to read `Instant`
     // (wall-clock span timing, bench-only) — R7's file-level carve-out.
     let is_prof_impl = crate_name == "sim" && rest == ["src", "obs", "prof.rs"];
-    // The queue defines (and internally uses) the boxed-closure scheduling
-    // API — R8's file-level carve-out.
-    let is_queue_impl = crate_name == "sim" && rest == ["src", "queue.rs"];
     // The RNG implementation is the one place allowed to seed raw
     // generators — R10's file-level carve-out.
     let is_rng_impl = crate_name == "sim" && rest == ["src", "rng.rs"];
@@ -145,7 +142,6 @@ pub fn classify(rel: &str) -> Option<FileContext> {
         is_test_file,
         is_bin,
         is_prof_impl,
-        is_queue_impl,
         is_rng_impl,
         is_city,
         is_stream_impl,
@@ -475,10 +471,8 @@ mod tests {
         assert!(c.is_bin);
         let c = classify("crates/sim/src/obs/prof.rs").unwrap();
         assert!(c.is_prof_impl);
-        let c = classify("crates/sim/src/queue.rs").unwrap();
-        assert!(c.is_queue_impl);
         let c = classify("crates/sim/src/rng.rs").unwrap();
-        assert!(c.is_rng_impl && !c.is_queue_impl);
+        assert!(c.is_rng_impl && !c.is_prof_impl);
         let c = classify("crates/deploy/src/city/runtime.rs").unwrap();
         assert!(c.is_city);
         let c = classify("crates/deploy/src/city/mod.rs").unwrap();
@@ -506,7 +500,6 @@ mod tests {
             "test trees are out of every rule's scope, R14 included"
         );
         assert!(!classify("crates/deploy/src/lib.rs").unwrap().is_city);
-        assert!(!classify("crates/sim/src/lib.rs").unwrap().is_queue_impl);
         assert!(
             !classify("crates/sim/src/obs/metrics.rs")
                 .unwrap()

@@ -8,9 +8,7 @@
 //! randomness are allowed (progress bars, run timing), so R2 and R7 exempt
 //! it. The profiler implementation (`crates/sim/src/obs/prof.rs`) is the one
 //! other place allowed to read `Instant` — R7 carries a file-level carve-out
-//! for it via [`FileContext::is_prof_impl`]. The event-queue implementation
-//! (`crates/sim/src/queue.rs`) defines the closure-scheduling API itself, so
-//! R8 carves it out via [`FileContext::is_queue_impl`]; likewise the RNG
+//! for it via [`FileContext::is_prof_impl`]; likewise the RNG
 //! implementation (`crates/sim/src/rng.rs`) is the one place allowed to
 //! seed raw generators, so R10 carves it out via
 //! [`FileContext::is_rng_impl`]; and the streaming-telemetry wire layer
@@ -36,7 +34,7 @@ pub const SIM_CRATES: [&str; 8] = [
 
 /// Crates whose event handling is hot enough that per-event heap
 /// allocation is a perf bug (R8 scope). Deployment scenarios and test
-/// support stay closure-friendly.
+/// support may box handlers.
 pub const HOT_CRATES: [&str; 5] = ["core", "harvest", "mac", "net", "sim"];
 
 /// The fourteen rules.
@@ -59,9 +57,9 @@ pub enum Rule {
     /// R7: no `std::time::Instant` outside `crates/bench` and the profiler
     /// implementation (`crates/sim/src/obs/prof.rs`).
     WallClockScope,
-    /// R8: no per-event heap allocation (`Box<dyn Fn…>`, closure
-    /// scheduling) in hot simulation layers; post typed events through the
-    /// world's `Dispatch` impl instead.
+    /// R8: no per-event heap allocation (`Box<dyn Fn…>` handlers) in hot
+    /// simulation layers; post typed events through the world's `Dispatch`
+    /// impl instead.
     HotPathAlloc,
     /// R9: worker closures in the sharded city runtime must not capture or
     /// touch shared mutable state except through the export-table API.
@@ -174,8 +172,8 @@ impl Rule {
                  harness/profiler concern — instrument with obs::prof spans instead"
             }
             Rule::HotPathAlloc => {
-                "Box<dyn Fn…>/closure scheduling allocates per event; hot layers post \
-                 typed events (EventQueue::post_at/post_in) routed by Dispatch"
+                "Box<dyn Fn…> handlers allocate per event; hot layers post typed events \
+                 (EventQueue::post_at/post_in) routed by Dispatch"
             }
             Rule::ShardIsolation => {
                 "city worker closures touch shared mutable state directly; all cross-shard \
@@ -242,9 +240,6 @@ pub struct FileContext {
     /// (`crates/sim/src/obs/prof.rs`) — the one library file allowed to read
     /// `Instant`, so R7 skips it.
     pub is_prof_impl: bool,
-    /// File is the event-queue implementation (`crates/sim/src/queue.rs`) —
-    /// it defines the boxed-closure scheduling API, so R8 skips it.
-    pub is_queue_impl: bool,
     /// File is the RNG implementation (`crates/sim/src/rng.rs`) — the one
     /// place allowed to seed raw generators, so R10 skips it.
     pub is_rng_impl: bool,
@@ -269,7 +264,6 @@ impl FileContext {
             is_test_file: false,
             is_bin: false,
             is_prof_impl: false,
-            is_queue_impl: false,
             is_rng_impl: false,
             is_city: false,
             is_stream_impl: false,
@@ -400,16 +394,6 @@ const SOCKET_IDENTS: [&str; 5] = [
     "UdpSocket",
     "UnixListener",
     "UnixStream",
-];
-
-/// Closure-scheduling entry points on the event queue: each call boxes its
-/// handler on the heap, so one of these per event is a hot-path perf bug
-/// (R8). Typed posting (`post_at`/`post_in`) is the allocation-free path.
-const CLOSURE_SCHEDULERS: [&str; 4] = [
-    "schedule_at",
-    "schedule_in",
-    "schedule_repeating",
-    "schedule_repeating_while",
 ];
 
 /// Interior-mutability accessors that, inside a city worker closure, mean
@@ -680,45 +664,28 @@ fn token_pass(
                 });
             }
         }
-        // R8 — per-event heap allocation in hot layers: method calls on the
-        // closure-scheduling API, and `Box<dyn Fn…>` handler types. The
-        // queue implementation itself (which defines both) is carved out.
-        if active.contains(&Rule::HotPathAlloc) && !ctx.is_queue_impl && t.kind == TokKind::Ident {
-            if CLOSURE_SCHEDULERS.contains(&t.text.as_str())
-                && i > 0
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).map(|n| n.text == "(").unwrap_or(false)
-            {
-                out.push(RawFinding {
-                    line: t.line,
-                    col: t.col,
-                    rule: Rule::HotPathAlloc,
-                    message: format!(
-                        "`.{}()` boxes one closure per event; post a typed event \
-                         (post_at/post_in) routed by the world's Dispatch impl, or \
-                         justify a cold path with an allow",
-                        t.text
-                    ),
-                });
-            } else if t.text == "Box"
-                && toks.get(i + 1).map(|n| n.text == "<").unwrap_or(false)
-                && toks.get(i + 2).map(|n| n.text == "dyn").unwrap_or(false)
-                && toks
-                    .get(i + 3)
-                    .map(|n| n.kind == TokKind::Ident && n.text.starts_with("Fn"))
-                    .unwrap_or(false)
-            {
-                out.push(RawFinding {
-                    line: t.line,
-                    col: t.col,
-                    rule: Rule::HotPathAlloc,
-                    message: format!(
-                        "`Box<dyn {}…>` is a per-event heap allocation; hot layers \
-                         carry typed event enums instead of boxed handlers",
-                        toks[i + 3].text
-                    ),
-                });
-            }
+        // R8 — per-event heap allocation in hot layers: `Box<dyn Fn…>`
+        // handler types.
+        if active.contains(&Rule::HotPathAlloc)
+            && t.kind == TokKind::Ident
+            && t.text == "Box"
+            && toks.get(i + 1).map(|n| n.text == "<").unwrap_or(false)
+            && toks.get(i + 2).map(|n| n.text == "dyn").unwrap_or(false)
+            && toks
+                .get(i + 3)
+                .map(|n| n.kind == TokKind::Ident && n.text.starts_with("Fn"))
+                .unwrap_or(false)
+        {
+            out.push(RawFinding {
+                line: t.line,
+                col: t.col,
+                rule: Rule::HotPathAlloc,
+                message: format!(
+                    "`Box<dyn {}…>` is a per-event heap allocation; hot layers \
+                     carry typed event enums instead of boxed handlers",
+                    toks[i + 3].text
+                ),
+            });
         }
         // R5 — bare float→int cast.
         if active.contains(&Rule::BareCast)
@@ -1359,17 +1326,16 @@ mod tests {
     }
 
     #[test]
-    fn r8_fires_on_closure_scheduling_and_boxed_handlers() {
-        let f = run("fn f(q: &mut Q) { q.schedule_at(t, |w, _| {}); \
-             q.schedule_repeating_while(t, p, cb); \
-             let h: Box<dyn FnMut(&mut W)> = mk(); }");
+    fn r8_fires_on_boxed_handlers() {
+        let f = run("fn f() { let h: Box<dyn FnMut(&mut W)> = mk(); \
+             let g: Box<dyn Fn()> = mk(); }");
         assert_eq!(
             f.iter().filter(|f| f.rule == Rule::HotPathAlloc).count(),
-            3,
+            2,
             "{f:?}"
         );
-        // Typed posting and unrelated method names are clean.
-        let f = run("fn f(q: &mut Q) { q.post_at(t, ev); q.post_in(d, ev); q.schedule(t); }");
+        // Typed posting is clean.
+        let f = run("fn f(q: &mut Q) { q.post_at(t, ev); q.post_in(d, ev); }");
         assert!(f.iter().all(|f| f.rule != Rule::HotPathAlloc), "{f:?}");
         // `Box::new` and non-Fn trait objects are not handler boxes.
         let f = run("fn f() { let b = Box::new(3); let s: Box<dyn Sink> = mk(); }");
@@ -1377,17 +1343,9 @@ mod tests {
     }
 
     #[test]
-    fn r8_is_exempt_in_queue_impl_and_cold_crates() {
-        let src = "fn f(q: &mut Q) { q.schedule_at(t, cb); }";
-        let mut c = FileContext::lib("sim");
-        c.is_queue_impl = true;
-        let f = check(&c, src);
-        assert!(
-            f.iter().all(|f| f.rule != Rule::HotPathAlloc),
-            "queue.rs defines the API: {f:?}"
-        );
-        c.is_queue_impl = false;
-        let f = check(&c, src);
+    fn r8_is_exempt_in_cold_crates() {
+        let src = "fn f() { let h: Box<dyn FnOnce()> = mk(); }";
+        let f = check(&FileContext::lib("sim"), src);
         assert_eq!(f.iter().filter(|f| f.rule == Rule::HotPathAlloc).count(), 1);
         // Deploy scenarios run once per experiment, not once per event.
         let c = FileContext::lib("deploy");

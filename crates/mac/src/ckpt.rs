@@ -252,7 +252,10 @@ fn rate_ctl_from(v: &Value) -> Result<RateController, CkptError> {
                 window: v.u64_field("window")? as u32,
             }))
         }
-        other => Err(field_err("kind", format!("unknown rate controller {other:?}"))),
+        other => Err(field_err(
+            "kind",
+            format!("unknown rate controller {other:?}"),
+        )),
     }
 }
 
@@ -269,7 +272,12 @@ fn sta_state_from(name: &str) -> Result<StaState, CkptError> {
         "idle" => StaState::Idle,
         "contending" => StaState::Contending,
         "transmitting" => StaState::Transmitting,
-        other => return Err(field_err("state", format!("unknown station state {other:?}"))),
+        other => {
+            return Err(field_err(
+                "state",
+                format!("unknown station state {other:?}"),
+            ))
+        }
     })
 }
 
@@ -289,7 +297,10 @@ fn envelope_from(v: &Value) -> Result<PowerEnvelope, CkptError> {
         if pair.len() != 2 {
             return Err(field_err("envelope", "change point must be [t, level]"));
         }
-        changes.push((time_from(&pair[0], "envelope")?, pair[1].as_f64("envelope")?));
+        changes.push((
+            time_from(&pair[0], "envelope")?,
+            pair[1].as_f64("envelope")?,
+        ));
     }
     Ok(PowerEnvelope::from_ckpt_changes(changes))
 }
@@ -313,14 +324,8 @@ pub fn save_mac(mac: &Mac) -> Value {
         .map(|s| {
             Value::map()
                 .field("medium", Value::U64(s.medium.0 as u64))
-                .field(
-                    "q0",
-                    Value::List(s.queues[0].iter().map(frame_v).collect()),
-                )
-                .field(
-                    "q1",
-                    Value::List(s.queues[1].iter().map(frame_v).collect()),
-                )
+                .field("q0", Value::List(s.queues[0].iter().map(frame_v).collect()))
+                .field("q1", Value::List(s.queues[1].iter().map(frame_v).collect()))
                 .field("rr", Value::U64(s.rr as u64))
                 .field("queue_cap", Value::U64(s.queue_cap as u64))
                 .field("state", Value::str(sta_state_name(s.state)))
@@ -349,10 +354,7 @@ pub fn save_mac(mac: &Mac) -> Value {
                 .field("tshark_tracked", f64_list_v(&mon.tshark_tracked))
                 .field("tshark_all", f64_list_v(&mon.tshark_all))
                 .field("phys_tracked", f64_list_v(&mon.phys_tracked))
-                .field(
-                    "envelope",
-                    Value::opt(mon.envelope.as_ref(), envelope_v),
-                )
+                .field("envelope", Value::opt(mon.envelope.as_ref(), envelope_v))
                 .field("envelope_busy_until", time_v(mon.envelope_busy_until))
                 .field("src_totals", f64_list_v(&mon.src_totals))
                 .build();
@@ -599,7 +601,8 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
             None => None,
             Some(ev) => Some(envelope_from(ev)?),
         };
-        mon.envelope_busy_until = time_from(monv.get("envelope_busy_until")?, "envelope_busy_until")?;
+        mon.envelope_busy_until =
+            time_from(monv.get("envelope_busy_until")?, "envelope_busy_until")?;
         mon.src_totals = seconds_from(monv.get("src_totals")?, "src_totals")?;
         // Pure memo of the airtime function; recomputed values are
         // bit-identical, so dropping it preserves byte-identity.

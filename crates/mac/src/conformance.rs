@@ -13,73 +13,59 @@
 //! next be idle.
 
 use crate::frame::{MediumId, StationId};
-use crate::world::{MacWorld, Queue};
-use powifi_sim::conformance::{self, Invariant, InvariantSuite};
+use crate::world::{MacEvent, MacWorld, Queue};
+use powifi_sim::conformance;
 use powifi_sim::{SimDuration, SimTime};
 
 /// Tolerance for the occupancy bound: `src_totals` accumulates f64 seconds,
 /// one rounding error per frame.
 const OCC_EPS: f64 = 1e-9;
 
-/// Airtime-conservation audit over every channel and station of a
-/// [`crate::world::Mac`].
-pub struct MacInvariants;
+/// Install the periodic MAC audit: a self-re-posting
+/// [`MacEvent::Audit`] first firing at `period`, then every `period`.
+pub fn install_audit<W: MacWorld>(w: &mut W, q: &mut Queue<W>, period: SimDuration) {
+    w.mac_mut().audit_period = Some(period);
+    q.post_at(SimTime::ZERO + period, MacEvent::Audit.into());
+}
 
-impl<W: MacWorld> Invariant<W> for MacInvariants {
-    fn name(&self) -> &'static str {
-        "mac/audit"
-    }
-
-    fn check(&mut self, world: &W, now: SimTime) -> Result<(), String> {
-        let mac = world.mac();
-        for i in 0..mac.medium_count() {
-            let m = MediumId(i as u32);
-            // The channel is accountable up to the end of any in-flight
-            // busy period, not just `now`.
-            let horizon = now.max(mac.busy_until(m));
-            let wall = horizon.duration_since(SimTime::ZERO);
-            let busy = mac.busy_time(m);
-            if busy > wall {
-                conformance::report(
-                    "mac/airtime-conservation",
-                    now,
-                    format!("channel {i} busy {busy} exceeds wall time {wall}"),
-                );
-            }
-            if horizon > SimTime::ZERO {
-                for s in 0..mac.station_count() {
-                    let sta = StationId(s as u32);
-                    if mac.medium_of(sta) != m {
-                        continue;
-                    }
-                    let occ = mac.monitor(m).mean_of_station(sta, horizon);
-                    if !(0.0..=1.0 + OCC_EPS).contains(&occ) {
-                        conformance::report(
-                            "mac/occupancy-bounds",
-                            now,
-                            format!("station {s} occupancy {occ} outside [0, 1]"),
-                        );
-                    }
+/// One airtime-conservation pass over every channel and station at `now`
+/// (also what each periodic audit runs). Returns the number of violations
+/// it reported.
+pub fn audit_now<W: MacWorld>(world: &W, now: SimTime) -> u64 {
+    let before = conformance::violation_count();
+    let mac = world.mac();
+    for i in 0..mac.medium_count() {
+        let m = MediumId(i as u32);
+        // The channel is accountable up to the end of any in-flight busy
+        // period, not just `now`.
+        let horizon = now.max(mac.busy_until(m));
+        let wall = horizon.duration_since(SimTime::ZERO);
+        let busy = mac.busy_time(m);
+        if busy > wall {
+            conformance::report(
+                "mac/airtime-conservation",
+                now,
+                format!("channel {i} busy {busy} exceeds wall time {wall}"),
+            );
+        }
+        if horizon > SimTime::ZERO {
+            for s in 0..mac.station_count() {
+                let sta = StationId(s as u32);
+                if mac.medium_of(sta) != m {
+                    continue;
+                }
+                let occ = mac.monitor(m).mean_of_station(sta, horizon);
+                if !(0.0..=1.0 + OCC_EPS).contains(&occ) {
+                    conformance::report(
+                        "mac/occupancy-bounds",
+                        now,
+                        format!("station {s} occupancy {occ} outside [0, 1]"),
+                    );
                 }
             }
         }
-        Ok(())
     }
-}
-
-/// Install the MAC audit on `q`, first firing at `period` and repeating
-/// every `period` thereafter.
-pub fn install_audit<W: MacWorld>(q: &mut Queue<W>, period: SimDuration) {
-    let mut suite = InvariantSuite::new();
-    suite.push(MacInvariants);
-    suite.install(q, SimTime::ZERO + period, period);
-}
-
-/// One immediate audit pass (e.g. at the end of a run, after the last event).
-pub fn audit_now<W: MacWorld>(world: &W, now: SimTime) -> u64 {
-    let mut suite = InvariantSuite::new();
-    suite.push(MacInvariants);
-    suite.run(world, now)
+    conformance::violation_count() - before
 }
 
 #[allow(missing_docs)]
@@ -87,7 +73,7 @@ pub fn audit_now<W: MacWorld>(world: &W, now: SimTime) -> u64 {
 mod tests {
     use super::*;
     use crate::rate_adapt::RateController;
-    use crate::world::{enqueue, Mac};
+    use crate::world::{enqueue, start_source, Mac, Source};
     use crate::Frame;
     use powifi_rf::Bitrate;
     use powifi_sim::SimRng;
@@ -112,6 +98,16 @@ mod tests {
         }
     }
 
+    /// Keep `sta` saturated with 1500-byte power frames.
+    fn saturate(w: &mut TestWorld, q: &mut Queue<TestWorld>, sta: StationId) {
+        let src = Source {
+            frame: Frame::power(sta, 1500, Bitrate::G54),
+            period: SimDuration::from_micros(100),
+            below: 5,
+        };
+        start_source(w, q, SimTime::ZERO, src);
+    }
+
     #[test]
     fn saturated_channel_audits_clean() {
         let _g = conformance::check();
@@ -123,17 +119,9 @@ mod tests {
         let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         let b = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         for sta in [a, b] {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            saturate(&mut w, &mut q, sta);
         }
-        install_audit(&mut q, SimDuration::from_millis(10));
+        install_audit(&mut w, &mut q, SimDuration::from_millis(10));
         let end = SimTime::from_millis(500);
         q.run_until(&mut w, end);
         assert!(w.mac.busy_time(m) > SimDuration::from_millis(100));
@@ -153,16 +141,8 @@ mod tests {
         w.mac.inject_timing_bug(true);
         // Saturate: every post-transmission access that draws backoff 0
         // starts one slot into DIFS.
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_micros(100),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 5 {
-                    enqueue(w, q, a, Frame::power(a, 1500, Bitrate::G54));
-                }
-            },
-        );
-        install_audit(&mut q, SimDuration::from_millis(10));
+        saturate(&mut w, &mut q, a);
+        install_audit(&mut w, &mut q, SimDuration::from_millis(10));
         q.run_until(&mut w, SimTime::from_millis(500));
         let (count, retained) = conformance::take();
         assert!(count > 0, "timing bug went undetected");
@@ -187,7 +167,7 @@ mod tests {
             enqueue(&mut w, &mut q, a, Frame::power(a, 1500, Bitrate::G54));
             enqueue(&mut w, &mut q, b, Frame::power(b, 1500, Bitrate::B11));
         }
-        install_audit(&mut q, SimDuration::from_millis(5));
+        install_audit(&mut w, &mut q, SimDuration::from_millis(5));
         let end = SimTime::from_millis(200);
         q.run_until(&mut w, end);
         assert_eq!(w.mac.station(a).frames_sent, 20);

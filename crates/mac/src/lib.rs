@@ -30,5 +30,6 @@ pub use occupancy::OccupancyMonitor;
 pub use rate_adapt::RateController;
 pub use trace::{FrameRecord, FrameTrace};
 pub use world::{
-    dispatch_mac, enqueue, start_beacons, Mac, MacEvent, MacWorld, Medium, Queue, Station,
+    dispatch_mac, enqueue, start_beacons, start_source, Mac, MacEvent, MacWorld, Medium, Queue,
+    Source, Station,
 };

@@ -25,9 +25,9 @@ use powifi_sim::obs::trace as obs;
 use powifi_sim::{Dispatch, EventHandle, EventQueue, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
-/// The MAC layer's typed events. Hot protocol timers post these through
-/// [`powifi_sim::EventQueue::post_at`] instead of boxing a closure per
-/// event; the embedding world's event enum must absorb them via `From`.
+/// The MAC layer's typed events, posted through
+/// [`powifi_sim::EventQueue::post_at`]; the embedding world's event enum
+/// must absorb them via `From`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacEvent {
     /// Arbitration decision on a medium: the earliest backoff finisher(s)
@@ -44,7 +44,27 @@ pub enum MacEvent {
         /// Transmit rate for the beacon frame.
         rate: Bitrate,
     },
+    /// One firing of traffic source `id` (see [`start_source`]); re-posts
+    /// itself every source period.
+    Source {
+        /// Index into the MAC's source table.
+        id: u32,
+        /// Frames the source has enqueued so far.
+        seq: u64,
+    },
+    /// One whole-world conformance audit (see
+    /// [`crate::conformance::install_audit`]); re-posts itself every audit
+    /// period.
+    Audit,
 }
+
+// Every pending event sits in a timer-wheel entry next to its 16 bytes of
+// time and seq. `city_25k` keeps 522 shard queues of 4096 wheel slots and
+// touches 1.31M of those slots, so each extra 8 bytes per event costs about
+// 40 MiB of peak RSS. Source and audit configuration therefore lives in the
+// `Mac`'s tables, rebuilt by the world builder; only a source's `seq`
+// travels in the event.
+const _: () = assert!(std::mem::size_of::<MacEvent>() <= 16);
 
 /// The event queue of a MAC-embedding world: typed over the world's own
 /// event enum, which must absorb [`MacEvent`].
@@ -91,8 +111,8 @@ pub fn dispatch_mac<W: MacWorld>(w: &mut W, q: &mut Queue<W>, ev: MacEvent) {
         } => {
             let beacon = Frame::beacon(sta, rate);
             enqueue(w, q, sta, beacon);
-            // Body first, then re-arm — matching the repeating-closure
-            // scheduler's sequence-number order exactly.
+            // Body first, then re-post, as every periodic handler does:
+            // the goldens pin the sequence numbers this order issues.
             q.post_in(
                 interval,
                 MacEvent::Beacon {
@@ -103,7 +123,39 @@ pub fn dispatch_mac<W: MacWorld>(w: &mut W, q: &mut Queue<W>, ev: MacEvent) {
                 .into(),
             );
         }
+        MacEvent::Source { id, mut seq } => {
+            let src = w.mac().sources[id as usize];
+            let sta = src.frame.src;
+            if w.mac().queue_depth(sta) < src.below {
+                seq += 1;
+                let mut frame = src.frame;
+                frame.payload.seq = seq;
+                enqueue(w, q, sta, frame);
+            }
+            if !src.period.is_zero() {
+                q.post_in(src.period, MacEvent::Source { id, seq }.into());
+            }
+        }
+        MacEvent::Audit => {
+            crate::conformance::audit_now(w, q.now());
+            if let Some(period) = w.mac().audit_period {
+                q.post_in(period, MacEvent::Audit.into());
+            }
+        }
     }
+}
+
+/// A saturating traffic source: each firing enqueues a copy of `frame` at
+/// its sender (`frame.src`) unless that station already holds `below`
+/// frames. The copy's `payload.seq` numbers the source's frames from 1.
+#[derive(Debug, Clone, Copy)]
+pub struct Source {
+    /// Frame template.
+    pub frame: Frame,
+    /// Interval between firings; a zero period fires once.
+    pub period: SimDuration,
+    /// Queue depth at which a firing skips its frame.
+    pub below: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,6 +257,11 @@ pub struct Mac {
     pub(crate) rng: SimRng,
     pub(crate) next_frame_id: u64,
     timing_bug: bool,
+    /// Traffic sources by id (see [`start_source`]) and the conformance
+    /// audit period. Structure, not state: the world builder installs
+    /// them, and checkpoints carry only what the pending events hold.
+    pub(crate) sources: Vec<Source>,
+    pub(crate) audit_period: Option<SimDuration>,
     /// Scratch buffers reused across [`arb_fire`] / [`tx_end`] invocations so
     /// the two hottest handlers do not pay a heap allocation per
     /// transmission. Always left empty between calls; neither handler can
@@ -237,6 +294,8 @@ impl Mac {
             rng,
             next_frame_id: 1,
             timing_bug: false,
+            sources: Vec::new(),
+            audit_period: None,
             scratch: Scratch::default(),
         }
     }
@@ -1068,6 +1127,14 @@ pub fn start_beacons<W: MacWorld>(
     );
 }
 
+/// Start traffic source `src`, first firing at `first`.
+pub fn start_source<W: MacWorld>(w: &mut W, q: &mut Queue<W>, first: SimTime, src: Source) {
+    let mac = w.mac_mut();
+    let id = mac.sources.len() as u32;
+    mac.sources.push(src);
+    q.post_at(first, MacEvent::Source { id, seq: 0 }.into());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +1178,63 @@ mod tests {
             },
             EventQueue::new(),
         )
+    }
+
+    /// Keep `frame.src` topped up: every `period_us`, enqueue `frame` while
+    /// the station holds fewer than `below` frames.
+    fn saturate(
+        w: &mut TestWorld,
+        q: &mut Queue<TestWorld>,
+        frame: Frame,
+        period_us: u64,
+        below: usize,
+    ) {
+        let period = SimDuration::from_micros(period_us);
+        start_source(
+            w,
+            q,
+            SimTime::ZERO,
+            Source {
+                frame,
+                period,
+                below,
+            },
+        );
+    }
+
+    #[test]
+    fn source_numbers_its_frames_and_a_zero_period_fires_once() {
+        let (mut w, mut q) = world();
+        let m = w.mac.add_medium(SimDuration::from_secs(1));
+        let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        let b = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        let tag = PayloadTag {
+            flow: 3,
+            seq: 0,
+            bytes: 500,
+        };
+        saturate(
+            &mut w,
+            &mut q,
+            Frame::data(a, Dest::Unicast(b), tag),
+            1_000,
+            1,
+        );
+        let once = Source {
+            frame: Frame::power(b, 200, Bitrate::G54),
+            period: SimDuration::ZERO,
+            below: 1,
+        };
+        start_source(&mut w, &mut q, SimTime::from_micros(500), once);
+        q.run_until(&mut w, SimTime::from_millis(10));
+        assert_eq!(w.mac.station(b).frames_sent, 1);
+        // Firings at 0..=10 ms: ten frames delivered, the eleventh queued.
+        assert_eq!(w.mac.station(a).frames_sent, 10);
+        let queued: Vec<u64> = w.mac.stations[a.0 as usize].queues[0]
+            .iter()
+            .map(|f| f.payload.seq)
+            .collect();
+        assert_eq!(queued, [11]);
     }
 
     #[test]
@@ -1182,16 +1306,8 @@ mod tests {
         let b = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         // Keep both queues topped up.
         for sta in [a, b] {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        let f = Frame::power(sta, 1500, Bitrate::G54);
-                        enqueue(w, q, sta, f);
-                    }
-                },
-            );
+            let frame = Frame::power(sta, 1500, Bitrate::G54);
+            saturate(&mut w, &mut q, frame, 100, 5);
         }
         q.run_until(&mut w, SimTime::from_secs(2));
         let sa = w.mac.station(a).frames_sent as f64;
@@ -1221,23 +1337,17 @@ mod tests {
         }
         for &(_, a, b) in &pairs {
             for (src, dst) in [(a, b), (b, a)] {
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(400),
-                    move |w: &mut TestWorld, q| {
-                        if w.mac.queue_depth(src) < 3 {
-                            let f = Frame::data(
-                                src,
-                                Dest::Unicast(dst),
-                                PayloadTag {
-                                    flow: 0,
-                                    seq: 0,
-                                    bytes: 800,
-                                },
-                            );
-                            enqueue(w, q, src, f);
-                        }
-                    },
+                let tag = PayloadTag {
+                    flow: 0,
+                    seq: 0,
+                    bytes: 800,
+                };
+                saturate(
+                    &mut w,
+                    &mut q,
+                    Frame::data(src, Dest::Unicast(dst), tag),
+                    400,
+                    3,
                 );
             }
         }
@@ -1275,16 +1385,7 @@ mod tests {
         let (mut w, mut q) = world();
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_micros(50),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 5 {
-                    let f = Frame::power(a, 1500, Bitrate::G54);
-                    enqueue(w, q, a, f);
-                }
-            },
-        );
+        saturate(&mut w, &mut q, Frame::power(a, 1500, Bitrate::G54), 50, 5);
         {
             let mon = w.mac.monitor_mut(m).monitor();
             mon.track(a);
@@ -1360,14 +1461,12 @@ mod tests {
             .map(|_| w.mac.add_station(m, RateController::fixed(Bitrate::G54)))
             .collect();
         for sta in stas {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(200),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 3 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
+            saturate(
+                &mut w,
+                &mut q,
+                Frame::power(sta, 1500, Bitrate::G54),
+                200,
+                3,
             );
         }
         q.run_until(&mut w, SimTime::from_secs(2));
@@ -1408,15 +1507,7 @@ mod tests {
             w.mac.timing = timing;
             let m = w.mac.add_medium(SimDuration::from_secs(1));
             let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(a) < 5 {
-                        enqueue(w, q, a, Frame::power(a, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            saturate(&mut w, &mut q, Frame::power(a, 1500, Bitrate::G54), 100, 5);
             q.run_until(&mut w, SimTime::from_secs(2));
             w.mac.station(a).frames_sent
         };
@@ -1463,23 +1554,17 @@ mod tests {
         w.mac.set_link_snr(a, b, Db(25.0));
         w.mac
             .set_link_fader(a, b, BlockFader::indoor_obstructed(SimRng::from_seed(5)));
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 3 {
-                    let f = Frame::data(
-                        a,
-                        Dest::Unicast(b),
-                        PayloadTag {
-                            flow: 1,
-                            seq: 0,
-                            bytes: 1000,
-                        },
-                    );
-                    enqueue(w, q, a, f);
-                }
-            },
+        let tag = PayloadTag {
+            flow: 1,
+            seq: 0,
+            bytes: 1000,
+        };
+        saturate(
+            &mut w,
+            &mut q,
+            Frame::data(a, Dest::Unicast(b), tag),
+            2_000,
+            3,
         );
         q.run_until(&mut w, SimTime::from_secs(4));
         let sent = w.mac.station(a).frames_sent;

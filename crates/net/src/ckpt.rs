@@ -3,9 +3,9 @@
 //! Unlike the MAC (whose restore overlays dynamic state onto a rebuilt
 //! topology), the flow table is fully self-describing — [`restore_net`]
 //! reconstructs a complete [`NetState`] from the tree alone and the caller
-//! swaps it in wholesale. Page loads hold in-flight WAN fetch state that
-//! has no checkpoint form yet, so checkpointing a world with active page
-//! state is refused loudly rather than silently dropped.
+//! swaps it in wholesale. Page loads run on typed events, but their
+//! [`crate::PageState`] has no codec yet, so checkpointing a world with
+//! page state is refused loudly rather than silently dropped.
 
 use crate::state::{Flow, NetState};
 use crate::tcp::TcpFlow;
@@ -65,10 +65,7 @@ fn tcp_v(f: &TcpFlow) -> Value {
         .field("next_seq", Value::U64(f.next_seq))
         .field("budget", Value::U64(f.budget))
         .field("dup_acks", Value::U64(f.dup_acks as u64))
-        .field(
-            "recovery_high",
-            Value::opt(f.recovery_high, Value::U64),
-        )
+        .field("recovery_high", Value::opt(f.recovery_high, Value::U64))
         .field("srtt", Value::opt(f.srtt, Value::f64))
         .field("rttvar", Value::f64(f.rttvar))
         .field("rto", Value::f64(f.rto))
@@ -106,12 +103,12 @@ fn tcp_v(f: &TcpFlow) -> Value {
 }
 
 /// Serialize the transport state. Fails with
-/// [`CkptError::Unsupported`] if any page load is registered: page state
-/// owns closure-scheduled WAN round trips that cannot be serialized.
+/// [`CkptError::Unsupported`] if any page load is registered:
+/// [`crate::PageState`] has no codec yet.
 pub fn save_net(net: &NetState) -> Result<Value, CkptError> {
     if !net.pages.is_empty() {
         return Err(CkptError::Unsupported(
-            "page-load state cannot be checkpointed (in-flight WAN callbacks)".into(),
+            "page-load state has no checkpoint form yet".into(),
         ));
     }
     let flows = net
@@ -239,9 +236,6 @@ mod tests {
     fn active_pages_are_refused() {
         let mut net = NetState::new();
         net.pages.push(crate::web::PageState::stub_for_tests());
-        assert!(matches!(
-            save_net(&net),
-            Err(CkptError::Unsupported(_))
-        ));
+        assert!(matches!(save_net(&net), Err(CkptError::Unsupported(_))));
     }
 }

@@ -17,7 +17,7 @@ pub mod udp;
 pub mod web;
 
 pub use state::{Flow, FlowId, NetState, NetWorld};
-pub use tcp::{start_tcp_flow, tcp_push, TcpFlow, MSS};
+pub use tcp::{start_tcp_flow, tcp_push, tcp_push_at, TcpFlow, MSS};
 pub use udp::{start_udp_flow, UdpFlowState, UDP_PAYLOAD};
 pub use web::{start_page_load, top10_us, PageState, SiteProfile, WanConfig};
 
@@ -66,9 +66,8 @@ pub enum NetEvent {
         /// Object size in bytes.
         bytes: u64,
     },
-    /// Authorize `bytes` more on a TCP flow at a scheduled instant — the
-    /// typed form of a one-shot `tcp_push` closure, so deferred pushes
-    /// survive checkpointing.
+    /// Authorize `bytes` more on a TCP flow at a scheduled instant (a
+    /// deferred [`tcp_push`]).
     TcpPush {
         /// Flow id.
         flow: FlowId,
@@ -265,9 +264,7 @@ mod tests {
         let (mut w, mut q, ap, client) = world();
         let flow = start_tcp_flow(&mut w, ap, client);
         // Seed inside the event loop so `now` is defined.
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 100_000_000);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, 100_000_000);
         q.run_until(&mut w, SimTime::from_secs(5));
         let f = w.net.tcp(flow);
         let got = f.mean_mbps();
@@ -280,9 +277,7 @@ mod tests {
     fn tcp_transfer_completes_and_reports() {
         let (mut w, mut q, ap, client) = world();
         let flow = start_tcp_flow(&mut w, ap, client);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 500_000); // 500 kB
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, 500_000);
         q.run_until(&mut w, SimTime::from_secs(10));
         let f = w.net.tcp(flow);
         let done = f.completed_at.expect("transfer should finish");
@@ -298,9 +293,7 @@ mod tests {
         w.mac.set_link_snr(ap, client, powifi_rf::Db(24.5));
         w.mac.set_link_snr(client, ap, powifi_rf::Db(35.0));
         let flow = start_tcp_flow(&mut w, ap, client);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 2_000_000);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, 2_000_000);
         q.run_until(&mut w, SimTime::from_secs(30));
         let f = w.net.tcp(flow);
         assert!(f.completed_at.is_some(), "did not complete");
@@ -313,10 +306,8 @@ mod tests {
         let client2 = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         let f1 = start_tcp_flow(&mut w, ap, client);
         let f2 = start_tcp_flow(&mut w, ap, client2);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, f1, 100_000_000);
-            tcp_push(w, q, f2, 100_000_000);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, f1, 100_000_000);
+        tcp_push_at(&mut q, SimTime::ZERO, f2, 100_000_000);
         q.run_until(&mut w, SimTime::from_secs(6));
         let a = w.net.tcp(f1).mean_mbps();
         let b = w.net.tcp(f2).mean_mbps();

@@ -152,6 +152,11 @@ pub fn tcp_push<W: NetWorld>(w: &mut W, q: &mut Queue<W>, id: FlowId, bytes: u64
     try_send(w, q, id);
 }
 
+/// [`tcp_push`] deferred to the instant `at`, as a [`NetEvent::TcpPush`].
+pub fn tcp_push_at<W: NetWorld>(q: &mut Queue<W>, at: SimTime, flow: FlowId, bytes: u64) {
+    q.post_at(at, NetEvent::TcpPush { flow, bytes }.into());
+}
+
 fn data_frame(f: &TcpFlow, seq: u64) -> Frame {
     Frame::data(
         f.src,

@@ -3,7 +3,8 @@
 
 use powifi_mac::{Mac, MacWorld, Queue, RateController, StationId};
 use powifi_net::{
-    dispatch_stack, on_deliver, start_tcp_flow, tcp_push, Flow, NetState, NetWorld, StackEvent, MSS,
+    dispatch_stack, on_deliver, start_tcp_flow, tcp_push_at, Flow, NetState, NetWorld, StackEvent,
+    MSS,
 };
 use powifi_rf::Bitrate;
 use powifi_sim::{Dispatch, SimDuration, SimRng, SimTime};
@@ -69,9 +70,7 @@ proptest! {
         let mut q = Queue::<W>::new();
         let flow = start_tcp_flow(&mut w, ap, client);
         let bytes = kilobytes * 1000;
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, bytes);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, bytes);
         q.run_until(&mut w, SimTime::from_secs(120));
         let f = w.net.tcp(flow);
         let budget_segments = bytes.div_ceil(MSS as u64);
@@ -104,9 +103,7 @@ proptest! {
         let mut q = Queue::<W>::new();
         let flow = start_tcp_flow(&mut w, ap, client);
         let bytes = kilobytes * 1000;
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, bytes);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, bytes);
         q.run_until(&mut w, SimTime::from_secs(60));
         let Some(Flow::Tcp(f)) = w.net.flow(flow) else { unreachable!() };
         let total: u64 = f.delivered.total_bytes();

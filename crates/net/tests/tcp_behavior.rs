@@ -1,9 +1,9 @@
 //! Behavioural tests of the TCP machine under controlled adversity:
 //! timeouts, fast retransmit, fading links, and competing power traffic.
 
-use powifi_mac::{Mac, MacWorld, Queue, RateController, StationId};
+use powifi_mac::{start_source, Frame, Mac, MacWorld, Queue, RateController, Source, StationId};
 use powifi_net::{
-    dispatch_stack, on_deliver, start_tcp_flow, tcp_push, NetState, NetWorld, StackEvent,
+    dispatch_stack, on_deliver, start_tcp_flow, tcp_push_at, NetState, NetWorld, StackEvent,
 };
 use powifi_rf::{Bitrate, BlockFader, Db};
 use powifi_sim::{Dispatch, SimDuration, SimRng, SimTime};
@@ -25,7 +25,7 @@ impl MacWorld for W {
     fn mac_mut(&mut self) -> &mut Mac {
         &mut self.mac
     }
-    fn deliver(&mut self, q: &mut Queue<Self>, rx: StationId, frame: &powifi_mac::Frame) {
+    fn deliver(&mut self, q: &mut Queue<Self>, rx: StationId, frame: &Frame) {
         on_deliver(self, q, rx, frame);
     }
 }
@@ -59,13 +59,10 @@ fn rto_backs_off_and_recovers_when_link_heals() {
     // then TCP's RTO fires repeatedly).
     w.mac.set_link_snr(ap, client, Db(0.0));
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, 300_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, 300_000);
     // Heal the link after 5 s.
-    q.schedule_at(SimTime::from_secs(5), move |w: &mut W, _| {
-        w.mac.set_link_snr(ap, client, Db(40.0));
-    });
+    q.run_until(&mut w, SimTime::from_secs(5));
+    w.mac.set_link_snr(ap, client, Db(40.0));
     q.run_until(&mut w, SimTime::from_secs(30));
     let f = w.net.tcp(flow);
     assert!(
@@ -89,9 +86,7 @@ fn mac_retries_hide_moderate_loss_from_tcp() {
     let m = w.mac.medium_of(ap);
     w.mac.set_corruption(m, 0.08);
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, 5_000_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, 5_000_000);
     q.run_until(&mut w, SimTime::from_secs(20));
     let f = w.net.tcp(flow);
     assert!(
@@ -113,9 +108,7 @@ fn tcp_recovers_when_mac_retries_are_exhausted() {
     let m = w.mac.medium_of(ap);
     w.mac.set_corruption(m, 0.45);
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, 2_000_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, 2_000_000);
     q.run_until(&mut w, SimTime::from_secs(40));
     let f = w.net.tcp(flow);
     assert!(
@@ -137,9 +130,7 @@ fn goodput_degrades_monotonically_with_loss() {
         let m = w.mac.medium_of(ap);
         w.mac.set_corruption(m, loss);
         let flow = start_tcp_flow(&mut w, ap, client);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, u64::MAX / 4);
-        });
+        tcp_push_at(&mut q, SimTime::ZERO, flow, u64::MAX / 4);
         q.run_until(&mut w, SimTime::from_secs(8));
         let got = w.net.tcp(flow).mean_mbps();
         assert!(got < prev, "no degradation at loss {loss}: {got} vs {prev}");
@@ -163,9 +154,7 @@ fn tcp_rides_out_block_fading() {
         BlockFader::indoor_obstructed(SimRng::from_seed(9)),
     );
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, 3_000_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, 3_000_000);
     q.run_until(&mut w, SimTime::from_secs(90));
     let f = w.net.tcp(flow);
     assert!(
@@ -189,10 +178,8 @@ fn concurrent_flows_from_one_station_both_finish() {
     let client2 = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
     let f1 = start_tcp_flow(&mut w, ap, client);
     let f2 = start_tcp_flow(&mut w, ap, client2);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, f1, 3_000_000);
-        tcp_push(w, q, f2, 3_000_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, f1, 3_000_000);
+    tcp_push_at(&mut q, SimTime::ZERO, f2, 3_000_000);
     q.run_until(&mut w, SimTime::from_secs(15));
     assert!(w.net.tcp(f1).completed_at.is_some());
     assert!(w.net.tcp(f2).completed_at.is_some());
@@ -204,16 +191,13 @@ fn concurrent_flows_from_one_station_both_finish() {
 fn flow_reuse_after_completion() {
     let (mut w, mut q, ap, client) = world(6);
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, 100_000);
-    });
-    q.schedule_at(SimTime::from_secs(3), move |w: &mut W, q| {
-        assert!(
-            w.net.tcp(flow).completed_at.is_some(),
-            "first object unfinished"
-        );
-        tcp_push(w, q, flow, 200_000);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, 100_000);
+    q.run_until(&mut w, SimTime::from_secs(3));
+    assert!(
+        w.net.tcp(flow).completed_at.is_some(),
+        "first object unfinished"
+    );
+    tcp_push_at(&mut q, SimTime::from_secs(3), flow, 200_000);
     q.run_until(&mut w, SimTime::from_secs(10));
     let f = w.net.tcp(flow);
     let done = f.completed_at.expect("second object unfinished");
@@ -226,9 +210,7 @@ fn srtt_tracks_congestion() {
     // Clean world.
     let (mut w, mut q, ap, client) = world(7);
     let flow = start_tcp_flow(&mut w, ap, client);
-    q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow, u64::MAX / 4);
-    });
+    tcp_push_at(&mut q, SimTime::ZERO, flow, u64::MAX / 4);
     q.run_until(&mut w, SimTime::from_secs(4));
     let clean_rtt = w.net.tcp(flow).srtt().unwrap();
 
@@ -236,19 +218,14 @@ fn srtt_tracks_congestion() {
     let (mut w2, mut q2, ap2, client2) = world(7);
     let m = w2.mac.medium_of(ap2);
     let hog = w2.mac.add_station(m, RateController::fixed(Bitrate::G12));
-    q2.schedule_repeating(
-        SimTime::ZERO,
-        SimDuration::from_millis(1),
-        move |w: &mut W, q| {
-            if w.mac.queue_depth(hog) < 5 {
-                powifi_mac::enqueue(w, q, hog, powifi_mac::Frame::power(hog, 1500, Bitrate::G12));
-            }
-        },
-    );
+    let src = Source {
+        frame: Frame::power(hog, 1500, Bitrate::G12),
+        period: SimDuration::from_millis(1),
+        below: 5,
+    };
+    start_source(&mut w2, &mut q2, SimTime::ZERO, src);
     let flow2 = start_tcp_flow(&mut w2, ap2, client2);
-    q2.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-        tcp_push(w, q, flow2, u64::MAX / 4);
-    });
+    tcp_push_at(&mut q2, SimTime::ZERO, flow2, u64::MAX / 4);
     q2.run_until(&mut w2, SimTime::from_secs(4));
     let busy_rtt = w2.net.tcp(flow2).srtt().unwrap();
     assert!(

@@ -60,7 +60,11 @@ impl BlockFader {
     /// Checkpoint view: RNG position plus the current block and fade, so a
     /// restored fader continues the exact same fade sequence.
     pub fn ckpt_state(&self) -> ((u64, [u64; 4]), u64, f64) {
-        (self.rng.ckpt_state(), self.current_block, self.current_fade.0)
+        (
+            self.rng.ckpt_state(),
+            self.current_block,
+            self.current_fade.0,
+        )
     }
 
     /// Overlay a position captured by [`BlockFader::ckpt_state`].

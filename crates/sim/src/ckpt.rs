@@ -63,8 +63,9 @@ pub enum CkptError {
         /// What was expected there.
         message: String,
     },
-    /// The checkpointed state cannot be restored by this build (e.g. a
-    /// pending boxed closure was encountered at save time).
+    /// The state has no checkpoint form, or cannot be restored into the
+    /// world this build rebuilds (e.g. a pending event kind without a
+    /// serial form).
     Unsupported(String),
 }
 
@@ -442,8 +443,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CkptError> {
                 let hex = b
                     .get(start..end)
                     .ok_or_else(|| parse_err(*pos, "truncated f64 bits"))?;
-                let hex = std::str::from_utf8(hex)
-                    .map_err(|_| parse_err(start, "non-utf8 f64 bits"))?;
+                let hex =
+                    std::str::from_utf8(hex).map_err(|_| parse_err(start, "non-utf8 f64 bits"))?;
                 let bits = u64::from_str_radix(hex, 16)
                     .map_err(|_| parse_err(start, "bad f64 hex bits"))?;
                 *pos = end;
@@ -505,7 +506,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CkptError> {
                 }
             }
         }
-        Some(c) => Err(parse_err(*pos, &format!("unexpected byte {:?}", *c as char))),
+        Some(c) => Err(parse_err(
+            *pos,
+            &format!("unexpected byte {:?}", *c as char),
+        )),
     }
 }
 
@@ -757,10 +761,7 @@ mod tests {
     #[test]
     fn fnv_hash_is_stable() {
         // Pinned: the hash is part of the wire format.
-        assert_eq!(
-            fnv1a128_hex(b""),
-            "6c62272e07bb014262b821756295c58d"
-        );
+        assert_eq!(fnv1a128_hex(b""), "6c62272e07bb014262b821756295c58d");
         assert_ne!(fnv1a128_hex(b"a"), fnv1a128_hex(b"b"));
     }
 }

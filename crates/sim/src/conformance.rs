@@ -12,15 +12,15 @@
 //!   its thread, the instrumented layers report into the sink as they go,
 //!   and the harness collects afterwards. Nothing in the simulation reads
 //!   the sink back, so enabling it cannot perturb results or determinism.
-//! * A generic [`Invariant`] trait plus [`InvariantSuite`] runs periodic
-//!   whole-world audits off the event queue itself (e.g. "per-channel busy
-//!   time ≤ wall time" every 100 ms of sim time).
+//! * A generic [`Invariant`] trait plus [`InvariantSuite`] runs whole-world
+//!   audits (e.g. "per-channel busy time ≤ wall time"); a layer makes one
+//!   periodic by posting it as a self-re-posting typed event, as the MAC's
+//!   audit does.
 //!
 //! Checks are compiled in but **off by default**; the hot paths pay one
 //! thread-local boolean read when disabled.
 
-use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use core::fmt;
 use std::cell::{Cell, RefCell};
 
@@ -158,7 +158,7 @@ pub trait Invariant<W> {
     fn check(&mut self, world: &W, now: SimTime) -> Result<(), String>;
 }
 
-/// A set of invariants audited together on a repeating schedule.
+/// A set of invariants audited together.
 pub struct InvariantSuite<W> {
     checks: Vec<Box<dyn Invariant<W>>>,
 }
@@ -190,24 +190,6 @@ impl<W> InvariantSuite<W> {
             }
         }
         violation_count() - before
-    }
-}
-
-impl<W: 'static> InvariantSuite<W> {
-    /// Install the suite as a repeating audit event: first run at `first`,
-    /// then every `period`, for as long as the queue keeps running. Works on
-    /// a queue with any typed-event parameter `E` — audits are cold-path by
-    /// design, so the closure API is the right fit here.
-    ///
-    /// The audit observes the world immutably through `&W` and writes only
-    /// to the thread-local sink, so installing it cannot change simulation
-    /// behavior — only add (deterministic) event-queue activity.
-    pub fn install<E>(self, q: &mut EventQueue<W, E>, first: SimTime, period: SimDuration) {
-        let suite = RefCell::new(self);
-        // powifi-lint: allow(R8) — periodic cold-path audit, one closure per run
-        q.schedule_repeating(first, period, move |w: &mut W, q| {
-            suite.borrow_mut().run(w, q.now());
-        });
     }
 }
 
@@ -297,21 +279,5 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(v[0].rule, "test/non-negative");
         assert!(v[0].detail.contains("-2"));
-    }
-
-    #[test]
-    fn installed_suite_audits_periodically() {
-        let _g = check();
-        let mut q = EventQueue::<i64>::new();
-        let mut suite = InvariantSuite::new();
-        suite.push(NonNegative);
-        suite.install(&mut q, SimTime::ZERO, SimDuration::from_millis(1));
-        // World turns negative at t = 2.5 ms and stays there.
-        q.schedule_at(SimTime::from_micros(2_500), |w: &mut i64, _| *w = -1);
-        let mut w = 1i64;
-        q.run_until(&mut w, SimTime::from_micros(5_500));
-        // Audits at 0, 1, 2 ms pass; 3, 4, 5 ms fail.
-        assert_eq!(violation_count(), 3);
-        reset();
     }
 }

@@ -11,9 +11,9 @@
 //!   a reproduction (parallelism lives one level up, across *experiments*).
 //! * `EventQueue<W, E>` is generic over a world type and a typed event
 //!   payload so each layer (MAC, transport, deployment) composes its own
-//!   world and event enum without dynamic dispatch — or per-event heap
-//!   allocation — at the hot edges. Closure scheduling remains available
-//!   for cold paths via `schedule_at`/`schedule_in`.
+//!   world and event enum without dynamic dispatch or per-event heap
+//!   allocation. Typed posting is the only scheduling path, so every
+//!   pending event can be checkpointed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,7 @@ pub mod time;
 pub mod units;
 
 pub use obs::metrics::RunTelemetry;
-pub use queue::{Dispatch, EventFn, EventHandle, EventQueue, NoEvent};
+pub use queue::{Dispatch, EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use series::{PowerEnvelope, TimeSeries};
 pub use stats::{BinnedThroughput, Cdf, TimeWeighted, Welford};

@@ -100,6 +100,9 @@ impl Cum {
 /// metrics snapshots).
 type Series = BTreeMap<Option<u64>, BTreeMap<u64, Cum>>;
 
+/// Key of a `ckpt` record's state hash: `(deployment, shard, epoch)`.
+pub type CkptKey = (String, Option<u64>, u64);
+
 /// The streaming aggregation engine. Feed it lines (in any interleaving),
 /// then [`Aggregator::render`].
 #[derive(Debug, Default)]
@@ -112,7 +115,7 @@ pub struct Aggregator {
     /// identical diverge exactly where these maps first disagree — the
     /// live-fleet early warning that `powifi-replay bisect` then pinpoints
     /// offline from the chain files.
-    ckpt_hashes: BTreeMap<(String, Option<u64>, u64), String>,
+    ckpt_hashes: BTreeMap<CkptKey, String>,
     max_t: u64,
     records: u64,
     seq_seen: u64,
@@ -187,7 +190,7 @@ impl Aggregator {
 
     /// State hashes seen in `ckpt` records, keyed by
     /// `(deployment, shard, epoch)`.
-    pub fn ckpt_hashes(&self) -> &BTreeMap<(String, Option<u64>, u64), String> {
+    pub fn ckpt_hashes(&self) -> &BTreeMap<CkptKey, String> {
         &self.ckpt_hashes
     }
 
@@ -198,7 +201,7 @@ impl Aggregator {
     pub fn first_ckpt_divergence<'a>(
         &'a self,
         other: &'a Aggregator,
-    ) -> Option<(&'a (String, Option<u64>, u64), &'a str, &'a str)> {
+    ) -> Option<(&'a CkptKey, &'a str, &'a str)> {
         self.ckpt_hashes.iter().find_map(|(k, h)| {
             other
                 .ckpt_hashes

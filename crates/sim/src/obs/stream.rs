@@ -348,13 +348,7 @@ impl Handle {
     /// `shard: Some(s)` tags the record with the city shard it covers, the
     /// same tagging as `progress` records; live fleets detect divergence by
     /// comparing these hashes at equal `(deployment, shard, epoch)` keys.
-    pub fn emit_ckpt(
-        &self,
-        t: SimTime,
-        shard: Option<u64>,
-        epoch: u64,
-        hash: &str,
-    ) -> PushOutcome {
+    pub fn emit_ckpt(&self, t: SimTime, shard: Option<u64>, epoch: u64, hash: &str) -> PushOutcome {
         let mut body = self.body_prefix("ckpt", t);
         if let Some(s) = shard {
             let _ = write!(body, ",\"shard\":{s}");

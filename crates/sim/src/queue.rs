@@ -1,13 +1,12 @@
 //! The discrete-event queue.
 //!
 //! `EventQueue<W, E>` is a deterministic, single-threaded calendar over a
-//! world state `W` and a typed event payload `E`. Hot layers post plain
+//! world state `W` and a typed event payload `E`. Every layer posts plain
 //! `E` values with [`EventQueue::post_at`]/[`EventQueue::post_in`] — no
 //! per-event heap allocation — and the world routes them through its
-//! [`Dispatch`] implementation. Cold paths (tests, one-shot experiment
-//! setup, periodic audits) may still schedule boxed closures via
-//! [`EventQueue::schedule_at`] and friends; both kinds share one sequence
-//! counter, so their interleaving is exactly the scheduling order.
+//! [`Dispatch`] implementation. A periodic handler re-posts its own event
+//! after running its body, so repetition needs no separate scheduling API,
+//! and every pending event has a serial form for checkpoints.
 //!
 //! Two events at the same instant fire in scheduling order (FIFO), which —
 //! together with integer [`SimTime`] — makes every run bit-reproducible for
@@ -39,9 +38,11 @@
 //! its handle (which carries the scheduled time) and removes it on the
 //! spot, so cancelled-but-unpopped entries never accumulate.
 
+use crate::ckpt::CkptError;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::marker::PhantomData;
 
 /// log2 of the wheel slot width: slots are 2^13 ns = 8.192 µs wide.
 const SLOT_BITS: u32 = 13;
@@ -54,35 +55,13 @@ const HORIZON: u64 = (SLOTS as u64) << SLOT_BITS;
 /// Words in the slot-occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
 
-/// A boxed event handler: consumes itself, mutating the world and queue.
-///
-/// The closure form of scheduling. Kept for cold paths — experiment setup,
-/// periodic audits, tests — where capturing environment beats defining an
-/// event variant. Hot layers use typed events via [`EventQueue::post_at`].
-pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut W, &mut EventQueue<W, E>)>;
-
-/// The uninhabited default event type: a queue over `NoEvent` is
-/// closure-only, and every world trivially dispatches it (there are no
-/// values to dispatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoEvent {}
-
 /// How a world routes typed events to their handlers.
 ///
 /// Implementations are a match over the event enum calling plain handler
-/// functions — the typed replacement for allocating one boxed closure per
-/// event. Every world dispatches [`NoEvent`] for free via a blanket impl,
-/// so closure-only worlds (`EventQueue<W>` with the default `E`) need no
-/// code at all.
+/// functions.
 pub trait Dispatch<E>: Sized {
     /// Handle one event. Runs with the queue clock at the event's instant.
     fn dispatch(&mut self, q: &mut EventQueue<Self, E>, ev: E);
-}
-
-impl<W> Dispatch<NoEvent> for W {
-    fn dispatch(&mut self, _q: &mut EventQueue<Self, NoEvent>, ev: NoEvent) {
-        match ev {}
-    }
 }
 
 /// Handle to a scheduled event, usable for cancellation. Carries the
@@ -107,29 +86,24 @@ impl EventHandle {
     }
 }
 
-enum Payload<W, E> {
-    Typed(E),
-    Boxed(EventFn<W, E>),
-}
-
-struct Entry<W, E> {
+struct Entry<E> {
     time: u64,
     seq: u64,
-    payload: Payload<W, E>,
+    ev: E,
 }
 
-impl<W, E> PartialEq for Entry<W, E> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<W, E> Eq for Entry<W, E> {}
-impl<W, E> PartialOrd for Entry<W, E> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W, E> Ord for Entry<W, E> {
+impl<E> Ord for Entry<E> {
     // Reverse ordering: BinaryHeap is a max-heap, we want the earliest event.
     fn cmp(&self, other: &Self) -> Ordering {
         other
@@ -140,13 +114,13 @@ impl<W, E> Ord for Entry<W, E> {
 }
 
 /// Deterministic discrete-event calendar over world state `W` with typed
-/// event payload `E` (default: closure-only, see [`NoEvent`]).
-pub struct EventQueue<W, E = NoEvent> {
+/// event payload `E`.
+pub struct EventQueue<W, E> {
     /// Cursor-slot events, ordered by `(time, seq)`.
-    active: BinaryHeap<Entry<W, E>>,
+    active: BinaryHeap<Entry<E>>,
     /// The wheel buckets; the cursor slot's bucket is always empty (its
     /// contents live in `active`).
-    slots: Vec<Vec<Entry<W, E>>>,
+    slots: Vec<Vec<Entry<E>>>,
     /// Bit `i` set iff `slots[i]` is non-empty.
     occupancy: [u64; WORDS],
     /// Slot-aligned start of the cursor slot, nanoseconds.
@@ -154,13 +128,15 @@ pub struct EventQueue<W, E = NoEvent> {
     /// Entries across all wheel buckets (excluding `active` and overflow).
     wheel_len: usize,
     /// Events beyond the wheel horizon, keyed by `(time, seq)`.
-    overflow: BTreeMap<(u64, u64), Payload<W, E>>,
+    overflow: BTreeMap<(u64, u64), E>,
     /// Spare bucket swapped with the cursor slot on each advance, so bucket
     /// capacity is recycled instead of reallocated once per drained slot.
-    bucket_scratch: Vec<Entry<W, E>>,
+    bucket_scratch: Vec<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     executed: u64,
+    /// The queue only ever hands `&mut W` to [`Dispatch`]; it stores none.
+    world: PhantomData<fn(&mut W)>,
 }
 
 impl<W, E> Default for EventQueue<W, E> {
@@ -183,6 +159,7 @@ impl<W, E> EventQueue<W, E> {
             now: SimTime::ZERO,
             next_seq: 0,
             executed: 0,
+            world: PhantomData,
         }
     }
 
@@ -210,8 +187,26 @@ impl<W, E> EventQueue<W, E> {
         self.wheel_len + self.active.len() + self.overflow.len()
     }
 
+    /// File an entry into the active heap, a wheel bucket or the overflow
+    /// map, by its time relative to the cursor slot.
     #[inline]
-    fn insert(&mut self, at: SimTime, payload: Payload<W, E>) -> EventHandle {
+    fn place(&mut self, time: u64, seq: u64, ev: E) {
+        if time < self.wheel_start.saturating_add(SLOT_WIDTH) {
+            self.active.push(Entry { time, seq, ev });
+        } else if time < self.wheel_start.saturating_add(HORIZON) {
+            let idx = ((time >> SLOT_BITS) as usize) & (SLOTS - 1);
+            self.slots[idx].push(Entry { time, seq, ev });
+            self.occupancy[idx >> 6] |= 1 << (idx & 63);
+            self.wheel_len += 1;
+        } else {
+            self.overflow.insert((time, seq), ev);
+        }
+    }
+
+    /// Post a typed event at the absolute instant `at`. The world's
+    /// [`Dispatch`] impl routes it when it fires. Panics if `at` is in the
+    /// past.
+    pub fn post_at(&mut self, at: SimTime, ev: E) -> EventHandle {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
@@ -220,94 +215,13 @@ impl<W, E> EventQueue<W, E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let time = at.as_nanos();
-        if time < self.wheel_start.saturating_add(SLOT_WIDTH) {
-            self.active.push(Entry { time, seq, payload });
-        } else if time < self.wheel_start.saturating_add(HORIZON) {
-            let idx = ((time >> SLOT_BITS) as usize) & (SLOTS - 1);
-            self.slots[idx].push(Entry { time, seq, payload });
-            self.occupancy[idx >> 6] |= 1 << (idx & 63);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.insert((time, seq), payload);
-        }
+        self.place(time, seq, ev);
         EventHandle { seq, time }
-    }
-
-    /// Post a typed event at the absolute instant `at` — the zero-allocation
-    /// hot path. The world's [`Dispatch`] impl routes it when it fires.
-    /// Panics if `at` is in the past.
-    pub fn post_at(&mut self, at: SimTime, ev: E) -> EventHandle {
-        self.insert(at, Payload::Typed(ev))
     }
 
     /// Post a typed event after a relative delay.
     pub fn post_in(&mut self, delay: SimDuration, ev: E) -> EventHandle {
         self.post_at(self.now + delay, ev)
-    }
-
-    /// Schedule closure `f` at the absolute instant `at`. Panics if `at` is
-    /// in the past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut W, &mut EventQueue<W, E>) + 'static,
-    ) -> EventHandle {
-        self.insert(at, Payload::Boxed(Box::new(f)))
-    }
-
-    /// Schedule closure `f` after a relative delay.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut EventQueue<W, E>) + 'static,
-    ) -> EventHandle {
-        self.schedule_at(self.now + delay, f)
-    }
-
-    /// Schedule a repeating event: `f` fires first at `first`, then every
-    /// `period` thereafter, until the run horizon is reached or the world
-    /// stops the simulation. Returns the handle of the *first* firing only;
-    /// stopping a repetition chain is done from inside `f` by returning
-    /// control — use [`EventQueue::schedule_repeating_while`] for a
-    /// self-terminating variant.
-    pub fn schedule_repeating(
-        &mut self,
-        first: SimTime,
-        period: SimDuration,
-        f: impl FnMut(&mut W, &mut EventQueue<W, E>) + 'static,
-    ) -> EventHandle {
-        self.schedule_repeating_while(first, period, f, |_| true)
-    }
-
-    /// Like [`EventQueue::schedule_repeating`] but re-arms only while
-    /// `keep_going(world)` holds after each firing.
-    pub fn schedule_repeating_while(
-        &mut self,
-        first: SimTime,
-        period: SimDuration,
-        f: impl FnMut(&mut W, &mut EventQueue<W, E>) + 'static,
-        keep_going: impl Fn(&W) -> bool + 'static,
-    ) -> EventHandle {
-        assert!(!period.is_zero(), "zero-period repeating event");
-        fn arm<W, E, F, K>(
-            q: &mut EventQueue<W, E>,
-            at: SimTime,
-            period: SimDuration,
-            mut f: F,
-            keep: K,
-        ) -> EventHandle
-        where
-            F: FnMut(&mut W, &mut EventQueue<W, E>) + 'static,
-            K: Fn(&W) -> bool + 'static,
-        {
-            q.schedule_at(at, move |w, q| {
-                f(w, q);
-                if keep(w) {
-                    arm(q, q.now() + period, period, f, keep);
-                }
-            })
-        }
-        arm(self, first, period, f, keep_going)
     }
 
     /// Cancel a previously scheduled event, reclaiming its slot
@@ -393,23 +307,8 @@ impl<W, E> EventQueue<W, E> {
                     break;
                 }
                 // powifi-lint: allow(R3) — first_key_value above proves non-empty
-                let ((t, seq), payload) = self.overflow.pop_first().expect("checked non-empty");
-                if t < new_start.saturating_add(SLOT_WIDTH) {
-                    self.active.push(Entry {
-                        time: t,
-                        seq,
-                        payload,
-                    });
-                } else {
-                    let idx = ((t >> SLOT_BITS) as usize) & (SLOTS - 1);
-                    self.slots[idx].push(Entry {
-                        time: t,
-                        seq,
-                        payload,
-                    });
-                    self.occupancy[idx >> 6] |= 1 << (idx & 63);
-                    self.wheel_len += 1;
-                }
+                let ((t, seq), ev) = self.overflow.pop_first().expect("checked non-empty");
+                self.place(t, seq, ev);
             }
         }
         // Heapify the (new) cursor bucket into the active set, leaving the
@@ -437,45 +336,46 @@ impl<W, E> EventQueue<W, E> {
 
     /// Export every pending entry as `(time_ns, seq, &event)` in ascending
     /// `(time, seq)` order — the execution order an uninterrupted run would
-    /// use. Fails with the offending seq if any pending payload is a boxed
-    /// closure: closures cannot be serialized, so checkpointing requires an
-    /// all-typed pending set (conformance audits and other
-    /// `schedule_repeating` users are incompatible with `--checkpoint-every`).
-    pub fn ckpt_pending(&self) -> Result<Vec<(u64, u64, &E)>, u64> {
-        fn typed<W, E>(payload: &Payload<W, E>, seq: u64) -> Result<&E, u64> {
-            match payload {
-                Payload::Typed(ev) => Ok(ev),
-                Payload::Boxed(_) => Err(seq),
-            }
-        }
+    /// use.
+    pub fn ckpt_pending(&self) -> Vec<(u64, u64, &E)> {
         let mut out = Vec::with_capacity(self.pending());
-        for e in self.active.iter() {
-            out.push((e.time, e.seq, typed(&e.payload, e.seq)?));
-        }
+        out.extend(self.active.iter().map(|e| (e.time, e.seq, &e.ev)));
         for slot in &self.slots {
-            for e in slot {
-                out.push((e.time, e.seq, typed(&e.payload, e.seq)?));
-            }
+            out.extend(slot.iter().map(|e| (e.time, e.seq, &e.ev)));
         }
-        for (&(time, seq), payload) in &self.overflow {
-            out.push((time, seq, typed(payload, seq)?));
-        }
+        out.extend(self.overflow.iter().map(|(&(t, s), ev)| (t, s, ev)));
         out.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        Ok(out)
+        out
     }
 
     /// Rebuild the calendar from a checkpoint: clear everything, set the
     /// counters, and re-insert `entries` *preserving their original seqs* so
     /// same-instant FIFO ordering — and therefore the whole downstream event
-    /// interleaving — is identical to the uninterrupted run. Entries must
-    /// not be earlier than `now`.
+    /// interleaving — is identical to the uninterrupted run.
+    ///
+    /// Fails, leaving the queue untouched, if an entry is earlier than
+    /// `now` or carries a seq the counter has not issued yet: such a
+    /// checkpoint describes no state a run could have reached.
     pub fn ckpt_restore(
         &mut self,
         now: SimTime,
         next_seq: u64,
         executed: u64,
         entries: Vec<(u64, u64, E)>,
-    ) {
+    ) -> Result<(), CkptError> {
+        for &(time, seq, _) in &entries {
+            let message = if time < now.as_nanos() {
+                format!("event seq {seq} at {time} ns precedes restore time {now}")
+            } else if seq >= next_seq {
+                format!("event seq {seq} is not below next_seq {next_seq}")
+            } else {
+                continue;
+            };
+            return Err(CkptError::Field {
+                path: "queue.events".into(),
+                message,
+            });
+        }
         self.active.clear();
         for s in &mut self.slots {
             s.clear();
@@ -488,23 +388,9 @@ impl<W, E> EventQueue<W, E> {
         self.executed = executed;
         self.wheel_start = now.as_nanos() & !(SLOT_WIDTH - 1);
         for (time, seq, ev) in entries {
-            assert!(
-                time >= now.as_nanos(),
-                "checkpointed event at {time} precedes restore time {now}"
-            );
-            assert!(seq < next_seq, "checkpointed seq {seq} >= next_seq");
-            let payload = Payload::Typed(ev);
-            if time < self.wheel_start.saturating_add(SLOT_WIDTH) {
-                self.active.push(Entry { time, seq, payload });
-            } else if time < self.wheel_start.saturating_add(HORIZON) {
-                let idx = ((time >> SLOT_BITS) as usize) & (SLOTS - 1);
-                self.slots[idx].push(Entry { time, seq, payload });
-                self.occupancy[idx >> 6] |= 1 << (idx & 63);
-                self.wheel_len += 1;
-            } else {
-                self.overflow.insert((time, seq), payload);
-            }
+            self.place(time, seq, ev);
         }
+        Ok(())
     }
 }
 
@@ -529,10 +415,7 @@ impl<W: Dispatch<E>, E> EventQueue<W, E> {
                 self.now = SimTime::from_nanos(entry.time);
                 self.executed += 1;
                 let _prof = crate::obs::prof::span("sim.event");
-                match entry.payload {
-                    Payload::Typed(ev) => world.dispatch(self, ev),
-                    Payload::Boxed(f) => f(world, self),
-                }
+                world.dispatch(self, entry.ev);
             }
             if !self.active.is_empty() || !self.advance_cursor(end_ns) {
                 break;
@@ -545,8 +428,8 @@ impl<W: Dispatch<E>, E> EventQueue<W, E> {
             .add(self.executed - executed_before);
     }
 
-    /// Run until the queue is fully drained (use with care: repeating events
-    /// never drain). Mostly useful in tests.
+    /// Run until the queue is fully drained (use with care: self-re-posting
+    /// events never drain). Mostly useful in tests.
     pub fn run_to_completion(&mut self, world: &mut W) {
         self.run_until(world, SimTime::MAX);
     }
@@ -555,77 +438,151 @@ impl<W: Dispatch<E>, E> EventQueue<W, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum TestEvent {
+        Mark(&'static str),
+        Chain(u32),
+        /// Re-posts itself every `period` µs while `world.ticks < limit`.
+        Tick {
+            period: u64,
+            limit: u32,
+        },
+        /// Post `Mark("nested")` 4 µs later.
+        Nest,
+        /// Post `Mark("past")` 5 µs into the past.
+        Backwards,
+    }
 
     #[derive(Default)]
     struct World {
-        log: Vec<(u64, &'static str)>,
+        log: Vec<(u64, String)>,
+        ticks: u32,
+    }
+
+    type Q = EventQueue<World, TestEvent>;
+
+    impl Dispatch<TestEvent> for World {
+        fn dispatch(&mut self, q: &mut Q, ev: TestEvent) {
+            let now = q.now().as_micros();
+            match ev {
+                TestEvent::Mark(s) => self.log.push((now, s.to_string())),
+                TestEvent::Chain(n) => {
+                    self.log.push((now, format!("chain{n}")));
+                    if n > 0 {
+                        q.post_in(SimDuration::from_micros(10), TestEvent::Chain(n - 1));
+                    }
+                }
+                TestEvent::Tick { period, limit } => {
+                    self.ticks += 1;
+                    if self.ticks < limit {
+                        q.post_in(
+                            SimDuration::from_micros(period),
+                            TestEvent::Tick { period, limit },
+                        );
+                    }
+                }
+                TestEvent::Nest => {
+                    q.post_in(SimDuration::from_micros(4), TestEvent::Mark("nested"));
+                }
+                TestEvent::Backwards => {
+                    q.post_at(SimTime::from_micros(now - 5), TestEvent::Mark("past"));
+                }
+            }
+        }
+    }
+
+    fn names(w: &World) -> Vec<&str> {
+        w.log.iter().map(|(_, s)| s.as_str()).collect()
     }
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
-        q.schedule_at(SimTime::from_micros(20), |w, q| {
-            w.log.push((q.now().as_micros(), "b"))
-        });
-        q.schedule_at(SimTime::from_micros(10), |w, q| {
-            w.log.push((q.now().as_micros(), "a"))
-        });
-        q.schedule_at(SimTime::from_micros(30), |w, q| {
-            w.log.push((q.now().as_micros(), "c"))
-        });
+        q.post_at(SimTime::from_micros(20), TestEvent::Mark("b"));
+        q.post_at(SimTime::from_micros(10), TestEvent::Mark("a"));
+        q.post_at(SimTime::from_micros(30), TestEvent::Mark("c"));
         q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(10, "a"), (20, "b"), (30, "c")]);
+        let times: Vec<u64> = w.log.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [10, 20, 30]);
+        assert_eq!(names(&w), ["a", "b", "c"]);
     }
 
     #[test]
     fn same_instant_is_fifo() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
         for name in ["first", "second", "third"] {
-            q.schedule_at(SimTime::from_micros(5), move |w, q| {
-                w.log.push((q.now().as_micros(), name))
-            });
+            q.post_at(SimTime::from_micros(5), TestEvent::Mark(name));
         }
         q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(5, "first"), (5, "second"), (5, "third")]);
+        assert_eq!(names(&w), ["first", "second", "third"]);
     }
 
     #[test]
     fn handlers_can_schedule_more_events() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
-        q.schedule_at(SimTime::from_micros(1), |_, q| {
-            q.schedule_in(SimDuration::from_micros(4), |w, q| {
-                w.log.push((q.now().as_micros(), "nested"));
-            });
-        });
+        q.post_at(SimTime::from_micros(1), TestEvent::Nest);
         q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(5, "nested")]);
+        assert_eq!(w.log, vec![(5, "nested".to_string())]);
+    }
+
+    #[test]
+    fn typed_events_can_chain() {
+        let mut q = Q::new();
+        let mut w = World::default();
+        q.post_at(SimTime::ZERO, TestEvent::Chain(3));
+        q.run_to_completion(&mut w);
+        assert_eq!(w.log.len(), 4);
+        assert_eq!(w.log.last().unwrap().0, 30);
+    }
+
+    #[test]
+    fn self_reposting_event_fires_on_period_until_it_stops() {
+        let mut q = Q::new();
+        let mut w = World::default();
+        let tick = TestEvent::Tick {
+            period: 10,
+            limit: u32::MAX,
+        };
+        q.post_at(SimTime::from_micros(10), tick);
+        q.run_until(&mut w, SimTime::from_micros(55));
+        assert_eq!(w.ticks, 5); // t = 10,20,30,40,50
+        let mut q = Q::new();
+        let mut w = World::default();
+        q.post_at(
+            SimTime::from_micros(1),
+            TestEvent::Tick {
+                period: 1,
+                limit: 3,
+            },
+        );
+        q.run_until(&mut w, SimTime::from_secs(1));
+        assert_eq!(w.ticks, 3);
     }
 
     #[test]
     fn cancellation_suppresses_event() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
-        let h = q.schedule_at(SimTime::from_micros(10), |w, _| w.log.push((0, "no")));
-        q.schedule_at(SimTime::from_micros(20), |w, _| w.log.push((0, "yes")));
+        let h = q.post_at(SimTime::from_micros(10), TestEvent::Mark("no"));
+        q.post_at(SimTime::from_micros(20), TestEvent::Mark("yes"));
         q.cancel(h);
         q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(0, "yes")]);
+        assert_eq!(names(&w), ["yes"]);
         // Double-cancel and cancel-after-fire are no-ops.
         q.cancel(h);
     }
 
     #[test]
     fn cancellation_reclaims_storage_eagerly() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         // One event per region: cursor slot, wheel, overflow.
-        let a = q.schedule_at(SimTime::from_nanos(100), |_, _| {});
-        let b = q.schedule_at(SimTime::from_millis(1), |_, _| {});
-        let c = q.schedule_at(SimTime::from_secs(10), |_, _| {});
+        let a = q.post_at(SimTime::from_nanos(100), TestEvent::Mark("a"));
+        let b = q.post_at(SimTime::from_millis(1), TestEvent::Mark("b"));
+        let c = q.post_at(SimTime::from_secs(10), TestEvent::Mark("c"));
         assert_eq!(q.pending(), 3);
         assert_eq!(q.stored(), 3);
         q.cancel(b);
@@ -638,12 +595,12 @@ mod tests {
 
     #[test]
     fn run_until_stops_and_advances_clock() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
-        q.schedule_at(SimTime::from_micros(10), |w, _| w.log.push((10, "in")));
-        q.schedule_at(SimTime::from_micros(100), |w, _| w.log.push((100, "out")));
+        q.post_at(SimTime::from_micros(10), TestEvent::Mark("in"));
+        q.post_at(SimTime::from_micros(100), TestEvent::Mark("out"));
         q.run_until(&mut w, SimTime::from_micros(50));
-        assert_eq!(w.log, vec![(10, "in")]);
+        assert_eq!(names(&w), ["in"]);
         assert_eq!(q.now(), SimTime::from_micros(50));
         assert_eq!(q.pending(), 1);
         q.run_until(&mut w, SimTime::from_micros(100));
@@ -651,122 +608,12 @@ mod tests {
     }
 
     #[test]
-    fn repeating_event_fires_on_period() {
-        let mut q = EventQueue::<World>::new();
-        let mut w = World::default();
-        let count = Rc::new(RefCell::new(0u64));
-        let c2 = count.clone();
-        q.schedule_repeating(
-            SimTime::from_micros(10),
-            SimDuration::from_micros(10),
-            move |_, _| *c2.borrow_mut() += 1,
-        );
-        q.run_until(&mut w, SimTime::from_micros(55));
-        assert_eq!(*count.borrow(), 5); // t = 10,20,30,40,50
-    }
-
-    #[test]
-    fn repeating_while_stops_on_predicate() {
-        struct W2 {
-            n: u32,
-        }
-        let mut q = EventQueue::<W2>::new();
-        let mut w = W2 { n: 0 };
-        q.schedule_repeating_while(
-            SimTime::from_micros(1),
-            SimDuration::from_micros(1),
-            |w, _| w.n += 1,
-            |w| w.n < 3,
-        );
-        q.run_until(&mut w, SimTime::from_secs(1));
-        assert_eq!(w.n, 3);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_past_panics() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
-        q.schedule_at(SimTime::from_micros(10), |_, q| {
-            q.schedule_at(SimTime::from_micros(5), |_, _| {});
-        });
+        q.post_at(SimTime::from_micros(10), TestEvent::Backwards);
         q.run_to_completion(&mut w);
-    }
-
-    // ---- typed-event dispatch ----
-
-    #[derive(Debug, PartialEq, Eq)]
-    enum TestEvent {
-        Mark(&'static str),
-        Chain(u32),
-    }
-
-    #[derive(Default)]
-    struct TypedWorld {
-        log: Vec<(u64, String)>,
-    }
-
-    impl Dispatch<TestEvent> for TypedWorld {
-        fn dispatch(&mut self, q: &mut EventQueue<Self, TestEvent>, ev: TestEvent) {
-            match ev {
-                TestEvent::Mark(s) => self.log.push((q.now().as_micros(), s.to_string())),
-                TestEvent::Chain(n) => {
-                    self.log.push((q.now().as_micros(), format!("chain{n}")));
-                    if n > 0 {
-                        q.post_in(SimDuration::from_micros(10), TestEvent::Chain(n - 1));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn typed_events_dispatch_in_order() {
-        let mut q = EventQueue::<TypedWorld, TestEvent>::new();
-        let mut w = TypedWorld::default();
-        q.post_at(SimTime::from_micros(20), TestEvent::Mark("late"));
-        q.post_at(SimTime::from_micros(5), TestEvent::Mark("early"));
-        q.run_to_completion(&mut w);
-        assert_eq!(
-            w.log,
-            vec![(5, "early".to_string()), (20, "late".to_string())]
-        );
-    }
-
-    #[test]
-    fn typed_and_boxed_share_fifo_order() {
-        let mut q = EventQueue::<TypedWorld, TestEvent>::new();
-        let mut w = TypedWorld::default();
-        let t = SimTime::from_micros(7);
-        q.post_at(t, TestEvent::Mark("typed1"));
-        q.schedule_at(t, |w: &mut TypedWorld, q| {
-            w.log.push((q.now().as_micros(), "boxed".into()))
-        });
-        q.post_at(t, TestEvent::Mark("typed2"));
-        q.run_to_completion(&mut w);
-        let names: Vec<&str> = w.log.iter().map(|(_, s)| s.as_str()).collect();
-        assert_eq!(names, ["typed1", "boxed", "typed2"]);
-    }
-
-    #[test]
-    fn typed_events_can_chain() {
-        let mut q = EventQueue::<TypedWorld, TestEvent>::new();
-        let mut w = TypedWorld::default();
-        q.post_at(SimTime::ZERO, TestEvent::Chain(3));
-        q.run_to_completion(&mut w);
-        assert_eq!(w.log.len(), 4);
-        assert_eq!(w.log.last().unwrap().0, 30);
-    }
-
-    #[test]
-    fn typed_events_cancel() {
-        let mut q = EventQueue::<TypedWorld, TestEvent>::new();
-        let mut w = TypedWorld::default();
-        let h = q.post_at(SimTime::from_micros(10), TestEvent::Mark("no"));
-        q.post_at(SimTime::from_micros(20), TestEvent::Mark("yes"));
-        q.cancel(h);
-        q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(20, "yes".to_string())]);
     }
 
     // ---- wheel mechanics across region boundaries ----
@@ -776,36 +623,92 @@ mod tests {
         // Spread events over ~10 s — far beyond the 33.5 ms wheel horizon —
         // plus a dense cluster inside one slot, interleaved at random-ish
         // times, and check global ordering survives the overflow drain.
-        let mut q = EventQueue::<Vec<u64>>::new();
-        let mut w: Vec<u64> = Vec::new();
+        struct Times(Vec<u64>);
+        impl Dispatch<()> for Times {
+            fn dispatch(&mut self, q: &mut EventQueue<Self, ()>, _ev: ()) {
+                self.0.push(q.now().as_nanos());
+            }
+        }
+        let mut q = EventQueue::<Times, ()>::new();
+        let mut w = Times(Vec::new());
         let mut times: Vec<u64> = (0..200u64)
             .map(|i| (i * 7_919_777_123) % 10_000_000_000)
             .collect();
         times.extend(5_000..5_040u64); // same-slot cluster
         for &t in &times {
-            q.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, q| {
-                w.push(q.now().as_nanos());
-            });
+            q.post_at(SimTime::from_nanos(t), ());
         }
         q.run_to_completion(&mut w);
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        assert_eq!(w, sorted);
+        assert_eq!(w.0, sorted);
     }
 
     #[test]
     fn cancel_works_in_every_region_after_cursor_moves() {
-        let mut q = EventQueue::<World>::new();
+        let mut q = Q::new();
         let mut w = World::default();
         // Fire one event at 50 ms to advance the cursor well past t = 0.
-        q.schedule_at(SimTime::from_millis(50), |w, _| w.log.push((50, "tick")));
-        let near = q.schedule_at(SimTime::from_millis(51), |w, _| w.log.push((51, "near")));
-        let far = q.schedule_at(SimTime::from_secs(2), |w, _| w.log.push((2, "far")));
+        q.post_at(SimTime::from_millis(50), TestEvent::Mark("tick"));
+        let near = q.post_at(SimTime::from_millis(51), TestEvent::Mark("near"));
+        let far = q.post_at(SimTime::from_secs(2), TestEvent::Mark("far"));
         q.run_until(&mut w, SimTime::from_millis(50));
         q.cancel(near);
         q.cancel(far);
         q.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![(50, "tick")]);
+        assert_eq!(names(&w), ["tick"]);
         assert_eq!(q.stored(), 0);
+    }
+
+    // ---- checkpoint export / restore ----
+
+    #[test]
+    fn restore_replays_the_pending_set_in_order() {
+        let mut q = Q::new();
+        let mut w = World::default();
+        q.post_at(SimTime::from_micros(5), TestEvent::Mark("done"));
+        q.post_at(SimTime::from_secs(3), TestEvent::Mark("late"));
+        q.post_at(SimTime::from_micros(20), TestEvent::Mark("b"));
+        q.post_at(SimTime::from_micros(20), TestEvent::Mark("c"));
+        q.run_until(&mut w, SimTime::from_micros(10));
+        let (now, next_seq, executed) = q.ckpt_counters();
+        let pending: Vec<(u64, u64, &'static str)> = q
+            .ckpt_pending()
+            .into_iter()
+            .map(|(t, s, ev)| match ev {
+                TestEvent::Mark(name) => (t, s, *name),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(pending.len(), 3);
+        let mut r = Q::new();
+        r.ckpt_restore(
+            SimTime::from_nanos(now),
+            next_seq,
+            executed,
+            pending
+                .into_iter()
+                .map(|(t, s, name)| (t, s, TestEvent::Mark(name)))
+                .collect(),
+        )
+        .unwrap();
+        let mut w2 = World::default();
+        r.run_to_completion(&mut w2);
+        assert_eq!(names(&w2), ["b", "c", "late"]);
+        assert_eq!(r.executed(), 4);
+    }
+
+    #[test]
+    fn restore_rejects_impossible_entries() {
+        let mut q = Q::new();
+        q.post_at(SimTime::from_micros(50), TestEvent::Mark("kept"));
+        let now = SimTime::from_micros(10);
+        let past = vec![(1_000, 0, TestEvent::Mark("past"))];
+        assert!(q.ckpt_restore(now, 5, 0, past).is_err());
+        let unissued = vec![(20_000, 5, TestEvent::Mark("future seq"))];
+        assert!(q.ckpt_restore(now, 5, 0, unissued).is_err());
+        // A refused restore leaves the queue as it was.
+        assert_eq!(q.pending(), 1);
+        assert_eq!(q.ckpt_counters(), (0, 1, 0));
     }
 }

@@ -4,44 +4,56 @@ use powifi_sim::{
     Cdf, Dispatch, EventQueue, PowerEnvelope, SimDuration, SimTime, TimeWeighted, Welford,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
-/// Records the insertion index of every event that fires, typed or boxed.
+/// Records the insertion index of every event that fires, plus the firing
+/// times of a self-re-posting tick.
 #[derive(Default)]
 struct Log {
     fired: Vec<usize>,
+    times: Vec<u64>,
+    ticks: u64,
 }
 
-impl Dispatch<usize> for Log {
-    fn dispatch(&mut self, _q: &mut EventQueue<Self, usize>, id: usize) {
-        self.fired.push(id);
+/// Test events: an indexed one-shot, a time stamp, and a periodic tick that
+/// re-posts itself every `period` ns.
+enum Ev {
+    Fire(usize),
+    Stamp,
+    Tick { period: u64 },
+}
+
+impl Dispatch<Ev> for Log {
+    fn dispatch(&mut self, q: &mut EventQueue<Self, Ev>, ev: Ev) {
+        match ev {
+            Ev::Fire(id) => self.fired.push(id),
+            Ev::Stamp => self.times.push(q.now().as_nanos()),
+            Ev::Tick { period } => {
+                self.ticks += 1;
+                q.post_in(SimDuration::from_nanos(period), Ev::Tick { period });
+            }
+        }
     }
 }
 
 proptest! {
     /// The wheel/heap/overflow queue is observationally identical to the
     /// naive model it replaced: a list of `(time, insertion-order)` pairs
-    /// stably sorted by time. Same pop order, same FIFO tie-break between
-    /// typed and boxed entries, same cancellation semantics — including
-    /// cancels issued mid-run against handles that already fired.
+    /// stably sorted by time. Same pop order, same FIFO tie-break, same
+    /// cancellation semantics — including cancels issued mid-run against
+    /// handles that already fired.
     #[test]
     fn queue_matches_naive_model(
         ops in prop::collection::vec(
-            // (time, typed-vs-boxed, 0 = keep / 1 = cancel now / 2 = cancel at mid)
-            (0u64..60_000_000, prop::bool::ANY, 0u8..3),
+            // (time, 0 = keep / 1 = cancel now / 2 = cancel at mid)
+            (0u64..60_000_000, 0u8..3),
             1..300,
         ),
         mid in 0u64..60_000_000,
     ) {
-        let mut q = EventQueue::<Log, usize>::new();
+        let mut q = EventQueue::<Log, Ev>::new();
         let mut later = Vec::new();
-        for (i, &(t, typed, mode)) in ops.iter().enumerate() {
-            let h = if typed {
-                q.post_at(SimTime::from_nanos(t), i)
-            } else {
-                q.schedule_at(SimTime::from_nanos(t), move |w: &mut Log, _| w.fired.push(i))
-            };
+        for (i, &(t, mode)) in ops.iter().enumerate() {
+            let h = q.post_at(SimTime::from_nanos(t), Ev::Fire(i));
             match mode {
                 1 => q.cancel(h),
                 2 => later.push(h),
@@ -63,8 +75,8 @@ proptest! {
         let mut model: Vec<(u64, usize)> = ops
             .iter()
             .enumerate()
-            .filter(|&(_, &(t, _, mode))| mode == 0 || (mode == 2 && t <= mid))
-            .map(|(i, &(t, _, _))| (t, i))
+            .filter(|&(_, &(t, mode))| mode == 0 || (mode == 2 && t <= mid))
+            .map(|(i, &(t, _))| (t, i))
             .collect();
         model.sort_by_key(|&(t, _)| t);
         let expect: Vec<usize> = model.into_iter().map(|(_, i)| i).collect();
@@ -76,28 +88,26 @@ proptest! {
     /// insertion order, and every non-cancelled event fires exactly once.
     #[test]
     fn queue_fires_in_order_and_exactly_once(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::<Vec<u64>>::new();
-        let mut w: Vec<u64> = Vec::new();
+        let mut q = EventQueue::<Log, Ev>::new();
+        let mut w = Log::default();
         for &t in &times {
-            q.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, q| {
-                w.push(q.now().as_nanos());
-            });
+            q.post_at(SimTime::from_nanos(t), Ev::Stamp);
         }
         q.run_to_completion(&mut w);
-        prop_assert_eq!(w.len(), times.len());
+        prop_assert_eq!(w.times.len(), times.len());
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(w, sorted);
+        prop_assert_eq!(w.times, sorted);
     }
 
     /// Cancelled events never fire; everything else does.
     #[test]
     fn cancellation_is_exact(spec in prop::collection::vec((0u64..100_000, prop::bool::ANY), 1..100)) {
-        let mut q = EventQueue::<Vec<usize>>::new();
-        let mut w: Vec<usize> = Vec::new();
+        let mut q = EventQueue::<Log, Ev>::new();
+        let mut w = Log::default();
         let mut cancelled = Vec::new();
         for (i, &(t, cancel)) in spec.iter().enumerate() {
-            let h = q.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<usize>, _| w.push(i));
+            let h = q.post_at(SimTime::from_nanos(t), Ev::Fire(i));
             if cancel {
                 q.cancel(h);
                 cancelled.push(i);
@@ -105,25 +115,21 @@ proptest! {
         }
         q.run_to_completion(&mut w);
         for i in &cancelled {
-            prop_assert!(!w.contains(i));
+            prop_assert!(!w.fired.contains(i));
         }
-        prop_assert_eq!(w.len(), spec.len() - cancelled.len());
+        prop_assert_eq!(w.fired.len(), spec.len() - cancelled.len());
     }
 
-    /// Repeating events fire exactly floor((horizon - first)/period) + 1 times.
+    /// A self-re-posting event fires exactly floor((horizon - first)/period)
+    /// + 1 times.
     #[test]
     fn repeating_count_is_exact(first in 0u64..1000, period in 1u64..500, horizon in 1000u64..20_000) {
-        let count = Rc::new(RefCell::new(0u64));
-        let c = count.clone();
-        let mut q = EventQueue::<()>::new();
-        q.schedule_repeating(
-            SimTime::from_nanos(first),
-            SimDuration::from_nanos(period),
-            move |_, _| *c.borrow_mut() += 1,
-        );
-        q.run_until(&mut (), SimTime::from_nanos(horizon));
+        let mut q = EventQueue::<Log, Ev>::new();
+        let mut w = Log::default();
+        q.post_at(SimTime::from_nanos(first), Ev::Tick { period });
+        q.run_until(&mut w, SimTime::from_nanos(horizon));
         let expect = if first > horizon { 0 } else { (horizon - first) / period + 1 };
-        prop_assert_eq!(*count.borrow(), expect);
+        prop_assert_eq!(w.ticks, expect);
     }
 
     /// Welford mean/min/max agree with direct computation.

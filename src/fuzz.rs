@@ -15,10 +15,9 @@
 use powifi_core::{
     dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
 };
-use powifi_mac::world::{enqueue, start_beacons};
 use powifi_mac::{
-    conformance as mac_conformance, Dest, Frame, Mac, MacTiming, MacWorld, PayloadTag, Queue,
-    RateController, StationId,
+    conformance as mac_conformance, start_beacons, start_source, Dest, Frame, Mac, MacTiming,
+    MacWorld, PayloadTag, Queue, RateController, Source, StationId,
 };
 use powifi_rf::{Bitrate, Db};
 use powifi_sim::conformance::{self, Violation};
@@ -276,25 +275,17 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
                 }
                 let peer = peers[*peer_rank as usize % peers.len()];
                 w.mac.set_link_snr(sta, peer, Db(*snr_db));
-                let bytes = *bytes;
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(*period_us),
-                    move |w: &mut FuzzWorld, q| {
-                        if w.mac.queue_depth(sta) < 4 {
-                            let f = Frame::data(
-                                sta,
-                                Dest::Unicast(peer),
-                                PayloadTag {
-                                    flow: sta.0,
-                                    seq: 0,
-                                    bytes,
-                                },
-                            );
-                            enqueue(w, q, sta, f);
-                        }
-                    },
-                );
+                let tag = PayloadTag {
+                    flow: sta.0,
+                    seq: 0,
+                    bytes: *bytes,
+                };
+                let talk = Source {
+                    frame: Frame::data(sta, Dest::Unicast(peer), tag),
+                    period: SimDuration::from_micros(*period_us),
+                    below: 4,
+                };
+                start_source(&mut w, &mut q, SimTime::ZERO, talk);
             }
             Role::Beacon => {
                 start_beacons(
@@ -308,7 +299,7 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
             Role::Idle => {}
         }
     }
-    mac_conformance::install_audit(&mut q, SimDuration::from_millis(10));
+    mac_conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(10));
     let end = SimTime::ZERO + spec.horizon;
     q.run_until(&mut w, end);
     mac_conformance::audit_now(&w, end);

@@ -17,7 +17,7 @@ use powifi_core::{
     dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
 };
 use powifi_mac::{
-    enqueue, Dest, Frame, Mac, MacWorld, PayloadTag, Queue, RateController, StationId,
+    start_source, Dest, Frame, Mac, MacWorld, PayloadTag, Queue, RateController, Source, StationId,
 };
 use powifi_rf::{Bitrate, Db};
 use powifi_sim::conformance;
@@ -47,6 +47,30 @@ impl MacWorld for GoldenWorld {
     }
 }
 
+/// Start a source at `first` that enqueues `frame` every `period_us` µs
+/// (once, for a zero period) while its sender holds fewer than `below`
+/// frames.
+fn saturate(
+    w: &mut GoldenWorld,
+    q: &mut Queue<GoldenWorld>,
+    first: SimTime,
+    frame: Frame,
+    period_us: u64,
+    below: usize,
+) {
+    let period = SimDuration::from_micros(period_us);
+    start_source(
+        w,
+        q,
+        first,
+        Source {
+            frame,
+            period,
+            below,
+        },
+    );
+}
+
 /// One canonical scenario.
 pub struct GoldenScenario {
     /// Scenario (and golden file) name.
@@ -68,15 +92,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let m = w.mac.add_medium(SimDuration::from_millis(1));
                 let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
                 w.mac.enable_trace(m, TRACE_CAP);
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(400),
-                    move |w: &mut GoldenWorld, q| {
-                        if w.mac.queue_depth(a) < 3 {
-                            enqueue(w, q, a, Frame::power(a, 1400, Bitrate::G54));
-                        }
-                    },
-                );
+                let frame = Frame::power(a, 1400, Bitrate::G54);
+                saturate(w, q, SimTime::ZERO, frame, 400, 3);
             },
         },
         GoldenScenario {
@@ -87,15 +104,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let m = w.mac.add_medium(SimDuration::from_millis(1));
                 for rate in [Bitrate::G54, Bitrate::G24] {
                     let sta = w.mac.add_station(m, RateController::fixed(rate));
-                    q.schedule_repeating(
-                        SimTime::ZERO,
-                        SimDuration::from_micros(500),
-                        move |w: &mut GoldenWorld, q| {
-                            if w.mac.queue_depth(sta) < 3 {
-                                enqueue(w, q, sta, Frame::power(sta, 1200, rate));
-                            }
-                        },
-                    );
+                    saturate(w, q, SimTime::ZERO, Frame::power(sta, 1200, rate), 500, 3);
                 }
                 w.mac.enable_trace(powifi_mac::MediumId(0), TRACE_CAP);
             },
@@ -110,18 +119,20 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let b = w.mac.add_station(m, RateController::fixed(Bitrate::G12));
                 w.mac.set_link_snr(a, b, Db(0.0));
                 w.mac.enable_trace(m, TRACE_CAP);
-                q.schedule_at(SimTime::ZERO, move |w: &mut GoldenWorld, q| {
-                    let f = Frame::data(
-                        a,
-                        Dest::Unicast(b),
-                        PayloadTag {
-                            flow: 1,
-                            seq: 0,
-                            bytes: 600,
-                        },
-                    );
-                    enqueue(w, q, a, f);
-                });
+                let tag = PayloadTag {
+                    flow: 1,
+                    seq: 0,
+                    bytes: 600,
+                };
+                // A zero period: one frame, enqueued at t = 0.
+                saturate(
+                    w,
+                    q,
+                    SimTime::ZERO,
+                    Frame::data(a, Dest::Unicast(b), tag),
+                    0,
+                    1,
+                );
             },
         },
         GoldenScenario {
@@ -164,15 +175,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                     SimDuration::from_micros(2_000),
                     Bitrate::B1,
                 );
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(800),
-                    move |w: &mut GoldenWorld, q| {
-                        if w.mac.queue_depth(inj) < 2 {
-                            enqueue(w, q, inj, Frame::power(inj, 1000, Bitrate::G24));
-                        }
-                    },
-                );
+                let frame = Frame::power(inj, 1000, Bitrate::G24);
+                saturate(w, q, SimTime::ZERO, frame, 800, 2);
             },
         },
         GoldenScenario {
@@ -190,15 +194,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                         Bitrate::G6
                     };
                     let sta = w.mac.add_station(m, RateController::fixed(rate));
-                    q.schedule_repeating(
-                        SimTime::from_micros(u64::from(i) * 37),
-                        SimDuration::from_micros(600),
-                        move |w: &mut GoldenWorld, q| {
-                            if w.mac.queue_depth(sta) < 2 {
-                                enqueue(w, q, sta, Frame::power(sta, 900, rate));
-                            }
-                        },
-                    );
+                    let first = SimTime::from_micros(u64::from(i) * 37);
+                    saturate(w, q, first, Frame::power(sta, 900, rate), 600, 2);
                 }
             },
         },
@@ -270,7 +267,7 @@ fn render_scenario(sc: &GoldenScenario) -> String {
     };
     let mut q = Queue::new();
     (sc.build)(&mut w, &mut q);
-    powifi_mac::conformance::install_audit(&mut q, SimDuration::from_millis(1));
+    powifi_mac::conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(1));
     let end = SimTime::ZERO + sc.horizon;
     q.run_until(&mut w, end);
     powifi_mac::conformance::audit_now(&w, end);

@@ -103,13 +103,10 @@ fn scheme_ranking_matches_fig6() {
 #[test]
 fn tcp_transfer_completes_under_powifi() {
     let _conf = powifi::sim::conformance::check();
-    use powifi::deploy::SimWorld;
-    use powifi::net::{start_tcp_flow, tcp_push};
+    use powifi::net::{start_tcp_flow, tcp_push_at};
     let (mut w, mut q, s) = build_office(42, Scheme::PoWiFi, OfficeConfig::default());
     let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-    q.schedule_at(SimTime::from_millis(100), move |w: &mut SimWorld, q| {
-        tcp_push(w, q, flow, 2_000_000);
-    });
+    tcp_push_at(&mut q, SimTime::from_millis(100), flow, 2_000_000);
     q.run_until(&mut w, SimTime::from_secs(15));
     let f = w.net.tcp(flow);
     assert!(

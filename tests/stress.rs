@@ -5,7 +5,7 @@
 use powifi::core::{Router, RouterConfig, Scheme};
 use powifi::deploy::{three_channel_world, SimWorld};
 use powifi::mac::{MacWorld, RateController, StationId};
-use powifi::net::{start_tcp_flow, start_udp_flow, tcp_push, Flow};
+use powifi::net::{start_tcp_flow, start_udp_flow, tcp_push_at, Flow};
 use powifi::rf::{Bitrate, Db};
 use powifi::sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -97,9 +97,7 @@ fn run_scenario(sc: &Scenario) -> (SimWorld, Router, Vec<u32>, SimTime) {
         let dst = clients[i % clients.len()];
         let flow = start_tcp_flow(&mut w, router_sta, dst);
         flows.push(flow);
-        q.schedule_at(SimTime::from_millis(20), move |w: &mut SimWorld, q| {
-            tcp_push(w, q, flow, 1_000_000);
-        });
+        tcp_push_at(&mut q, SimTime::from_millis(20), flow, 1_000_000);
     }
     q.run_until(&mut w, end);
     (w, router, flows, end)
