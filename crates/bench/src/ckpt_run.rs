@@ -227,9 +227,9 @@ mod tests {
     }
 
     /// The crash-resume loopback at the module level: interrupt a run after
-    /// its second checkpoint (plus a torn tail write), resume from the
-    /// chain, and require the final chain file to be byte-identical to an
-    /// uninterrupted run's.
+    /// its second checkpoint (plus a torn tail write and a hostile file),
+    /// resume from the chain, and require the final chain file to be
+    /// byte-identical to an uninterrupted run's.
     #[test]
     fn interrupted_chain_converges_to_uninterrupted() {
         let sp = spec();
@@ -265,12 +265,24 @@ mod tests {
         fs::write(chain_path(&dir_b, "d0", 2), &bytes).unwrap();
         // Simulate the crash tearing the next write mid-file.
         fs::write(chain_path(&dir_b, "d0", 3), &bytes[..bytes.len() / 2]).unwrap();
+        // A hostile file past it: correctly hashed, but nested 50,000 deep.
+        let deep = "[".repeat(50_000) + &"]".repeat(50_000);
+        let header = format!(
+            "{} {} {}",
+            ckpt::CKPT_MAGIC,
+            ckpt::CKPT_VERSION,
+            ckpt::fnv1a128_hex(deep.as_bytes())
+        );
+        fs::write(chain_path(&dir_b, "d0", 4), format!("{header}\n{deep}\n")).unwrap();
         drop(b);
 
         metrics::reset(); // fresh process
         let (mut c, info) = start_or_resume(&sp, Some(&pol_b), "d0").unwrap();
         let info = info.expect("chain must resume");
-        assert_eq!(info.epoch, 2, "torn epoch-3 file must be skipped");
+        assert_eq!(
+            info.epoch, 2,
+            "deep epoch-4 and torn epoch-3 files must be skipped"
+        );
         drive(&mut c, Some(&pol_b), "d0").unwrap();
 
         let last = a.total_epochs();

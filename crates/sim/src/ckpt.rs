@@ -407,11 +407,12 @@ pub fn load(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
     })
 }
 
-/// Parse one canonical value rendering (the body of a checkpoint).
+/// Parse one canonical value rendering (the body of a checkpoint). Lists
+/// and maps nested deeper than 128 levels are a [`CkptError::Parse`].
 pub fn parse(text: &str) -> Result<Value, CkptError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     if pos != bytes.len() {
         return Err(CkptError::Parse {
             offset: pos,
@@ -428,9 +429,19 @@ fn parse_err(offset: usize, message: &str) -> CkptError {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CkptError> {
+/// Deepest list/map nesting [`parse`] accepts (office checkpoints nest 8
+/// deep). A correct FNV header does not prove a trusted writer, so the
+/// limit keeps a hostile body from exhausting the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse the value at `*pos`, which sits inside `depth` lists and maps.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, CkptError> {
     match b.get(*pos) {
         None => Err(parse_err(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(parse_err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
         Some(b'n') => expect_lit(b, pos, "null", Value::Null),
         Some(b't') => expect_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => {
@@ -470,7 +481,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CkptError> {
                 return Ok(Value::List(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
@@ -494,7 +505,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CkptError> {
                     return Err(parse_err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let v = parse_value(b, pos)?;
+                let v = parse_value(b, pos, depth + 1)?;
                 fields.push((key, v));
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -562,12 +573,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, CkptError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| parse_err(*pos, "non-utf8 string body"))?;
-                let c = rest.chars().next().unwrap_or('\u{fffd}');
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step. Both are ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| parse_err(start, "non-utf8 string body"))?;
+                out.push_str(run);
             }
         }
     }
@@ -666,6 +680,7 @@ fn diff_walk(a: &Value, b: &Value, path: &mut String, out: &mut Vec<DiffEntry>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Value {
         Value::map()
@@ -756,6 +771,78 @@ mod tests {
     #[test]
     fn diff_of_identical_trees_is_empty() {
         assert!(diff(&sample(), &sample(), 0).is_empty());
+    }
+
+    /// Container bytes around `body` with a correct header, as anyone can
+    /// write them.
+    fn container(body: &str) -> Vec<u8> {
+        let hash = fnv1a128_hex(body.as_bytes());
+        format!("{CKPT_MAGIC} {CKPT_VERSION} {hash}\n{body}\n").into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_nesting_past_the_limit() {
+        let lists = "[".repeat(50_000) + &"]".repeat(50_000);
+        let maps = "{\"k\":".repeat(50_000) + "null" + &"}".repeat(50_000);
+        // The error points at the first bracket past the limit.
+        for (body, bracket) in [(lists, MAX_DEPTH), (maps, 5 * MAX_DEPTH)] {
+            match load(&container(&body)) {
+                Err(CkptError::Parse { offset, .. }) => assert_eq!(offset, bracket),
+                Err(e) => panic!("expected a parse error, got {e}"),
+                Ok(_) => panic!("a body nested past {MAX_DEPTH} levels loaded"),
+            }
+        }
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(load(&container(&at_limit)).is_ok());
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        // Pinned: offsets count bytes, multibyte characters included.
+        for (text, offset, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("[\"\u{b5}\u{2192}", 7, "unterminated string"),
+            ("\"a\\qb\"", 3, "bad escape"),
+            ("\"\u{b5}\u{2192}\\q\"", 7, "bad escape"),
+            ("\"a\\u12", 3, "truncated \\u escape"),
+            ("{\"k\\u00", 4, "truncated \\u escape"),
+        ] {
+            let want = CkptError::Parse {
+                offset,
+                message: message.into(),
+            };
+            assert_eq!(parse(text), Err(want), "{text:?}");
+        }
+    }
+
+    /// Plain ASCII, both escaped delimiters, every control character, and
+    /// 2-, 3- and 4-byte UTF-8: every arm of the string codec.
+    fn text() -> impl Strategy<Value = String> {
+        let mut chars: Vec<char> = ('a'..='z').chain('A'..='Z').collect();
+        chars.extend(['"', '\\', '\u{b5}', '\u{2192}', '\u{1f600}']);
+        chars.extend((0u8..0x20).map(char::from));
+        prop::collection::vec(prop::sample::select(chars), 0..12)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn strings_roundtrip_as_keys_and_values(
+            pairs in prop::collection::vec((text(), text()), 0..6)
+        ) {
+            let v = Value::Map(
+                pairs
+                    .into_iter()
+                    .map(|(k, s)| (k, Value::Str(s)))
+                    .collect(),
+            );
+            let enc = v.encode();
+            let back = parse(&enc).unwrap();
+            prop_assert_eq!(&back, &v);
+            prop_assert_eq!(back.encode(), enc, "canonical form is a fixed point");
+        }
     }
 
     #[test]
