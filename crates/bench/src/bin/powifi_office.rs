@@ -252,7 +252,7 @@ fn main() {
             .and_then(|b| powifi_sim::ckpt::load(&b).map_err(|e| e.to_string()));
         match loaded {
             Ok(c) => {
-                let epoch = c.root.u64_field("epoch").unwrap_or(0);
+                let epoch = c.root.field::<u64>("epoch").unwrap_or(0);
                 args.resumed_from = Some((epoch, c.hash));
             }
             Err(e) => {

@@ -52,7 +52,7 @@ fn info(path: &Path) {
     println!("file:    {}", path.display());
     println!("version: {}", c.version);
     println!("hash:    {}", c.hash);
-    if let Ok(epoch) = c.root.u64_field("epoch") {
+    if let Ok(epoch) = c.root.field::<u64>("epoch") {
         println!("epoch:   {epoch}");
     }
     if let Ok(spec) = c.root.get("spec") {
@@ -64,7 +64,7 @@ fn info(path: &Path) {
     }
     if let Ok(q) = c.root.get("queue") {
         for k in ["now", "next_seq", "executed"] {
-            if let Ok(n) = q.u64_field(k) {
+            if let Ok(n) = q.field::<u64>(k) {
                 println!("queue.{k}: {n}");
             }
         }

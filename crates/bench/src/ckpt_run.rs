@@ -10,14 +10,16 @@
 //! crash-resume entry point: it picks up from the newest *valid* chain file
 //! (a torn write from a crash mid-`fs::write` fails the container hash
 //! check and is skipped), falling back to a cold start when the chain is
-//! empty.
+//! empty. A valid chain file written for a different spec is an error, not
+//! a skip: resuming it would continue another run, and a cold start would
+//! overwrite that run's chain.
 //!
 //! Checkpoint cadence is in *absolute* epochs (`epochs_done % every`), so a
 //! resumed run's chain lines up file-for-file — and, by the deploy layer's
 //! restore-then-run invariant, byte-for-byte — with an uninterrupted run's.
 
 use powifi_deploy::{checkpoint, OfficeRun, OfficeSpec};
-use powifi_sim::ckpt;
+use powifi_sim::ckpt::{self, Ckpt};
 use powifi_sim::obs::stream;
 use std::fs;
 use std::io;
@@ -125,13 +127,16 @@ pub fn peek_latest(dir: &Path, name: &str) -> io::Result<Option<ResumeInfo>> {
 
 /// Crash-resume entry point: resume from the newest *valid* chain file for
 /// `name` (invalid tails — e.g. a write torn by the crash — are skipped),
-/// or cold-start from `spec` when no usable checkpoint exists.
+/// or cold-start from `spec` when no usable checkpoint exists. A valid file
+/// whose spec differs from `spec` is an [`io::ErrorKind::InvalidData`]
+/// error naming the file.
 pub fn start_or_resume(
     spec: &OfficeSpec,
     policy: Option<&CkptPolicy>,
     name: &str,
 ) -> io::Result<(OfficeRun, Option<ResumeInfo>)> {
     if let Some(p) = policy {
+        let want = spec.to_ckpt();
         for (epoch, path) in chain(&p.dir, Some(name))?.into_iter().rev() {
             let Ok(bytes) = fs::read(&path) else {
                 continue;
@@ -139,6 +144,15 @@ pub fn start_or_resume(
             let Ok(c) = ckpt::load(&bytes) else {
                 continue; // torn/corrupt: fall back to the previous file
             };
+            if c.root.get("spec").is_ok_and(|found| *found != want) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: checkpoint chain was written for a different spec",
+                        path.display()
+                    ),
+                ));
+            }
             match powifi_deploy::ckpt::resume_value(&c.root) {
                 Ok(run) => {
                     return Ok((
@@ -293,6 +307,39 @@ mod tests {
         metrics::reset();
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
+    }
+
+    /// A chain written by another spec is refused, naming the file, rather
+    /// than resumed under the caller's spec or overwritten by a cold start.
+    #[test]
+    fn chain_of_another_spec_is_an_error() {
+        metrics::reset();
+        let dir = tmp("other-spec");
+        let pol = CkptPolicy {
+            dir: dir.clone(),
+            every: 1,
+        };
+        let mut run = OfficeRun::start(&spec());
+        run.step_epoch();
+        run.step_epoch();
+        fs::create_dir_all(&dir).unwrap();
+        let path = chain_path(&dir, "d0", 2);
+        fs::write(&path, checkpoint(&run).unwrap().0).unwrap();
+        let other = OfficeSpec { seed: 6, ..spec() };
+        match start_or_resume(&other, Some(&pol), "d0") {
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains(&path.display().to_string()), "{e}");
+            }
+            Ok((r, info)) => panic!(
+                "seed-6 run resumed a seed-{} chain from {info:?}",
+                r.spec.seed
+            ),
+        }
+        let (same, info) = start_or_resume(&spec(), Some(&pol), "d0").unwrap();
+        assert_eq!((same.spec.seed, info.map(|i| i.epoch)), (5, Some(2)));
+        metrics::reset();
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

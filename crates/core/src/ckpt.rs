@@ -7,11 +7,40 @@
 //! those blocks from the fresh queue keyed by interface, and overlays the
 //! dynamic state — RNG stream position and the shared control block — via
 //! [`restore_injector`].
+//!
+//! The [`Scheme`] under test is part of every office checkpoint's spec.
 
 use crate::injector::InjectorSt;
-use powifi_mac::ckpt::{rng_from, rng_v};
+use crate::Scheme;
 use powifi_mac::StationId;
-use powifi_sim::ckpt::{CkptError, Value};
+use powifi_rf::Bitrate;
+use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+
+/// A string: `baseline`, `blind_udp`, `no_queue`, `powifi`, or
+/// `equal_share:<rate>`.
+impl Ckpt for Scheme {
+    fn to_ckpt(&self) -> Value {
+        match self {
+            Scheme::Baseline => Value::str("baseline"),
+            Scheme::BlindUdp => Value::str("blind_udp"),
+            Scheme::NoQueue => Value::str("no_queue"),
+            Scheme::PoWiFi => Value::str("powifi"),
+            Scheme::EqualShare(r) => Value::Str(format!("equal_share:{}", r.ckpt_name())),
+        }
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        Ok(match v.as_str(path)? {
+            "baseline" => Scheme::Baseline,
+            "blind_udp" => Scheme::BlindUdp,
+            "no_queue" => Scheme::NoQueue,
+            "powifi" => Scheme::PoWiFi,
+            other => match other.strip_prefix("equal_share:") {
+                Some(rate) => Scheme::EqualShare(Bitrate::from_ckpt(&Value::str(rate), path)?),
+                None => return Err(CkptError::field(path, format!("unknown scheme {other:?}"))),
+            },
+        })
+    }
+}
 
 /// The interface an injector block is bound to (the re-link key).
 pub fn injector_iface(st: &InjectorSt) -> StationId {
@@ -23,41 +52,38 @@ pub fn injector_iface(st: &InjectorSt) -> StationId {
 pub fn save_injector(st: &InjectorSt) -> Value {
     let ctl = st.ctl.borrow();
     Value::map()
-        .field("iface", Value::U64(st.iface.0 as u64))
-        .field("rng", rng_v(&st.rng))
-        .field("sent", Value::U64(ctl.sent))
-        .field("dropped", Value::U64(ctl.dropped))
-        .field("queue_full", Value::U64(ctl.queue_full))
-        .field("delay_scale", Value::f64(ctl.delay_scale))
-        .field("enabled", Value::Bool(ctl.enabled))
-        .field("gate_open", Value::opt(ctl.gate_open, Value::Bool))
+        .put("iface", &st.iface)
+        .put("rng", &st.rng)
+        .put("sent", &ctl.sent)
+        .put("dropped", &ctl.dropped)
+        .put("queue_full", &ctl.queue_full)
+        .put("delay_scale", &ctl.delay_scale)
+        .put("enabled", &ctl.enabled)
+        .put("gate_open", &ctl.gate_open)
         .build()
 }
 
 /// Overlay a [`save_injector`] tree onto a freshly spawned injector block.
 /// The block's interface must match the tree's `iface` key.
 pub fn restore_injector(st: &mut InjectorSt, v: &Value) -> Result<(), CkptError> {
-    let iface = v.u64_field("iface")? as u32;
-    if iface != st.iface.0 {
-        return Err(CkptError::Field {
-            path: "iface".into(),
-            message: format!(
-                "checkpoint is for iface {iface}, rebuilt injector is on {}",
-                st.iface.0
+    let iface: StationId = v.field("iface")?;
+    if iface != st.iface {
+        return Err(CkptError::field(
+            "iface",
+            format!(
+                "checkpoint is for iface {}, rebuilt injector is on {}",
+                iface.0, st.iface.0
             ),
-        });
+        ));
     }
-    st.rng = rng_from(v.get("rng")?, "rng")?;
+    st.rng = v.field("rng")?;
     let mut ctl = st.ctl.borrow_mut();
-    ctl.sent = v.u64_field("sent")?;
-    ctl.dropped = v.u64_field("dropped")?;
-    ctl.queue_full = v.u64_field("queue_full")?;
-    ctl.delay_scale = v.f64_field("delay_scale")?;
-    ctl.enabled = v.bool_field("enabled")?;
-    ctl.gate_open = match v.get("gate_open")?.as_opt() {
-        None => None,
-        Some(g) => Some(g.as_bool("gate_open")?),
-    };
+    ctl.sent = v.field("sent")?;
+    ctl.dropped = v.field("dropped")?;
+    ctl.queue_full = v.field("queue_full")?;
+    ctl.delay_scale = v.field("delay_scale")?;
+    ctl.enabled = v.field("enabled")?;
+    ctl.gate_open = v.field("gate_open")?;
     Ok(())
 }
 

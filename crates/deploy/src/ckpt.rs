@@ -35,26 +35,18 @@ use crate::telemetry::EpochDriver;
 use crate::world::{DeployEvent, SimWorld, WorldEvent};
 use powifi_core::{CoreEvent, InjectorSt, Scheme};
 use powifi_harvest::{Harvester, Store};
-use powifi_mac::ckpt::{
-    bitrate_from_name, bitrate_name, frame_from, frame_v, restore_mac, rng_from, rng_v, save_mac,
-};
-use powifi_mac::{MacEvent, MediumId, Queue, RateController, StationId};
+use powifi_mac::ckpt::{check_frame, check_id, restore_mac, save_mac};
+use powifi_mac::{Mac, MacEvent, MediumId, Queue, RateController, StationId};
 use powifi_net::ckpt::{restore_net, save_net};
-use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, NetEvent};
+use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, Flow, NetEvent};
 use powifi_rf::Bitrate;
-use powifi_sim::ckpt::{self, CkptError, Value};
-use powifi_sim::obs::metrics::{self, HistogramSummary, MetricsSnapshot};
+use powifi_sim::ckpt::{self, Ckpt, CkptError, Value};
+use powifi_sim::ckpt_struct;
+use powifi_sim::obs::metrics::{self, MetricsSnapshot};
 use powifi_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-fn field_err(path: &str, message: impl Into<String>) -> CkptError {
-    CkptError::Field {
-        path: path.to_string(),
-        message: message.into(),
-    }
-}
 
 /// Client traffic driven through the office run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,122 +200,64 @@ impl OfficeRun {
 
 // ---------------------------------------------------------------- spec --
 
-fn scheme_v(s: Scheme) -> Value {
-    match s {
-        Scheme::Baseline => Value::str("baseline"),
-        Scheme::BlindUdp => Value::str("blind_udp"),
-        Scheme::NoQueue => Value::str("no_queue"),
-        Scheme::PoWiFi => Value::str("powifi"),
-        Scheme::EqualShare(r) => Value::Str(format!("equal_share:{}", bitrate_name(r))),
+/// `{"kind": "none" | "tcp"}`, or `{"kind": "udp", "rate_mbps"}`.
+impl Ckpt for TrafficSpec {
+    fn to_ckpt(&self) -> Value {
+        let kind = |k| Value::map().field("kind", Value::str(k));
+        match self {
+            TrafficSpec::None => kind("none").build(),
+            TrafficSpec::Udp { rate_mbps } => kind("udp").put("rate_mbps", rate_mbps).build(),
+            TrafficSpec::Tcp => kind("tcp").build(),
+        }
     }
-}
-
-fn scheme_from(v: &Value) -> Result<Scheme, CkptError> {
-    let s = v.as_str("spec.scheme")?;
-    Ok(match s {
-        "baseline" => Scheme::Baseline,
-        "blind_udp" => Scheme::BlindUdp,
-        "no_queue" => Scheme::NoQueue,
-        "powifi" => Scheme::PoWiFi,
-        other => match other.strip_prefix("equal_share:") {
-            Some(rate) => Scheme::EqualShare(bitrate_from_name(rate, "spec.scheme")?),
-            None => {
-                return Err(field_err(
-                    "spec.scheme",
-                    format!("unknown scheme {other:?}"),
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        Ok(match v.str_field("kind")? {
+            "none" => TrafficSpec::None,
+            "udp" => TrafficSpec::Udp {
+                rate_mbps: v.field("rate_mbps")?,
+            },
+            "tcp" => TrafficSpec::Tcp,
+            other => {
+                return Err(CkptError::field(
+                    "kind",
+                    format!("unknown traffic kind {other:?}"),
                 ))
             }
-        },
-    })
-}
-
-fn traffic_v(t: TrafficSpec) -> Value {
-    match t {
-        TrafficSpec::None => Value::map().field("kind", Value::str("none")).build(),
-        TrafficSpec::Udp { rate_mbps } => Value::map()
-            .field("kind", Value::str("udp"))
-            .field("rate_mbps", Value::f64(rate_mbps))
-            .build(),
-        TrafficSpec::Tcp => Value::map().field("kind", Value::str("tcp")).build(),
+        })
     }
 }
 
-fn traffic_from(v: &Value) -> Result<TrafficSpec, CkptError> {
-    Ok(match v.str_field("kind")? {
-        "none" => TrafficSpec::None,
-        "udp" => TrafficSpec::Udp {
-            rate_mbps: v.f64_field("rate_mbps")?,
-        },
-        "tcp" => TrafficSpec::Tcp,
-        other => {
-            return Err(field_err(
-                "spec.traffic.kind",
-                format!("unknown traffic kind {other:?}"),
-            ))
-        }
-    })
-}
-
-fn spec_v(spec: &OfficeSpec) -> Value {
-    Value::map()
-        .field("seed", Value::U64(spec.seed))
-        .field("scheme", scheme_v(spec.scheme))
-        .field(
-            "cfg",
-            Value::map()
-                .field(
-                    "neighbors_per_channel",
-                    Value::U64(spec.cfg.neighbors_per_channel as u64),
-                )
-                .field("load_per_channel", Value::f64(spec.cfg.load_per_channel))
-                .field("monitor_bin", Value::U64(spec.cfg.monitor_bin.as_nanos()))
-                .build(),
-        )
-        .field("traffic", traffic_v(spec.traffic))
-        .field("secs", Value::U64(spec.secs))
-        .field("epoch", Value::U64(spec.epoch.as_nanos()))
-        .build()
-}
-
-fn spec_from(v: &Value) -> Result<OfficeSpec, CkptError> {
-    let cfg = v.get("cfg")?;
-    Ok(OfficeSpec {
-        seed: v.u64_field("seed")?,
-        scheme: scheme_from(v.get("scheme")?)?,
-        cfg: OfficeConfig {
-            neighbors_per_channel: cfg.u64_field("neighbors_per_channel")? as usize,
-            load_per_channel: cfg.f64_field("load_per_channel")?,
-            monitor_bin: SimDuration::from_nanos(cfg.u64_field("monitor_bin")?),
-        },
-        traffic: traffic_from(v.get("traffic")?)?,
-        secs: v.u64_field("secs")?,
-        epoch: SimDuration::from_nanos(v.u64_field("epoch")?),
-    })
-}
+ckpt_struct!(OfficeConfig {
+    neighbors_per_channel,
+    load_per_channel,
+    monitor_bin
+});
+ckpt_struct!(OfficeSpec {
+    seed,
+    scheme,
+    cfg,
+    traffic,
+    secs,
+    epoch
+});
 
 // -------------------------------------------------------------- events --
 
 fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
+    let kind = |k| Value::map().field("kind", Value::str(k));
     Ok(match ev {
-        WorldEvent::Mac(MacEvent::ArbFire(m)) => Value::map()
-            .field("kind", Value::str("arb_fire"))
-            .field("medium", Value::U64(m.0 as u64))
-            .build(),
-        WorldEvent::Mac(MacEvent::TxEnd(m)) => Value::map()
-            .field("kind", Value::str("tx_end"))
-            .field("medium", Value::U64(m.0 as u64))
-            .build(),
+        WorldEvent::Mac(MacEvent::ArbFire(m)) => kind("arb_fire").put("medium", m).build(),
+        WorldEvent::Mac(MacEvent::TxEnd(m)) => kind("tx_end").put("medium", m).build(),
         WorldEvent::Mac(MacEvent::Beacon {
             sta,
             interval,
             rate,
-        }) => Value::map()
-            .field("kind", Value::str("beacon"))
-            .field("sta", Value::U64(sta.0 as u64))
-            .field("interval", Value::U64(interval.as_nanos()))
-            .field("rate", Value::str(bitrate_name(*rate)))
+        }) => kind("beacon")
+            .put("sta", sta)
+            .put("interval", interval)
+            .put("rate", rate)
             .build(),
-        WorldEvent::Mac(MacEvent::Audit) => Value::map().field("kind", Value::str("audit")).build(),
+        WorldEvent::Mac(MacEvent::Audit) => kind("audit").build(),
         WorldEvent::Net(NetEvent::UdpTick {
             flow,
             src,
@@ -331,24 +265,21 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
             interval,
             stop,
             seq,
-        }) => Value::map()
-            .field("kind", Value::str("udp_tick"))
-            .field("flow", Value::U64(*flow as u64))
-            .field("src", Value::U64(src.0 as u64))
-            .field("dst", Value::U64(dst.0 as u64))
-            .field("interval", Value::U64(interval.as_nanos()))
-            .field("stop", Value::U64(stop.as_nanos()))
-            .field("seq", Value::U64(*seq))
+        }) => kind("udp_tick")
+            .put("flow", flow)
+            .put("src", src)
+            .put("dst", dst)
+            .put("interval", interval)
+            .put("stop", stop)
+            .put("seq", seq)
             .build(),
-        WorldEvent::Net(NetEvent::TcpRto { flow, epoch }) => Value::map()
-            .field("kind", Value::str("tcp_rto"))
-            .field("flow", Value::U64(*flow as u64))
-            .field("epoch", Value::U64(*epoch))
+        WorldEvent::Net(NetEvent::TcpRto { flow, epoch }) => kind("tcp_rto")
+            .put("flow", flow)
+            .put("epoch", epoch)
             .build(),
-        WorldEvent::Net(NetEvent::TcpPush { flow, bytes }) => Value::map()
-            .field("kind", Value::str("tcp_push"))
-            .field("flow", Value::U64(*flow as u64))
-            .field("bytes", Value::U64(*bytes))
+        WorldEvent::Net(NetEvent::TcpPush { flow, bytes }) => kind("tcp_push")
+            .put("flow", flow)
+            .put("bytes", bytes)
             .build(),
         WorldEvent::Net(NetEvent::PageStart { .. })
         | WorldEvent::Net(NetEvent::PageFetch { .. }) => {
@@ -356,8 +287,7 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
                 "pending page-load events cannot be checkpointed".into(),
             ))
         }
-        WorldEvent::Core(CoreEvent::InjectorTick(st)) => Value::map()
-            .field("kind", Value::str("injector_tick"))
+        WorldEvent::Core(CoreEvent::InjectorTick(st)) => kind("injector_tick")
             .field("st", powifi_core::ckpt::save_injector(&st.borrow()))
             .build(),
         WorldEvent::Mac(MacEvent::Source { .. })
@@ -373,25 +303,19 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
         }
         WorldEvent::Deploy(DeployEvent::Burst(st)) => {
             let b = st.borrow();
-            Value::map()
-                .field("kind", Value::str("burst"))
-                .field("src", Value::U64(b.src.0 as u64))
-                .field("rng", rng_v(&b.rng))
-                .build()
+            kind("burst").put("src", &b.src).put("rng", &b.rng).build()
         }
-        WorldEvent::Deploy(DeployEvent::BgFrame { src, frame }) => Value::map()
-            .field("kind", Value::str("bg_frame"))
-            .field("src", Value::U64(src.0 as u64))
-            .field("frame", frame_v(frame))
-            .build(),
+        WorldEvent::Deploy(DeployEvent::BgFrame { src, frame }) => {
+            kind("bg_frame").put("src", src).put("frame", frame).build()
+        }
     })
 }
 
 /// Spawn-time `Rc` state blocks harvested from a freshly rebuilt world's
 /// queue, keyed for re-linking, plus whether the rebuilt world audits.
 struct FreshBlocks {
-    injectors: BTreeMap<u32, Rc<RefCell<InjectorSt>>>,
-    bursts: BTreeMap<u32, Rc<RefCell<BurstSt>>>,
+    injectors: BTreeMap<StationId, Rc<RefCell<InjectorSt>>>,
+    bursts: BTreeMap<StationId, Rc<RefCell<BurstSt>>>,
     audit: bool,
 }
 
@@ -404,11 +328,11 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
     for (_, _, ev) in q.ckpt_pending() {
         match ev {
             WorldEvent::Core(CoreEvent::InjectorTick(st)) => {
-                let iface = powifi_core::ckpt::injector_iface(&st.borrow()).0;
+                let iface = powifi_core::ckpt::injector_iface(&st.borrow());
                 blocks.injectors.insert(iface, Rc::clone(st));
             }
             WorldEvent::Deploy(DeployEvent::Burst(st)) => {
-                let src = st.borrow().src.0;
+                let src = st.borrow().src;
                 blocks.bursts.insert(src, Rc::clone(st));
             }
             WorldEvent::Mac(MacEvent::Audit) => blocks.audit = true,
@@ -422,14 +346,26 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
     blocks
 }
 
-fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> {
+/// Decode one pending event. Station and medium ids are checked against
+/// the rebuilt `mac`, and Rc-carrying kinds re-link to its fresh blocks.
+fn event_from(v: &Value, blocks: &FreshBlocks, mac: &Mac) -> Result<WorldEvent, CkptError> {
+    let sta = |key| -> Result<StationId, CkptError> {
+        let sta: StationId = v.field(key)?;
+        check_id(sta.0, mac.station_count(), key)?;
+        Ok(sta)
+    };
+    let medium = || -> Result<MediumId, CkptError> {
+        let m: MediumId = v.field("medium")?;
+        check_id(m.0, mac.medium_count(), "medium")?;
+        Ok(m)
+    };
     Ok(match v.str_field("kind")? {
-        "arb_fire" => MacEvent::ArbFire(MediumId(v.u64_field("medium")? as u32)).into(),
-        "tx_end" => MacEvent::TxEnd(MediumId(v.u64_field("medium")? as u32)).into(),
+        "arb_fire" => MacEvent::ArbFire(medium()?).into(),
+        "tx_end" => MacEvent::TxEnd(medium()?).into(),
         "beacon" => MacEvent::Beacon {
-            sta: StationId(v.u64_field("sta")? as u32),
-            interval: SimDuration::from_nanos(v.u64_field("interval")?),
-            rate: bitrate_from_name(v.str_field("rate")?, "rate")?,
+            sta: sta("sta")?,
+            interval: v.field("interval")?,
+            rate: v.field("rate")?,
         }
         .into(),
         "audit" if blocks.audit => MacEvent::Audit.into(),
@@ -439,53 +375,62 @@ fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> 
             ))
         }
         "udp_tick" => NetEvent::UdpTick {
-            flow: v.u64_field("flow")? as u32,
-            src: StationId(v.u64_field("src")? as u32),
-            dst: StationId(v.u64_field("dst")? as u32),
-            interval: SimDuration::from_nanos(v.u64_field("interval")?),
-            stop: SimTime::from_nanos(v.u64_field("stop")?),
-            seq: v.u64_field("seq")?,
+            flow: v.field("flow")?,
+            src: sta("src")?,
+            dst: sta("dst")?,
+            interval: v.field("interval")?,
+            stop: v.field("stop")?,
+            seq: v.field("seq")?,
         }
         .into(),
         "tcp_rto" => NetEvent::TcpRto {
-            flow: v.u64_field("flow")? as u32,
-            epoch: v.u64_field("epoch")?,
+            flow: v.field("flow")?,
+            epoch: v.field("epoch")?,
         }
         .into(),
         "tcp_push" => NetEvent::TcpPush {
-            flow: v.u64_field("flow")? as u32,
-            bytes: v.u64_field("bytes")?,
+            flow: v.field("flow")?,
+            bytes: v.field("bytes")?,
         }
         .into(),
         "injector_tick" => {
             let st_v = v.get("st")?;
-            let iface = st_v.u64_field("iface")? as u32;
+            let iface: StationId = st_v.field("iface")?;
             let rc = blocks.injectors.get(&iface).ok_or_else(|| {
-                field_err(
+                CkptError::field(
                     "injector_tick",
-                    format!("rebuilt world has no injector on iface {iface}"),
+                    format!("rebuilt world has no injector on iface {}", iface.0),
                 )
             })?;
             powifi_core::ckpt::restore_injector(&mut rc.borrow_mut(), st_v)?;
             CoreEvent::InjectorTick(Rc::clone(rc)).into()
         }
         "burst" => {
-            let src = v.u64_field("src")? as u32;
+            let src: StationId = v.field("src")?;
             let rc = blocks.bursts.get(&src).ok_or_else(|| {
-                field_err(
+                CkptError::field(
                     "burst",
-                    format!("rebuilt world has no burst source on station {src}"),
+                    format!("rebuilt world has no burst source on station {}", src.0),
                 )
             })?;
-            rc.borrow_mut().rng = rng_from(v.get("rng")?, "rng")?;
+            rc.borrow_mut().rng = v.field("rng")?;
             DeployEvent::Burst(Rc::clone(rc)).into()
         }
-        "bg_frame" => DeployEvent::BgFrame {
-            src: StationId(v.u64_field("src")? as u32),
-            frame: frame_from(v.get("frame")?)?,
+        "bg_frame" => {
+            let frame = v.field("frame")?;
+            check_frame(&frame, mac.station_count())?;
+            DeployEvent::BgFrame {
+                src: sta("src")?,
+                frame,
+            }
+            .into()
         }
-        .into(),
-        other => return Err(field_err("kind", format!("unknown event kind {other:?}"))),
+        other => {
+            return Err(CkptError::field(
+                "kind",
+                format!("unknown event kind {other:?}"),
+            ))
+        }
     })
 }
 
@@ -506,83 +451,6 @@ fn sim_metrics() -> MetricsSnapshot {
     s
 }
 
-/// Serialize a metrics snapshot into the checkpoint tree.
-pub fn snapshot_v(s: &MetricsSnapshot) -> Value {
-    let counters = s
-        .counters
-        .iter()
-        .map(|(k, v)| (k.clone(), Value::U64(*v)))
-        .collect();
-    let gauges = s
-        .gauges
-        .iter()
-        .map(|(k, v)| (k.clone(), Value::f64(*v)))
-        .collect();
-    let hists = s
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            (
-                k.clone(),
-                Value::map()
-                    .field("count", Value::U64(h.count))
-                    .field("sum", Value::f64(h.sum))
-                    .field("min", Value::f64(h.min))
-                    .field("max", Value::f64(h.max))
-                    .field(
-                        "buckets",
-                        Value::List(
-                            h.buckets
-                                .iter()
-                                .map(|&(bound, n)| {
-                                    Value::List(vec![Value::f64(bound), Value::U64(n)])
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .build(),
-            )
-        })
-        .collect();
-    Value::map()
-        .field("counters", Value::Map(counters))
-        .field("gauges", Value::Map(gauges))
-        .field("histograms", Value::Map(hists))
-        .build()
-}
-
-/// Decode a [`snapshot_v`] tree.
-pub fn snapshot_from(v: &Value) -> Result<MetricsSnapshot, CkptError> {
-    let mut s = MetricsSnapshot::default();
-    for (k, c) in v.get("counters")?.as_map("counters")? {
-        s.counters.insert(k.clone(), c.as_u64("counters")?);
-    }
-    for (k, g) in v.get("gauges")?.as_map("gauges")? {
-        s.gauges.insert(k.clone(), g.as_f64("gauges")?);
-    }
-    for (k, h) in v.get("histograms")?.as_map("histograms")? {
-        let mut buckets = Vec::new();
-        for b in h.list_field("buckets")? {
-            let pair = b.as_list("buckets")?;
-            if pair.len() != 2 {
-                return Err(field_err("buckets", "entry must be [bound, count]"));
-            }
-            buckets.push((pair[0].as_f64("buckets")?, pair[1].as_u64("buckets")?));
-        }
-        s.histograms.insert(
-            k.clone(),
-            HistogramSummary {
-                count: h.u64_field("count")?,
-                sum: h.f64_field("sum")?,
-                min: h.f64_field("min")?,
-                max: h.f64_field("max")?,
-                buckets,
-            },
-        );
-    }
-    Ok(s)
-}
-
 // -------------------------------------------------------------- driver --
 
 fn harvester_v(h: &Harvester) -> Value {
@@ -590,76 +458,57 @@ fn harvester_v(h: &Harvester) -> Value {
     let store = match h.store {
         Store::Cap(c) => Value::map()
             .field("kind", Value::str("cap"))
-            .field("volts", Value::f64(c.volts))
+            .put("volts", &c.volts)
             .build(),
         Store::Batt(b) => Value::map()
             .field("kind", Value::str("batt"))
-            .field("charge_mah", Value::f64(b.charge_mah))
+            .put("charge_mah", &b.charge_mah)
             .build(),
     };
     Value::map()
-        .field("output_on", Value::Bool(output_on))
-        .field("elapsed", Value::U64(elapsed.as_nanos()))
-        .field(
-            "design_efficiency",
-            Value::opt(design_efficiency, Value::f64),
-        )
+        .put("output_on", &output_on)
+        .put("elapsed", &elapsed)
+        .put("design_efficiency", &design_efficiency)
         .field("store", store)
-        .field("harvested_j", Value::f64(h.harvested.0))
-        .field("incident_j", Value::f64(h.incident.0))
+        .put("harvested_j", &h.harvested)
+        .put("incident_j", &h.incident)
         .build()
 }
 
 fn harvester_overlay(h: &mut Harvester, v: &Value) -> Result<(), CkptError> {
-    let design = match v.get("design_efficiency")?.as_opt() {
-        None => None,
-        Some(d) => Some(d.as_f64("design_efficiency")?),
-    };
     h.ckpt_restore(
-        v.bool_field("output_on")?,
-        SimDuration::from_nanos(v.u64_field("elapsed")?),
-        design,
+        v.field("output_on")?,
+        v.field("elapsed")?,
+        v.field("design_efficiency")?,
     );
     let sv = v.get("store")?;
     match (&mut h.store, sv.str_field("kind")?) {
-        (Store::Cap(c), "cap") => c.volts = sv.f64_field("volts")?,
-        (Store::Batt(b), "batt") => b.charge_mah = sv.f64_field("charge_mah")?,
+        (Store::Cap(c), "cap") => c.volts = sv.field("volts")?,
+        (Store::Batt(b), "batt") => b.charge_mah = sv.field("charge_mah")?,
         (_, kind) => {
-            return Err(field_err(
+            return Err(CkptError::field(
                 "store",
                 format!("store kind {kind:?} does not match the rebuilt harvester"),
             ))
         }
     }
-    h.harvested = powifi_sim::Joules(v.f64_field("harvested_j")?);
-    h.incident = powifi_sim::Joules(v.f64_field("incident_j")?);
+    h.harvested = v.field("harvested_j")?;
+    h.incident = v.field("incident_j")?;
     Ok(())
 }
 
 fn driver_v(d: &EpochDriver) -> Value {
     Value::map()
         .field("harvester", harvester_v(&d.harvester))
-        .field(
-            "prev_busy",
-            Value::List(
-                d.prev_busy
-                    .iter()
-                    .map(|b| Value::U64(b.as_nanos()))
-                    .collect(),
-            ),
-        )
+        .put("prev_busy", &d.prev_busy)
         .build()
 }
 
 fn driver_overlay(d: &mut EpochDriver, v: &Value) -> Result<(), CkptError> {
     harvester_overlay(&mut d.harvester, v.get("harvester")?)?;
-    let busy = v
-        .list_field("prev_busy")?
-        .iter()
-        .map(|b| Ok(SimDuration::from_nanos(b.as_u64("prev_busy")?)))
-        .collect::<Result<Vec<_>, CkptError>>()?;
+    let busy: Vec<SimDuration> = v.field("prev_busy")?;
     if busy.len() != d.prev_busy.len() {
-        return Err(field_err(
+        return Err(CkptError::field(
             "prev_busy",
             format!(
                 "checkpoint has {} channels, rebuilt driver has {}",
@@ -686,27 +535,27 @@ pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
         .into_iter()
         .map(|(t, seq, ev)| {
             Ok(Value::map()
-                .field("t", Value::U64(t))
-                .field("seq", Value::U64(seq))
+                .put("t", &t)
+                .put("seq", &seq)
                 .field("ev", event_v(ev)?)
                 .build())
         })
         .collect::<Result<Vec<_>, CkptError>>()?;
     Ok(Value::map()
-        .field("spec", spec_v(&run.spec))
-        .field("epoch", Value::U64(run.epochs_done))
+        .put("spec", &run.spec)
+        .put("epoch", &run.epochs_done)
         .field(
             "queue",
             Value::map()
-                .field("now", Value::U64(now))
-                .field("next_seq", Value::U64(next_seq))
-                .field("executed", Value::U64(executed))
+                .put("now", &now)
+                .put("next_seq", &next_seq)
+                .put("executed", &executed)
                 .field("events", Value::List(events))
                 .build(),
         )
         .field("mac", save_mac(&run.w.mac))
         .field("net", save_net(&run.w.net)?)
-        .field("metrics", snapshot_v(&sim_metrics()))
+        .put("metrics", &sim_metrics())
         .field("driver", driver_v(&run.drv))
         .build())
 }
@@ -724,8 +573,8 @@ pub fn checkpoint(run: &OfficeRun) -> Result<(Vec<u8>, String), CkptError> {
 /// static topology, then overlay all dynamic state. Also restores the
 /// thread metrics registry, so telemetry continues seamlessly.
 pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
-    let spec = spec_from(v.get("spec")?)?;
-    let epochs_done = v.u64_field("epoch")?;
+    let spec: OfficeSpec = v.field("spec")?;
+    let epochs_done = v.field("epoch")?;
     // Static topology only — client flows, pending events and all dynamic
     // state come from the tree. (Traffic spec is applied on cold starts;
     // here the flow table arrives wholesale from `restore_net`.)
@@ -737,21 +586,27 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
         .iter()
         .map(|e| {
             Ok((
-                e.u64_field("t")?,
-                e.u64_field("seq")?,
-                event_from(e.get("ev")?, &blocks)?,
+                e.field("t")?,
+                e.field("seq")?,
+                event_from(e.get("ev")?, &blocks, &w.mac)?,
             ))
         })
         .collect::<Result<Vec<_>, CkptError>>()?;
     q.ckpt_restore(
-        SimTime::from_nanos(qv.u64_field("now")?),
-        qv.u64_field("next_seq")?,
-        qv.u64_field("executed")?,
+        qv.field("now")?,
+        qv.field("next_seq")?,
+        qv.field("executed")?,
         entries,
     )?;
     restore_mac(&mut w.mac, v.get("mac")?)?;
     w.net = restore_net(v.get("net")?)?;
-    metrics::restore(&snapshot_from(v.get("metrics")?)?);
+    for (_, flow) in w.net.flows() {
+        if let Flow::Tcp(t) = flow {
+            check_id(t.src.0, w.mac.station_count(), "flows/src")?;
+            check_id(t.dst.0, w.mac.station_count(), "flows/dst")?;
+        }
+    }
+    metrics::restore(&v.field("metrics")?);
     let mut drv = EpochDriver::new(spec.epoch, &s);
     driver_overlay(&mut drv, v.get("driver")?)?;
     Ok(OfficeRun {
@@ -849,11 +704,11 @@ mod tests {
                 ..spec(TrafficSpec::Tcp)
             },
         ] {
-            let v = spec_v(&sp);
-            let back = spec_from(&v).unwrap();
+            let v = sp.to_ckpt();
+            let back = OfficeSpec::from_ckpt(&v, "spec").unwrap();
             assert_eq!(
                 ckpt::state_hash(&v),
-                ckpt::state_hash(&spec_v(&back)),
+                ckpt::state_hash(&back.to_ckpt()),
                 "{sp:?}"
             );
         }
@@ -883,7 +738,8 @@ mod tests {
     }
 
     /// A checkpoint with a valid hash but impossible queue content — an
-    /// event before `queue.now`, or a seq the counter never issued — is
+    /// event before `queue.now`, a seq the counter never issued, or a
+    /// medium id the rebuilt world does not have (or one past `u32`) — is
     /// refused with an error instead of aborting the process.
     #[test]
     fn resume_rejects_impossible_queue_content() {
@@ -892,23 +748,48 @@ mod tests {
         run.step_epoch();
         let root = save_office(&run).unwrap();
         let q = root.get("queue").unwrap();
-        let (now, next_seq) = (
-            q.u64_field("now").unwrap(),
-            q.u64_field("next_seq").unwrap(),
-        );
-        let edits: [(&str, Value); 2] = [("t", Value::U64(now - 1)), ("seq", Value::U64(next_seq))];
-        for (key, bad) in edits {
+        let (now, next_seq): (u64, u64) = (q.field("now").unwrap(), q.field("next_seq").unwrap());
+        let ev1 = q.list_field("events").unwrap()[1].get("ev").unwrap();
+        assert_eq!(ev1.str_field("kind"), Ok("tx_end"));
+        let edits: [(&[&str], Value); 4] = [
+            (&["t"], Value::U64(now - 1)),
+            (&["seq"], Value::U64(next_seq)),
+            (&["ev", "medium"], Value::U64(1 << 32)),
+            (&["ev", "medium"], Value::U64(7)),
+        ];
+        for (path, bad) in edits {
             let mut tree = root.clone();
             let Value::List(events) = field_mut(field_mut(&mut tree, "queue"), "events") else {
                 panic!("queue.events is not a list");
             };
-            *field_mut(&mut events[1], key) = bad;
+            let slot = path.iter().fold(&mut events[1], |v, key| field_mut(v, key));
+            *slot = bad.clone();
             let bytes = ckpt::save(&tree);
             assert!(
                 matches!(resume(&bytes), Err(CkptError::Field { .. })),
-                "edited {key} was accepted"
+                "events[1]/{path:?} = {bad:?} was accepted"
             );
         }
+        metrics::reset();
+    }
+
+    /// Stations on a medium the rebuilt world does not have are refused.
+    #[test]
+    fn resume_rejects_a_station_on_a_missing_medium() {
+        metrics::reset();
+        let mut run = OfficeRun::start(&spec(TrafficSpec::Udp { rate_mbps: 10.0 }));
+        run.step_epoch();
+        let mut tree = save_office(&run).unwrap();
+        let Value::List(stations) = field_mut(field_mut(&mut tree, "mac"), "stations") else {
+            panic!("mac.stations is not a list");
+        };
+        for sta in stations {
+            *field_mut(sta, "medium") = Value::U64(7);
+        }
+        assert!(matches!(
+            resume(&ckpt::save(&tree)),
+            Err(CkptError::Field { .. })
+        ));
         metrics::reset();
     }
 

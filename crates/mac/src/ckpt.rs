@@ -1,661 +1,331 @@
-//! MAC-layer checkpoint state: serialize every dynamic field of a [`Mac`]
-//! into a [`Value`] tree and overlay it back onto a freshly rebuilt
-//! topology.
+//! MAC-layer checkpoint state: every dynamic field of a [`Mac`] as a
+//! [`Value`] tree, overlaid back onto a freshly rebuilt topology.
 //!
 //! Restore is *overlay*, not reconstruction: the caller rebuilds the same
 //! station/medium/link topology from the experiment config (same seed,
 //! same scheme), then [`restore_mac`] copies the dynamic state — queues,
 //! DCF contention, rate-controller positions, occupancy accounting, RNG
-//! stream positions — over it. Pure memoization caches (`per_cache`, the
-//! occupancy airtime memo) are reset instead of serialized: recomputation
-//! yields bit-identical values, so dropping them cannot perturb the run.
+//! stream positions — over it. Stations and mediums checkpoint every
+//! field, so they are decoded whole; faders are overlaid. Pure memoization
+//! caches (`per_cache`, the occupancy airtime memo) are reset instead of
+//! serialized: recomputation yields bit-identical values, so dropping them
+//! cannot perturb the run.
 
 use crate::frame::{Dest, Frame, FrameKind, MediumId, PayloadTag, StationId};
+use crate::occupancy::OccupancyMonitor;
 use crate::rate_adapt::{AarfState, MinstrelState, RateController, RateStats};
 use crate::trace::{FrameRecord, FrameTrace};
-use crate::world::{Contender, InFlight, Mac, StaState};
-use powifi_rf::Bitrate;
-use powifi_sim::ckpt::{CkptError, Value};
-use powifi_sim::units::{Db, Seconds};
-use powifi_sim::{EventHandle, PowerEnvelope, SimDuration, SimRng, SimTime};
-use std::collections::VecDeque;
+use crate::world::{Contender, InFlight, Mac, Medium, StaState, Station};
+use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+use powifi_sim::{ckpt_names, ckpt_newtype, ckpt_struct, Db, SimRng};
 
-fn field_err(path: &str, message: impl Into<String>) -> CkptError {
-    CkptError::Field {
-        path: path.to_string(),
-        message: message.into(),
+ckpt_newtype!(StationId, MediumId);
+
+ckpt_names!(FrameKind {
+    Data => "data",
+    Power => "power",
+    Beacon => "beacon",
+    Management => "management",
+});
+
+ckpt_names!(StaState {
+    Idle => "idle",
+    Contending => "contending",
+    Transmitting => "transmitting",
+});
+
+ckpt_struct!(Contender {
+    sta,
+    rem,
+    drawn,
+    count_start
+});
+ckpt_struct!(InFlight {
+    sta,
+    rate,
+    delivered,
+    class
+});
+ckpt_struct!(FrameRecord {
+    t,
+    src,
+    dst,
+    kind,
+    bytes,
+    rate,
+    collided
+});
+ckpt_struct!(RateStats {
+    attempts,
+    successes,
+    ewma_prob
+});
+ckpt_struct!(AarfState as "aarf" {
+    rate,
+    success_streak,
+    fail_streak,
+    probe_threshold,
+    probing
+});
+ckpt_struct!(MinstrelState as "minstrel" {
+    stats,
+    best,
+    probing,
+    frames,
+    window
+});
+ckpt_struct!(FrameTrace {
+    capacity,
+    observed,
+    ring
+});
+ckpt_struct!(OccupancyMonitor {
+    bin,
+    tracked,
+    tshark_tracked,
+    tshark_all,
+    phys_tracked,
+    envelope,
+    envelope_busy_until,
+    src_totals
+} reset {
+    airtime_memo: None
+});
+ckpt_struct!(Medium {
+    idle_since,
+    busy_until,
+    busy_accum,
+    contenders,
+    in_flight,
+    arb,
+    monitor,
+    trace,
+    bcast_listeners,
+    corruption,
+    rng,
+    collisions,
+    corrupted
+});
+
+/// The receiver's id, or `null` for a broadcast.
+impl Ckpt for Dest {
+    fn to_ckpt(&self) -> Value {
+        match self {
+            Dest::Unicast(sta) => sta.to_ckpt(),
+            Dest::Broadcast => Value::Null,
+        }
     }
-}
-
-/// Canonical name of a PHY rate (part of the checkpoint wire format).
-pub fn bitrate_name(r: Bitrate) -> &'static str {
-    match r {
-        Bitrate::B1 => "B1",
-        Bitrate::B2 => "B2",
-        Bitrate::B5_5 => "B5_5",
-        Bitrate::B11 => "B11",
-        Bitrate::G6 => "G6",
-        Bitrate::G9 => "G9",
-        Bitrate::G12 => "G12",
-        Bitrate::G18 => "G18",
-        Bitrate::G24 => "G24",
-        Bitrate::G36 => "G36",
-        Bitrate::G48 => "G48",
-        Bitrate::G54 => "G54",
-    }
-}
-
-/// Inverse of [`bitrate_name`].
-pub fn bitrate_from_name(name: &str, path: &str) -> Result<Bitrate, CkptError> {
-    Ok(match name {
-        "B1" => Bitrate::B1,
-        "B2" => Bitrate::B2,
-        "B5_5" => Bitrate::B5_5,
-        "B11" => Bitrate::B11,
-        "G6" => Bitrate::G6,
-        "G9" => Bitrate::G9,
-        "G12" => Bitrate::G12,
-        "G18" => Bitrate::G18,
-        "G24" => Bitrate::G24,
-        "G36" => Bitrate::G36,
-        "G48" => Bitrate::G48,
-        "G54" => Bitrate::G54,
-        other => return Err(field_err(path, format!("unknown bitrate {other:?}"))),
-    })
-}
-
-fn time_v(t: SimTime) -> Value {
-    Value::U64(t.as_nanos())
-}
-
-fn time_from(v: &Value, path: &str) -> Result<SimTime, CkptError> {
-    Ok(SimTime::from_nanos(v.as_u64(path)?))
-}
-
-fn dur_v(d: SimDuration) -> Value {
-    Value::U64(d.as_nanos())
-}
-
-fn dur_from(v: &Value, path: &str) -> Result<SimDuration, CkptError> {
-    Ok(SimDuration::from_nanos(v.as_u64(path)?))
-}
-
-/// Serialize an RNG position `(base, state words)`.
-pub fn rng_v(rng: &SimRng) -> Value {
-    let (base, s) = rng.ckpt_state();
-    Value::map()
-        .field("base", Value::U64(base))
-        .field(
-            "state",
-            Value::List(s.iter().map(|&w| Value::U64(w)).collect()),
-        )
-        .build()
-}
-
-/// Rebuild an RNG from [`rng_v`] output.
-pub fn rng_from(v: &Value, path: &str) -> Result<SimRng, CkptError> {
-    let base = v.u64_field("base")?;
-    let state = v.list_field("state")?;
-    if state.len() != 4 {
-        return Err(field_err(path, "rng state must have 4 words"));
-    }
-    let mut s = [0u64; 4];
-    for (i, w) in state.iter().enumerate() {
-        s[i] = w.as_u64(path)?;
-    }
-    Ok(SimRng::from_ckpt_state(base, s))
-}
-
-/// Serialize one frame (shared with the deploy layer's pending-event
-/// codec, which checkpoints `BgFrame` arrivals).
-pub fn frame_v(f: &Frame) -> Value {
-    Value::map()
-        .field("id", Value::U64(f.id))
-        .field("kind", Value::str(kind_name(f.kind)))
-        .field("src", Value::U64(f.src.0 as u64))
-        .field(
-            "dst",
-            match f.dst {
-                Dest::Unicast(sta) => Value::U64(sta.0 as u64),
-                Dest::Broadcast => Value::Null,
-            },
-        )
-        .field("bytes", Value::U64(f.bytes as u64))
-        .field("rate", Value::opt(f.rate, |r| Value::str(bitrate_name(r))))
-        .field("flow", Value::U64(f.payload.flow as u64))
-        .field("seq", Value::U64(f.payload.seq))
-        .field("payload_bytes", Value::U64(f.payload.bytes as u64))
-        .field("enqueued_at", time_v(f.enqueued_at))
-        .build()
-}
-
-fn kind_name(k: FrameKind) -> &'static str {
-    match k {
-        FrameKind::Data => "data",
-        FrameKind::Power => "power",
-        FrameKind::Beacon => "beacon",
-        FrameKind::Management => "management",
-    }
-}
-
-fn kind_from(name: &str, path: &str) -> Result<FrameKind, CkptError> {
-    Ok(match name {
-        "data" => FrameKind::Data,
-        "power" => FrameKind::Power,
-        "beacon" => FrameKind::Beacon,
-        "management" => FrameKind::Management,
-        other => return Err(field_err(path, format!("unknown frame kind {other:?}"))),
-    })
-}
-
-/// Decode a [`frame_v`] tree.
-pub fn frame_from(v: &Value) -> Result<Frame, CkptError> {
-    Ok(Frame {
-        id: v.u64_field("id")?,
-        kind: kind_from(v.str_field("kind")?, "kind")?,
-        src: StationId(v.u64_field("src")? as u32),
-        dst: match v.get("dst")?.as_opt() {
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        Ok(match v.as_opt() {
             None => Dest::Broadcast,
-            Some(d) => Dest::Unicast(StationId(d.as_u64("dst")? as u32)),
-        },
-        bytes: v.u64_field("bytes")? as u32,
-        rate: match v.get("rate")?.as_opt() {
-            None => None,
-            Some(r) => Some(bitrate_from_name(r.as_str("rate")?, "rate")?),
-        },
-        payload: PayloadTag {
-            flow: v.u64_field("flow")? as u32,
-            seq: v.u64_field("seq")?,
-            bytes: v.u64_field("payload_bytes")? as u32,
-        },
-        enqueued_at: time_from(v.get("enqueued_at")?, "enqueued_at")?,
-    })
-}
-
-fn rate_ctl_v(ctl: &RateController) -> Value {
-    match ctl {
-        RateController::Fixed(rate) => Value::map()
-            .field("kind", Value::str("fixed"))
-            .field("rate", Value::str(bitrate_name(*rate)))
-            .build(),
-        RateController::Adaptive(a) => Value::map()
-            .field("kind", Value::str("aarf"))
-            .field("rate", Value::str(bitrate_name(a.rate)))
-            .field("success_streak", Value::U64(a.success_streak as u64))
-            .field("fail_streak", Value::U64(a.fail_streak as u64))
-            .field("probe_threshold", Value::U64(a.probe_threshold as u64))
-            .field("probing", Value::Bool(a.probing))
-            .build(),
-        RateController::Minstrel(m) => Value::map()
-            .field("kind", Value::str("minstrel"))
-            .field(
-                "stats",
-                Value::List(
-                    m.stats
-                        .iter()
-                        .map(|s| {
-                            Value::map()
-                                .field("attempts", Value::U64(s.attempts as u64))
-                                .field("successes", Value::U64(s.successes as u64))
-                                .field("ewma_prob", Value::f64(s.ewma_prob))
-                                .build()
-                        })
-                        .collect(),
-                ),
-            )
-            .field("best", Value::U64(m.best as u64))
-            .field("probing", Value::opt(m.probing, |p| Value::U64(p as u64)))
-            .field("frames", Value::U64(m.frames as u64))
-            .field("window", Value::U64(m.window as u64))
-            .build(),
+            Some(sta) => Dest::Unicast(StationId::from_ckpt(sta, path)?),
+        })
     }
 }
 
-fn rate_ctl_from(v: &Value) -> Result<RateController, CkptError> {
-    match v.str_field("kind")? {
-        "fixed" => Ok(RateController::Fixed(bitrate_from_name(
-            v.str_field("rate")?,
-            "rate",
-        )?)),
-        "aarf" => Ok(RateController::Adaptive(AarfState {
-            rate: bitrate_from_name(v.str_field("rate")?, "rate")?,
-            success_streak: v.u64_field("success_streak")? as u32,
-            fail_streak: v.u64_field("fail_streak")? as u32,
-            probe_threshold: v.u64_field("probe_threshold")? as u32,
-            probing: v.bool_field("probing")?,
-        })),
-        "minstrel" => {
-            let stats_v = v.list_field("stats")?;
-            if stats_v.len() != 8 {
-                return Err(field_err("stats", "minstrel stats must have 8 entries"));
+/// The payload tag is flattened into the frame's map (`flow`, `seq`,
+/// `payload_bytes`).
+impl Ckpt for Frame {
+    fn to_ckpt(&self) -> Value {
+        Value::map()
+            .put("id", &self.id)
+            .put("kind", &self.kind)
+            .put("src", &self.src)
+            .put("dst", &self.dst)
+            .put("bytes", &self.bytes)
+            .put("rate", &self.rate)
+            .put("flow", &self.payload.flow)
+            .put("seq", &self.payload.seq)
+            .put("payload_bytes", &self.payload.bytes)
+            .put("enqueued_at", &self.enqueued_at)
+            .build()
+    }
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        Ok(Frame {
+            id: v.field("id")?,
+            kind: v.field("kind")?,
+            src: v.field("src")?,
+            dst: v.field("dst")?,
+            bytes: v.field("bytes")?,
+            rate: v.field("rate")?,
+            payload: PayloadTag {
+                flow: v.field("flow")?,
+                seq: v.field("seq")?,
+                bytes: v.field("payload_bytes")?,
+            },
+            enqueued_at: v.field("enqueued_at")?,
+        })
+    }
+}
+
+/// Tagged by `kind`: `fixed` (with its `rate`), `aarf` or `minstrel`.
+impl Ckpt for RateController {
+    fn to_ckpt(&self) -> Value {
+        match self {
+            RateController::Fixed(rate) => Value::map()
+                .field("kind", Value::str("fixed"))
+                .put("rate", rate)
+                .build(),
+            RateController::Adaptive(a) => a.to_ckpt(),
+            RateController::Minstrel(m) => m.to_ckpt(),
+        }
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        Ok(match v.str_field("kind")? {
+            "fixed" => RateController::Fixed(v.field("rate")?),
+            "aarf" => RateController::Adaptive(Ckpt::from_ckpt(v, path)?),
+            "minstrel" => RateController::Minstrel(Ckpt::from_ckpt(v, path)?),
+            other => {
+                return Err(CkptError::field(
+                    "kind",
+                    format!("unknown rate controller {other:?}"),
+                ))
             }
-            let mut stats = [RateStats {
-                attempts: 0,
-                successes: 0,
-                ewma_prob: 0.0,
-            }; 8];
-            for (i, s) in stats_v.iter().enumerate() {
-                stats[i] = RateStats {
-                    attempts: s.u64_field("attempts")? as u32,
-                    successes: s.u64_field("successes")? as u32,
-                    ewma_prob: s.f64_field("ewma_prob")?,
-                };
-            }
-            Ok(RateController::Minstrel(MinstrelState {
-                stats,
-                best: v.u64_field("best")? as usize,
-                probing: match v.get("probing")?.as_opt() {
-                    None => None,
-                    Some(p) => Some(p.as_u64("probing")? as usize),
-                },
-                frames: v.u64_field("frames")? as u32,
-                window: v.u64_field("window")? as u32,
-            }))
-        }
-        other => Err(field_err(
-            "kind",
-            format!("unknown rate controller {other:?}"),
-        )),
+        })
     }
 }
 
-fn sta_state_name(s: StaState) -> &'static str {
-    match s {
-        StaState::Idle => "idle",
-        StaState::Contending => "contending",
-        StaState::Transmitting => "transmitting",
+/// The two transmit queues are the keys `q0` and `q1`.
+impl Ckpt for Station {
+    fn to_ckpt(&self) -> Value {
+        Value::map()
+            .put("medium", &self.medium)
+            .put("q0", &self.queues[0])
+            .put("q1", &self.queues[1])
+            .put("rr", &self.rr)
+            .put("queue_cap", &self.queue_cap)
+            .put("state", &self.state)
+            .put("cw", &self.cw)
+            .put("retries", &self.retries)
+            .put("rate_ctl", &self.rate_ctl)
+            .put("wants_broadcast", &self.wants_broadcast)
+            .put("frames_sent", &self.frames_sent)
+            .put("retransmissions", &self.retransmissions)
+            .put("queue_drops", &self.queue_drops)
+            .build()
+    }
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        Ok(Station {
+            medium: v.field("medium")?,
+            queues: [v.field("q0")?, v.field("q1")?],
+            rr: v.field("rr")?,
+            queue_cap: v.field("queue_cap")?,
+            state: v.field("state")?,
+            cw: v.field("cw")?,
+            retries: v.field("retries")?,
+            rate_ctl: v.field("rate_ctl")?,
+            wants_broadcast: v.field("wants_broadcast")?,
+            frames_sent: v.field("frames_sent")?,
+            retransmissions: v.field("retransmissions")?,
+            queue_drops: v.field("queue_drops")?,
+        })
     }
 }
 
-fn sta_state_from(name: &str) -> Result<StaState, CkptError> {
-    Ok(match name {
-        "idle" => StaState::Idle,
-        "contending" => StaState::Contending,
-        "transmitting" => StaState::Transmitting,
-        other => {
-            return Err(field_err(
-                "state",
-                format!("unknown station state {other:?}"),
-            ))
-        }
-    })
-}
-
-fn envelope_v(e: &PowerEnvelope) -> Value {
-    Value::List(
-        e.ckpt_changes()
-            .iter()
-            .map(|&(t, level)| Value::List(vec![time_v(t), Value::f64(level)]))
-            .collect(),
-    )
-}
-
-fn envelope_from(v: &Value) -> Result<PowerEnvelope, CkptError> {
-    let mut changes = Vec::new();
-    for item in v.as_list("envelope")? {
-        let pair = item.as_list("envelope")?;
-        if pair.len() != 2 {
-            return Err(field_err("envelope", "change point must be [t, level]"));
-        }
-        changes.push((
-            time_from(&pair[0], "envelope")?,
-            pair[1].as_f64("envelope")?,
-        ));
+/// Refuse a station or medium `id` at or past `count`, the number the
+/// rebuilt world has: the first event to touch it would index past the
+/// MAC's tables.
+pub fn check_id(id: u32, count: usize, path: &str) -> Result<(), CkptError> {
+    if usize::try_from(id).is_ok_and(|i| i < count) {
+        Ok(())
+    } else {
+        Err(CkptError::field(
+            path,
+            format!("id {id} is out of range: the rebuilt world has {count}"),
+        ))
     }
-    Ok(PowerEnvelope::from_ckpt_changes(changes))
 }
 
-fn f64_list_v(xs: &[Seconds]) -> Value {
-    Value::List(xs.iter().map(|s| Value::f64(s.0)).collect())
-}
-
-fn seconds_from(v: &Value, path: &str) -> Result<Vec<Seconds>, CkptError> {
-    v.as_list(path)?
-        .iter()
-        .map(|x| x.as_f64(path).map(Seconds))
-        .collect()
+/// Refuse a frame whose sender or receiver is not one of `stations`.
+pub fn check_frame(f: &Frame, stations: usize) -> Result<(), CkptError> {
+    check_id(f.src.0, stations, "src")?;
+    match f.dst {
+        Dest::Unicast(sta) => check_id(sta.0, stations, "dst"),
+        Dest::Broadcast => Ok(()),
+    }
 }
 
 /// Serialize every dynamic field of the MAC.
 pub fn save_mac(mac: &Mac) -> Value {
-    let stations = mac
-        .stations
-        .iter()
-        .map(|s| {
-            Value::map()
-                .field("medium", Value::U64(s.medium.0 as u64))
-                .field("q0", Value::List(s.queues[0].iter().map(frame_v).collect()))
-                .field("q1", Value::List(s.queues[1].iter().map(frame_v).collect()))
-                .field("rr", Value::U64(s.rr as u64))
-                .field("queue_cap", Value::U64(s.queue_cap as u64))
-                .field("state", Value::str(sta_state_name(s.state)))
-                .field("cw", Value::U64(s.cw as u64))
-                .field("retries", Value::U64(s.retries as u64))
-                .field("rate_ctl", rate_ctl_v(&s.rate_ctl))
-                .field("wants_broadcast", Value::Bool(s.wants_broadcast))
-                .field("frames_sent", Value::U64(s.frames_sent))
-                .field("retransmissions", Value::U64(s.retransmissions))
-                .field("queue_drops", Value::U64(s.queue_drops))
-                .build()
-        })
-        .collect();
-
-    let mediums = mac
-        .mediums
-        .iter()
-        .map(|m| {
-            let mon = &m.monitor;
-            let monitor = Value::map()
-                .field("bin", dur_v(mon.bin))
-                .field(
-                    "tracked",
-                    Value::List(mon.tracked.iter().map(|&b| Value::Bool(b)).collect()),
-                )
-                .field("tshark_tracked", f64_list_v(&mon.tshark_tracked))
-                .field("tshark_all", f64_list_v(&mon.tshark_all))
-                .field("phys_tracked", f64_list_v(&mon.phys_tracked))
-                .field("envelope", Value::opt(mon.envelope.as_ref(), envelope_v))
-                .field("envelope_busy_until", time_v(mon.envelope_busy_until))
-                .field("src_totals", f64_list_v(&mon.src_totals))
-                .build();
-            let trace = Value::opt(m.trace.as_ref(), |t| {
-                Value::map()
-                    .field("capacity", Value::U64(t.capacity as u64))
-                    .field("observed", Value::U64(t.observed))
-                    .field(
-                        "ring",
-                        Value::List(
-                            t.ring
-                                .iter()
-                                .map(|r| {
-                                    Value::map()
-                                        .field("t", time_v(r.t))
-                                        .field("src", Value::U64(r.src.0 as u64))
-                                        .field(
-                                            "dst",
-                                            match r.dst {
-                                                Dest::Unicast(sta) => Value::U64(sta.0 as u64),
-                                                Dest::Broadcast => Value::Null,
-                                            },
-                                        )
-                                        .field("kind", Value::str(kind_name(r.kind)))
-                                        .field("bytes", Value::U64(r.bytes as u64))
-                                        .field("rate", Value::str(bitrate_name(r.rate)))
-                                        .field("collided", Value::Bool(r.collided))
-                                        .build()
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .build()
-            });
-            Value::map()
-                .field("idle_since", time_v(m.idle_since))
-                .field("busy_until", time_v(m.busy_until))
-                .field("busy_accum", dur_v(m.busy_accum))
-                .field(
-                    "contenders",
-                    Value::List(
-                        m.contenders
-                            .iter()
-                            .map(|c| {
-                                Value::map()
-                                    .field("sta", Value::U64(c.sta.0 as u64))
-                                    .field("rem", Value::U64(c.rem as u64))
-                                    .field("drawn", Value::U64(c.drawn as u64))
-                                    .field("count_start", time_v(c.count_start))
-                                    .build()
-                            })
-                            .collect(),
-                    ),
-                )
-                .field(
-                    "in_flight",
-                    Value::List(
-                        m.in_flight
-                            .iter()
-                            .map(|f| {
-                                Value::map()
-                                    .field("sta", Value::U64(f.sta.0 as u64))
-                                    .field("rate", Value::str(bitrate_name(f.rate)))
-                                    .field("delivered", Value::Bool(f.delivered))
-                                    .field("class", Value::U64(f.class as u64))
-                                    .build()
-                            })
-                            .collect(),
-                    ),
-                )
-                .field(
-                    "arb",
-                    Value::opt(m.arb.as_ref(), |h| {
-                        let (seq, time) = h.ckpt_parts();
-                        Value::map()
-                            .field("seq", Value::U64(seq))
-                            .field("time", Value::U64(time))
-                            .build()
-                    }),
-                )
-                .field("monitor", monitor)
-                .field("trace", trace)
-                .field(
-                    "bcast_listeners",
-                    Value::List(
-                        m.bcast_listeners
-                            .iter()
-                            .map(|s| Value::U64(s.0 as u64))
-                            .collect(),
-                    ),
-                )
-                .field("corruption", Value::f64(m.corruption))
-                .field("rng", Value::opt(m.rng.as_ref(), rng_v))
-                .field("collisions", Value::U64(m.collisions))
-                .field("corrupted", Value::U64(m.corrupted))
-                .build()
-        })
-        .collect();
-
     let faders = mac
         .faders
         .iter()
         .map(|f| {
-            Value::opt(f.as_ref(), |f| {
-                let (rng, block, fade_db) = f.ckpt_state();
+            f.as_ref().map_or(Value::Null, |f| {
+                let ((base, state), block, fade_db) = f.ckpt_state();
                 Value::map()
-                    .field(
-                        "rng",
-                        Value::map()
-                            .field("base", Value::U64(rng.0))
-                            .field(
-                                "state",
-                                Value::List(rng.1.iter().map(|&w| Value::U64(w)).collect()),
-                            )
-                            .build(),
-                    )
-                    .field("block", Value::U64(block))
-                    .field("fade_db", Value::f64(fade_db))
+                    .field("rng", SimRng::from_ckpt_state(base, state).to_ckpt())
+                    .put("block", &block)
+                    .put("fade_db", &fade_db)
                     .build()
             })
         })
         .collect();
-
     Value::map()
-        .field("rng", rng_v(&mac.rng))
-        .field("next_frame_id", Value::U64(mac.next_frame_id))
-        .field(
-            "links",
-            Value::List(mac.links.iter().map(|db| Value::f64(db.0)).collect()),
-        )
-        .field("stations", Value::List(stations))
-        .field("mediums", Value::List(mediums))
+        .put("rng", &mac.rng)
+        .put("next_frame_id", &mac.next_frame_id)
+        .put("links", &mac.links)
+        .put("stations", &mac.stations)
+        .put("mediums", &mac.mediums)
         .field("faders", Value::List(faders))
         .build()
 }
 
+fn same_len(path: &str, saved: usize, rebuilt: usize) -> Result<(), CkptError> {
+    if saved == rebuilt {
+        Ok(())
+    } else {
+        Err(CkptError::field(
+            path,
+            format!("checkpoint has {saved}, rebuilt world has {rebuilt}"),
+        ))
+    }
+}
+
 /// Overlay a [`save_mac`] tree onto a MAC rebuilt with the same topology.
+/// Refuses a tree whose tables differ in size from the rebuilt world's, or
+/// whose stations, mediums or queued frames name an id it does not have.
 pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
-    let stations = v.list_field("stations")?;
-    if stations.len() != mac.stations.len() {
-        return Err(field_err(
-            "stations",
-            format!(
-                "checkpoint has {} stations, rebuilt world has {}",
-                stations.len(),
-                mac.stations.len()
-            ),
-        ));
-    }
-    let mediums = v.list_field("mediums")?;
-    if mediums.len() != mac.mediums.len() {
-        return Err(field_err(
-            "mediums",
-            format!(
-                "checkpoint has {} mediums, rebuilt world has {}",
-                mediums.len(),
-                mac.mediums.len()
-            ),
-        ));
-    }
-    let links = v.list_field("links")?;
-    if links.len() != mac.links.len() {
-        return Err(field_err("links", "link matrix size mismatch"));
-    }
+    let stations: Vec<Station> = v.field("stations")?;
+    same_len("stations", stations.len(), mac.stations.len())?;
+    let mediums: Vec<Medium> = v.field("mediums")?;
+    same_len("mediums", mediums.len(), mac.mediums.len())?;
+    let links: Vec<Db> = v.field("links")?;
+    same_len("links", links.len(), mac.links.len())?;
     let faders = v.list_field("faders")?;
-    if faders.len() != mac.faders.len() {
-        return Err(field_err("faders", "fader table size mismatch"));
-    }
-
-    mac.rng = rng_from(v.get("rng")?, "rng")?;
-    mac.next_frame_id = v.u64_field("next_frame_id")?;
-    for (slot, lv) in mac.links.iter_mut().zip(links.iter()) {
-        *slot = Db(lv.as_f64("links")?);
-    }
-
-    for (sta, sv) in mac.stations.iter_mut().zip(stations.iter()) {
-        sta.medium = MediumId(sv.u64_field("medium")? as u32);
-        for (qi, key) in [(0usize, "q0"), (1, "q1")] {
-            let mut q = VecDeque::new();
-            for fv in sv.list_field(key)? {
-                q.push_back(frame_from(fv)?);
-            }
-            sta.queues[qi] = q;
+    same_len("faders", faders.len(), mac.faders.len())?;
+    for s in &stations {
+        check_id(s.medium.0, mediums.len(), "stations/medium")?;
+        for f in s.queues.iter().flatten() {
+            check_frame(f, stations.len())?;
         }
-        sta.rr = sv.u64_field("rr")? as usize;
-        sta.queue_cap = sv.u64_field("queue_cap")? as usize;
-        sta.state = sta_state_from(sv.str_field("state")?)?;
-        sta.cw = sv.u64_field("cw")? as u32;
-        sta.retries = sv.u64_field("retries")? as u8;
-        sta.rate_ctl = rate_ctl_from(sv.get("rate_ctl")?)?;
-        sta.wants_broadcast = sv.bool_field("wants_broadcast")?;
-        sta.frames_sent = sv.u64_field("frames_sent")?;
-        sta.retransmissions = sv.u64_field("retransmissions")?;
-        sta.queue_drops = sv.u64_field("queue_drops")?;
+    }
+    for m in &mediums {
+        for c in &m.contenders {
+            check_id(c.sta.0, stations.len(), "contenders/sta")?;
+        }
+        for f in &m.in_flight {
+            check_id(f.sta.0, stations.len(), "in_flight/sta")?;
+        }
+        for &s in &m.bcast_listeners {
+            check_id(s.0, stations.len(), "bcast_listeners")?;
+        }
     }
 
-    for (m, mv) in mac.mediums.iter_mut().zip(mediums.iter()) {
-        m.idle_since = time_from(mv.get("idle_since")?, "idle_since")?;
-        m.busy_until = time_from(mv.get("busy_until")?, "busy_until")?;
-        m.busy_accum = dur_from(mv.get("busy_accum")?, "busy_accum")?;
-        m.contenders = mv
-            .list_field("contenders")?
-            .iter()
-            .map(|cv| {
-                Ok(Contender {
-                    sta: StationId(cv.u64_field("sta")? as u32),
-                    rem: cv.u64_field("rem")? as u32,
-                    drawn: cv.u64_field("drawn")? as u32,
-                    count_start: time_from(cv.get("count_start")?, "count_start")?,
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        m.in_flight = mv
-            .list_field("in_flight")?
-            .iter()
-            .map(|fv| {
-                Ok(InFlight {
-                    sta: StationId(fv.u64_field("sta")? as u32),
-                    rate: bitrate_from_name(fv.str_field("rate")?, "rate")?,
-                    delivered: fv.bool_field("delivered")?,
-                    class: fv.u64_field("class")? as usize,
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        m.arb = match mv.get("arb")?.as_opt() {
-            None => None,
-            Some(hv) => Some(EventHandle::from_ckpt_parts(
-                hv.u64_field("seq")?,
-                hv.u64_field("time")?,
-            )),
-        };
-        let monv = mv.get("monitor")?;
-        let mon = &mut m.monitor;
-        mon.bin = dur_from(monv.get("bin")?, "bin")?;
-        mon.tracked = monv
-            .list_field("tracked")?
-            .iter()
-            .map(|b| b.as_bool("tracked"))
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        mon.tshark_tracked = seconds_from(monv.get("tshark_tracked")?, "tshark_tracked")?;
-        mon.tshark_all = seconds_from(monv.get("tshark_all")?, "tshark_all")?;
-        mon.phys_tracked = seconds_from(monv.get("phys_tracked")?, "phys_tracked")?;
-        mon.envelope = match monv.get("envelope")?.as_opt() {
-            None => None,
-            Some(ev) => Some(envelope_from(ev)?),
-        };
-        mon.envelope_busy_until =
-            time_from(monv.get("envelope_busy_until")?, "envelope_busy_until")?;
-        mon.src_totals = seconds_from(monv.get("src_totals")?, "src_totals")?;
-        // Pure memo of the airtime function; recomputed values are
-        // bit-identical, so dropping it preserves byte-identity.
-        mon.airtime_memo = None;
-        m.trace = match mv.get("trace")?.as_opt() {
-            None => None,
-            Some(tv) => {
-                let capacity = tv.u64_field("capacity")? as usize;
-                let mut trace = FrameTrace::new(capacity.max(1));
-                trace.observed = tv.u64_field("observed")?;
-                let mut ring = VecDeque::with_capacity(capacity);
-                for rv in tv.list_field("ring")? {
-                    ring.push_back(FrameRecord {
-                        t: time_from(rv.get("t")?, "t")?,
-                        src: StationId(rv.u64_field("src")? as u32),
-                        dst: match rv.get("dst")?.as_opt() {
-                            None => Dest::Broadcast,
-                            Some(d) => Dest::Unicast(StationId(d.as_u64("dst")? as u32)),
-                        },
-                        kind: kind_from(rv.str_field("kind")?, "kind")?,
-                        bytes: rv.u64_field("bytes")? as u32,
-                        rate: bitrate_from_name(rv.str_field("rate")?, "rate")?,
-                        collided: rv.bool_field("collided")?,
-                    });
-                }
-                trace.ring = ring;
-                Some(trace)
-            }
-        };
-        m.bcast_listeners = mv
-            .list_field("bcast_listeners")?
-            .iter()
-            .map(|s| s.as_u64("bcast_listeners").map(|id| StationId(id as u32)))
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        m.corruption = mv.f64_field("corruption")?;
-        m.rng = match mv.get("rng")?.as_opt() {
-            None => None,
-            Some(rv) => Some(rng_from(rv, "rng")?),
-        };
-        m.collisions = mv.u64_field("collisions")?;
-        m.corrupted = mv.u64_field("corrupted")?;
-    }
-
-    for (slot, fv) in mac.faders.iter_mut().zip(faders.iter()) {
+    mac.rng = v.field("rng")?;
+    mac.next_frame_id = v.field("next_frame_id")?;
+    mac.links = links;
+    mac.stations = stations;
+    mac.mediums = mediums;
+    for (slot, fv) in mac.faders.iter_mut().zip(faders) {
         match (slot.as_mut(), fv.as_opt()) {
             (None, None) => {}
             (Some(f), Some(fv)) => {
-                let rngv = fv.get("rng")?;
-                let rng = rng_from(rngv, "rng")?.ckpt_state();
-                f.ckpt_restore(rng, fv.u64_field("block")?, fv.f64_field("fade_db")?);
+                let rng: SimRng = fv.field("rng")?;
+                f.ckpt_restore(rng.ckpt_state(), fv.field("block")?, fv.field("fade_db")?);
             }
             _ => {
-                return Err(field_err(
+                return Err(CkptError::field(
                     "faders",
                     "fader presence differs from rebuilt world",
                 ));
@@ -673,9 +343,10 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{enqueue, Mac, MacEvent, MacWorld, Queue};
+    use crate::world::{enqueue, MacEvent, MacWorld, Queue};
+    use powifi_rf::Bitrate;
     use powifi_sim::ckpt;
-    use powifi_sim::{Dispatch, EventQueue, SimRng};
+    use powifi_sim::{Dispatch, EventQueue, SimDuration, SimTime};
 
     struct W {
         mac: Mac,
@@ -697,13 +368,20 @@ mod tests {
         }
     }
 
+    /// Two stations on one medium, with a frame trace, an RF envelope
+    /// and a faded link, so every part of the MAC form is exercised.
     fn build() -> (W, Queue<W>) {
         let mut mac = Mac::new(SimRng::from_seed(7));
         let medium = mac.add_medium(SimDuration::from_millis(100));
         let a = mac.add_station(medium, RateController::fixed(Bitrate::G54));
         let b = mac.add_station(medium, RateController::minstrel(Bitrate::G6));
         mac.set_wants_broadcast(b, true);
-        let _ = a;
+        mac.enable_trace(medium, 16);
+        let mon = mac.monitor_mut(medium).monitor();
+        mon.track(a);
+        mon.enable_envelope();
+        let fader = powifi_rf::BlockFader::indoor_los(SimRng::from_seed(8));
+        mac.set_link_fader(a, b, fader);
         (W { mac }, EventQueue::new())
     }
 
@@ -725,6 +403,10 @@ mod tests {
         q.run_until(&mut w, SimTime::from_millis(5));
 
         let snap = save_mac(&w.mac);
+        let body = snap.encode();
+        for part in ["\"ring\":[{", "\"envelope\":[[", "\"fade_db\":"] {
+            assert!(body.contains(part), "{part} missing from the MAC form");
+        }
         let bytes = ckpt::save(&snap);
 
         // Rebuild the same topology and overlay.
@@ -750,22 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn bitrate_names_roundtrip() {
-        for r in [
-            Bitrate::B1,
-            Bitrate::B2,
-            Bitrate::B5_5,
-            Bitrate::B11,
-            Bitrate::G6,
-            Bitrate::G9,
-            Bitrate::G12,
-            Bitrate::G18,
-            Bitrate::G24,
-            Bitrate::G36,
-            Bitrate::G48,
-            Bitrate::G54,
+    fn frame_kind_and_station_state_names_roundtrip() {
+        for k in [
+            FrameKind::Data,
+            FrameKind::Power,
+            FrameKind::Beacon,
+            FrameKind::Management,
         ] {
-            assert_eq!(bitrate_from_name(bitrate_name(r), "t").unwrap(), r);
+            assert_eq!(FrameKind::from_ckpt(&k.to_ckpt(), "kind"), Ok(k));
+        }
+        for s in [StaState::Idle, StaState::Contending, StaState::Transmitting] {
+            assert_eq!(StaState::from_ckpt(&s.to_ckpt(), "state"), Ok(s));
         }
     }
 }

@@ -11,6 +11,7 @@
 pub mod band;
 pub mod budget;
 pub mod channel;
+pub mod ckpt;
 pub mod fading;
 pub mod link;
 pub mod materials;

@@ -20,10 +20,23 @@
 //! live consumer can detect divergence between fleets the moment a state
 //! hash differs.
 //!
+//! State types get their tree form from the [`Ckpt`] trait: one encoder
+//! and one decoder per type, so a field's key, position and encoding are
+//! written once per direction. This module implements it for the
+//! primitives and the simulation-kernel types; the layer crates implement
+//! it for their own state in their `ckpt.rs`, mostly through the
+//! [`ckpt_struct!`](crate::ckpt_struct), [`ckpt_names!`](crate::ckpt_names)
+//! and [`ckpt_newtype!`](crate::ckpt_newtype) macros.
+//!
 //! Nothing in this module reads a wall clock, and lint rule R14
 //! (`wall-clock-in-ckpt`) keeps wall-time-derived fields out of every
 //! `ckpt` state struct in the workspace.
 
+use crate::obs::metrics::{HistogramSummary, MetricsSnapshot};
+use crate::obs::push_json_str;
+use crate::units::{Db, Joules, Seconds};
+use crate::{BinnedThroughput, EventHandle, PowerEnvelope, SimDuration, SimRng, SimTime};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
 /// Format version of the checkpoint container. Bump on any change to the
@@ -94,6 +107,17 @@ impl std::fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
+impl CkptError {
+    /// A [`CkptError::Field`] at `path`.
+    #[cold]
+    pub fn field(path: &str, message: impl Into<String>) -> CkptError {
+        CkptError::Field {
+            path: path.to_string(),
+            message: message.into(),
+        }
+    }
+}
+
 /// A node of the self-describing state tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -126,14 +150,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Wrap an `Option` by mapping the inner value.
-    pub fn opt<T>(v: Option<T>, f: impl FnOnce(T) -> Value) -> Value {
-        match v {
-            Some(v) => f(v),
-            None => Value::Null,
-        }
-    }
-
     /// Start an (ordered) map builder.
     pub fn map() -> MapBuilder {
         MapBuilder(Vec::new())
@@ -146,8 +162,8 @@ impl Value {
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v)
-                .ok_or_else(|| field_err(key, "missing field")),
-            _ => Err(field_err(key, "parent is not a map")),
+                .ok_or_else(|| CkptError::field(key, "missing field")),
+            _ => Err(CkptError::field(key, "parent is not a map")),
         }
     }
 
@@ -155,7 +171,7 @@ impl Value {
     pub fn as_u64(&self, path: &str) -> Result<u64, CkptError> {
         match self {
             Value::U64(v) => Ok(*v),
-            _ => Err(field_err(path, "expected u64")),
+            _ => Err(CkptError::field(path, "expected u64")),
         }
     }
 
@@ -163,7 +179,7 @@ impl Value {
     pub fn as_f64(&self, path: &str) -> Result<f64, CkptError> {
         match self {
             Value::F64(bits) => Ok(f64::from_bits(*bits)),
-            _ => Err(field_err(path, "expected f64")),
+            _ => Err(CkptError::field(path, "expected f64")),
         }
     }
 
@@ -171,7 +187,7 @@ impl Value {
     pub fn as_bool(&self, path: &str) -> Result<bool, CkptError> {
         match self {
             Value::Bool(v) => Ok(*v),
-            _ => Err(field_err(path, "expected bool")),
+            _ => Err(CkptError::field(path, "expected bool")),
         }
     }
 
@@ -179,7 +195,7 @@ impl Value {
     pub fn as_str(&self, path: &str) -> Result<&str, CkptError> {
         match self {
             Value::Str(s) => Ok(s),
-            _ => Err(field_err(path, "expected string")),
+            _ => Err(CkptError::field(path, "expected string")),
         }
     }
 
@@ -187,7 +203,7 @@ impl Value {
     pub fn as_list(&self, path: &str) -> Result<&[Value], CkptError> {
         match self {
             Value::List(items) => Ok(items),
-            _ => Err(field_err(path, "expected list")),
+            _ => Err(CkptError::field(path, "expected list")),
         }
     }
 
@@ -195,7 +211,7 @@ impl Value {
     pub fn as_map(&self, path: &str) -> Result<&[(String, Value)], CkptError> {
         match self {
             Value::Map(fields) => Ok(fields),
-            _ => Err(field_err(path, "expected map")),
+            _ => Err(CkptError::field(path, "expected map")),
         }
     }
 
@@ -207,19 +223,9 @@ impl Value {
         }
     }
 
-    /// Convenience: `get` then `as_u64`.
-    pub fn u64_field(&self, key: &str) -> Result<u64, CkptError> {
-        self.get(key)?.as_u64(key)
-    }
-
-    /// Convenience: `get` then `as_f64`.
-    pub fn f64_field(&self, key: &str) -> Result<f64, CkptError> {
-        self.get(key)?.as_f64(key)
-    }
-
-    /// Convenience: `get` then `as_bool`.
-    pub fn bool_field(&self, key: &str) -> Result<bool, CkptError> {
-        self.get(key)?.as_bool(key)
+    /// Decode the field `key` of a map value as a `T`.
+    pub fn field<T: Ckpt>(&self, key: &str) -> Result<T, CkptError> {
+        T::from_ckpt(self.get(key)?, key)
     }
 
     /// Convenience: `get` then `as_str`.
@@ -250,7 +256,7 @@ impl Value {
             Value::F64(bits) => {
                 let _ = write!(out, "f{bits:016x}");
             }
-            Value::Str(s) => push_quoted(out, s),
+            Value::Str(s) => push_json_str(out, s),
             Value::List(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -267,7 +273,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_quoted(out, k);
+                    push_json_str(out, k);
                     out.push(':');
                     v.encode_into(out);
                 }
@@ -298,36 +304,329 @@ impl MapBuilder {
         self
     }
 
+    /// Append `x`'s checkpoint form under `key`.
+    pub fn put<T: Ckpt>(self, key: impl Into<String>, x: &T) -> MapBuilder {
+        self.field(key, x.to_ckpt())
+    }
+
     /// Finish the map.
     pub fn build(self) -> Value {
         Value::Map(self.0)
     }
 }
 
-fn field_err(path: &str, message: &str) -> CkptError {
-    CkptError::Field {
-        path: path.to_string(),
-        message: message.to_string(),
+/// A type with a checkpoint form: the one encoder and the one decoder of
+/// its state. `from_ckpt(to_ckpt(x))` re-encodes to the same bytes.
+pub trait Ckpt: Sized {
+    /// The state tree of `self`.
+    fn to_ckpt(&self) -> Value;
+    /// Decode a tree made by [`Ckpt::to_ckpt`]; `path` names `v` in errors.
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError>;
+}
+
+/// Give a struct the checkpoint form "a map of the listed fields, in the
+/// listed order, each keyed by its name". The decoder builds the struct
+/// literal, so the compiler checks that the list names every field; a
+/// pure memo that is not checkpointed goes in a trailing
+/// `reset { field: value }`. `Type as "tag"` puts `"kind": "tag"` first:
+/// the form of one variant of a tagged enum, whose own impl dispatches on
+/// the tag.
+///
+/// ```
+/// # use powifi_sim::ckpt::{Ckpt, Value};
+/// struct Span { start: u64, len: u32 }
+/// powifi_sim::ckpt_struct!(Span { start, len });
+/// let v = Span { start: 7, len: 2 }.to_ckpt();
+/// assert_eq!(v.encode(), r#"{"start":7,"len":2}"#);
+/// assert_eq!(Span::from_ckpt(&v, "span").unwrap().len, 2);
+/// ```
+#[macro_export]
+macro_rules! ckpt_struct {
+    ($ty:ident $(as $tag:literal)? { $($field:ident),+ $(,)? }
+        $(reset { $($memo:ident: $init:expr),+ $(,)? })?) => {
+        impl $crate::ckpt::Ckpt for $ty {
+            fn to_ckpt(&self) -> $crate::ckpt::Value {
+                $crate::ckpt::Value::map()
+                    $(.field("kind", $crate::ckpt::Value::str($tag)))?
+                    $(.put(stringify!($field), &self.$field))+
+                    .build()
+            }
+            fn from_ckpt(
+                v: &$crate::ckpt::Value,
+                _path: &str,
+            ) -> Result<Self, $crate::ckpt::CkptError> {
+                Ok($ty {
+                    $($field: v.field(stringify!($field))?,)+
+                    $($($memo: $init,)+)?
+                })
+            }
+        }
+    };
+}
+
+/// Give a fieldless enum the checkpoint form "its name, as a string", and
+/// an inherent `ckpt_name` for forms that embed the name.
+#[macro_export]
+macro_rules! ckpt_names {
+    ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $ty {
+            /// The variant's name in checkpoints.
+            pub fn ckpt_name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+        }
+        impl $crate::ckpt::Ckpt for $ty {
+            fn to_ckpt(&self) -> $crate::ckpt::Value {
+                $crate::ckpt::Value::str(self.ckpt_name())
+            }
+            fn from_ckpt(
+                v: &$crate::ckpt::Value,
+                path: &str,
+            ) -> Result<Self, $crate::ckpt::CkptError> {
+                match v.as_str(path)? {
+                    $($name => Ok($ty::$variant),)+
+                    other => Err($crate::ckpt::CkptError::field(
+                        path,
+                        format!(concat!("unknown ", stringify!($ty), " {:?}"), other),
+                    )),
+                }
+            }
+        }
+    };
+}
+
+/// Give one-field tuple structs the checkpoint form of their field.
+#[macro_export]
+macro_rules! ckpt_newtype {
+    ($($ty:ident),+ $(,)?) => {$(
+        impl $crate::ckpt::Ckpt for $ty {
+            fn to_ckpt(&self) -> $crate::ckpt::Value {
+                $crate::ckpt::Ckpt::to_ckpt(&self.0)
+            }
+            fn from_ckpt(
+                v: &$crate::ckpt::Value,
+                path: &str,
+            ) -> Result<Self, $crate::ckpt::CkptError> {
+                $crate::ckpt::Ckpt::from_ckpt(v, path).map($ty)
+            }
+        }
+    )+};
+}
+
+impl Ckpt for u64 {
+    fn to_ckpt(&self) -> Value {
+        Value::U64(*self)
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_u64(path)
     }
 }
 
-fn push_quoted(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Narrower unsigned integers travel as `u64` and are range-checked on the
+/// way back, so an oversized value is an error rather than truncated.
+macro_rules! narrow_uint {
+    ($($ty:ty),+) => {$(
+        impl Ckpt for $ty {
+            fn to_ckpt(&self) -> Value {
+                // Widening: every supported target's usize fits in a u64.
+                Value::U64(*self as u64)
             }
-            c => out.push(c),
+            fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+                let n = v.as_u64(path)?;
+                <$ty>::try_from(n).map_err(|_| {
+                    CkptError::field(path, format!("{n} is out of range for {}", stringify!($ty)))
+                })
+            }
+        }
+    )+};
+}
+
+narrow_uint!(u32, u8, usize);
+
+impl Ckpt for bool {
+    fn to_ckpt(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_bool(path)
+    }
+}
+
+impl Ckpt for f64 {
+    fn to_ckpt(&self) -> Value {
+        Value::f64(*self)
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_f64(path)
+    }
+}
+
+impl Ckpt for SimTime {
+    fn to_ckpt(&self) -> Value {
+        Value::U64(self.as_nanos())
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_u64(path).map(SimTime::from_nanos)
+    }
+}
+
+impl Ckpt for SimDuration {
+    fn to_ckpt(&self) -> Value {
+        Value::U64(self.as_nanos())
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_u64(path).map(SimDuration::from_nanos)
+    }
+}
+
+/// `None` is `null`; `Some(x)` is `x`'s form.
+impl<T: Ckpt> Ckpt for Option<T> {
+    fn to_ckpt(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_ckpt)
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_opt().map(|x| T::from_ckpt(x, path)).transpose()
+    }
+}
+
+fn list<'a, T: Ckpt + 'a>(items: impl IntoIterator<Item = &'a T>) -> Value {
+    Value::List(items.into_iter().map(T::to_ckpt).collect())
+}
+
+fn items<T: Ckpt>(v: &Value, path: &str) -> Result<Vec<T>, CkptError> {
+    let list = v.as_list(path)?;
+    let mut out = Vec::with_capacity(list.len());
+    for x in list {
+        out.push(T::from_ckpt(x, path)?);
+    }
+    Ok(out)
+}
+
+/// Sequences are lists, in iteration order (ascending for a set).
+macro_rules! list_form {
+    ($($ty:ident<T $(: $bound:ident)?>),+) => {$(
+        impl<T: Ckpt $(+ $bound)?> Ckpt for $ty<T> {
+            fn to_ckpt(&self) -> Value {
+                list(self)
+            }
+            fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+                items(v, path).map(|all| all.into_iter().collect())
+            }
+        }
+    )+};
+}
+
+list_form!(Vec<T>, VecDeque<T>, BTreeSet<T: Ord>);
+
+/// A map in ascending key order.
+impl<T: Ckpt> Ckpt for BTreeMap<String, T> {
+    fn to_ckpt(&self) -> Value {
+        Value::Map(self.iter().map(|(k, x)| (k.clone(), x.to_ckpt())).collect())
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        v.as_map(path)?
+            .iter()
+            .map(|(k, x)| Ok((k.clone(), T::from_ckpt(x, path)?)))
+            .collect()
+    }
+}
+
+/// A list of exactly `N` entries.
+impl<T: Ckpt, const N: usize> Ckpt for [T; N] {
+    fn to_ckpt(&self) -> Value {
+        list(self)
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        let all: Vec<T> = items(v, path)?;
+        let n = all.len();
+        all.try_into()
+            .map_err(|_| CkptError::field(path, format!("expected {N} entries, found {n}")))
+    }
+}
+
+/// A two-entry list.
+impl<A: Ckpt, B: Ckpt> Ckpt for (A, B) {
+    fn to_ckpt(&self) -> Value {
+        Value::List(vec![self.0.to_ckpt(), self.1.to_ckpt()])
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        match v.as_list(path)? {
+            [a, b] => Ok((A::from_ckpt(a, path)?, B::from_ckpt(b, path)?)),
+            other => Err(CkptError::field(
+                path,
+                format!("expected a pair, found {} entries", other.len()),
+            )),
         }
     }
-    out.push('"');
 }
+
+/// The stream position: `{"base", "state"}`.
+impl Ckpt for SimRng {
+    fn to_ckpt(&self) -> Value {
+        let (base, state) = self.ckpt_state();
+        Value::map().put("base", &base).put("state", &state).build()
+    }
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        Ok(SimRng::from_ckpt_state(v.field("base")?, v.field("state")?))
+    }
+}
+
+impl Ckpt for EventHandle {
+    fn to_ckpt(&self) -> Value {
+        let (seq, time) = self.ckpt_parts();
+        Value::map().put("seq", &seq).put("time", &time).build()
+    }
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        Ok(EventHandle::from_ckpt_parts(
+            v.field("seq")?,
+            v.field("time")?,
+        ))
+    }
+}
+
+/// `{"bin", "bins"}`; a zero bin width is refused.
+impl Ckpt for BinnedThroughput {
+    fn to_ckpt(&self) -> Value {
+        let (bin, bins) = self.ckpt_state();
+        Value::map()
+            .put("bin", &bin)
+            .field("bins", list(bins))
+            .build()
+    }
+    fn from_ckpt(v: &Value, _path: &str) -> Result<Self, CkptError> {
+        let bin: SimDuration = v.field("bin")?;
+        if bin.is_zero() {
+            return Err(CkptError::field("bin", "bin width must be positive"));
+        }
+        Ok(BinnedThroughput::from_ckpt_state(bin, v.field("bins")?))
+    }
+}
+
+/// The `(time, level)` change points.
+impl Ckpt for PowerEnvelope {
+    fn to_ckpt(&self) -> Value {
+        list(self.ckpt_changes())
+    }
+    fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
+        items(v, path).map(PowerEnvelope::from_ckpt_changes)
+    }
+}
+
+ckpt_newtype!(Seconds, Joules, Db);
+ckpt_struct!(HistogramSummary {
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
+ckpt_struct!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms
+});
 
 /// 128-bit FNV-1a over `bytes`, rendered as 32 lowercase hex digits. The
 /// checkpoint content hash: fast, dependency-free, and stable across
@@ -843,6 +1142,121 @@ mod tests {
             prop_assert_eq!(&back, &v);
             prop_assert_eq!(back.encode(), enc, "canonical form is a fixed point");
         }
+    }
+
+    /// The path of a [`CkptError::Field`]; anything else fails the test.
+    fn field_path<T: std::fmt::Debug>(r: Result<T, CkptError>) -> String {
+        match r {
+            Err(CkptError::Field { path, .. }) => path,
+            other => panic!("expected a field error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn narrow_integers_refuse_values_past_their_range() {
+        let past_u32 = Value::U64(u64::from(u32::MAX) + 1);
+        assert_eq!(field_path(u32::from_ckpt(&past_u32, "cw")), "cw");
+        assert_eq!(
+            field_path(u8::from_ckpt(&Value::U64(256), "retries")),
+            "retries"
+        );
+        assert_eq!(
+            u32::from_ckpt(&Value::U64(u32::MAX.into()), "cw"),
+            Ok(u32::MAX)
+        );
+        assert_eq!(u8::MAX.to_ckpt(), Value::U64(255));
+    }
+
+    #[test]
+    fn arrays_and_pairs_check_their_length() {
+        let seven = Value::List(vec![Value::U64(0); 7]);
+        assert_eq!(field_path(<[u64; 8]>::from_ckpt(&seven, "stats")), "stats");
+        let three = Value::List(vec![Value::U64(1); 3]);
+        assert_eq!(field_path(<(u64, u64)>::from_ckpt(&three, "page")), "page");
+        let eight = [1u64, 2, 3, 4, 5, 6, 7, 8];
+        assert_eq!(<[u64; 8]>::from_ckpt(&eight.to_ckpt(), "stats"), Ok(eight));
+        let pair = (SimTime::from_micros(3), true);
+        assert_eq!(pair.to_ckpt().encode(), "[3000,true]");
+        assert_eq!(
+            <(SimTime, bool)>::from_ckpt(&pair.to_ckpt(), "sent_at"),
+            Ok(pair)
+        );
+    }
+
+    #[test]
+    fn option_roundtrips_through_null_and_some() {
+        assert_eq!(None::<u32>.to_ckpt(), Value::Null);
+        assert_eq!(Some(7u32).to_ckpt(), Value::U64(7));
+        for x in [None, Some(7u32)] {
+            assert_eq!(Option::<u32>::from_ckpt(&x.to_ckpt(), "probing"), Ok(x));
+        }
+        assert_eq!(
+            field_path(Option::<u32>::from_ckpt(&Value::Bool(true), "probing")),
+            "probing"
+        );
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Light {
+        Red,
+        Green,
+    }
+    ckpt_names!(Light {
+        Red => "red",
+        Green => "green",
+    });
+
+    #[test]
+    fn names_roundtrip_and_unknown_names_are_refused() {
+        for l in [Light::Red, Light::Green] {
+            assert_eq!(Light::from_ckpt(&l.to_ckpt(), "light"), Ok(l));
+        }
+        assert_eq!(Light::Green.to_ckpt(), Value::str("green"));
+        assert_eq!(
+            field_path(Light::from_ckpt(&Value::str("blue"), "light")),
+            "light"
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        at: SimTime,
+        hits: BTreeMap<String, u64>,
+        memo: Option<f64>,
+    }
+    ckpt_struct!(Probe { hits, at } reset { memo: None });
+
+    #[test]
+    fn structs_encode_the_listed_fields_in_order() {
+        let p = Probe {
+            at: SimTime::from_nanos(9),
+            hits: BTreeMap::from([("b".to_string(), 2), ("a".to_string(), 1)]),
+            memo: Some(0.5),
+        };
+        let v = p.to_ckpt();
+        assert_eq!(v.encode(), r#"{"hits":{"a":1,"b":2},"at":9}"#);
+        let back = Probe::from_ckpt(&v, "probe").unwrap();
+        assert_eq!((back.at, &back.hits, back.memo), (p.at, &p.hits, None));
+        let Value::Map(mut fields) = v else {
+            panic!("a struct encodes as a map")
+        };
+        fields.pop();
+        assert_eq!(
+            field_path(Probe::from_ckpt(&Value::Map(fields), "probe")),
+            "at"
+        );
+    }
+
+    #[test]
+    fn binned_throughput_refuses_a_zero_bin() {
+        let v = Value::map()
+            .put("bin", &SimDuration::ZERO)
+            .put("bins", &vec![1u64])
+            .build();
+        assert_eq!(
+            field_path(BinnedThroughput::from_ckpt(&v, "delivered")),
+            "bin"
+        );
     }
 
     #[test]

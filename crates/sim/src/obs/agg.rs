@@ -20,6 +20,7 @@
 //! artifact. `powifi-fleet aggregate` over a capture is therefore stable
 //! across `--jobs` and debug/release, pinned by a committed golden.
 
+use super::{push_f64, push_json_str};
 use crate::SimDuration;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -147,15 +148,6 @@ fn get_str<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a str> {
     match get(entries, key)? {
         Value::Str(s) => Some(s),
         _ => None,
-    }
-}
-
-/// Shortest-roundtrip float rendering (matches `MetricsSnapshot::to_json`).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -387,18 +379,6 @@ impl Aggregator {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Pull the cumulative counters out of a `metrics` snapshot object
 /// (`{"counters":…,"gauges":…,"histograms":…}`).
 fn cum_from_snapshot(entries: &[(String, Value)]) -> Result<Cum, String> {
@@ -492,6 +472,30 @@ mod tests {
             "{out}"
         );
         assert!(lines[1].contains("\"events_per_s\":220.0"), "{out}");
+    }
+
+    /// Deployment names come off the wire. Whatever they hold, every
+    /// rendered row stays one line of JSON that gives the name back.
+    #[test]
+    fn rows_stay_json_for_any_deployment_name() {
+        let name = "a\nb\u{1}\"q\\";
+        let eg = Egress::new(64);
+        let h = Handle::new(Arc::clone(&eg), name);
+        for (t_ms, events) in [(1000, 10), (2000, 30)] {
+            h.emit_progress(
+                crate::SimTime::from_millis(t_ms),
+                None,
+                &[("events", events)],
+            );
+        }
+        h.emit_end(crate::SimTime::from_millis(2000));
+        let out = aggregate_capture(&capture(&drain(&eg)), &AggConfig::default()).unwrap();
+        assert_eq!(out.lines().count(), 2, "{out}");
+        for row in out.lines() {
+            let v = serde_json::from_str(row).unwrap_or_else(|e| panic!("{row:?}: {e:?}"));
+            let fields = obj(&v).unwrap();
+            assert_eq!(get_str(fields, "deployment"), Some(name), "{row:?}");
+        }
     }
 
     #[test]

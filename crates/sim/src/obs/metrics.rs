@@ -17,6 +17,7 @@
 //! here under the well-known names in [`keys`] (the deprecated shim has
 //! been removed).
 
+use super::{push_f64, push_json_str};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -374,34 +375,6 @@ pub fn snapshot() -> MetricsSnapshot {
     })
 }
 
-/// Shortest-roundtrip float rendering matching the vendored `serde_json`
-/// (non-finite values become `null`, mirroring its behaviour).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl MetricsSnapshot {
     /// Render the snapshot as one line of stable JSON: BTree key order,
     /// deterministic float formatting, no whitespace.
@@ -412,7 +385,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_str(&mut out, k);
+            push_json_str(&mut out, k);
             let _ = write!(out, ":{v}");
         }
         out.push_str("},\"gauges\":{");
@@ -420,7 +393,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_str(&mut out, k);
+            push_json_str(&mut out, k);
             out.push(':');
             push_f64(&mut out, *v);
         }
@@ -429,7 +402,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_str(&mut out, k);
+            push_json_str(&mut out, k);
             let _ = write!(out, ":{{\"count\":{},\"sum\":", h.count);
             push_f64(&mut out, h.sum);
             out.push_str(",\"min\":");

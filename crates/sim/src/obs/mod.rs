@@ -38,3 +38,38 @@ pub mod metrics;
 pub mod prof;
 pub mod stream;
 pub mod trace;
+
+use std::fmt::Write as _;
+
+/// Append `s` as a JSON string literal, escaped as the vendored
+/// `serde_json` does: `"` and `\`, `\n`, `\t` and `\r` by name, every
+/// other control character as `\u00XX`. The one string writer behind the
+/// metrics, stream and aggregate lines and the checkpoint body.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Append `v` in shortest round-trip form, or `null` when it is not
+/// finite: the float rendering of the vendored `serde_json`, shared by
+/// every JSON line the simulator writes.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}

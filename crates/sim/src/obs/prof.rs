@@ -33,6 +33,7 @@
 //! See `docs/OBSERVABILITY.md` ("Profiling") for the span catalogue and the
 //! `powifi-prof` inspector.
 
+use super::push_f64;
 use crate::time::SimDuration;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -502,15 +503,6 @@ fn copy_span(arena: &[Node], idx: usize, wall: bool) -> ProfSpan {
         wall_ns: wall.then(|| estimate_wall_ns(n)),
         wall_max_ns: wall.then_some(n.wall_max_ns),
         children,
-    }
-}
-
-/// Shortest-roundtrip float rendering matching the vendored `serde_json`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -41,6 +41,7 @@
 //! connects a stream to a TCP consumer and drains it from a writer thread.
 
 use super::metrics::{self, MetricsSnapshot};
+use super::push_json_str;
 use super::trace::TraceRecord;
 use crate::SimTime;
 use std::cell::RefCell;
@@ -64,25 +65,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// JSON string escaping matching the vendored `serde_json`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Identity of one streaming session, rendered as the header line.

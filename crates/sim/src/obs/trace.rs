@@ -26,6 +26,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use super::push_f64;
 use crate::time::SimTime;
 
 /// Classification of a MAC frame in trace records (mirrors the MAC layer's
@@ -298,14 +299,6 @@ pub struct TraceRecord {
     pub at: SimTime,
     /// The event.
     pub event: TraceEvent,
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 impl TraceRecord {
