@@ -29,10 +29,12 @@ use powifi_deploy::{OfficeConfig, OfficeSpec, TrafficSpec};
 use powifi_rf::Bitrate;
 use powifi_sim::SimDuration;
 use serde::{Serialize, Value};
+use std::path::PathBuf;
 use std::process::exit;
 
 const USAGE: &str = "usage: powifi-office [--scheme baseline|blind_udp|no_queue|powifi|\
      equal_share] [--traffic udp:RATE|tcp|none] [--secs N] [--epoch-ms MS] \
+     [--checkpoint-every N] [--ckpt-dir DIR] [--resume FILE] \
      (plus shared sweep flags; see --help of any fig binary)";
 
 #[derive(Clone)]
@@ -46,7 +48,7 @@ struct OfficeParams {
 struct OfficeExperiment {
     params: OfficeParams,
     policy: Option<CkptPolicy>,
-    resume: Option<std::path::PathBuf>,
+    resume: Option<PathBuf>,
 }
 
 struct RunOutput {
@@ -151,14 +153,26 @@ impl Experiment for OfficeExperiment {
     }
 }
 
+/// The checkpoint flags, which no other sweep binary takes.
+#[derive(Default)]
+struct CkptFlags {
+    /// `--checkpoint-every`: write a chain file every N epochs.
+    every: Option<u64>,
+    /// `--ckpt-dir`: where the chain lives (default: the `--json` dir).
+    dir: Option<PathBuf>,
+    /// `--resume`: resume from this file instead of cold-starting.
+    resume: Option<PathBuf>,
+}
+
 /// Split our flags from the shared sweep flags (which BenchArgs parses).
-fn split_args() -> (OfficeParams, Vec<String>) {
+fn split_args() -> (OfficeParams, CkptFlags, Vec<String>) {
     let mut params = OfficeParams {
         scheme: Scheme::PoWiFi,
         traffic: TrafficSpec::Udp { rate_mbps: 10.0 },
         secs: 4,
         epoch: SimDuration::from_millis(500),
     };
+    let mut ckpt = CkptFlags::default();
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
     let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -217,14 +231,25 @@ fn split_args() -> (OfficeParams, Vec<String>) {
                 });
                 params.epoch = SimDuration::from_millis(ms.max(1));
             }
+            "--checkpoint-every" => {
+                let v = need(&mut it, "--checkpoint-every");
+                let n = v.parse().ok().filter(|&n: &u64| n >= 1).unwrap_or_else(|| {
+                    eprintln!("error: --checkpoint-every needs a positive epoch count, got `{v}`");
+                    eprintln!("{USAGE}");
+                    exit(2);
+                });
+                ckpt.every = Some(n);
+            }
+            "--ckpt-dir" => ckpt.dir = Some(need(&mut it, "--ckpt-dir").into()),
+            "--resume" => ckpt.resume = Some(need(&mut it, "--resume").into()),
             other => rest.push(other.to_string()),
         }
     }
-    (params, rest)
+    (params, ckpt, rest)
 }
 
 fn main() {
-    let (params, rest) = split_args();
+    let (params, ckpt, rest) = split_args();
     let mut args = match BenchArgs::parse_from(rest) {
         Ok(a) => a,
         Err(msg) => {
@@ -233,9 +258,9 @@ fn main() {
             exit(2);
         }
     };
-    let policy = args.checkpoint_every.map(|every| {
-        let dir = args
-            .ckpt_dir
+    let policy = ckpt.every.map(|every| {
+        let dir = ckpt
+            .dir
             .clone()
             .or_else(|| args.json_dir.clone())
             .unwrap_or_else(|| {
@@ -246,7 +271,7 @@ fn main() {
     });
     // Record resume provenance for the manifest before the sweep runs: the
     // experiment below resolves the resume point the same deterministic way.
-    if let Some(file) = &args.resume {
+    if let Some(file) = &ckpt.resume {
         let loaded = std::fs::read(file)
             .map_err(|e| e.to_string())
             .and_then(|b| powifi_sim::ckpt::load(&b).map_err(|e| e.to_string()));
@@ -268,7 +293,7 @@ fn main() {
     let exp = OfficeExperiment {
         params,
         policy,
-        resume: args.resume.clone(),
+        resume: ckpt.resume,
     };
     banner(
         "powifi-office",

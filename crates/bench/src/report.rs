@@ -1,44 +1,17 @@
-//! The perf-regression observatory behind `bench_report`.
+//! Run provenance and profiler attribution, shared by the sweep runner,
+//! the fleet server and the `powifi-benchmark` crate.
 //!
-//! `BENCH_tier1.json` gives one commit's wall-clock profile; this module
-//! turns the sequence of those profiles into a trajectory and a gate:
+//! * **Provenance** — [`git_head_sha`] and [`today_utc`] name the commit
+//!   and the civil date a result was measured at.
+//! * **Attribution** — [`subsystem_wall_ms`] folds span-profiler output
+//!   (wall mode) into per-subsystem wall totals, so a report says not just
+//!   *that* the simulator got slower but *which layer* did.
 //!
-//! * **History** — [`history_line`] renders one append-only
-//!   `BENCH_history.jsonl` entry per run, keyed by git SHA
-//!   ([`git_head_sha`]) and civil date ([`today_utc`]).
-//! * **Baselines** — [`parse_stats`] reads experiment rollups back out of
-//!   either a `BENCH_tier1.json` report or a history JSONL file (last
-//!   entry), and [`stats_for_sha`] finds a specific commit's entry so
-//!   `--against HEAD~n` works.
-//! * **Comparison** — [`compare`] pairs current and baseline experiments
-//!   by name and computes wall-ms and events-per-wall-ms deltas;
-//!   [`Delta::throughput_drop_pct`] is what `--gate <pct>` thresholds.
-//! * **Attribution** — [`subsystem_wall_ms`] folds a sweep's span-profiler
-//!   output (wall mode) into per-subsystem wall totals, so the report says
-//!   not just *that* the simulator got slower but *which layer* did.
-//!
-//! Wall-clock readings and `SystemTime` are fine here: this whole module is
-//! bench-only (lint rules R2/R7 exempt `crates/bench`), and every
-//! nondeterministic key it emits carries the `wall_ms` token that golden
-//! comparisons strip.
+//! Wall-clock readings, `SystemTime` and git are fine here: this whole
+//! module is bench-only (lint rules R2/R7 exempt `crates/bench`).
 
 use serde::Value;
 use std::collections::BTreeMap;
-
-/// One experiment's rollup as read back from a report or history entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpStats {
-    /// Experiment name (`tier1_udp`, …).
-    pub name: String,
-    /// Executed grid points.
-    pub points: u64,
-    /// Events executed across all points.
-    pub events: u64,
-    /// Total wall time across all points, milliseconds.
-    pub sum_wall_ms: f64,
-    /// Simulator throughput: events per wall-millisecond.
-    pub events_per_wall_ms: f64,
-}
 
 fn obj_get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -51,167 +24,6 @@ fn as_f64(v: &Value) -> Option<f64> {
         Value::Int(i) => Some(*i as f64),
         _ => None,
     }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    }
-}
-
-fn stats_from_entry(v: &Value) -> Result<Vec<ExpStats>, String> {
-    let Value::Object(entries) = v else {
-        return Err("expected a JSON object".into());
-    };
-    let Some(Value::Array(exps)) = obj_get(entries, "experiments") else {
-        return Err("no `experiments` array in report".into());
-    };
-    let mut out = Vec::new();
-    for e in exps {
-        let Value::Object(fields) = e else {
-            return Err("experiment entry is not an object".into());
-        };
-        let get_f = |key: &str| {
-            obj_get(fields, key)
-                .and_then(as_f64)
-                .ok_or_else(|| format!("experiment entry missing numeric `{key}`"))
-        };
-        let get_u = |key: &str| {
-            obj_get(fields, key)
-                .and_then(as_u64)
-                .ok_or_else(|| format!("experiment entry missing unsigned `{key}`"))
-        };
-        let Some(Value::Str(name)) = obj_get(fields, "experiment") else {
-            return Err("experiment entry missing `experiment` name".into());
-        };
-        out.push(ExpStats {
-            name: name.clone(),
-            points: get_u("points")?,
-            events: get_u("events")?,
-            sum_wall_ms: get_f("sum_wall_ms")?,
-            events_per_wall_ms: get_f("events_per_wall_ms")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Parse experiment rollups out of `text`: either a `BENCH_tier1.json`
-/// report (one pretty-printed object) or a `BENCH_history.jsonl` file, in
-/// which case the *last* entry wins.
-pub fn parse_stats(text: &str) -> Result<Vec<ExpStats>, String> {
-    if let Ok(v) = serde_json::from_str(text) {
-        return stats_from_entry(&v);
-    }
-    // Not one JSON document — treat as JSONL history and take the last
-    // parseable line.
-    let last = text
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .ok_or("empty baseline file")?;
-    let v = serde_json::from_str(last).map_err(|e| format!("bad history line: {e}"))?;
-    stats_from_entry(&v)
-}
-
-/// Find the history entry for commit `sha` (prefix match, so short SHAs
-/// work) and return its rollups. Scans newest-last JSONL.
-pub fn stats_for_sha(history_text: &str, sha: &str) -> Result<Vec<ExpStats>, String> {
-    for line in history_text.lines().rev() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = serde_json::from_str(line).map_err(|e| format!("bad history line: {e}"))?;
-        if let Value::Object(entries) = &v {
-            if let Some(Value::Str(s)) = obj_get(entries, "sha") {
-                if s.starts_with(sha) || sha.starts_with(s.as_str()) {
-                    return stats_from_entry(&v);
-                }
-            }
-        }
-    }
-    Err(format!("no history entry for sha `{sha}`"))
-}
-
-/// Per-experiment delta between a current run and a baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    /// Experiment name.
-    pub name: String,
-    /// Baseline total wall ms.
-    pub base_wall_ms: f64,
-    /// Current total wall ms.
-    pub cur_wall_ms: f64,
-    /// Baseline events per wall ms.
-    pub base_epms: f64,
-    /// Current events per wall ms.
-    pub cur_epms: f64,
-}
-
-impl Delta {
-    /// Percent change in total wall time (positive = slower).
-    pub fn wall_change_pct(&self) -> f64 {
-        if self.base_wall_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.cur_wall_ms - self.base_wall_ms) / self.base_wall_ms * 100.0
-    }
-
-    /// Percent *drop* in events-per-wall-ms throughput (positive = slower;
-    /// the quantity `--gate <pct>` thresholds).
-    pub fn throughput_drop_pct(&self) -> f64 {
-        if self.base_epms <= 0.0 {
-            return 0.0;
-        }
-        (self.base_epms - self.cur_epms) / self.base_epms * 100.0
-    }
-}
-
-/// Pair current and baseline rollups by experiment name. Experiments that
-/// appear on only one side are skipped (renames/additions don't gate).
-pub fn compare(current: &[ExpStats], baseline: &[ExpStats]) -> Vec<Delta> {
-    current
-        .iter()
-        .filter_map(|c| {
-            let b = baseline.iter().find(|b| b.name == c.name)?;
-            Some(Delta {
-                name: c.name.clone(),
-                base_wall_ms: b.sum_wall_ms,
-                cur_wall_ms: c.sum_wall_ms,
-                base_epms: b.events_per_wall_ms,
-                cur_epms: c.events_per_wall_ms,
-            })
-        })
-        .collect()
-}
-
-/// Human-readable comparison table, one line per experiment.
-pub fn render_comparison(deltas: &[Delta]) -> String {
-    let mut out = String::new();
-    for d in deltas {
-        out.push_str(&format!(
-            "{:<16} wall {:>9.1}ms -> {:>9.1}ms ({:+.1}%)   events/ms {:>9.1} -> {:>9.1} ({:+.1}%)\n",
-            d.name,
-            d.base_wall_ms,
-            d.cur_wall_ms,
-            d.wall_change_pct(),
-            d.base_epms,
-            d.cur_epms,
-            -d.throughput_drop_pct(),
-        ));
-    }
-    out
-}
-
-/// Apply the `--gate` threshold: experiments whose throughput dropped more
-/// than `gate_pct` percent against the baseline.
-pub fn regressions(deltas: &[Delta], gate_pct: f64) -> Vec<&Delta> {
-    deltas
-        .iter()
-        .filter(|d| d.throughput_drop_pct() > gate_pct)
-        .collect()
 }
 
 /// The current git HEAD SHA. `POWIFI_BENCH_SHA` overrides (tests, exotic
@@ -230,17 +42,6 @@ pub fn git_head_sha() -> String {
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
-}
-
-/// Resolve a git ref (`HEAD~2`, a branch, a short SHA) to a full SHA.
-pub fn git_resolve(git_ref: &str) -> Option<String> {
-    std::process::Command::new("git")
-        .args(["rev-parse", git_ref])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
 }
 
 /// Today's UTC civil date, `YYYY-MM-DD`.
@@ -266,29 +67,6 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
     (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// Render one `BENCH_history.jsonl` entry (no trailing newline): the run's
-/// identity plus the same per-experiment rollups the report carries.
-pub fn history_line(
-    sha: &str,
-    date: &str,
-    profile: &str,
-    seed: u64,
-    jobs: u64,
-    total_wall_ms: f64,
-    experiments: &[Value],
-) -> String {
-    let entry = Value::Object(vec![
-        ("sha".into(), Value::Str(sha.into())),
-        ("date".into(), Value::Str(date.into())),
-        ("profile".into(), Value::Str(profile.into())),
-        ("seed".into(), Value::UInt(seed)),
-        ("jobs".into(), Value::UInt(jobs)),
-        ("total_wall_ms".into(), Value::Float(total_wall_ms)),
-        ("experiments".into(), Value::Array(experiments.to_vec())),
-    ]);
-    serde_json::to_string(&entry).expect("serialize history entry")
 }
 
 /// Fold span-profiler snapshots (wall mode, one JSON line per point) into
@@ -334,87 +112,6 @@ pub fn subsystem_wall_ms(prof_jsons: &[&str]) -> BTreeMap<String, f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exp_value(name: &str, events: u64, sum_wall_ms: f64) -> Value {
-        Value::Object(vec![
-            ("experiment".into(), Value::Str(name.into())),
-            ("points".into(), Value::UInt(2)),
-            ("events".into(), Value::UInt(events)),
-            ("sum_wall_ms".into(), Value::Float(sum_wall_ms)),
-            (
-                "events_per_wall_ms".into(),
-                Value::Float(events as f64 / sum_wall_ms),
-            ),
-        ])
-    }
-
-    #[test]
-    fn report_and_history_round_trip() {
-        let exps = vec![exp_value("tier1_udp", 1000, 10.0)];
-        let report = Value::Object(vec![
-            ("artifact".into(), Value::Str("BENCH_tier1".into())),
-            ("experiments".into(), Value::Array(exps.clone())),
-        ]);
-        let text = serde_json::to_string_pretty(&report).unwrap();
-        let stats = parse_stats(&text).unwrap();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].name, "tier1_udp");
-        assert_eq!(stats[0].events, 1000);
-
-        let l1 = history_line("aaa111", "2026-08-05", "release", 42, 4, 10.0, &exps);
-        let l2 = history_line(
-            "bbb222",
-            "2026-08-06",
-            "release",
-            42,
-            4,
-            20.0,
-            &[exp_value("tier1_udp", 1000, 20.0)],
-        );
-        let history = format!("{l1}\n{l2}\n");
-        // Last entry wins for a plain parse…
-        let latest = parse_stats(&history).unwrap();
-        assert_eq!(latest[0].sum_wall_ms, 20.0);
-        // …and sha lookup finds the older one (short-SHA prefix too).
-        let old = stats_for_sha(&history, "aaa").unwrap();
-        assert_eq!(old[0].sum_wall_ms, 10.0);
-        assert!(stats_for_sha(&history, "zzz").is_err());
-    }
-
-    #[test]
-    fn compare_gates_on_throughput_drop() {
-        let base = parse_stats(&history_line(
-            "a",
-            "2026-01-01",
-            "release",
-            0,
-            1,
-            10.0,
-            &[exp_value("tier1_udp", 1000, 10.0)],
-        ))
-        .unwrap();
-        // 2× slowdown: same events, double wall time → 50% throughput drop.
-        let slow = parse_stats(&history_line(
-            "b",
-            "2026-01-02",
-            "release",
-            0,
-            1,
-            20.0,
-            &[exp_value("tier1_udp", 1000, 20.0)],
-        ))
-        .unwrap();
-        let deltas = compare(&slow, &base);
-        assert_eq!(deltas.len(), 1);
-        assert!((deltas[0].throughput_drop_pct() - 50.0).abs() < 1e-9);
-        assert!((deltas[0].wall_change_pct() - 100.0).abs() < 1e-9);
-        assert_eq!(regressions(&deltas, 25.0).len(), 1);
-        assert!(regressions(&deltas, 60.0).is_empty());
-        // Unchanged run gates clean.
-        let same = compare(&base, &base);
-        assert!(regressions(&same, 0.1).is_empty());
-        assert!(!render_comparison(&deltas).is_empty());
-    }
 
     #[test]
     fn civil_dates_are_exact() {

@@ -63,36 +63,21 @@ pub struct BenchArgs {
     /// Write a per-point sim-time span profile (JSONL) to this file.
     /// Captured with wall timing off, so the artifact is deterministic.
     pub prof: Option<PathBuf>,
-    /// Capture span profiles *with wall timing* per point, exposed through
-    /// [`PointRun::prof_json`]. Not a CLI flag (wall readings are
-    /// nondeterministic, so they never belong in `--prof` artifacts);
-    /// `bench_report` sets this programmatically for subsystem attribution.
-    pub prof_wall: bool,
     /// Stream live telemetry to this TCP address (`host:port`) while the
     /// sweep runs: each point gets a `powifi_sim::obs::stream` handle
     /// tagged with its label, so epoch-stepped experiments emit `metrics`
     /// records as they go. Observational only — the egress never blocks,
     /// so results are unchanged.
     pub stream: Option<String>,
-    /// Checkpoint cadence, in epochs, for checkpoint-aware binaries: write
-    /// a chain checkpoint (`crate::ckpt_run`) every N epochs. `None`
-    /// disables checkpointing; sweep-only binaries ignore it.
-    pub checkpoint_every: Option<u64>,
-    /// Directory for checkpoint chain files (defaults to the `--json` dir
-    /// when only `--checkpoint-every` is given).
-    pub ckpt_dir: Option<PathBuf>,
-    /// Resume from this checkpoint file instead of cold-starting.
-    pub resume: Option<PathBuf>,
     /// Resume provenance `(epoch, state hash)`, recorded in the manifest as
-    /// `resumed_from` so observatory points from resumed runs are
-    /// distinguishable from straight-through runs. Not a CLI flag —
-    /// checkpoint-aware binaries set it after picking up a chain.
+    /// `resumed_from` so points from resumed runs are distinguishable from
+    /// straight-through runs. Not a CLI flag — `powifi-office` sets it after
+    /// picking up a chain.
     pub resumed_from: Option<(u64, String)>,
 }
 
 const USAGE: &str = "usage: [--seed N] [--full] [--json DIR] [--jobs N] [--filter SUBSTR] \
-     [--check] [--trace FILE] [--metrics] [--prof FILE] [--stream ADDR] \
-     [--checkpoint-every N] [--ckpt-dir DIR] [--resume FILE]";
+     [--check] [--trace FILE] [--metrics] [--prof FILE] [--stream ADDR]";
 
 impl Default for BenchArgs {
     fn default() -> Self {
@@ -106,11 +91,7 @@ impl Default for BenchArgs {
             trace: None,
             metrics: false,
             prof: None,
-            prof_wall: false,
             stream: None,
-            checkpoint_every: None,
-            ckpt_dir: None,
-            resume: None,
             resumed_from: None,
         }
     }
@@ -173,21 +154,6 @@ impl BenchArgs {
                 }
                 "--stream" => {
                     out.stream = Some(it.next().ok_or("--stream needs host:port")?);
-                }
-                "--checkpoint-every" => {
-                    let v = it
-                        .next()
-                        .ok_or("--checkpoint-every needs a positive epoch count")?;
-                    out.checkpoint_every =
-                        Some(v.parse().ok().filter(|&n: &u64| n >= 1).ok_or_else(|| {
-                            format!("--checkpoint-every needs a positive epoch count, got `{v}`")
-                        })?);
-                }
-                "--ckpt-dir" => {
-                    out.ckpt_dir = Some(PathBuf::from(it.next().ok_or("--ckpt-dir needs a dir")?));
-                }
-                "--resume" => {
-                    out.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a file")?));
                 }
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
@@ -376,8 +342,7 @@ impl<'a> Sweep<'a> {
             check: self.args.check,
             trace: self.args.trace.is_some(),
             metrics: self.args.metrics,
-            prof: self.args.prof.is_some() || self.args.prof_wall,
-            prof_wall: self.args.prof_wall,
+            prof: self.args.prof.is_some(),
         };
         if jobs == 1 {
             return items
@@ -551,8 +516,8 @@ impl<'a> Sweep<'a> {
             ),
             (
                 // Resume provenance: which checkpoint this run picked up
-                // from, or `null` for a straight-through run. Lets the
-                // observatory tell resumed points apart (the results are
+                // from, or `null` for a straight-through run. Lets a
+                // reader tell resumed points apart (the results are
                 // byte-identical either way — that's the ckpt invariant).
                 "resumed_from".into(),
                 match &self.args.resumed_from {
@@ -605,7 +570,6 @@ struct PointOpts {
     trace: bool,
     metrics: bool,
     prof: bool,
-    prof_wall: bool,
 }
 
 fn run_point<E: Experiment>(
@@ -628,9 +592,8 @@ fn run_point<E: Experiment>(
     }
     if opts.prof {
         // `--prof` stays sim-time only: wall timing would make the artifact
-        // vary run to run and break --jobs byte-identity. Wall mode exists
-        // solely for the programmatic prof_wall path (bench_report).
-        prof::enable(opts.prof_wall);
+        // vary run to run and break --jobs byte-identity.
+        prof::enable(false);
     }
     let started = Instant::now();
     let (output, trace_jsonl) = if opts.trace {
@@ -1025,34 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_accepts_checkpoint_flags() {
-        let d = BenchArgs::default();
-        assert!(d.checkpoint_every.is_none() && d.ckpt_dir.is_none() && d.resume.is_none());
-        let args = BenchArgs::parse_from(
-            [
-                "--checkpoint-every",
-                "4",
-                "--ckpt-dir",
-                "/tmp/chain",
-                "--resume",
-                "/tmp/chain/d0.ckpt-000002",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(args.checkpoint_every, Some(4));
-        assert_eq!(
-            args.ckpt_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/chain"))
-        );
-        assert_eq!(
-            args.resume.as_deref(),
-            Some(std::path::Path::new("/tmp/chain/d0.ckpt-000002"))
-        );
-        assert!(args.resumed_from.is_none(), "provenance is not a CLI flag");
-    }
-
-    #[test]
     fn parse_from_rejects_malformed_input() {
         for bad in [
             &["--seed", "abc"][..],
@@ -1060,10 +995,10 @@ mod tests {
             &["--jobs", "0"][..],
             &["--jobs", "-1"][..],
             &["--frobnicate"][..],
-            &["--checkpoint-every", "0"][..],
-            &["--checkpoint-every"][..],
-            &["--resume"][..],
-            &["--ckpt-dir"][..],
+            // Only `powifi-office` takes the checkpoint flags.
+            &["--checkpoint-every", "2"][..],
+            &["--ckpt-dir", "chain"][..],
+            &["--resume", "chain/office.ckpt-000002"][..],
         ] {
             let r = BenchArgs::parse_from(bad.iter().map(|s| s.to_string()));
             assert!(r.is_err(), "{bad:?} should be rejected");

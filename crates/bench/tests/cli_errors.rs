@@ -63,6 +63,30 @@ fn json_missing_dir_exits_2_with_usage() {
     assert_usage_error(&["--json"], "--json needs a dir");
 }
 
+// Only `powifi-office` checkpoints; every other sweep binary refuses the
+// checkpoint flags rather than accepting and ignoring them.
+
+#[test]
+fn checkpoint_every_exits_2_with_usage() {
+    assert_usage_error(
+        &["--checkpoint-every", "2", "--ckpt-dir", "chain"],
+        "unknown argument `--checkpoint-every`",
+    );
+}
+
+#[test]
+fn ckpt_dir_exits_2_with_usage() {
+    assert_usage_error(&["--ckpt-dir", "chain"], "unknown argument `--ckpt-dir`");
+}
+
+#[test]
+fn resume_exits_2_with_usage() {
+    assert_usage_error(
+        &["--resume", "/nonexistent/office.ckpt-000002"],
+        "unknown argument `--resume`",
+    );
+}
+
 #[test]
 fn help_exits_0_with_usage() {
     let (code, _stdout, stderr) = run(&["--help"]);

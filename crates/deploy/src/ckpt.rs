@@ -574,6 +574,10 @@ pub fn checkpoint(run: &OfficeRun) -> Result<(Vec<u8>, String), CkptError> {
 /// thread metrics registry, so telemetry continues seamlessly.
 pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
     let spec: OfficeSpec = v.field("spec")?;
+    if spec.cfg.monitor_bin.is_zero() {
+        // `build_office`'s occupancy monitors would assert on it.
+        return Err(CkptError::field("spec/cfg/monitor_bin", "must not be zero"));
+    }
     let epochs_done = v.field("epoch")?;
     // Static topology only — client flows, pending events and all dynamic
     // state come from the tree. (Traffic spec is applied on cold starts;
@@ -773,23 +777,58 @@ mod tests {
         metrics::reset();
     }
 
-    /// Stations on a medium the rebuilt world does not have are refused.
+    /// Set every `path` slot under `v` to `bad` and count them: a list on
+    /// the way fans out to each entry, and a map without the key is skipped.
+    fn set_all(v: &mut Value, path: &[&str], bad: &Value) -> usize {
+        match (v, path) {
+            (slot, []) => {
+                *slot = bad.clone();
+                1
+            }
+            (Value::List(items), _) => items.iter_mut().map(|x| set_all(x, path, bad)).sum(),
+            (Value::Map(fields), [key, rest @ ..]) => fields
+                .iter_mut()
+                .filter(|(k, _)| k == key)
+                .map(|(_, x)| set_all(x, rest, bad))
+                .sum(),
+            _ => 0,
+        }
+    }
+
+    /// A checkpoint with a valid hash but a value the rebuilt world cannot
+    /// hold — a station on a medium it does not have, a zero occupancy
+    /// bin, or an index past the table it indexes — is refused with the
+    /// field's path instead of panicking later in the run.
     #[test]
-    fn resume_rejects_a_station_on_a_missing_medium() {
+    fn resume_rejects_state_the_rebuilt_world_cannot_hold() {
         metrics::reset();
         let mut run = OfficeRun::start(&spec(TrafficSpec::Udp { rate_mbps: 10.0 }));
         run.step_epoch();
-        let mut tree = save_office(&run).unwrap();
-        let Value::List(stations) = field_mut(field_mut(&mut tree, "mac"), "stations") else {
-            panic!("mac.stations is not a list");
-        };
-        for sta in stations {
-            *field_mut(sta, "medium") = Value::U64(7);
+        let root = save_office(&run).unwrap();
+        let edits: [(&[&str], Value); 7] = [
+            (&["mac", "stations", "medium"], Value::U64(7)),
+            (&["spec", "cfg", "monitor_bin"], Value::U64(0)),
+            (&["mac", "mediums", "monitor", "bin"], Value::U64(0)),
+            (&["mac", "stations", "rate_ctl", "best"], Value::U64(8)),
+            (&["mac", "stations", "rate_ctl", "probing"], Value::U64(8)),
+            (&["mac", "mediums", "in_flight", "class"], Value::U64(2)),
+            (&["mac", "stations", "rr"], Value::U64(2)),
+        ];
+        for (path, bad) in edits {
+            let mut tree = root.clone();
+            assert!(
+                set_all(&mut tree, path, &bad) > 0,
+                "{path:?}: no such field"
+            );
+            match resume(&ckpt::save(&tree)) {
+                Err(CkptError::Field { path: at, .. }) => {
+                    let key = path.last().unwrap();
+                    assert!(at.ends_with(key), "{path:?} refused at {at}");
+                }
+                Err(e) => panic!("{path:?} = {bad:?} refused as {e}"),
+                Ok(_) => panic!("{path:?} = {bad:?} was accepted"),
+            }
         }
-        assert!(matches!(
-            resume(&ckpt::save(&tree)),
-            Err(CkptError::Field { .. })
-        ));
         metrics::reset();
     }
 

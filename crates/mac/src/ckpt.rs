@@ -15,7 +15,7 @@ use crate::frame::{Dest, Frame, FrameKind, MediumId, PayloadTag, StationId};
 use crate::occupancy::OccupancyMonitor;
 use crate::rate_adapt::{AarfState, MinstrelState, RateController, RateStats};
 use crate::trace::{FrameRecord, FrameTrace};
-use crate::world::{Contender, InFlight, Mac, Medium, StaState, Station};
+use crate::world::{Contender, InFlight, Mac, Medium, StaState, Station, QUEUE_CLASSES};
 use powifi_sim::ckpt::{Ckpt, CkptError, Value};
 use powifi_sim::{ckpt_names, ckpt_newtype, ckpt_struct, Db, SimRng};
 
@@ -226,12 +226,17 @@ impl Ckpt for Station {
 /// rebuilt world has: the first event to touch it would index past the
 /// MAC's tables.
 pub fn check_id(id: u32, count: usize, path: &str) -> Result<(), CkptError> {
-    if usize::try_from(id).is_ok_and(|i| i < count) {
+    check_index(usize::try_from(id).unwrap_or(usize::MAX), count, path)
+}
+
+/// Refuse an index at or past `len`, the length of the table it indexes.
+fn check_index(i: usize, len: usize, path: &str) -> Result<(), CkptError> {
+    if i < len {
         Ok(())
     } else {
         Err(CkptError::field(
             path,
-            format!("id {id} is out of range: the rebuilt world has {count}"),
+            format!("{i} is out of range: the table has {len} entries"),
         ))
     }
 }
@@ -283,8 +288,10 @@ fn same_len(path: &str, saved: usize, rebuilt: usize) -> Result<(), CkptError> {
 }
 
 /// Overlay a [`save_mac`] tree onto a MAC rebuilt with the same topology.
-/// Refuses a tree whose tables differ in size from the rebuilt world's, or
-/// whose stations, mediums or queued frames name an id it does not have.
+/// Refuses a tree whose tables differ in size from the rebuilt world's,
+/// whose stations, mediums or queued frames name an id it does not have,
+/// or that holds a value the MAC would panic on later: an index past the
+/// table it indexes, or a zero occupancy bin.
 pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
     let stations: Vec<Station> = v.field("stations")?;
     same_len("stations", stations.len(), mac.stations.len())?;
@@ -296,16 +303,27 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
     same_len("faders", faders.len(), mac.faders.len())?;
     for s in &stations {
         check_id(s.medium.0, mediums.len(), "stations/medium")?;
+        check_index(s.rr, QUEUE_CLASSES, "stations/rr")?;
+        if let RateController::Minstrel(m) = &s.rate_ctl {
+            check_index(m.best, m.stats.len(), "stations/rate_ctl/best")?;
+            if let Some(p) = m.probing {
+                check_index(p, m.stats.len(), "stations/rate_ctl/probing")?;
+            }
+        }
         for f in s.queues.iter().flatten() {
             check_frame(f, stations.len())?;
         }
     }
     for m in &mediums {
+        if m.monitor.bin.is_zero() {
+            return Err(CkptError::field("mediums/monitor/bin", "must not be zero"));
+        }
         for c in &m.contenders {
             check_id(c.sta.0, stations.len(), "contenders/sta")?;
         }
         for f in &m.in_flight {
             check_id(f.sta.0, stations.len(), "in_flight/sta")?;
+            check_index(f.class, QUEUE_CLASSES, "in_flight/class")?;
         }
         for &s in &m.bcast_listeners {
             check_id(s.0, stations.len(), "bcast_listeners")?;

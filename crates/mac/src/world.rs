@@ -165,6 +165,9 @@ pub(crate) enum StaState {
     Transmitting,
 }
 
+/// Transmit-queue classes per station; see [`Station`].
+pub(crate) const QUEUE_CLASSES: usize = 2;
+
 /// A station (AP interface, client, neighbor device, attacker…).
 ///
 /// The transmit queue is two-class — power broadcasts vs everything else —
@@ -175,7 +178,7 @@ pub(crate) enum StaState {
 pub struct Station {
     pub(crate) medium: MediumId,
     /// queues[0]: data/beacons/management; queues[1]: power broadcasts.
-    pub(crate) queues: [VecDeque<Frame>; 2],
+    pub(crate) queues: [VecDeque<Frame>; QUEUE_CLASSES],
     pub(crate) rr: usize,
     pub(crate) queue_cap: usize,
     pub(crate) state: StaState,

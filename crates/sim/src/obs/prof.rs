@@ -11,9 +11,9 @@
 //! * **Wall time** — how long each span took on the host clock. This is the
 //!   only place outside `crates/bench` allowed to touch
 //!   [`std::time::Instant`] (lint rule R7); it is opt-in via
-//!   [`enable`]`(true)`, used by `bench_report` only, and every rendered
-//!   wall field carries the `wall_ms` key token so golden comparisons strip
-//!   it. Wall time is *sampled* (1 in [`WALL_SAMPLE_EVERY`] entries, plus
+//!   [`enable`]`(true)`, used only by the traced pass of the
+//!   `powifi-benchmark` crate, and every rendered wall field carries the
+//!   `wall_ms` key token so golden comparisons strip it. Wall time is *sampled* (1 in [`WALL_SAMPLE_EVERY`] entries, plus
 //!   each node's first) and scaled up at snapshot time, so wall mode no
 //!   longer dominates the very event loop it is measuring.
 //!
