@@ -8,7 +8,7 @@
 //!
 //! * **same medium** — same-channel pairs are unioned into a shared-medium
 //!   *group* (real CSMA contention between the networks), subject to a size
-//!   cap that keeps per-shard MAC matrices dense-friendly;
+//!   cap that keeps each medium, and so each shard, small;
 //! * **coupling link** — pairs the cap split apart (and all cross-channel
 //!   energy pairs) get an explicit [`Coupling`] record, serviced every epoch
 //!   through the export table.
@@ -16,11 +16,12 @@
 //! So no interacting pair is ever silently separated — the property the
 //! partition proptest pins on random topologies.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use super::topology::CityTopology;
+use crate::geometry::Pos;
 use powifi_rf::budget::HARVEST_FLOOR;
-use powifi_rf::Meters;
+use powifi_rf::{Meters, WifiChannel};
 
 /// Candidate-pair discovery cap for the interaction range, meters.
 const RANGE_CAP_M: f64 = 500.0;
@@ -81,18 +82,20 @@ pub fn coupling_weight(peak_dbm: f64, floor_dbm: f64) -> f64 {
     ((peak_dbm - floor_dbm) / 40.0).clamp(0.0, 1.0)
 }
 
-/// Union-find with a component-size cap; merges keep the smallest element
-/// as root, so a component's root doubles as its stable key.
+/// Union-find with a cap on component weight; merges keep the smallest
+/// element as root, so a component's root doubles as its stable key.
 struct Dsu {
     parent: Vec<usize>,
-    size: Vec<usize>,
+    /// Component weight, by root.
+    weight: Vec<usize>,
 }
 
 impl Dsu {
-    fn new(n: usize) -> Dsu {
+    /// Singletons of the given weights.
+    fn new(weight: Vec<usize>) -> Dsu {
         Dsu {
-            parent: (0..n).collect(),
-            size: vec![1; n],
+            parent: (0..weight.len()).collect(),
+            weight,
         }
     }
 
@@ -104,156 +107,223 @@ impl Dsu {
         x
     }
 
-    /// Union the components of `a` and `b` when their combined weight stays
-    /// within `cap`; `weight` gives the weight of a component by its root.
-    fn try_union(
-        &mut self,
-        a: usize,
-        b: usize,
-        cap: usize,
-        weight: impl Fn(&Dsu, usize) -> usize,
-    ) -> bool {
+    /// Union the components of `a` and `b` unless their combined weight
+    /// would exceed `cap`.
+    fn try_union(&mut self, a: usize, b: usize, cap: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return true;
-        }
-        if weight(self, ra) + weight(self, rb) > cap {
-            return false;
+        if ra == rb || self.weight[ra] + self.weight[rb] > cap {
+            return;
         }
         let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
         self.parent[hi] = lo;
-        self.size[lo] += self.size[hi];
-        true
+        self.weight[lo] += self.weight[hi];
     }
+}
+
+/// The networks bucketed into square grid cells of pitch `range`: every
+/// pair within `range` lands in the same or an adjacent cell, so each
+/// network is tested against its own 3×3 block of cells only — O(n) for
+/// bounded densities instead of O(n²).
+struct Grid {
+    /// Positions and ids, sorted by cell column, then `y`: a column of
+    /// three vertically adjacent cells is one run, sorted by `y`. A network
+    /// off the finite plane is left out; it is in range of nothing.
+    points: Vec<(Pos, u32)>,
+    /// Per network: the three column runs of `points` covering the 3×3
+    /// block of cells around it, as an index into `blocks`.
+    block_of: Vec<u32>,
+    blocks: Vec<[Range<usize>; 3]>,
+}
+
+impl Grid {
+    fn new(pos: &[Pos], range: f64) -> Grid {
+        let cell = |p: Pos| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
+        let mut keyed: Vec<((i64, i64), Pos, u32)> = pos
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.x.is_finite() && p.y.is_finite())
+            .map(|(i, &p)| (cell(p), p, i as u32))
+            .collect();
+        // The cell row grows with `y`, so this order is also cell order.
+        keyed.sort_unstable_by(|a, b| {
+            (a.0 .0.cmp(&b.0 .0))
+                .then(a.1.y.total_cmp(&b.1.y))
+                .then(a.2.cmp(&b.2))
+        });
+        // Block 0 is empty: the block of the networks left out.
+        let mut block_of = vec![0u32; pos.len()];
+        let mut blocks = vec![[0..0, 0..0, 0..0]];
+        for (k, &((cx, cy), _, i)) in keyed.iter().enumerate() {
+            if k == 0 || keyed[k - 1].0 != (cx, cy) {
+                let (lo_y, hi_y) = (cy.saturating_sub(1), cy.saturating_add(1));
+                blocks.push([-1i64, 0, 1].map(|dx| match cx.checked_add(dx) {
+                    Some(x) => {
+                        let lo = keyed.partition_point(|&(c, ..)| c < (x, lo_y));
+                        let hi = keyed.partition_point(|&(c, ..)| c <= (x, hi_y));
+                        lo..hi
+                    }
+                    None => 0..0,
+                }));
+            }
+            block_of[i as usize] = (blocks.len() - 1) as u32;
+        }
+        let points = keyed.into_iter().map(|(_, p, i)| (p, i)).collect();
+        Grid {
+            points,
+            block_of,
+            blocks,
+        }
+    }
+
+    /// The stretches of `points` that can hold a network within `range` of
+    /// network `a` (at `pa`), for `range2 = range²`: each column run of its
+    /// 3×3 block, cut to `dy² <= range²` (`dx² + dy² >= dy²` in floating
+    /// point too).
+    fn windows(&self, a: usize, pa: Pos, range2: f64) -> [Range<usize>; 3] {
+        let far = |p: &(Pos, u32)| {
+            let dy = pa.y - p.0.y;
+            dy * dy > range2
+        };
+        self.blocks[self.block_of[a] as usize].clone().map(|run| {
+            let points = &self.points[run.clone()];
+            let lo = run.start + points.partition_point(|p| p.0.y < pa.y && far(p));
+            let hi = run.start + points.partition_point(|p| p.0.y <= pa.y || !far(p));
+            lo..hi
+        })
+    }
+
+    /// Append to `out` the index in `points` of every network other than
+    /// `a` (at `pa`) within `range` of it, for `range2 = range²`,
+    /// ascending. Indices rather than ids keep later scans over a row
+    /// reading `points` nearly in order.
+    fn neighbors(&self, a: usize, pa: Pos, range2: f64, out: &mut Vec<u32>) {
+        for window in self.windows(a, pa, range2) {
+            // Write every candidate, keep the ones in range: no branch on
+            // the distance test in the hottest loop of the partitioner.
+            let base = out.len();
+            out.resize(base + window.len(), 0);
+            let mut kept = base;
+            for (j, &(pb, b)) in window.clone().zip(&self.points[window]) {
+                out[kept] = j as u32;
+                kept += usize::from(d2(pa, pb) <= range2 && b as usize != a);
+            }
+            out.truncate(kept);
+        }
+    }
+}
+
+/// Squared distance between two positions.
+fn d2(a: Pos, b: Pos) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    dx * dx + dy * dy
+}
+
+/// The components of `dsu` ordered by root, each listing its elements
+/// ascending, and each element's component index. Roots are the smallest
+/// element of their component, so a component is first met at its root.
+fn components(dsu: &mut Dsu) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let n = dsu.parent.len();
+    let mut comps: Vec<Vec<usize>> = Vec::new();
+    let mut comp_of = vec![0usize; n];
+    for i in 0..n {
+        let r = dsu.find(i);
+        comp_of[i] = if r == i {
+            comps.push(Vec::new());
+            comps.len() - 1
+        } else {
+            comp_of[r]
+        };
+        comps[comp_of[i]].push(i);
+    }
+    (comps, comp_of)
 }
 
 /// Partition a topology. `max_group` caps networks per shared medium,
 /// `max_shard` caps networks per shard (`max_group` is clamped to it).
+///
+/// Both packing steps are greedy unions in ascending `(a, b)` order over
+/// the interacting pairs `a < b`, which makes the caps deterministic. No
+/// step sorts the pairs: the group step sorts each network's short list
+/// of same-channel partners, and the shard step needs only the first pair
+/// of each group pair, because re-offering a group pair never changes a
+/// union-find with growing components.
 pub fn partition(topo: &CityTopology, max_group: usize, max_shard: usize) -> Partition {
     let n = topo.networks.len();
     let max_group = max_group.clamp(1, max_shard.max(1));
     let range = topo.model.interaction_range(Meters(RANGE_CAP_M)).0.max(1.0);
+    let pos: Vec<Pos> = topo.networks.iter().map(|net| net.pos).collect();
+    let channel: Vec<WifiChannel> = topo.networks.iter().map(|net| net.channel).collect();
 
-    // Spatial grid at the interaction range: every interacting pair lands in
-    // the same or an adjacent cell, so candidate discovery is O(n) for
-    // bounded densities instead of O(n²).
-    let mut cells: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-    for (i, net) in topo.networks.iter().enumerate() {
-        let cx = (net.pos.x / range).floor() as i64;
-        let cy = (net.pos.y / range).floor() as i64;
-        cells.entry((cx, cy)).or_default().push(i);
-    }
-
-    // Interacting pairs (a < b) with squared separation, ascending — the
-    // deterministic union order. Candidate rejection happens on squared
+    // Interacting pairs, as each network's row of in-range neighbors (by
+    // index in `grid.points`). Candidate rejection happens on squared
     // distance against the bisected range: the path model is monotone in
     // distance, so `interacts(d)` implies `d <= range` and the cheap filter
     // keeps a (slight) superset — exactness is preserved. No budget is
-    // evaluated here at all: grouping needs only pair existence, and step 3
+    // evaluated here at all: grouping needs only pair existence, and step 2
     // recovers every budget it needs from the *minimum* separation per
     // aggregate (monotonicity again: max budget over a pair set = budget at
     // its closest approach), so the transcendental path-loss math runs once
     // per group pair instead of once per network pair.
-    let range2 = range * range;
-    let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    {
-        let mut consider = |a: usize, b: usize| {
-            let (pa, pb) = (topo.networks[a].pos, topo.networks[b].pos);
-            let (dx, dy) = (pa.x - pb.x, pa.y - pb.y);
-            let d2 = dx * dx + dy * dy;
-            if d2 <= range2 {
-                let (a, b) = if a < b { (a, b) } else { (b, a) };
-                pairs.push((a, b, d2));
-            }
-        };
-        for (&(cx, cy), members) in &cells {
-            for (k, &a) in members.iter().enumerate() {
-                for &b in &members[k + 1..] {
-                    consider(a, b);
-                }
-            }
-            // Forward half of the 8-neighborhood: each adjacent cell pair
-            // visited exactly once.
-            for (dx, dy) in [(1i64, 0i64), (-1, 1), (0, 1), (1, 1)] {
-                if let Some(other) = cells.get(&(cx + dx, cy + dy)) {
-                    for &a in members {
-                        for &b in other {
-                            consider(a, b);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Pair keys are unique (each pair is discovered exactly once), so the
-    // unstable sort yields the same canonical order as a stable one.
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-
+    //
     // 1. Shared-medium groups: union same-channel interacting pairs under
-    //    the group cap.
-    let mut dsu = Dsu::new(n);
-    for &(a, b, _) in &pairs {
-        if topo.networks[a].channel == topo.networks[b].channel {
-            dsu.try_union(a, b, max_group, |d, r| d.size[r]);
+    //    the group cap, in `(a, b)` order — so as soon as row `a` is known.
+    let grid = Grid::new(&pos, range);
+    let range2 = range * range;
+    let mut row_start = Vec::with_capacity(n + 1);
+    row_start.push(0);
+    // Sized once for every candidate: growing a table this big by
+    // doubling would copy it and fault its pages in again at each step.
+    let candidates = (0..n)
+        .flat_map(|a| grid.windows(a, pos[a], range2))
+        .map(|w| w.len())
+        .sum();
+    let mut rows: Vec<u32> = Vec::with_capacity(candidates);
+    let grid_channel: Vec<WifiChannel> =
+        grid.points.iter().map(|p| channel[p.1 as usize]).collect();
+    let mut same_above: Vec<u32> = Vec::new();
+    let mut dsu = Dsu::new(vec![1; n]);
+    for a in 0..n {
+        let row = rows.len();
+        grid.neighbors(a, pos[a], range2, &mut rows);
+        row_start.push(rows.len());
+        // A full group takes no one: every union `a` could offer fails.
+        let root = dsu.find(a);
+        if dsu.weight[root] >= max_group {
+            continue;
+        }
+        // Same branch-free filter as the scan: `b > a` holds for half the
+        // row in no predictable pattern.
+        same_above.resize(rows.len() - row, 0);
+        let mut kept = 0;
+        for &j in &rows[row..] {
+            let b = grid.points[j as usize].1;
+            same_above[kept] = b;
+            kept += usize::from(b as usize > a && grid_channel[j as usize] == channel[a]);
+        }
+        same_above[..kept].sort_unstable();
+        for &b in &same_above[..kept] {
+            dsu.try_union(a, b as usize, max_group);
         }
     }
-    let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..n {
-        let r = dsu.find(i);
-        by_root.entry(r).or_default().push(i);
-    }
-    let groups: Vec<Group> = by_root
+    let row = |a: usize| &rows[row_start[a]..row_start[a + 1]];
+    let (members, group_of) = components(&mut dsu);
+    let groups: Vec<Group> = members
         .into_iter()
-        .map(|(key, members)| Group {
-            key,
-            channel: topo.networks[key].channel,
+        .map(|members| Group {
+            key: members[0],
+            channel: channel[members[0]],
             members,
         })
         .collect();
-    let mut group_of = vec![0usize; n];
-    for (g, grp) in groups.iter().enumerate() {
-        for &m in &grp.members {
-            group_of[m] = g;
-        }
-    }
 
-    // 2. Shards: union groups along any interacting pair under the shard
-    //    cap, counted in networks.
-    let group_sizes: Vec<usize> = groups.iter().map(|g| g.members.len()).collect();
-    let mut gdsu = Dsu::new(groups.len());
-    {
-        let weight = |d: &Dsu, r: usize| -> usize {
-            // Component weight: networks under this root.
-            d.size[r]
-        };
-        // Seed component weights with group sizes by re-purposing `size`.
-        gdsu.size.clone_from(&group_sizes);
-        for &(a, b, _) in &pairs {
-            let (ga, gb) = (group_of[a], group_of[b]);
-            if ga != gb {
-                gdsu.try_union(ga, gb, max_shard.max(max_group), weight);
-            }
-        }
-    }
-    let mut shard_roots: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for g in 0..groups.len() {
-        let r = gdsu.find(g);
-        shard_roots.entry(r).or_default().push(g);
-    }
-    let shards: Vec<Vec<usize>> = shard_roots.into_values().collect();
-    let mut shard_of_group = vec![0usize; groups.len()];
-    for (s, gs) in shards.iter().enumerate() {
-        for &g in gs {
-            shard_of_group[g] = s;
-        }
-    }
-
-    // 3. Coupling tables for every interacting pair not sharing a medium.
+    // 2. Coupling tables for every interacting pair not sharing a medium.
     //    Aggregation tracks the *closest approach* (min d²) per key; the
     //    budget is recovered from it afterwards. `sqrt(d²)` is bit-identical
     //    to `Pos::distance` (`powi(2)` is the same multiply), and the path
     //    model is monotone non-increasing in distance, so `budget_at(min d)`
-    //    equals the maximum per-pair budget the eager version computed.
+    //    equals the maximum per-pair budget over the set. A group is
+    //    single-channel, so a group pair's pairs are all same-channel or
+    //    all cross-channel.
     let floor = topo.model.floor.0;
     // Harvest prefilter: beyond this (bisected, conservative) range the
     // budget is provably below the harvest hard cutoff. Energy imports
@@ -266,73 +336,108 @@ pub fn partition(topo: &CityTopology, max_group: usize, max_shard: usize) -> Par
     harvest_model.floor = HARVEST_FLOOR;
     let harvest_range = harvest_model.interaction_range(Meters(range)).0;
     let harvest_range2 = harvest_range * harvest_range;
-    // Per-group neighbor maps instead of one global per-pair ordered map:
-    // every probe lands in a map of a few dozen entries (a group's spatial
-    // neighbors), so the 10⁶-pair aggregation stays cache-resident. Each
-    // entry is `(min d², min same-channel d²)` keyed by the higher group of
-    // the pair; iterating groups in order then entries in key order yields
-    // the same canonical `(ga, gb)` ascending order as the global map did.
-    let mut neighbors: Vec<BTreeMap<usize, (f64, f64)>> = vec![BTreeMap::new(); groups.len()];
-    let mut energy_min: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    for &(a, b, d2) in &pairs {
-        let (ga, gb) = (group_of[a], group_of[b]);
-        if ga == gb {
-            continue;
-        }
-        let (lo, hi) = if ga < gb { (ga, gb) } else { (gb, ga) };
-        let entry = neighbors[lo]
-            .entry(hi)
-            .or_insert((f64::INFINITY, f64::INFINITY));
-        entry.0 = entry.0.min(d2);
-        if topo.networks[a].channel == topo.networks[b].channel {
-            entry.1 = entry.1.min(d2);
-        }
-        if d2 <= harvest_range2 {
-            for (net, from) in [(a, gb), (b, ga)] {
-                let min = energy_min.entry((net, from)).or_insert(f64::INFINITY);
-                *min = min.min(d2);
+    let budget_of = |d2: f64| topo.model.budget_at(Meters(d2.sqrt())).0;
+    // Each group pair is aggregated once, from its lower group `to`: over
+    // the members' neighbors in higher groups, every group's closest
+    // approach and first pair `(a, b)` go into dense per-group slots, read
+    // out in ascending group order. The mirrored coupling waits in
+    // `below` for its importer, so each importer's row comes out in the
+    // `(to, from)` order of `couplings` with no sort.
+    let ng = groups.len();
+    let grid_group: Vec<u32> = grid
+        .points
+        .iter()
+        .map(|p| group_of[p.1 as usize] as u32)
+        .collect();
+    let mut closest = vec![f64::INFINITY; ng];
+    let mut first_pair = vec![u64::MAX; ng];
+    let mut touched = Vec::new();
+    let mut above: Vec<u32> = Vec::new();
+    let mut below: Vec<Vec<Coupling>> = vec![Vec::new(); ng];
+    let mut couplings: Vec<Coupling> = Vec::new();
+    let mut group_pairs: Vec<(u64, usize, usize)> = Vec::new();
+    // `(network, exporter group, d²)` for the rare pairs in harvest range.
+    let mut harvest: Vec<(usize, usize, f64)> = Vec::new();
+    for (to, grp) in groups.iter().enumerate() {
+        for &m in &grp.members {
+            // Branch-free, like the scan: a neighbor's group is above `to`
+            // for about half the row, in no predictable pattern.
+            let row = row(m);
+            above.resize(row.len(), 0);
+            let mut kept = 0;
+            for &j in row {
+                above[kept] = j;
+                kept += usize::from(grid_group[j as usize] as usize > to);
+            }
+            for &j in &above[..kept] {
+                let from = grid_group[j as usize] as usize;
+                let (px, x) = grid.points[j as usize];
+                let x = x as usize;
+                let d2 = d2(pos[m], px);
+                if closest[from] == f64::INFINITY {
+                    touched.push(from);
+                }
+                closest[from] = closest[from].min(d2);
+                let (a, b) = (m.min(x), m.max(x));
+                first_pair[from] = first_pair[from].min(((a as u64) << 32) | b as u64);
+                if d2 <= harvest_range2 {
+                    harvest.extend([(m, from, d2), (x, to, d2)]);
+                }
             }
         }
-    }
-    let budget_of = |d2: f64| topo.model.budget_at(Meters(d2.sqrt())).0;
-    let mut couplings: Vec<Coupling> = Vec::new();
-    let mut boundary_links = 0u64;
-    for (ga, nbrs) in neighbors.iter().enumerate() {
-        for (&gb, &(min_d2, min_same_d2)) in nbrs {
-            let peak = budget_of(min_d2);
-            let weight = if min_same_d2.is_finite() {
-                coupling_weight(budget_of(min_same_d2), floor)
+        couplings.append(&mut below[to]);
+        touched.sort_unstable();
+        for &from in &touched {
+            let peak = budget_of(std::mem::replace(&mut closest[from], f64::INFINITY));
+            let weight = if groups[from].channel == grp.channel {
+                coupling_weight(peak, floor)
             } else {
                 0.0
             };
-            if shard_of_group[ga] != shard_of_group[gb] {
-                boundary_links += 1;
-            }
             couplings.push(Coupling {
-                from: ga,
-                to: gb,
+                from,
+                to,
                 weight,
                 peak_dbm: peak,
             });
-            couplings.push(Coupling {
-                from: gb,
-                to: ga,
+            below[from].push(Coupling {
+                from: to,
+                to: from,
                 weight,
                 peak_dbm: peak,
             });
+            let first = std::mem::replace(&mut first_pair[from], u64::MAX);
+            group_pairs.push((first, to, from));
         }
+        touched.clear();
     }
-    couplings.sort_by_key(|c| (c.to, c.from));
-
+    // Energy imports per network, by exporter group: the closest approach
+    // of each `(network, group)`, kept only above the exact cutoff (the
+    // prefilter admits a superset).
+    harvest.sort_unstable_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.total_cmp(&y.2)));
+    harvest.dedup_by_key(|&mut (net, from, _)| (net, from));
     let mut energy_imports: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (&(net, from), &d2) in &energy_min {
-        // The prefilter keeps a superset; the exact per-entry cutoff test
-        // runs here, on the handful of survivors.
+    for (net, from, d2) in harvest {
         let peak = budget_of(d2);
         if peak >= HARVEST_FLOOR.0 {
             energy_imports[net].push((from, peak));
         }
     }
+
+    // 3. Shards: union groups along any interacting pair under the shard
+    //    cap, counted in networks. A group pair offered again finds its
+    //    groups joined or their components (which only grow) still over
+    //    the cap, so each pair is offered once, at its first pair `(a, b)`.
+    group_pairs.sort_unstable();
+    let mut gdsu = Dsu::new(groups.iter().map(|g| g.members.len()).collect());
+    for &(_, ga, gb) in &group_pairs {
+        gdsu.try_union(ga, gb, max_shard.max(max_group));
+    }
+    let (shards, shard_of_group) = components(&mut gdsu);
+    let boundary_links = group_pairs
+        .iter()
+        .filter(|&&(_, ga, gb)| shard_of_group[ga] != shard_of_group[gb])
+        .count() as u64;
 
     Partition {
         groups,

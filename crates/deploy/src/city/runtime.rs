@@ -674,8 +674,8 @@ fn run_partitioned(topo: &CityTopology, cfg: &CityConfig, part: &Partition) -> C
 
 /// Run the same topology unsharded: one world holding every group, same
 /// epoch protocol, same tables. This is the reference the equivalence tests
-/// compare the sharded runner against. Builds one dense MAC over all
-/// networks — O(n³) in the station count — so keep it to small topologies.
+/// compare the sharded runner against. Builds one MAC and one event queue
+/// over all networks and runs them on the calling thread.
 pub fn run_city_monolithic(topo: &CityTopology, cfg: &CityConfig) -> CityRun {
     let part = {
         let _s = prof::span("city.partition");

@@ -7,15 +7,17 @@
 //! DCF contention, rate-controller positions, occupancy accounting, RNG
 //! stream positions — over it. Stations and mediums checkpoint every
 //! field, so they are decoded whole; faders are overlaid. Pure memoization
-//! caches (`per_cache`, the occupancy airtime memo) are reset instead of
-//! serialized: recomputation yields bit-identical values, so dropping them
-//! cannot perturb the run.
+//! caches (the per-link PER memo, the occupancy airtime memo) are reset
+//! instead of serialized: recomputation yields bit-identical values, so
+//! dropping them cannot perturb the run.
 
 use crate::frame::{Dest, Frame, FrameKind, MediumId, PayloadTag, StationId};
 use crate::occupancy::OccupancyMonitor;
 use crate::rate_adapt::{AarfState, MinstrelState, RateController, RateStats};
 use crate::trace::{FrameRecord, FrameTrace};
-use crate::world::{Contender, InFlight, Mac, Medium, StaState, Station, QUEUE_CLASSES};
+use crate::world::{
+    Contender, InFlight, Link, Mac, Medium, StaState, Station, QUEUE_CLASSES, UNSET_LINK_SNR,
+};
 use powifi_sim::ckpt::{Ckpt, CkptError, Value};
 use powifi_sim::{ckpt_names, ckpt_newtype, ckpt_struct, Db, SimRng};
 
@@ -250,26 +252,37 @@ pub fn check_frame(f: &Frame, stations: usize) -> Result<(), CkptError> {
     }
 }
 
-/// Serialize every dynamic field of the MAC.
+fn fader_v(f: &powifi_rf::BlockFader) -> Value {
+    let ((base, state), block, fade_db) = f.ckpt_state();
+    Value::map()
+        .field("rng", SimRng::from_ckpt_state(base, state).to_ckpt())
+        .put("block", &block)
+        .put("fade_db", &fade_db)
+        .build()
+}
+
+/// Serialize every dynamic field of the MAC. Links are written as the
+/// dense row-major `links` and `faders` lists over station indices, an
+/// unset link as [`UNSET_LINK_SNR`] and `null`.
 pub fn save_mac(mac: &Mac) -> Value {
-    let faders = mac
-        .faders
-        .iter()
-        .map(|f| {
-            f.as_ref().map_or(Value::Null, |f| {
-                let ((base, state), block, fade_db) = f.ckpt_state();
-                Value::map()
-                    .field("rng", SimRng::from_ckpt_state(base, state).to_ckpt())
-                    .put("block", &block)
-                    .put("fade_db", &fade_db)
-                    .build()
-            })
-        })
-        .collect();
+    let n = mac.stations.len();
+    let mut links = Vec::with_capacity(n * n);
+    let mut faders = Vec::with_capacity(n * n);
+    for row in &mac.links {
+        let mut cells = row.iter().peekable();
+        for b in 0..n as u32 {
+            let link = cells.next_if(|l| l.rx == b);
+            links.push(link.map_or(UNSET_LINK_SNR, |l| l.snr));
+            faders.push(
+                link.and_then(Link::fader)
+                    .map_or(Value::Null, |i| fader_v(&mac.faders[i])),
+            );
+        }
+    }
     Value::map()
         .put("rng", &mac.rng)
         .put("next_frame_id", &mac.next_frame_id)
-        .put("links", &mac.links)
+        .put("links", &links)
         .put("stations", &mac.stations)
         .put("mediums", &mac.mediums)
         .field("faders", Value::List(faders))
@@ -289,18 +302,21 @@ fn same_len(path: &str, saved: usize, rebuilt: usize) -> Result<(), CkptError> {
 
 /// Overlay a [`save_mac`] tree onto a MAC rebuilt with the same topology.
 /// Refuses a tree whose tables differ in size from the rebuilt world's,
-/// whose stations, mediums or queued frames name an id it does not have,
-/// or that holds a value the MAC would panic on later: an index past the
-/// table it indexes, or a zero occupancy bin.
+/// whose faders sit on other links, whose stations, mediums or queued
+/// frames name an id it does not have, or that holds a value the MAC would
+/// panic on later: an index past the table it indexes, or a zero occupancy
+/// bin. Every check runs before anything is written, so a refused tree
+/// leaves the MAC as it was.
 pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
     let stations: Vec<Station> = v.field("stations")?;
     same_len("stations", stations.len(), mac.stations.len())?;
     let mediums: Vec<Medium> = v.field("mediums")?;
     same_len("mediums", mediums.len(), mac.mediums.len())?;
+    let n = stations.len();
     let links: Vec<Db> = v.field("links")?;
-    same_len("links", links.len(), mac.links.len())?;
+    same_len("links", links.len(), n * n)?;
     let faders = v.list_field("faders")?;
-    same_len("faders", faders.len(), mac.faders.len())?;
+    same_len("faders", faders.len(), n * n)?;
     for s in &stations {
         check_id(s.medium.0, mediums.len(), "stations/medium")?;
         check_index(s.rr, QUEUE_CLASSES, "stations/rr")?;
@@ -329,18 +345,19 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
             check_id(s.0, stations.len(), "bcast_listeners")?;
         }
     }
-
-    mac.rng = v.field("rng")?;
-    mac.next_frame_id = v.field("next_frame_id")?;
-    mac.links = links;
-    mac.stations = stations;
-    mac.mediums = mediums;
-    for (slot, fv) in mac.faders.iter_mut().zip(faders) {
-        match (slot.as_mut(), fv.as_opt()) {
+    let rng: SimRng = v.field("rng")?;
+    let next_frame_id: u64 = v.field("next_frame_id")?;
+    let station_pair = |k: usize| (StationId((k / n) as u32), StationId((k % n) as u32));
+    let mut fades = Vec::new();
+    for (k, fv) in faders.iter().enumerate() {
+        let (a, b) = station_pair(k);
+        match (mac.link(a, b).and_then(Link::fader), fv.as_opt()) {
             (None, None) => {}
-            (Some(f), Some(fv)) => {
+            (Some(i), Some(fv)) => {
                 let rng: SimRng = fv.field("rng")?;
-                f.ckpt_restore(rng.ckpt_state(), fv.field("block")?, fv.field("fade_db")?);
+                let block: u64 = fv.field("block")?;
+                let fade_db: f64 = fv.field("fade_db")?;
+                fades.push((i, rng.ckpt_state(), block, fade_db));
             }
             _ => {
                 return Err(CkptError::field(
@@ -351,9 +368,23 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
         }
     }
 
+    mac.rng = rng;
+    mac.next_frame_id = next_frame_id;
+    mac.stations = stations;
+    mac.mediums = mediums;
+    for (k, snr) in links.into_iter().enumerate() {
+        let (a, b) = station_pair(k);
+        let current = mac.link(a, b).map_or(UNSET_LINK_SNR, |l| l.snr);
+        if current.0.to_bits() != snr.0.to_bits() {
+            mac.set_link_snr(a, b, snr);
+        }
+    }
+    for (i, rng, block, fade_db) in fades {
+        mac.faders[i].ckpt_restore(rng, block, fade_db);
+    }
     // Pure per-link PER memo; recomputation is exact.
-    for e in mac.per_cache.iter_mut() {
-        *e = None;
+    for link in mac.links.iter_mut().flatten() {
+        link.per = None;
     }
     Ok(())
 }
@@ -389,6 +420,10 @@ mod tests {
     /// Two stations on one medium, with a frame trace, an RF envelope
     /// and a faded link, so every part of the MAC form is exercised.
     fn build() -> (W, Queue<W>) {
+        build_faded(true)
+    }
+
+    fn build_faded(faded: bool) -> (W, Queue<W>) {
         let mut mac = Mac::new(SimRng::from_seed(7));
         let medium = mac.add_medium(SimDuration::from_millis(100));
         let a = mac.add_station(medium, RateController::fixed(Bitrate::G54));
@@ -398,14 +433,15 @@ mod tests {
         let mon = mac.monitor_mut(medium).monitor();
         mon.track(a);
         mon.enable_envelope();
-        let fader = powifi_rf::BlockFader::indoor_los(SimRng::from_seed(8));
-        mac.set_link_fader(a, b, fader);
+        if faded {
+            let fader = powifi_rf::BlockFader::indoor_los(SimRng::from_seed(8));
+            mac.set_link_fader(a, b, fader);
+        }
         (W { mac }, EventQueue::new())
     }
 
-    #[test]
-    fn save_restore_roundtrips_bytes() {
-        let (mut w, mut q) = build();
+    /// Queue 40 frames 0 → 1 and run 5 ms.
+    fn run_a_little(w: &mut W, q: &mut Queue<W>) {
         for i in 0..40u64 {
             let f = Frame::data(
                 StationId(0),
@@ -416,9 +452,15 @@ mod tests {
                     bytes: 1000,
                 },
             );
-            enqueue(&mut w, &mut q, StationId(0), f);
+            enqueue(w, q, StationId(0), f);
         }
-        q.run_until(&mut w, SimTime::from_millis(5));
+        q.run_until(w, SimTime::from_millis(5));
+    }
+
+    #[test]
+    fn save_restore_roundtrips_bytes() {
+        let (mut w, mut q) = build();
+        run_a_little(&mut w, &mut q);
 
         let snap = save_mac(&w.mac);
         let body = snap.encode();
@@ -447,6 +489,46 @@ mod tests {
         other.add_medium(SimDuration::from_millis(100));
         // No stations: restore must refuse rather than mis-overlay.
         assert!(restore_mac(&mut other, &snap).is_err());
+    }
+
+    #[test]
+    fn refused_restore_leaves_the_mac_untouched() {
+        let (mut w, mut q) = build();
+        run_a_little(&mut w, &mut q);
+        let faded = save_mac(&w.mac);
+        let (mut plain, _q) = build_faded(false);
+        let before = ckpt::save(&save_mac(&plain.mac));
+        let err = restore_mac(&mut plain.mac, &faded).unwrap_err();
+        assert!(err.to_string().contains("faders"), "{err}");
+        assert_eq!(ckpt::save(&save_mac(&plain.mac)), before);
+    }
+
+    #[test]
+    fn links_save_dense_in_row_major_order() {
+        let mut mac = Mac::new(SimRng::from_seed(1));
+        let m = mac.add_medium(SimDuration::from_millis(100));
+        let s: Vec<StationId> = (0..3)
+            .map(|_| mac.add_station(m, RateController::fixed(Bitrate::G54)))
+            .collect();
+        mac.set_link_snr(s[2], s[0], Db(7.0));
+        mac.set_link_snr(s[0], s[1], Db(12.5));
+        mac.set_link_fader(
+            s[1],
+            s[2],
+            powifi_rf::BlockFader::indoor_los(SimRng::from_seed(2)),
+        );
+        let snap = save_mac(&mac);
+        let links: Vec<Db> = snap.field("links").unwrap();
+        let dbs: Vec<f64> = links.iter().map(|d| d.0).collect();
+        assert_eq!(dbs, [40.0, 12.5, 40.0, 40.0, 40.0, 40.0, 7.0, 40.0, 40.0]);
+        let faded: Vec<bool> = snap
+            .list_field("faders")
+            .unwrap()
+            .iter()
+            .map(|f| f.as_opt().is_some())
+            .collect();
+        assert_eq!(faded.iter().filter(|&&f| f).count(), 1);
+        assert!(faded[5], "fader 1 -> 2 sits at row 1, column 2");
     }
 
     #[test]

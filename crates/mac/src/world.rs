@@ -59,11 +59,11 @@ pub enum MacEvent {
 }
 
 // Every pending event sits in a timer-wheel entry next to its 16 bytes of
-// time and seq. `city_25k` keeps 522 shard queues of 4096 wheel slots and
-// touches 1.31M of those slots, so each extra 8 bytes per event costs about
-// 40 MiB of peak RSS. Source and audit configuration therefore lives in the
-// `Mac`'s tables, rebuilt by the world builder; only a source's `seq`
-// travels in the event.
+// time and seq, and a wheel bucket keeps the capacity of the most entries
+// it ever held, so the event's size multiplies the queue's peak backlog.
+// Source and audit configuration therefore lives in the `Mac`'s tables,
+// rebuilt by the world builder; only a source's `seq` travels in the
+// event.
 const _: () = assert!(std::mem::size_of::<MacEvent>() <= 16);
 
 /// The event queue of a MAC-embedding world: typed over the world's own
@@ -243,20 +243,12 @@ pub struct Mac {
     pub timing: MacTiming,
     pub(crate) stations: Vec<Station>,
     pub(crate) mediums: Vec<Medium>,
-    /// Dense link SNR matrix, row-major `[a * n + b]` over station indices;
-    /// unset entries default to a strong 40 dB link. Grown on
-    /// [`Mac::add_station`].
-    pub(crate) links: Vec<Db>,
-    /// Optional block-fading processes per directed link, same key scheme
-    /// as `links`.
-    pub(crate) faders: Vec<Option<powifi_rf::BlockFader>>,
-    /// Memoized [`packet_error_rate`] per directed link at the last-used
-    /// rate. Static links recompute the same logistic (one `exp`) for every
-    /// broadcast listener on every frame; caching it is free because the
-    /// cached value is exactly the recomputation. Faded links bypass the
-    /// cache (their SNR varies with time), and any SNR/fader mutation
-    /// invalidates the entry.
-    pub(crate) per_cache: Vec<Option<(Bitrate, f64)>>,
+    /// One row per sender station: the directed links it has set or used,
+    /// sorted by receiver. A link with no cell reads [`UNSET_LINK_SNR`]
+    /// and no fader, so adding a station costs one empty row.
+    pub(crate) links: Vec<Vec<Link>>,
+    /// Block-fading processes, indexed by [`Link::fader`].
+    pub(crate) faders: Vec<powifi_rf::BlockFader>,
     pub(crate) rng: SimRng,
     pub(crate) next_frame_id: u64,
     timing_bug: bool,
@@ -270,6 +262,53 @@ pub struct Mac {
     /// transmission. Always left empty between calls; neither handler can
     /// re-enter itself (both only run from queue dispatch).
     scratch: Scratch,
+}
+
+/// SNR of a directed link nobody set: a strong link.
+pub(crate) const UNSET_LINK_SNR: Db = Db(40.0);
+
+/// [`Link::fader`] of a link without a fading process.
+const NO_FADER: u32 = u32::MAX;
+
+/// One directed link `sender → rx` in the sender's row of [`Mac::links`].
+#[derive(Debug, Clone)]
+pub(crate) struct Link {
+    pub(crate) rx: u32,
+    /// Index into [`Mac::faders`], or [`NO_FADER`].
+    pub(crate) fader: u32,
+    pub(crate) snr: Db,
+    /// Memoized [`packet_error_rate`] at the last-used rate. Static links
+    /// recompute the same logistic (one `exp`) for every broadcast
+    /// listener on every frame; caching it is free because the cached
+    /// value is exactly the recomputation. Faded links bypass the cache
+    /// (their SNR varies with time), and any SNR/fader mutation clears it.
+    pub(crate) per: Option<(Bitrate, f64)>,
+}
+
+impl Link {
+    pub(crate) fn fader(&self) -> Option<usize> {
+        (self.fader != NO_FADER).then_some(self.fader as usize)
+    }
+}
+
+/// The cell of link `→ rx` in `row`, inserted as an unset link if absent.
+fn link_cell(row: &mut Vec<Link>, rx: StationId) -> &mut Link {
+    let i = match row.binary_search_by_key(&rx.0, |l| l.rx) {
+        Ok(i) => i,
+        Err(i) => {
+            row.insert(
+                i,
+                Link {
+                    rx: rx.0,
+                    fader: NO_FADER,
+                    snr: UNSET_LINK_SNR,
+                    per: None,
+                },
+            );
+            i
+        }
+    };
+    &mut row[i]
 }
 
 #[derive(Default)]
@@ -293,7 +332,6 @@ impl Mac {
             mediums: Vec::new(),
             links: Vec::new(),
             faders: Vec::new(),
-            per_cache: Vec::new(),
             rng,
             next_frame_id: 1,
             timing_bug: false,
@@ -356,7 +394,7 @@ impl Mac {
     /// Add a station on `medium`.
     pub fn add_station(&mut self, medium: MediumId, rate_ctl: RateController) -> StationId {
         let id = StationId(self.stations.len() as u32);
-        self.grow_link_tables();
+        self.links.push(Vec::new());
         self.stations.push(Station {
             medium,
             queues: [VecDeque::new(), VecDeque::new()],
@@ -374,68 +412,64 @@ impl Mac {
         id
     }
 
-    /// Grow the dense n×n link matrices for one more station, preserving
-    /// the existing entries under the new row stride.
-    fn grow_link_tables(&mut self) {
-        let old_n = self.stations.len();
-        let new_n = old_n + 1;
-        let mut links = vec![Db(40.0); new_n * new_n];
-        let mut faders: Vec<Option<powifi_rf::BlockFader>> =
-            (0..new_n * new_n).map(|_| None).collect();
-        for a in 0..old_n {
-            for b in 0..old_n {
-                links[a * new_n + b] = self.links[a * old_n + b];
-                faders[a * new_n + b] = self.faders[a * old_n + b].take();
-            }
+    /// Panic unless `a` and `b` are stations of this MAC, naming the one
+    /// that is not.
+    fn check_link(&self, op: &str, a: StationId, b: StationId) {
+        let n = self.stations.len();
+        for (role, sta) in [("sender", a), ("receiver", b)] {
+            assert!(
+                (sta.0 as usize) < n,
+                "{op}: unknown {role} station {} (the MAC has {n})",
+                sta.0
+            );
         }
-        self.links = links;
-        self.faders = faders;
-        self.per_cache = vec![None; new_n * new_n];
-    }
-
-    #[inline]
-    fn link_index(&self, a: StationId, b: StationId) -> usize {
-        a.0 as usize * self.stations.len() + b.0 as usize
     }
 
     /// Set the SNR of the directed link `a → b` (used for PER and ACK loss).
     pub fn set_link_snr(&mut self, a: StationId, b: StationId, snr: Db) {
-        let idx = self.link_index(a, b);
-        self.links[idx] = snr;
-        self.per_cache[idx] = None;
+        self.check_link("set_link_snr", a, b);
+        let link = link_cell(&mut self.links[a.0 as usize], b);
+        link.snr = snr;
+        link.per = None;
     }
 
-    fn link_snr(&mut self, a: StationId, b: StationId, now: SimTime) -> Db {
-        let idx = self.link_index(a, b);
-        let base = self.links[idx];
-        match self.faders[idx].as_mut() {
-            Some(f) => base + f.fade_at(now),
-            None => base,
+    /// Attach a block-fading process to the directed link `a → b`.
+    pub fn set_link_fader(&mut self, a: StationId, b: StationId, fader: powifi_rf::BlockFader) {
+        self.check_link("set_link_fader", a, b);
+        let link = link_cell(&mut self.links[a.0 as usize], b);
+        link.per = None;
+        match link.fader() {
+            Some(i) => self.faders[i] = fader,
+            None => {
+                link.fader = self.faders.len() as u32;
+                self.faders.push(fader);
+            }
         }
+    }
+
+    /// The set cell of link `a → b`, if any.
+    pub(crate) fn link(&self, a: StationId, b: StationId) -> Option<&Link> {
+        let row = &self.links[a.0 as usize];
+        row.binary_search_by_key(&b.0, |l| l.rx)
+            .ok()
+            .map(|i| &row[i])
     }
 
     /// Packet-error rate of the directed link `a → b` at `rate`, memoized
     /// for static (fader-less) links.
     fn per_of(&mut self, a: StationId, b: StationId, rate: Bitrate, now: SimTime) -> f64 {
-        let idx = self.link_index(a, b);
-        if self.faders[idx].is_some() {
-            return packet_error_rate(self.link_snr(a, b, now), rate);
+        let link = link_cell(&mut self.links[a.0 as usize], b);
+        if let Some(i) = link.fader() {
+            return packet_error_rate(link.snr + self.faders[i].fade_at(now), rate);
         }
-        if let Some((r, per)) = self.per_cache[idx] {
+        if let Some((r, per)) = link.per {
             if r == rate {
                 return per;
             }
         }
-        let per = packet_error_rate(self.links[idx], rate);
-        self.per_cache[idx] = Some((rate, per));
+        let per = packet_error_rate(link.snr, rate);
+        link.per = Some((rate, per));
         per
-    }
-
-    /// Attach a block-fading process to the directed link `a → b`.
-    pub fn set_link_fader(&mut self, a: StationId, b: StationId, fader: powifi_rf::BlockFader) {
-        let idx = self.link_index(a, b);
-        self.faders[idx] = Some(fader);
-        self.per_cache[idx] = None;
     }
 
     /// Fault injection: corrupt every frame on `medium` with probability
@@ -1544,6 +1578,28 @@ mod tests {
         // is not hopeless, so frames still get through.
         assert!(w.mac.station(a).retransmissions > 10);
         assert!(w.delivered.len() > 40, "delivered {}", w.delivered.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "set_link_snr: unknown receiver station 3 (the MAC has 2)")]
+    fn link_setters_refuse_an_unknown_station() {
+        let (mut w, _q) = world();
+        let m = w.mac.add_medium(SimDuration::from_millis(100));
+        let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        // Row-major indexing would have written link 1 → 1 here.
+        w.mac.set_link_snr(a, StationId(3), Db(10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "set_link_fader: unknown sender station 2 (the MAC has 2)")]
+    fn fader_setter_refuses_an_unknown_sender() {
+        let (mut w, _q) = world();
+        let m = w.mac.add_medium(SimDuration::from_millis(100));
+        let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        w.mac.add_station(m, RateController::fixed(Bitrate::G54));
+        let fader = powifi_rf::BlockFader::indoor_los(SimRng::from_seed(5));
+        w.mac.set_link_fader(StationId(2), a, fader);
     }
 
     #[test]

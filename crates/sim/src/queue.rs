@@ -129,9 +129,11 @@ pub struct EventQueue<W, E> {
     wheel_len: usize,
     /// Events beyond the wheel horizon, keyed by `(time, seq)`.
     overflow: BTreeMap<(u64, u64), E>,
-    /// Spare bucket swapped with the cursor slot on each advance, so bucket
-    /// capacity is recycled instead of reallocated once per drained slot.
-    bucket_scratch: Vec<Entry<E>>,
+    /// Emptied buckets with their capacity. A slot that empties (drained
+    /// into `active`, or its last entry cancelled) pushes its bucket here
+    /// and a slot filling from empty pops one, so a queue holds as many
+    /// allocated buckets as slots it ever had occupied at once.
+    spare: Vec<Vec<Entry<E>>>,
     now: SimTime,
     next_seq: u64,
     executed: u64,
@@ -155,7 +157,7 @@ impl<W, E> EventQueue<W, E> {
             wheel_start: 0,
             wheel_len: 0,
             overflow: BTreeMap::new(),
-            bucket_scratch: Vec::new(),
+            spare: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             executed: 0,
@@ -187,6 +189,19 @@ impl<W, E> EventQueue<W, E> {
         self.wheel_len + self.active.len() + self.overflow.len()
     }
 
+    /// Wheel buckets holding an allocation: the occupied slots plus the
+    /// spare stack.
+    #[cfg(test)]
+    fn allocated_buckets(&self) -> usize {
+        self.slots.iter().filter(|s| s.capacity() > 0).count() + self.spare.len()
+    }
+
+    /// Wheel slots holding at least one entry.
+    #[cfg(test)]
+    fn occupied_slots(&self) -> usize {
+        self.occupancy.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// File an entry into the active heap, a wheel bucket or the overflow
     /// map, by its time relative to the cursor slot.
     #[inline]
@@ -195,7 +210,13 @@ impl<W, E> EventQueue<W, E> {
             self.active.push(Entry { time, seq, ev });
         } else if time < self.wheel_start.saturating_add(HORIZON) {
             let idx = ((time >> SLOT_BITS) as usize) & (SLOTS - 1);
-            self.slots[idx].push(Entry { time, seq, ev });
+            let slot = &mut self.slots[idx];
+            if slot.capacity() == 0 {
+                if let Some(bucket) = self.spare.pop() {
+                    *slot = bucket;
+                }
+            }
+            slot.push(Entry { time, seq, ev });
             self.occupancy[idx >> 6] |= 1 << (idx & 63);
             self.wheel_len += 1;
         } else {
@@ -243,6 +264,7 @@ impl<W, E> EventQueue<W, E> {
                 self.wheel_len -= 1;
                 if slot.is_empty() {
                     self.occupancy[idx >> 6] &= !(1 << (idx & 63));
+                    self.spare.push(std::mem::take(slot));
                 }
             }
         }
@@ -311,20 +333,17 @@ impl<W, E> EventQueue<W, E> {
                 self.place(t, seq, ev);
             }
         }
-        // Heapify the (new) cursor bucket into the active set, leaving the
-        // scratch buffer (with its capacity) in the slot for future refills.
+        // Heapify the (new) cursor bucket into the active set and keep the
+        // emptied bucket, with its capacity, for the next slot that fills.
         let idx = ((new_start >> SLOT_BITS) as usize) & (SLOTS - 1);
         if !self.slots[idx].is_empty() {
-            let mut bucket = std::mem::replace(
-                &mut self.slots[idx],
-                std::mem::take(&mut self.bucket_scratch),
-            );
+            let mut bucket = std::mem::take(&mut self.slots[idx]);
             self.wheel_len -= bucket.len();
             self.occupancy[idx >> 6] &= !(1 << (idx & 63));
             for e in bucket.drain(..) {
                 self.active.push(e);
             }
-            self.bucket_scratch = bucket;
+            self.spare.push(bucket);
         }
         !self.active.is_empty()
     }
@@ -378,7 +397,10 @@ impl<W, E> EventQueue<W, E> {
         }
         self.active.clear();
         for s in &mut self.slots {
-            s.clear();
+            if s.capacity() > 0 {
+                s.clear();
+                self.spare.push(std::mem::take(s));
+            }
         }
         self.occupancy = [0; WORDS];
         self.wheel_len = 0;
@@ -458,6 +480,9 @@ mod tests {
     struct World {
         log: Vec<(u64, String)>,
         ticks: u32,
+        /// Most wheel slots seen occupied at once, sampled after each
+        /// `Tick` re-posts itself.
+        peak_slots: usize,
     }
 
     type Q = EventQueue<World, TestEvent>;
@@ -481,6 +506,7 @@ mod tests {
                             TestEvent::Tick { period, limit },
                         );
                     }
+                    self.peak_slots = self.peak_slots.max(q.occupied_slots());
                 }
                 TestEvent::Nest => {
                     q.post_in(SimDuration::from_micros(4), TestEvent::Mark("nested"));
@@ -658,6 +684,40 @@ mod tests {
         q.run_to_completion(&mut w);
         assert_eq!(names(&w), ["tick"]);
         assert_eq!(q.stored(), 0);
+    }
+
+    #[test]
+    fn wheel_keeps_one_bucket_per_slot_occupied_at_once() {
+        // Three sparse periodic streams, run four times around the wheel:
+        // they touch well over a thousand distinct slots but never occupy
+        // more than three at once, and emptied buckets are reused.
+        let mut q = Q::new();
+        let mut w = World::default();
+        for period in [50, 130, 1_000] {
+            let tick = TestEvent::Tick {
+                period,
+                limit: u32::MAX,
+            };
+            q.post_at(SimTime::from_micros(period), tick);
+        }
+        q.run_until(&mut w, SimTime::from_nanos(4 * HORIZON));
+        assert!(w.ticks > 3_000, "only {} ticks", w.ticks);
+        assert!((1..=3).contains(&w.peak_slots), "peak {}", w.peak_slots);
+        assert_eq!(q.allocated_buckets(), w.peak_slots);
+        // Cancelling the pending ticks returns their buckets to the spare
+        // stack rather than freeing or growing the pool.
+        q.run_until(&mut w, SimTime::from_nanos(4 * HORIZON + 1));
+        let allocated = q.allocated_buckets();
+        let pending: Vec<_> = q
+            .ckpt_pending()
+            .into_iter()
+            .map(|(t, s, _)| (t, s))
+            .collect();
+        for (time, seq) in pending {
+            q.cancel(EventHandle { seq, time });
+        }
+        assert_eq!(q.pending(), 0);
+        assert_eq!(q.allocated_buckets(), allocated);
     }
 
     // ---- checkpoint export / restore ----
