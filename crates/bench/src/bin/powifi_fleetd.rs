@@ -9,7 +9,7 @@
 //!
 //! Binds `ADDR` (default `127.0.0.1:7077`; port 0 picks a free port — the
 //! bound address is printed to stderr as `listening on <addr>`), waits for
-//! `K` subscribers (default 1, e.g. a `powifi-fleet record` client), then
+//! `K` subscribers (default 1, e.g. a `powifi-obs fleet record` client), then
 //! runs the deployments on the sweep worker pool, multiplexing their
 //! tagged NDJSON records to every subscriber. Exits when the last
 //! deployment ends; a per-deployment summary plus egress drop/queue stats
@@ -22,7 +22,11 @@
 //! invocation with the same `DIR` picks every deployment up from its newest
 //! valid checkpoint (torn tail writes are skipped) and finishes with output
 //! byte-identical to an uninterrupted run. Inspect or bisect the chains
-//! with `powifi-replay`.
+//! with `powifi-obs ckpt`.
+//!
+//! Counts (`--deployments`, `--secs`, `--epoch-ms`, `--jobs`,
+//! `--subscribers`, `--checkpoint-every`) must be at least one; zero exits
+//! 2 with the usage line.
 
 use powifi_bench::ckpt_run::CkptPolicy;
 use powifi_bench::fleet::{serve_fleet, FleetConfig};
@@ -56,6 +60,14 @@ fn next_num(it: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, St
         .map_err(|_| format!("{name} needs an integer"))
 }
 
+/// A count that must be at least one: zero is refused, not raised to one.
+fn next_count(it: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, String> {
+    match next_num(it, name)? {
+        0 => Err(format!("{name} needs a positive integer, got 0")),
+        n => Ok(n),
+    }
+}
+
 fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut a = Args {
         listen: "127.0.0.1:7077".into(),
@@ -75,14 +87,14 @@ fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 a.checkpoint_dir = Some(PathBuf::from(next_val(&mut it, "--checkpoint-dir")?));
             }
             "--checkpoint-every" => {
-                a.checkpoint_every = next_num(&mut it, "--checkpoint-every")?.max(1);
+                a.checkpoint_every = next_count(&mut it, "--checkpoint-every")?;
             }
-            "--deployments" => a.deployments = next_num(&mut it, "--deployments")?.max(1) as usize,
+            "--deployments" => a.deployments = next_count(&mut it, "--deployments")? as usize,
             "--seed" => a.seed = next_num(&mut it, "--seed")?,
-            "--secs" => a.secs = next_num(&mut it, "--secs")?.max(1),
-            "--epoch-ms" => a.epoch_ms = next_num(&mut it, "--epoch-ms")?.max(1),
-            "--jobs" => a.jobs = Some(next_num(&mut it, "--jobs")?.max(1) as usize),
-            "--subscribers" => a.subscribers = next_num(&mut it, "--subscribers")?.max(1) as usize,
+            "--secs" => a.secs = next_count(&mut it, "--secs")?,
+            "--epoch-ms" => a.epoch_ms = next_count(&mut it, "--epoch-ms")?,
+            "--jobs" => a.jobs = Some(next_count(&mut it, "--jobs")? as usize),
+            "--subscribers" => a.subscribers = next_count(&mut it, "--subscribers")? as usize,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 exit(0);

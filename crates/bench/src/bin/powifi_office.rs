@@ -20,7 +20,7 @@
 //!   and the final artifacts are byte-identical to a straight-through
 //!   run's — the deploy layer's restore-then-run invariant.
 //!
-//! Inspect or bisect the chains it writes with `powifi-replay`.
+//! Inspect or bisect the chains it writes with `powifi-obs ckpt`.
 
 use powifi_bench::ckpt_run::{self, CkptPolicy};
 use powifi_bench::{banner, BenchArgs, Experiment, Sweep};
@@ -225,11 +225,17 @@ fn split_args() -> (OfficeParams, CkptFlags, Vec<String>) {
                 });
             }
             "--epoch-ms" => {
-                let ms: u64 = need(&mut it, "--epoch-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --epoch-ms needs an integer");
-                    exit(2);
-                });
-                params.epoch = SimDuration::from_millis(ms.max(1));
+                let v = need(&mut it, "--epoch-ms");
+                let ms = v
+                    .parse()
+                    .ok()
+                    .filter(|&ms: &u64| ms >= 1)
+                    .unwrap_or_else(|| {
+                        eprintln!("error: --epoch-ms needs a positive integer, got `{v}`");
+                        eprintln!("{USAGE}");
+                        exit(2);
+                    });
+                params.epoch = SimDuration::from_millis(ms);
             }
             "--checkpoint-every" => {
                 let v = need(&mut it, "--checkpoint-every");

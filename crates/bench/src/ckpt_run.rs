@@ -69,7 +69,7 @@ fn parse_epoch(file_name: &str, name: Option<&str>) -> Option<u64> {
 }
 
 /// All chain files in `dir`, ascending by epoch. `name: Some(n)` restricts
-/// to one run's chain; `None` accepts any (the `powifi-replay bisect`
+/// to one run's chain; `None` accepts any (the `powifi-obs ckpt bisect`
 /// case, where a chain directory holds exactly one run). A missing
 /// directory is an empty chain, not an error.
 pub fn chain(dir: &Path, name: Option<&str>) -> io::Result<Vec<(u64, PathBuf)>> {

@@ -9,12 +9,12 @@
 //! waits for subscribers, broadcasts the merged stream to all of them
 //! ([`FanOut`]), and closes the connections when the last deployment
 //! finishes. The client half lives in [`record_stream`] and the
-//! `powifi-fleet` binary (`watch` / `record FILE` / `aggregate FILE`).
+//! `powifi-obs fleet` commands (`watch` / `record` / `aggregate`).
 //!
 //! Determinism: deployment results are pure functions of `(spec, seed)` —
 //! seeds derive exactly like any sweep's. The wire interleaving of
 //! *records* depends on worker scheduling, but `obs::agg` canonicalizes any
-//! interleaving of the same record set, so `powifi-fleet aggregate` over a
+//! interleaving of the same record set, so `powifi-obs fleet aggregate` over a
 //! capture is byte-identical across `--jobs` and debug/release.
 
 use crate::ckpt_run::{self, CkptPolicy};
@@ -287,7 +287,7 @@ pub struct ServeSummary {
 /// Serve one fleet run over `listener`: wait for `min_subscribers`
 /// connections, start the deployments, broadcast the merged stream, close
 /// the connections when the last deployment ends. Subscribers must connect
-/// *before* the run starts (the wire has no replay); `powifi-fleet record`
+/// *before* the run starts (the wire has no replay); `powifi-obs fleet record`
 /// does exactly that.
 pub fn serve_fleet(
     listener: &TcpListener,

@@ -7,12 +7,16 @@
 //! it to the [`Sweep`] driver, which executes points in parallel
 //! (`--jobs`), derives a deterministic per-point seed, and — with
 //! `--json DIR` — writes machine-readable artifacts for EXPERIMENTS.md.
+//! The `powifi-obs` inspector reads those artifacts back through
+//! [`traceinspect`], [`profinspect`], [`replay`] and [`fleet`].
 
 pub mod ckpt_run;
 pub mod fleet;
+pub mod profinspect;
 pub mod replay;
 pub mod report;
 pub mod runner;
+pub mod traceinspect;
 
 pub use ckpt_run::{CkptPolicy, ResumeInfo};
 pub use fleet::{

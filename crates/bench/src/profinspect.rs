@@ -1,40 +1,22 @@
-//! Offline inspector for `--prof` span-profile JSONL files (the library
-//! behind the `powifi-prof` binary).
+//! Reader for `--prof` span-profile JSONL files, the library behind
+//! `powifi-obs prof`.
 //!
 //! A prof file is a sequence of line pairs in grid order: a point header
 //! (`{"experiment":…,"point":…,"label":…,"seed":…}`) followed by one
 //! span-tree snapshot (`{"wall":…,"spans":[…]}`, the output of
-//! `powifi_sim::obs::prof::ProfSnapshot::to_json`). This module parses
-//! that shape back into a tree and answers the questions the trace
-//! inspector answers for traces:
+//! [`ProfSnapshot::to_json`]). [`parse`] reads each snapshot back into a
+//! [`ProfSnapshot`], so the tree, folded-stack and flattened views are the
+//! snapshot's own renderers. This module adds what only a reader needs:
 //!
-//! * [`render_tree`] — the indented call tree of one point;
 //! * [`top`] — hottest spans across a point, flattened to `a;b;c` paths;
 //! * [`diff`] — first structural divergence between two files, *ignoring
-//!   wall-clock keys* so a release rerun compares clean against a golden;
-//! * [`flame`] — folded-stacks text (`path;leaf self_ns`), the input
-//!   format flamegraph tooling consumes.
+//!   wall-clock keys* so a release rerun compares clean against a golden.
 
+use powifi_sim::obs::prof::{ProfSnapshot, ProfSpan};
+use powifi_sim::SimDuration;
 use serde::Value;
 
-/// One span node parsed back from a snapshot line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Span name (`mac.dcf.tx`, …).
-    pub name: String,
-    /// Number of times the span was entered.
-    pub count: u64,
-    /// Sim-time attributed directly to this span, nanoseconds.
-    pub sim_self_ns: u64,
-    /// Sim-time including children, nanoseconds.
-    pub sim_total_ns: u64,
-    /// Largest single attribution, nanoseconds.
-    pub sim_max_ns: u64,
-    /// Child spans, in snapshot (name) order.
-    pub children: Vec<Span>,
-}
-
-/// One profiled grid point: its header plus the parsed span roots.
+/// One profiled grid point: its header plus the parsed snapshot.
 #[derive(Debug, Clone)]
 pub struct ProfPoint {
     /// Experiment name from the header line.
@@ -45,10 +27,8 @@ pub struct ProfPoint {
     pub label: String,
     /// Derived seed the point ran with.
     pub seed: u64,
-    /// Whether the snapshot carried wall-clock fields.
-    pub wall: bool,
-    /// Root spans of the point's call tree.
-    pub roots: Vec<Span>,
+    /// The point's span tree.
+    pub snap: ProfSnapshot,
 }
 
 /// A fully parsed prof file.
@@ -58,11 +38,13 @@ pub struct ParsedProf {
     pub points: Vec<ProfPoint>,
 }
 
-fn obj_get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+type Fields = [(String, Value)];
+
+fn obj_get<'a>(entries: &'a Fields, key: &str) -> Option<&'a Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_u64(entries: &[(String, Value)], key: &str) -> Option<u64> {
+fn get_u64(entries: &Fields, key: &str) -> Option<u64> {
     match obj_get(entries, key)? {
         Value::UInt(u) => Some(*u),
         Value::Int(i) => u64::try_from(*i).ok(),
@@ -70,14 +52,26 @@ fn get_u64(entries: &[(String, Value)], key: &str) -> Option<u64> {
     }
 }
 
-fn get_str(entries: &[(String, Value)], key: &str) -> Option<String> {
+fn get_str(entries: &Fields, key: &str) -> Option<String> {
     match obj_get(entries, key)? {
         Value::Str(s) => Some(s.clone()),
         _ => None,
     }
 }
 
-fn parse_span(v: &Value, line: usize) -> Result<Span, String> {
+/// A wall field (milliseconds in the file) as nanoseconds; absent is `None`.
+fn get_wall_ns(entries: &Fields, key: &str, line: usize) -> Result<Option<u64>, String> {
+    let ms = match obj_get(entries, key) {
+        None => return Ok(None),
+        Some(Value::Float(f)) => *f,
+        Some(Value::UInt(u)) => *u as f64,
+        Some(Value::Int(i)) => *i as f64,
+        Some(_) => return Err(format!("line {line}: `{key}` is not a number")),
+    };
+    Ok(Some((ms * 1e6).round() as u64))
+}
+
+fn parse_span(v: &Value, line: usize) -> Result<ProfSpan, String> {
     let Value::Object(fields) = v else {
         return Err(format!("line {line}: span is not an object"));
     };
@@ -87,20 +81,46 @@ fn parse_span(v: &Value, line: usize) -> Result<Span, String> {
         get_u64(fields, key)
             .ok_or_else(|| format!("line {line}: span `{name}` missing unsigned `{key}`"))
     };
-    let mut children = Vec::new();
-    if let Some(Value::Array(kids)) = obj_get(fields, "children") {
-        for k in kids {
-            children.push(parse_span(k, line)?);
-        }
-    }
-    Ok(Span {
+    let children = match obj_get(fields, "children") {
+        None => Vec::new(),
+        Some(Value::Array(kids)) => kids
+            .iter()
+            .map(|k| parse_span(k, line))
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err(format!("line {line}: span `{name}` children not an array")),
+    };
+    Ok(ProfSpan {
         count: need("count")?,
         sim_self_ns: need("sim_self_ns")?,
         sim_total_ns: need("sim_total_ns")?,
         sim_max_ns: need("sim_max_ns")?,
+        wall_ns: get_wall_ns(fields, "wall_ms", line)?,
+        wall_max_ns: get_wall_ns(fields, "max_wall_ms", line)?,
         name,
         children,
     })
+}
+
+fn snapshot(fields: &Fields, line: usize) -> Result<ProfSnapshot, String> {
+    let Some(Value::Array(spans)) = obj_get(fields, "spans") else {
+        return Err(format!("line {line}: `spans` is not an array"));
+    };
+    Ok(ProfSnapshot {
+        wall: matches!(obj_get(fields, "wall"), Some(Value::Bool(true))),
+        roots: spans
+            .iter()
+            .map(|s| parse_span(s, line))
+            .collect::<Result<_, _>>()?,
+    })
+}
+
+/// Parse one [`ProfSnapshot::to_json`] line back into its tree. Wall
+/// fields come back rounded to whole nanoseconds.
+pub fn parse_snapshot(text: &str) -> Result<ProfSnapshot, String> {
+    match serde_json::from_str(text).map_err(|e| format!("line 1: {e}"))? {
+        Value::Object(fields) => snapshot(&fields, 1),
+        _ => Err("line 1: expected a JSON object".into()),
+    }
 }
 
 /// Parse a prof JSONL file. Rejects malformed JSON, missing headers and
@@ -134,8 +154,7 @@ pub fn parse(text: &str) -> Result<ParsedProf, String> {
                         .ok_or_else(|| format!("line {line}: header missing `label`"))?,
                     seed: get_u64(fields, "seed")
                         .ok_or_else(|| format!("line {line}: header missing `seed`"))?,
-                    wall: false,
-                    roots: Vec::new(),
+                    snap: ProfSnapshot::default(),
                 },
                 line,
             ));
@@ -143,13 +162,7 @@ pub fn parse(text: &str) -> Result<ParsedProf, String> {
             let (mut pt, _) = pending
                 .take()
                 .ok_or_else(|| format!("line {line}: snapshot with no preceding header"))?;
-            pt.wall = matches!(obj_get(fields, "wall"), Some(Value::Bool(true)));
-            let Some(Value::Array(spans)) = obj_get(fields, "spans") else {
-                return Err(format!("line {line}: `spans` is not an array"));
-            };
-            for s in spans {
-                pt.roots.push(parse_span(s, line)?);
-            }
+            pt.snap = snapshot(fields, line)?;
             out.points.push(pt);
         } else {
             return Err(format!(
@@ -161,76 +174,6 @@ pub fn parse(text: &str) -> Result<ParsedProf, String> {
         return Err(format!("line {hl}: point header has no snapshot line"));
     }
     Ok(out)
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.3}us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3}s", ns as f64 / 1e9)
-    }
-}
-
-fn render_span(out: &mut String, span: &Span, depth: usize) {
-    out.push_str(&format!(
-        "{:indent$}{} count={} total={} self={} max={}\n",
-        "",
-        span.name,
-        span.count,
-        fmt_ns(span.sim_total_ns),
-        fmt_ns(span.sim_self_ns),
-        fmt_ns(span.sim_max_ns),
-        indent = depth * 2
-    ));
-    for c in &span.children {
-        render_span(out, c, depth + 1);
-    }
-}
-
-/// Indented call tree of one point.
-pub fn render_tree(pt: &ProfPoint) -> String {
-    let mut out = format!(
-        "point {} ({}) seed={}\n",
-        pt.point,
-        if pt.label.is_empty() {
-            "<anon>"
-        } else {
-            &pt.label
-        },
-        pt.seed
-    );
-    if pt.roots.is_empty() {
-        out.push_str("  (no spans)\n");
-    }
-    for r in &pt.roots {
-        render_span(&mut out, r, 1);
-    }
-    out
-}
-
-fn flatten_into<'a>(prefix: &str, span: &'a Span, out: &mut Vec<(String, &'a Span)>) {
-    let path = if prefix.is_empty() {
-        span.name.clone()
-    } else {
-        format!("{prefix};{}", span.name)
-    };
-    out.push((path.clone(), span));
-    for c in &span.children {
-        flatten_into(&path, c, out);
-    }
-}
-
-/// All spans of a point as `(path, span)` pairs, `a;b;c` path syntax.
-pub fn flatten(pt: &ProfPoint) -> Vec<(String, &Span)> {
-    let mut out = Vec::new();
-    for r in &pt.roots {
-        flatten_into("", r, &mut out);
-    }
-    out
 }
 
 /// Sort key for [`top`].
@@ -254,31 +197,29 @@ impl TopBy {
             other => Err(format!("--by must be self|total|count, got `{other}`")),
         }
     }
+
+    fn key(self, s: &ProfSpan) -> u64 {
+        match self {
+            TopBy::SelfTime => s.sim_self_ns,
+            TopBy::Total => s.sim_total_ns,
+            TopBy::Count => s.count,
+        }
+    }
 }
 
 /// The `n` hottest span paths of one point, one line each. Ties break on
 /// path, so output is deterministic.
 pub fn top(pt: &ProfPoint, by: TopBy, n: usize) -> String {
-    let mut rows = flatten(pt);
-    rows.sort_by(|(pa, a), (pb, b)| {
-        let ka = match by {
-            TopBy::SelfTime => a.sim_self_ns,
-            TopBy::Total => a.sim_total_ns,
-            TopBy::Count => a.count,
-        };
-        let kb = match by {
-            TopBy::SelfTime => b.sim_self_ns,
-            TopBy::Total => b.sim_total_ns,
-            TopBy::Count => b.count,
-        };
-        kb.cmp(&ka).then_with(|| pa.cmp(pb))
-    });
+    let mut rows = pt.snap.flatten();
+    rows.sort_by(|(pa, a), (pb, b)| by.key(b).cmp(&by.key(a)).then_with(|| pa.cmp(pb)));
+    // Render durations first: `SimDuration`'s `Display` ignores width.
+    let time = |ns: u64| SimDuration::from_nanos(ns).to_string();
     let mut out = String::new();
     for (path, s) in rows.into_iter().take(n) {
         out.push_str(&format!(
             "{:>12} {:>12} {:>8}  {}\n",
-            fmt_ns(s.sim_self_ns),
-            fmt_ns(s.sim_total_ns),
+            time(s.sim_self_ns),
+            time(s.sim_total_ns),
             s.count,
             path
         ));
@@ -286,19 +227,7 @@ pub fn top(pt: &ProfPoint, by: TopBy, n: usize) -> String {
     out
 }
 
-/// Folded-stacks text of one point: `a;b;c self_ns` per span with nonzero
-/// self time (leaves always emitted) — the flamegraph input format.
-pub fn flame(pt: &ProfPoint) -> String {
-    let mut out = String::new();
-    for (path, s) in flatten(pt) {
-        if s.sim_self_ns > 0 || s.children.is_empty() {
-            out.push_str(&format!("{path} {}\n", s.sim_self_ns));
-        }
-    }
-    out
-}
-
-fn diff_spans(path: &str, a: &[Span], b: &[Span]) -> Option<String> {
+fn diff_spans(path: &str, a: &[ProfSpan], b: &[ProfSpan]) -> Option<String> {
     if a.len() != b.len() {
         return Some(format!("{path}: {} child span(s) vs {}", a.len(), b.len()));
     }
@@ -307,26 +236,15 @@ fn diff_spans(path: &str, a: &[Span], b: &[Span]) -> Option<String> {
         if x.name != y.name {
             return Some(format!("{path}: span `{}` vs `{}`", x.name, y.name));
         }
-        if x.count != y.count {
-            return Some(format!("{here}: count {} vs {}", x.count, y.count));
-        }
-        if x.sim_self_ns != y.sim_self_ns {
-            return Some(format!(
-                "{here}: sim_self_ns {} vs {}",
-                x.sim_self_ns, y.sim_self_ns
-            ));
-        }
-        if x.sim_total_ns != y.sim_total_ns {
-            return Some(format!(
-                "{here}: sim_total_ns {} vs {}",
-                x.sim_total_ns, y.sim_total_ns
-            ));
-        }
-        if x.sim_max_ns != y.sim_max_ns {
-            return Some(format!(
-                "{here}: sim_max_ns {} vs {}",
-                x.sim_max_ns, y.sim_max_ns
-            ));
+        for (key, l, r) in [
+            ("count", x.count, y.count),
+            ("sim_self_ns", x.sim_self_ns, y.sim_self_ns),
+            ("sim_total_ns", x.sim_total_ns, y.sim_total_ns),
+            ("sim_max_ns", x.sim_max_ns, y.sim_max_ns),
+        ] {
+            if l != r {
+                return Some(format!("{here}: {key} {l} vs {r}"));
+            }
         }
         if let Some(d) = diff_spans(&here, &x.children, &y.children) {
             return Some(d);
@@ -336,9 +254,9 @@ fn diff_spans(path: &str, a: &[Span], b: &[Span]) -> Option<String> {
 }
 
 /// First structural divergence between two prof files, or `None` when they
-/// agree. Wall-clock fields are ignored by construction (the parser never
-/// reads them), so a wall-mode capture diffs clean against a sim-only one
-/// as long as the sim-time tree matches.
+/// agree. Wall-clock fields are never compared, so a wall-mode capture
+/// diffs clean against a sim-only one as long as the sim-time tree
+/// matches.
 pub fn diff(a: &ParsedProf, b: &ParsedProf) -> Option<String> {
     if a.points.len() != b.points.len() {
         return Some(format!(
@@ -357,7 +275,7 @@ pub fn diff(a: &ParsedProf, b: &ParsedProf) -> Option<String> {
         if x.seed != y.seed {
             return Some(format!("point {i}: seed {} vs {}", x.seed, y.seed));
         }
-        if let Some(d) = diff_spans(&format!("point {i}"), &x.roots, &y.roots) {
+        if let Some(d) = diff_spans(&format!("point {i}"), &x.snap.roots, &y.snap.roots) {
             return Some(d);
         }
     }
@@ -382,9 +300,9 @@ mod tests {
         let pt = &p.points[0];
         assert_eq!(pt.experiment, "fig05");
         assert_eq!(pt.seed, 7);
-        assert!(!pt.wall);
-        assert_eq!(pt.roots.len(), 1);
-        assert_eq!(pt.roots[0].children[0].name, "mac.dcf.tx");
+        assert!(!pt.snap.wall);
+        assert_eq!(pt.snap.roots.len(), 1);
+        assert_eq!(pt.snap.roots[0].children[0].name, "mac.dcf.tx");
     }
 
     #[test]
@@ -403,7 +321,7 @@ mod tests {
     #[test]
     fn tree_top_and_flame_render() {
         let p = parse(&sample()).unwrap();
-        let tree = render_tree(&p.points[0]);
+        let tree = p.points[0].snap.render_tree();
         assert!(tree.contains("sim.event count=3"), "{tree}");
         assert!(tree.contains("  mac.dcf.tx"), "{tree}");
 
@@ -414,7 +332,7 @@ mod tests {
         let by_count = top(&p.points[0], TopBy::Count, 1);
         assert!(by_count.trim_end().ends_with("sim.event"), "{by_count}");
 
-        let folded = flame(&p.points[0]);
+        let folded = p.points[0].snap.render_folded();
         assert_eq!(folded, "sim.event 100\nsim.event;mac.dcf.tx 300\n");
     }
 

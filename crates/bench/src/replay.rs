@@ -1,5 +1,5 @@
-//! The `powifi-replay` inspector's library core: checkpoint-chain loading
-//! and the time-travel divergence bisector.
+//! The library core of `powifi-obs ckpt`: checkpoint-chain loading and the
+//! time-travel divergence bisector.
 //!
 //! A checkpoint chain (see [`crate::ckpt_run`]) records a run's state hash
 //! at every checkpointed epoch. When two runs that should be identical —

@@ -10,21 +10,9 @@
 //! Wall-clock readings, `SystemTime` and git are fine here: this whole
 //! module is bench-only (lint rules R2/R7 exempt `crates/bench`).
 
-use serde::Value;
+use crate::profinspect::parse_snapshot;
+use powifi_sim::obs::prof::ProfSpan;
 use std::collections::BTreeMap;
-
-fn obj_get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
 
 /// The current git HEAD SHA. `POWIFI_BENCH_SHA` overrides (tests, exotic
 /// checkouts); falls back to `"unknown"` when git is unavailable.
@@ -72,38 +60,28 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 /// Fold span-profiler snapshots (wall mode, one JSON line per point) into
 /// per-subsystem wall totals: each span's *self* wall time (inclusive
 /// minus children) is attributed to the prefix of its name before the
-/// first `.` (`mac`, `core`, `harvest`, `net`, `sim`).
+/// first `.` (`mac`, `core`, `harvest`, `net`, `sim`). A line that does not
+/// parse as a snapshot is skipped.
 pub fn subsystem_wall_ms(prof_jsons: &[&str]) -> BTreeMap<String, f64> {
-    fn walk(out: &mut BTreeMap<String, f64>, span: &Value) {
-        let Value::Object(fields) = span else { return };
-        let name = match obj_get(fields, "name") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => return,
-        };
-        let own = obj_get(fields, "wall_ms").and_then(as_f64).unwrap_or(0.0);
+    fn walk(out: &mut BTreeMap<String, f64>, span: &ProfSpan) {
+        let ms = |s: &ProfSpan| s.wall_ns.unwrap_or(0) as f64 / 1e6;
         let mut child_sum = 0.0;
-        if let Some(Value::Array(children)) = obj_get(fields, "children") {
-            for c in children {
-                if let Value::Object(cf) = c {
-                    child_sum += obj_get(cf, "wall_ms").and_then(as_f64).unwrap_or(0.0);
-                }
-                walk(out, c);
-            }
+        for c in &span.children {
+            child_sum += ms(c);
+            walk(out, c);
         }
-        let self_ms = (own - child_sum).max(0.0);
-        let subsystem = name.split('.').next().unwrap_or(&name).to_string();
-        *out.entry(subsystem).or_insert(0.0) += self_ms;
+        let self_ms = (ms(span) - child_sum).max(0.0);
+        let subsystem = span.name.split('.').next().unwrap_or_default();
+        *out.entry(subsystem.to_string()).or_insert(0.0) += self_ms;
     }
 
     let mut out = BTreeMap::new();
-    for text in prof_jsons {
-        let Ok(Value::Object(fields)) = serde_json::from_str(text) else {
-            continue;
-        };
-        if let Some(Value::Array(spans)) = obj_get(&fields, "spans") {
-            for sp in spans {
-                walk(&mut out, sp);
-            }
+    for snap in prof_jsons
+        .iter()
+        .filter_map(|text| parse_snapshot(text).ok())
+    {
+        for sp in &snap.roots {
+            walk(&mut out, sp);
         }
     }
     out

@@ -1,5 +1,5 @@
 //! Parsing and analysis of `powifi_sim::obs::trace` JSONL files — the
-//! library behind the `powifi-trace` inspector binary.
+//! library behind `powifi-obs trace`.
 //!
 //! A trace file is a sequence of JSON lines. Two line shapes exist:
 //!
@@ -173,7 +173,7 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
     Ok(out)
 }
 
-/// Record filter for `powifi-trace filter`: every set criterion must match.
+/// Record filter for `powifi-obs trace filter`: every set criterion must match.
 #[derive(Debug, Clone, Default)]
 pub struct Filter {
     /// Emitting layer (`mac`/`core`/`harvest`/`net`).
@@ -427,8 +427,14 @@ pub fn occupancy(point: &TracePoint, end_ns: u64, sta: Option<u64>) -> BTreeMap<
             continue;
         };
         // Exactly tshark_airtime(bytes, rate): round to whole nanoseconds
-        // first, then convert to seconds — matching OccupancyMonitor.
-        let airtime = SimDuration::from_micros_f64((8 * bytes) as f64 / rate_mbps);
+        // first, then convert to seconds — matching OccupancyMonitor. A
+        // rate no frame can have (zero, negative, non-finite) is skipped
+        // like a missing field.
+        let us = bytes as f64 * 8.0 / rate_mbps;
+        if !(us.is_finite() && us >= 0.0) {
+            continue;
+        }
+        let airtime = SimDuration::from_micros_f64(us);
         *per_medium.entry(medium).or_insert(0.0) += airtime.as_secs_f64();
     }
     let span = end_ns as f64 / 1e9;
@@ -439,7 +445,7 @@ pub fn occupancy(point: &TracePoint, end_ns: u64, sta: Option<u64>) -> BTreeMap<
 }
 
 /// Deterministically interleave several traces' records into one
-/// timeline — the engine of `powifi-trace merge`, for stitching
+/// timeline — the engine of `powifi-obs trace merge`, for stitching
 /// per-shard or per-deployment JSONL files from city / fleet runs back
 /// together.
 ///

@@ -5,10 +5,9 @@
 //! two code paths — trace emission, tshark airtime rounding, monitor
 //! binning — shows up here as more than float-summation noise.
 
-use powifi::traceinspect;
+use powifi_bench::traceinspect;
 use serde::Value;
 use std::fs;
-use std::path::PathBuf;
 use std::process::Command;
 
 /// fig05's first (and fastest) quick-mode point.
@@ -104,28 +103,14 @@ fn powifi_trace_validate_accepts_runner_output() {
         .expect("spawn fig05");
     assert!(run.status.success());
 
-    // powifi-trace lives in the umbrella crate; locate it next to the
-    // bench binaries in the shared target directory.
-    let bin_dir = PathBuf::from(env!("CARGO_BIN_EXE_fig05_occupancy_vs_delay"))
-        .parent()
-        .unwrap()
-        .to_path_buf();
-    let inspector = bin_dir.join("powifi-trace");
-    if !inspector.exists() {
-        // The inspector may not be built for bare `cargo test -p
-        // powifi-bench` invocations; the workspace test run covers it.
-        eprintln!("skipping: {} not built", inspector.display());
-        let _ = fs::remove_dir_all(&tmp);
-        return;
-    }
-    let out = Command::new(&inspector)
-        .arg("validate")
+    let out = Command::new(env!("CARGO_BIN_EXE_powifi-obs"))
+        .args(["trace", "validate"])
         .arg(&trace_path)
         .output()
-        .expect("spawn powifi-trace");
+        .expect("spawn powifi-obs");
     assert!(
         out.status.success(),
-        "powifi-trace validate rejected runner output:\n{}{}",
+        "powifi-obs trace validate rejected runner output:\n{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );

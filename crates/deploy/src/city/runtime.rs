@@ -763,7 +763,7 @@ fn assemble_run(
         histogram(keys::CITY_SHARD_EVENTS).observe(out.events as f64);
         histogram(keys::CITY_SHARD_NETWORKS).observe(out.harvested.len() as f64);
         // One span per shard with the simulated horizon attributed to it —
-        // `powifi-prof top city.shard` then shows count = shards and the
+        // `powifi-obs prof top` then shows `city.shard` count = shards and the
         // total sharded sim-time.
         let _s = prof::span("city.shard");
         prof::attr(topo.horizon);

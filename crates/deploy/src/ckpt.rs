@@ -562,7 +562,7 @@ pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
 
 /// [`save_office`] rendered as a versioned, content-hashed container, plus
 /// the state hash. The bytes are what `--checkpoint-every` writes to disk;
-/// the hash is what the `ckpt` stream record and `powifi-replay` show.
+/// the hash is what the `ckpt` stream record and `powifi-obs ckpt` show.
 pub fn checkpoint(run: &OfficeRun) -> Result<(Vec<u8>, String), CkptError> {
     let root = save_office(run)?;
     let hash = ckpt::state_hash(&root);

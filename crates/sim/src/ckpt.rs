@@ -1,5 +1,5 @@
 //! Deterministic checkpoint serialization: the wire format under
-//! `--checkpoint-every`, `--resume` and the `powifi-replay` inspector.
+//! `--checkpoint-every`, `--resume` and the `powifi-obs ckpt` inspector.
 //!
 //! A checkpoint is a self-describing [`Value`] tree rendered to a single
 //! canonical byte string: map keys in insertion order (producers emit a
@@ -11,7 +11,7 @@
 //!   bytes, in debug and release, at any `--jobs` level, so goldens can
 //!   compare checkpoints with `==`;
 //! * **diffability** — the tree is self-describing, so
-//!   `powifi-replay diff`/`bisect` can walk two checkpoints and report the
+//!   `powifi-obs ckpt diff`/`bisect` can walk two checkpoints and report the
 //!   first divergent *field path* instead of a byte offset.
 //!
 //! The container line is `powifi-ckpt <version> <fnv1a128 of body>`; the

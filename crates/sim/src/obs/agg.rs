@@ -17,7 +17,7 @@
 //! are keyed by `(deployment, shard, sim-time)`, reductions are sums and
 //! last-sample-at-or-before lookups, maps are BTree-ordered, and floats
 //! render with the same shortest-roundtrip formatting as every other
-//! artifact. `powifi-fleet aggregate` over a capture is therefore stable
+//! artifact. `powifi-obs fleet aggregate` over a capture is therefore stable
 //! across `--jobs` and debug/release, pinned by a committed golden.
 
 use super::{push_f64, push_json_str};
@@ -114,7 +114,7 @@ pub struct Aggregator {
     /// State hashes from `ckpt` records, keyed by
     /// `(deployment, shard, epoch)`. Two captures of runs that should be
     /// identical diverge exactly where these maps first disagree — the
-    /// live-fleet early warning that `powifi-replay bisect` then pinpoints
+    /// live-fleet early warning that `powifi-obs ckpt bisect` then pinpoints
     /// offline from the chain files.
     ckpt_hashes: BTreeMap<CkptKey, String>,
     max_t: u64,

@@ -27,11 +27,11 @@
 //! egress (overflow drops-with-counter, never blocks the event loop), and
 //! [`agg`] rolls any such stream — live socket or recorded capture — into
 //! deterministic tumbling sim-time windows. `powifi-fleetd` serves multiple
-//! deployments over one TCP listener; `powifi-fleet` watches, records and
-//! aggregates them.
+//! deployments over one TCP listener; `powifi-obs fleet` watches, records
+//! and aggregates them.
 //!
 //! See `docs/OBSERVABILITY.md` for the full event catalogue, the
-//! `powifi-trace` inspector, and the streaming wire format.
+//! `powifi-obs` inspector, and the streaming wire format.
 
 pub mod agg;
 pub mod metrics;

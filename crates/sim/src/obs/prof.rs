@@ -30,8 +30,8 @@
 //! per site. The simulation never reads profiler state back, so enabling it
 //! cannot perturb results.
 //!
-//! See `docs/OBSERVABILITY.md` ("Profiling") for the span catalogue and the
-//! `powifi-prof` inspector.
+//! See `docs/OBSERVABILITY.md` ("Profiling") for the span catalogue and
+//! `powifi-obs prof`, the inspector that reads these snapshots back.
 
 use super::push_f64;
 use crate::time::SimDuration;
@@ -547,61 +547,53 @@ impl ProfSnapshot {
         out
     }
 
-    /// Render an indented human-readable tree, two spaces per level.
+    /// Render the indented tree the `powifi-obs prof tree` inspector
+    /// prints under each point's header line: one span per line, roots
+    /// indented two spaces and two more per level, sim times in
+    /// [`SimDuration`]'s units (`  name count=N total=T self=S max=M`).
+    /// An empty tree renders as `  (no spans)`.
     pub fn render_tree(&self) -> String {
-        fn walk(out: &mut String, sp: &ProfSpan, depth: usize, wall: bool) {
-            let pad = "  ".repeat(depth);
-            let _ = write!(
+        fn walk(out: &mut String, sp: &ProfSpan, depth: usize) {
+            let _ = writeln!(
                 out,
-                "{pad}{}  count {}  sim_total {}  sim_self {}  sim_max {}",
+                "{:indent$}{} count={} total={} self={} max={}",
+                "",
                 sp.name,
                 sp.count,
                 SimDuration::from_nanos(sp.sim_total_ns),
                 SimDuration::from_nanos(sp.sim_self_ns),
                 SimDuration::from_nanos(sp.sim_max_ns),
+                indent = depth * 2
             );
-            if wall {
-                if let Some(w) = sp.wall_ns {
-                    let _ = write!(out, "  wall {:.3}ms", w as f64 / 1e6);
-                }
-            }
-            out.push('\n');
             for c in &sp.children {
-                walk(out, c, depth + 1, wall);
+                walk(out, c, depth + 1);
             }
         }
         let mut out = String::new();
+        if self.roots.is_empty() {
+            out.push_str("  (no spans)\n");
+        }
         for sp in &self.roots {
-            walk(&mut out, sp, 0, self.wall);
+            walk(&mut out, sp, 1);
         }
         out
     }
 
     /// Render folded stacks (`parent;child;leaf value`) over sim self time,
-    /// the input format flamegraph tools consume. Spans with zero self time
-    /// still emit a line when they have a nonzero count, so pure-container
-    /// spans remain visible in the profile.
+    /// the input format flamegraph tools consume: one line per span with
+    /// nonzero self time, and one per leaf even at zero.
     pub fn render_folded(&self) -> String {
-        fn walk(out: &mut String, path: &mut Vec<String>, sp: &ProfSpan) {
-            path.push(sp.name.clone());
-            if sp.sim_self_ns > 0 || sp.children.is_empty() {
-                let _ = writeln!(out, "{} {}", path.join(";"), sp.sim_self_ns);
-            }
-            for c in &sp.children {
-                walk(out, path, c);
-            }
-            path.pop();
-        }
         let mut out = String::new();
-        let mut path = Vec::new();
-        for sp in &self.roots {
-            walk(&mut out, &mut path, sp);
+        for (path, sp) in self.flatten() {
+            if sp.sim_self_ns > 0 || sp.children.is_empty() {
+                let _ = writeln!(out, "{path} {}", sp.sim_self_ns);
+            }
         }
         out
     }
 
     /// Flatten the tree into `(path, span)` pairs in depth-first order,
-    /// with `path` rendered `a;b;c`. Used by `powifi-prof top`.
+    /// with `path` rendered `a;b;c`. Used by `powifi-obs prof top`.
     pub fn flatten(&self) -> Vec<(String, &ProfSpan)> {
         fn walk<'a>(out: &mut Vec<(String, &'a ProfSpan)>, prefix: &str, sp: &'a ProfSpan) {
             let path = if prefix.is_empty() {
@@ -768,6 +760,22 @@ mod tests {
         });
         let folded = snap.render_folded();
         assert_eq!(folded, "t.a 4\nt.a;t.b 6\n");
+    }
+
+    #[test]
+    fn tree_renders_one_indented_line_per_span() {
+        let ((), snap) = capture(|| {
+            let _a = span("t.a");
+            attr(SimDuration::from_micros(2));
+            let _b = span("t.b");
+            attr(SimDuration::from_nanos(5));
+        });
+        assert_eq!(
+            snap.render_tree(),
+            "  t.a count=1 total=2.005us self=2.000us max=2.000us\n\
+             \x20   t.b count=1 total=5ns self=5ns max=5ns\n"
+        );
+        assert_eq!(ProfSnapshot::default().render_tree(), "  (no spans)\n");
     }
 
     #[test]

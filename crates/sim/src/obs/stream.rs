@@ -492,7 +492,7 @@ pub fn spawn_writer(
 }
 
 /// Connect to a stream consumer at `addr` (e.g. the address a
-/// `powifi-fleet record` listener printed), write the session header, and
+/// `powifi-obs fleet record` listener printed), write the session header, and
 /// spawn the writer thread. This is the sanctioned socket touchpoint of
 /// the sim crates (lint R13).
 pub fn tcp_egress(

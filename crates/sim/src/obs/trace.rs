@@ -270,7 +270,7 @@ impl TraceEvent {
     }
 
     /// Primary entity id (station, interface or flow) when the event has
-    /// one — the id `powifi-trace --entity` filters on.
+    /// one — the id `powifi-obs trace filter --entity` filters on.
     pub fn entity(&self) -> Option<u32> {
         match *self {
             TraceEvent::MacTxStart { sta, .. }

@@ -12,9 +12,10 @@
 //! or on sharded/monolithic divergence.
 //!
 //! `--trace FILE` writes the replayed topology's structured trace
-//! (`powifi_sim::obs::trace` JSONL, inspectable with `powifi-trace`);
-//! `--prof` prints its sim-time span tree — both replay-only, so a failing
-//! seed can be drilled into with the full observability stack.
+//! (`powifi_sim::obs::trace` JSONL, inspectable with `powifi-obs trace`);
+//! `--prof` prints its sim-time span tree in the `powifi-obs prof tree`
+//! format — both replay-only, so a failing seed can be drilled into with
+//! the full observability stack.
 //!
 //! Exit codes: 0 = all topologies clean, 1 = failures found, 2 = usage.
 

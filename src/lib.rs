@@ -1,8 +1,6 @@
 //! Umbrella crate re-exporting the PoWiFi workspace; hosts examples/ and tests/.
 pub mod fuzz;
 pub mod golden;
-pub mod profinspect;
-pub mod traceinspect;
 
 pub use powifi_core as core;
 pub use powifi_deploy as deploy;

@@ -1,138 +1,18 @@
-//! CLI error-path contracts of the inspector binaries: `powifi-trace diff`
-//! must exit 1 (not 0) when traces differ, `validate` must name the first
-//! offending line, and `powifi-prof diff` mirrors the same exit-code
-//! discipline. These pin the exit codes CI gates rely on.
+//! `powifi-fuzz --replay` writes the same artifacts the sweeps do: a
+//! `--trace` capture and, with `--prof`, the span tree in the format of
+//! `powifi-obs prof tree`. The inspector's own exit codes are pinned in
+//! the bench crate's `tests/cli_inspectors.rs`.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-const TRACE_BIN: &str = env!("CARGO_BIN_EXE_powifi-trace");
-const PROF_BIN: &str = env!("CARGO_BIN_EXE_powifi-prof");
 const FUZZ_BIN: &str = env!("CARGO_BIN_EXE_powifi-fuzz");
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("powifi-cli-{tag}-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("create tmp dir");
     dir
-}
-
-const TRACE_A: &str = "{\"experiment\":\"demo\",\"point\":0,\"label\":\"p0\",\"seed\":7}\n\
-    {\"t\":10000,\"layer\":\"mac\",\"kind\":\"tx_end\",\"medium\":0,\"sta\":1}\n";
-const TRACE_B: &str = "{\"experiment\":\"demo\",\"point\":0,\"label\":\"p0\",\"seed\":7}\n\
-    {\"t\":10000,\"layer\":\"mac\",\"kind\":\"tx_end\",\"medium\":0,\"sta\":2}\n";
-
-#[test]
-fn trace_diff_exit_codes() {
-    let dir = tmp_dir("trace-diff");
-    let a = dir.join("a.jsonl");
-    let b = dir.join("b.jsonl");
-    fs::write(&a, TRACE_A).unwrap();
-    fs::write(&b, TRACE_B).unwrap();
-
-    let same = Command::new(TRACE_BIN)
-        .args(["diff", a.to_str().unwrap(), a.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(same.status.code(), Some(0), "identical traces must exit 0");
-
-    let differ = Command::new(TRACE_BIN)
-        .args(["diff", a.to_str().unwrap(), b.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        differ.status.code(),
-        Some(1),
-        "divergent traces must exit 1: stdout={}",
-        String::from_utf8_lossy(&differ.stdout)
-    );
-    assert!(String::from_utf8_lossy(&differ.stdout).contains("record 0 differs"));
-
-    let usage = Command::new(TRACE_BIN).arg("diff").output().unwrap();
-    assert_eq!(usage.status.code(), Some(2), "missing files must exit 2");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn trace_validate_names_the_offending_line() {
-    let dir = tmp_dir("trace-validate");
-    let good = dir.join("good.jsonl");
-    let bad = dir.join("bad.jsonl");
-    fs::write(&good, TRACE_A).unwrap();
-    // Line 3 carries an unknown kind.
-    fs::write(
-        &bad,
-        format!("{TRACE_A}{{\"t\":20000,\"layer\":\"mac\",\"kind\":\"tx_stop\",\"sta\":1}}\n"),
-    )
-    .unwrap();
-
-    let ok = Command::new(TRACE_BIN)
-        .args(["validate", good.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(ok.status.code(), Some(0));
-
-    let fail = Command::new(TRACE_BIN)
-        .args(["validate", bad.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(fail.status.code(), Some(1), "schema violations must exit 1");
-    let stderr = String::from_utf8_lossy(&fail.stderr);
-    assert!(
-        stderr.contains("line 3:") && stderr.contains("unknown event kind"),
-        "validate must name the offending line: {stderr}"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-const PROF_HEADER: &str = "{\"experiment\":\"demo\",\"point\":0,\"label\":\"p0\",\"seed\":7}";
-const PROF_SNAP_A: &str = "{\"wall\":false,\"spans\":[{\"name\":\"sim.event\",\"count\":3,\
-    \"sim_self_ns\":100,\"sim_total_ns\":100,\"sim_max_ns\":90,\"children\":[]}]}";
-const PROF_SNAP_B: &str = "{\"wall\":false,\"spans\":[{\"name\":\"sim.event\",\"count\":4,\
-    \"sim_self_ns\":100,\"sim_total_ns\":100,\"sim_max_ns\":90,\"children\":[]}]}";
-
-#[test]
-fn prof_subcommands_and_exit_codes() {
-    let dir = tmp_dir("prof");
-    let a = dir.join("a.prof.jsonl");
-    let b = dir.join("b.prof.jsonl");
-    fs::write(&a, format!("{PROF_HEADER}\n{PROF_SNAP_A}\n")).unwrap();
-    fs::write(&b, format!("{PROF_HEADER}\n{PROF_SNAP_B}\n")).unwrap();
-
-    let tree = Command::new(PROF_BIN)
-        .args(["tree", a.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(tree.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&tree.stdout).contains("sim.event count=3"));
-
-    let flame = Command::new(PROF_BIN)
-        .args(["flame", a.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(flame.status.code(), Some(0));
-    assert_eq!(String::from_utf8_lossy(&flame.stdout), "sim.event 100\n");
-
-    let same = Command::new(PROF_BIN)
-        .args(["diff", a.to_str().unwrap(), a.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(same.status.code(), Some(0));
-
-    let differ = Command::new(PROF_BIN)
-        .args(["diff", a.to_str().unwrap(), b.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        differ.status.code(),
-        Some(1),
-        "divergent profiles must exit 1"
-    );
-    assert!(String::from_utf8_lossy(&differ.stdout).contains("count 3 vs 4"));
-
-    let usage = Command::new(PROF_BIN).arg("nonsense").output().unwrap();
-    assert_eq!(usage.status.code(), Some(2));
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

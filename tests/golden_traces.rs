@@ -201,9 +201,9 @@ fn obs_traces_are_deterministic_and_schema_clean() {
         let a = powifi::golden::render_trace(sc.name);
         let b = powifi::golden::render_trace(sc.name);
         assert_eq!(a, b, "scenario {} trace differs on repeat", sc.name);
-        let parsed = powifi::traceinspect::parse(&a)
+        let parsed = powifi_bench::traceinspect::parse(&a)
             .unwrap_or_else(|e| panic!("scenario {} trace unparsable: {e}", sc.name));
-        let problems = powifi::traceinspect::validate(&parsed);
+        let problems = powifi_bench::traceinspect::validate(&parsed);
         assert!(
             problems.is_empty(),
             "scenario {} trace violates the event schema: {problems:?}",
