@@ -26,10 +26,12 @@
 //!
 //! Counts (`--deployments`, `--secs`, `--epoch-ms`, `--jobs`,
 //! `--subscribers`, `--checkpoint-every`) must be at least one; zero exits
-//! 2 with the usage line.
+//! 2 with the usage line, as does a `--secs` or `--epoch-ms` whose
+//! nanoseconds overflow a `u64`.
 
 use powifi_bench::ckpt_run::CkptPolicy;
 use powifi_bench::fleet::{serve_fleet, FleetConfig};
+use powifi_bench::runner::duration_flag;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::exit;
@@ -91,8 +93,13 @@ fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--deployments" => a.deployments = next_count(&mut it, "--deployments")? as usize,
             "--seed" => a.seed = next_num(&mut it, "--seed")?,
-            "--secs" => a.secs = next_count(&mut it, "--secs")?,
-            "--epoch-ms" => a.epoch_ms = next_count(&mut it, "--epoch-ms")?,
+            "--secs" => {
+                a.secs = duration_flag("--secs", next_count(&mut it, "--secs")?, 1_000_000_000)?;
+            }
+            "--epoch-ms" => {
+                a.epoch_ms =
+                    duration_flag("--epoch-ms", next_count(&mut it, "--epoch-ms")?, 1_000_000)?;
+            }
             "--jobs" => a.jobs = Some(next_count(&mut it, "--jobs")? as usize),
             "--subscribers" => a.subscribers = next_count(&mut it, "--subscribers")? as usize,
             "--help" | "-h" => {

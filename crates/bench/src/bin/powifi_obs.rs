@@ -23,15 +23,18 @@
 //! Every command follows one exit-code rule, so each works as a CI gate:
 //! 0 success; 1 a negative verdict on input that was read (a divergence,
 //! schema violations, a failed verify, or seq gaps under `--deny-gaps`);
-//! 2 bad arguments, or an input that cannot be opened or parsed.
+//! 2 bad arguments, an input that cannot be opened or parsed, or a stdout
+//! that refuses the output (a closed pipe, a full disk).
 
 use powifi_bench::fleet::record_stream;
 use powifi_bench::profinspect::{self, TopBy};
 use powifi_bench::replay;
+use powifi_bench::runner::duration_flag;
 use powifi_bench::traceinspect::{self, Filter};
-use powifi_sim::ckpt::{self, Checkpoint, Value};
+use powifi_sim::ckpt::{self, Checkpoint, Value, ValueExt};
 use powifi_sim::obs::agg::{AggConfig, Aggregator};
 use powifi_sim::SimDuration;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
@@ -56,7 +59,8 @@ const USAGE: &str = "usage: powifi-obs <trace|prof|ckpt|fleet> <command> [ARG...
   fleet record    ADDR FILE
   fleet aggregate FILE [--window-ms MS] [--deny-gaps]
 exit: 0 ok; 1 divergence, schema violations, failed verify, or gaps under
---deny-gaps; 2 bad arguments or an input that cannot be opened or parsed";
+--deny-gaps; 2 bad arguments, an input that cannot be opened or parsed, or
+a failed stdout write";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +69,18 @@ fn main() -> ExitCode {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        [group, cmd, rest @ ..] => run(group, cmd, rest),
+        [group, cmd, rest @ ..] => {
+            // Every command but `fleet watch` writes here, and stdout gets
+            // it in one write whose failure is an error like any other.
+            let mut out = String::new();
+            let outcome = run(group, cmd, rest, &mut out);
+            let mut stdout = io::stdout().lock();
+            stdout
+                .write_all(out.as_bytes())
+                .and_then(|()| stdout.flush())
+                .map_err(|e| format!("stdout: {e}"))
+                .and(outcome)
+        }
         _ => Err("missing command".into()),
     };
     match outcome {
@@ -170,22 +185,20 @@ fn anon(label: &str) -> &str {
     }
 }
 
-/// Print a diff's first divergence (a negative verdict) or `same`.
-fn verdict(divergence: Option<String>, same: &str) -> Result<bool, String> {
-    println!("{}", divergence.as_deref().unwrap_or(same));
+/// Write a diff's first divergence (a negative verdict) or `same`.
+fn verdict(out: &mut String, divergence: Option<String>, same: &str) -> Result<bool, String> {
+    let _ = writeln!(out, "{}", divergence.as_deref().unwrap_or(same));
     Ok(divergence.is_none())
 }
 
-/// Run one command: `Ok(true)` exits 0, `Ok(false)` 1 and `Err` 2.
-fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
+/// Run one command, writing its stdout to `out`: `Ok(true)` exits 0,
+/// `Ok(false)` 1 and `Err` 2.
+fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool, String> {
     let bare = || Args::read(argv, &[], &[]);
     match (group, cmd) {
         ("trace", "summary") => {
             let [file] = bare()?.files()?;
-            print!(
-                "{}",
-                traceinspect::summarize(&load(&file, traceinspect::parse)?)
-            );
+            out.push_str(&traceinspect::summarize(&load(&file, traceinspect::parse)?));
             Ok(true)
         }
         ("trace", "filter") => {
@@ -204,7 +217,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
             };
             for rec in load(&file, traceinspect::parse)?.records() {
                 if filter.matches(rec) {
-                    println!("{}", rec.raw);
+                    let _ = writeln!(out, "{}", rec.raw);
                 }
             }
             Ok(true)
@@ -218,13 +231,13 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                 if point.is_some_and(|want| want != pi) {
                     continue;
                 }
-                println!("point {pi} ({}):", anon(&pt.label));
+                let _ = writeln!(out, "point {pi} ({}):", anon(&pt.label));
                 let occ = traceinspect::occupancy(pt, end_ns, sta);
                 if occ.is_empty() {
-                    println!("  (no matching tx_start records)");
+                    let _ = writeln!(out, "  (no matching tx_start records)");
                 }
                 for (medium, frac) in occ {
-                    println!("  medium {medium}: {frac:.6}");
+                    let _ = writeln!(out, "  medium {medium}: {frac:.6}");
                 }
             }
             Ok(true)
@@ -236,6 +249,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                 load(&b, traceinspect::parse)?,
             );
             verdict(
+                out,
                 traceinspect::diff(&a, &b),
                 "traces are structurally identical",
             )
@@ -250,7 +264,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                 .map(|f| load(f, traceinspect::parse))
                 .collect::<Result<Vec<_>, _>>()?;
             for rec in traceinspect::merge(&traces) {
-                println!("{}", rec.raw);
+                let _ = writeln!(out, "{}", rec.raw);
             }
             Ok(true)
         }
@@ -263,7 +277,8 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
             }
             if problems.is_empty() {
                 let n: usize = trace.points.iter().map(|p| p.records.len()).sum();
-                println!(
+                let _ = writeln!(
+                    out,
                     "ok: {n} records across {} point(s) conform to the event schema",
                     trace.points.len()
                 );
@@ -286,19 +301,21 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                     continue;
                 }
                 let label = anon(&pt.label);
-                match cmd {
-                    "tree" => print!(
+                let _ = match cmd {
+                    "tree" => write!(
+                        out,
                         "point {} ({label}) seed={}\n{}",
                         pt.point,
                         pt.seed,
                         pt.snap.render_tree()
                     ),
-                    "top" => print!(
+                    "top" => write!(
+                        out,
                         "point {pi} ({label}):  [self] [total] [count]\n{}",
                         profinspect::top(pt, by, limit)
                     ),
-                    _ => print!("{}", pt.snap.render_folded()),
-                }
+                    _ => write!(out, "{}", pt.snap.render_folded()),
+                };
             }
             Ok(true)
         }
@@ -306,13 +323,14 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
             let [a, b] = bare()?.files()?;
             let (a, b) = (load(&a, profinspect::parse)?, load(&b, profinspect::parse)?);
             verdict(
+                out,
                 profinspect::diff(&a, &b),
                 "profiles are structurally identical",
             )
         }
         ("ckpt", "info") => {
             let [file] = bare()?.files()?;
-            ckpt_info(&file, &load(&file, parse_ckpt)?);
+            ckpt_info(out, &file, &load(&file, parse_ckpt)?);
             Ok(true)
         }
         ("ckpt", "verify") => {
@@ -338,7 +356,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                     Err(e) => (format!("restore OK, re-save FAILED: {e}"), false),
                 },
             };
-            println!("{file}: {msg}");
+            let _ = writeln!(out, "{file}: {msg}");
             Ok(ok)
         }
         ("ckpt", "diff") => {
@@ -347,13 +365,13 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
             let limit = a.get("--limit")?.unwrap_or(32);
             let (ca, cb) = (load(&fa, parse_ckpt)?, load(&fb, parse_ckpt)?);
             if ca.hash == cb.hash {
-                println!("identical (hash {})", ca.hash);
+                let _ = writeln!(out, "identical (hash {})", ca.hash);
                 return Ok(true);
             }
             let entries = ckpt::diff(&ca.root, &cb.root, limit);
-            println!("{} divergent field(s):", entries.len());
+            let _ = writeln!(out, "{} divergent field(s):", entries.len());
             for e in &entries {
-                println!("  {}: {} != {}", e.path, e.left, e.right);
+                let _ = writeln!(out, "  {}: {} != {}", e.path, e.left, e.right);
             }
             Ok(false)
         }
@@ -363,7 +381,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
             let limit = a.get("--limit")?.unwrap_or(32);
             let report =
                 replay::bisect(Path::new(&da), Path::new(&db), limit).map_err(|e| e.to_string())?;
-            print!("{}", replay::render_report(&report));
+            out.push_str(&replay::render_report(&report));
             Ok(report.divergence.is_none())
         }
         ("fleet", "watch") => {
@@ -384,7 +402,8 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
         ("fleet", "aggregate") => {
             let a = Args::read(argv, &["--window-ms"], &["--deny-gaps"])?;
             let [file] = a.files()?;
-            let window = SimDuration::from_millis(a.positive("--window-ms")?.unwrap_or(1000));
+            let ms = a.positive("--window-ms")?.unwrap_or(1000);
+            let window = SimDuration::from_millis(duration_flag("--window-ms", ms, 1_000_000)?);
             let agg = load(&file, |text| {
                 let mut agg = Aggregator::new(&AggConfig { window });
                 for (i, line) in text.lines().enumerate() {
@@ -393,9 +412,7 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
                 }
                 Ok(agg)
             })?;
-            io::stdout()
-                .write_all(agg.render().as_bytes())
-                .map_err(|e| format!("stdout: {e}"))?;
+            out.push_str(&agg.render());
             let session = agg.session().map_or(String::new(), |s| {
                 format!(", session {} (seed {})", s.run_id, s.seed)
             });
@@ -416,36 +433,34 @@ fn run(group: &str, cmd: &str, argv: &[String]) -> Result<bool, String> {
 
 /// `ckpt info`: the container line, the epoch, the spec's leaves and the
 /// queue's counters.
-fn ckpt_info(path: &str, c: &Checkpoint) {
+fn ckpt_info(out: &mut String, path: &str, c: &Checkpoint) {
     // A leaf renders as itself; a list or map as a size tag.
     let brief = |v: &Value| match v {
-        Value::Null => "null".into(),
-        Value::Bool(b) => b.to_string(),
-        Value::U64(n) => n.to_string(),
-        Value::F64(bits) => format!("{}", f64::from_bits(*bits)),
+        Value::Float(x) => format!("{x}"),
         Value::Str(s) => s.clone(),
-        Value::List(l) => format!("[{} items]", l.len()),
-        Value::Map(m) => format!("{{{} fields}}", m.len()),
+        Value::Array(l) => format!("[{} items]", l.len()),
+        Value::Object(m) => format!("{{{} fields}}", m.len()),
+        leaf => leaf.encode(),
     };
-    println!("file:    {path}");
-    println!("version: {}", c.version);
-    println!("hash:    {}", c.hash);
+    let _ = writeln!(out, "file:    {path}");
+    let _ = writeln!(out, "version: {}", c.version);
+    let _ = writeln!(out, "hash:    {}", c.hash);
     if let Ok(epoch) = c.root.field::<u64>("epoch") {
-        println!("epoch:   {epoch}");
+        let _ = writeln!(out, "epoch:   {epoch}");
     }
     if let Ok(fields) = c.root.get("spec").and_then(|s| s.as_map("spec")) {
         for (k, v) in fields {
-            println!("spec.{k}: {}", brief(v));
+            let _ = writeln!(out, "spec.{k}: {}", brief(v));
         }
     }
     if let Ok(q) = c.root.get("queue") {
         for k in ["now", "next_seq", "executed"] {
             if let Ok(n) = q.field::<u64>(k) {
-                println!("queue.{k}: {n}");
+                let _ = writeln!(out, "queue.{k}: {n}");
             }
         }
         if let Ok(evs) = q.list_field("events") {
-            println!("queue.events: {} pending", evs.len());
+            let _ = writeln!(out, "queue.events: {} pending", evs.len());
         }
     }
 }

@@ -23,10 +23,12 @@
 //! Inspect or bisect the chains it writes with `powifi-obs ckpt`.
 
 use powifi_bench::ckpt_run::{self, CkptPolicy};
+use powifi_bench::runner::duration_flag;
 use powifi_bench::{banner, BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
 use powifi_deploy::{OfficeConfig, OfficeSpec, TrafficSpec};
 use powifi_rf::Bitrate;
+use powifi_sim::ckpt::ValueExt;
 use powifi_sim::SimDuration;
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -164,8 +166,28 @@ struct CkptFlags {
     resume: Option<PathBuf>,
 }
 
+/// Print `msg` and the usage line, and exit 2.
+fn refuse(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    exit(2);
+}
+
+fn need(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or(format!("{flag} needs a value"))
+}
+
+/// A count of at least one.
+fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
+    let v = need(it, flag)?;
+    v.parse()
+        .ok()
+        .filter(|&n: &u64| n >= 1)
+        .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
+}
+
 /// Split our flags from the shared sweep flags (which BenchArgs parses).
-fn split_args() -> (OfficeParams, CkptFlags, Vec<String>) {
+fn split_args() -> Result<(OfficeParams, CkptFlags, Vec<String>), String> {
     let mut params = OfficeParams {
         scheme: Scheme::PoWiFi,
         traffic: TrafficSpec::Udp { rate_mbps: 10.0 },
@@ -175,103 +197,64 @@ fn split_args() -> (OfficeParams, CkptFlags, Vec<String>) {
     let mut ckpt = CkptFlags::default();
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
-    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a value");
-            eprintln!("{USAGE}");
-            exit(2);
-        })
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scheme" => {
-                let v = need(&mut it, "--scheme");
-                params.scheme = match v.as_str() {
+                params.scheme = match need(&mut it, "--scheme")?.as_str() {
                     "baseline" => Scheme::Baseline,
                     "blind_udp" => Scheme::BlindUdp,
                     "no_queue" => Scheme::NoQueue,
                     "powifi" => Scheme::PoWiFi,
                     "equal_share" => Scheme::EqualShare(Bitrate::G12),
-                    other => {
-                        eprintln!("error: unknown scheme `{other}`");
-                        eprintln!("{USAGE}");
-                        exit(2);
-                    }
+                    other => return Err(format!("unknown scheme `{other}`")),
                 };
             }
             "--traffic" => {
-                let v = need(&mut it, "--traffic");
+                let v = need(&mut it, "--traffic")?;
                 params.traffic = if v == "tcp" {
                     TrafficSpec::Tcp
                 } else if v == "none" {
                     TrafficSpec::None
                 } else if let Some(rate) = v.strip_prefix("udp:") {
-                    match rate.parse() {
-                        Ok(rate_mbps) => TrafficSpec::Udp { rate_mbps },
-                        Err(_) => {
-                            eprintln!("error: --traffic udp:RATE needs a number, got `{rate}`");
-                            exit(2);
-                        }
-                    }
+                    let rate_mbps = rate
+                        .parse()
+                        .map_err(|_| format!("--traffic udp:RATE needs a number, got `{rate}`"))?;
+                    TrafficSpec::Udp { rate_mbps }
                 } else {
-                    eprintln!("error: --traffic takes udp:RATE, tcp or none, got `{v}`");
-                    exit(2);
+                    return Err(format!("--traffic takes udp:RATE, tcp or none, got `{v}`"));
                 };
             }
             "--secs" => {
-                params.secs = need(&mut it, "--secs").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --secs needs an integer");
-                    exit(2);
-                });
+                let v = need(&mut it, "--secs")?;
+                let secs = v
+                    .parse()
+                    .map_err(|_| format!("--secs needs an integer, got `{v}`"))?;
+                params.secs = duration_flag("--secs", secs, 1_000_000_000)?;
             }
             "--epoch-ms" => {
-                let v = need(&mut it, "--epoch-ms");
-                let ms = v
-                    .parse()
-                    .ok()
-                    .filter(|&ms: &u64| ms >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --epoch-ms needs a positive integer, got `{v}`");
-                        eprintln!("{USAGE}");
-                        exit(2);
-                    });
-                params.epoch = SimDuration::from_millis(ms);
+                let ms = positive(&mut it, "--epoch-ms")?;
+                params.epoch =
+                    SimDuration::from_millis(duration_flag("--epoch-ms", ms, 1_000_000)?);
             }
-            "--checkpoint-every" => {
-                let v = need(&mut it, "--checkpoint-every");
-                let n = v.parse().ok().filter(|&n: &u64| n >= 1).unwrap_or_else(|| {
-                    eprintln!("error: --checkpoint-every needs a positive epoch count, got `{v}`");
-                    eprintln!("{USAGE}");
-                    exit(2);
-                });
-                ckpt.every = Some(n);
-            }
-            "--ckpt-dir" => ckpt.dir = Some(need(&mut it, "--ckpt-dir").into()),
-            "--resume" => ckpt.resume = Some(need(&mut it, "--resume").into()),
+            "--checkpoint-every" => ckpt.every = Some(positive(&mut it, "--checkpoint-every")?),
+            "--ckpt-dir" => ckpt.dir = Some(need(&mut it, "--ckpt-dir")?.into()),
+            "--resume" => ckpt.resume = Some(need(&mut it, "--resume")?.into()),
             other => rest.push(other.to_string()),
         }
     }
-    (params, ckpt, rest)
+    Ok((params, ckpt, rest))
 }
 
 fn main() {
-    let (params, ckpt, rest) = split_args();
-    let mut args = match BenchArgs::parse_from(rest) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            exit(2);
-        }
-    };
+    let (params, ckpt, rest) = split_args().unwrap_or_else(|e| refuse(&e));
+    let mut args = BenchArgs::parse_from(rest).unwrap_or_else(|e| refuse(&e));
     let policy = ckpt.every.map(|every| {
         let dir = ckpt
             .dir
             .clone()
             .or_else(|| args.json_dir.clone())
             .unwrap_or_else(|| {
-                eprintln!("error: --checkpoint-every needs --ckpt-dir (or --json) for the chain");
-                exit(2);
+                refuse("--checkpoint-every needs --ckpt-dir (or --json) for the chain")
             });
         CkptPolicy { dir, every }
     });

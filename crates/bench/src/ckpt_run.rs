@@ -19,7 +19,7 @@
 //! restore-then-run invariant, byte-for-byte — with an uninterrupted run's.
 
 use powifi_deploy::{checkpoint, OfficeRun, OfficeSpec};
-use powifi_sim::ckpt::{self, Ckpt};
+use powifi_sim::ckpt::{self, Ckpt, ValueExt};
 use powifi_sim::obs::stream;
 use std::fs;
 use std::io;
@@ -144,7 +144,10 @@ pub fn start_or_resume(
             let Ok(c) = ckpt::load(&bytes) else {
                 continue; // torn/corrupt: fall back to the previous file
             };
-            if c.root.get("spec").is_ok_and(|found| *found != want) {
+            if c.root
+                .get("spec")
+                .is_ok_and(|found| !ckpt::diff(found, &want, 1).is_empty())
+            {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(

@@ -212,7 +212,7 @@ pub fn render_report(r: &BisectReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powifi_sim::ckpt::Value;
+    use powifi_sim::ckpt::{Value, ValueExt};
 
     fn write_ckpt(dir: &Path, epoch: u64, v: &Value) {
         fs::create_dir_all(dir).unwrap();
@@ -221,8 +221,8 @@ mod tests {
 
     fn state(epoch: u64, x: u64) -> Value {
         Value::map()
-            .field("epoch", Value::U64(epoch))
-            .field("x", Value::U64(x))
+            .field("epoch", Value::UInt(epoch))
+            .field("x", Value::UInt(x))
             .build()
     }
 

@@ -97,6 +97,14 @@ impl Default for BenchArgs {
     }
 }
 
+/// `n`, the value of the duration flag `flag` in units of `unit_ns`
+/// nanoseconds, when its nanoseconds fit in a `u64`; otherwise an error.
+pub fn duration_flag(flag: &str, n: u64, unit_ns: u64) -> Result<u64, String> {
+    n.checked_mul(unit_ns)
+        .map(|_| n)
+        .ok_or(format!("{flag} {n} overflows 64-bit nanoseconds"))
+}
+
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

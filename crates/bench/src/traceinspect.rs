@@ -218,7 +218,7 @@ const SCHEMA: &[KindSchema] = &[
             ("sta", FieldTy::U),
             ("frame", FieldTy::S),
             ("bytes", FieldTy::U),
-            ("rate_mbps", FieldTy::F),
+            ("rate_mbps", FieldTy::Rate),
             ("collided", FieldTy::B),
         ],
     ),
@@ -323,6 +323,8 @@ enum FieldTy {
     S,
     /// Boolean.
     B,
+    /// A finite positive number: a rate a frame can be sent at.
+    Rate,
 }
 
 fn type_ok(ty: FieldTy, v: &Value) -> bool {
@@ -334,12 +336,18 @@ fn type_ok(ty: FieldTy, v: &Value) -> bool {
         ),
         FieldTy::S => matches!(v, Value::Str(_)),
         FieldTy::B => matches!(v, Value::Bool(_)),
+        FieldTy::Rate => match *v {
+            Value::Float(x) => x.is_finite() && x > 0.0,
+            Value::UInt(n) => n > 0,
+            _ => false,
+        },
     }
 }
 
 /// Validate every record against the event schema. Returns one message per
 /// problem (empty = clean): unknown kinds, wrong layer, missing/extra
-/// fields, wrong field types.
+/// fields, wrong field types, and a `rate_mbps` that is not finite and
+/// positive (`occupancy` skips such a frame).
 pub fn validate(trace: &ParsedTrace) -> Vec<String> {
     let mut problems = Vec::new();
     for (pi, point) in trace.points.iter().enumerate() {
@@ -355,9 +363,10 @@ pub fn validate(trace: &ParsedTrace) -> Vec<String> {
             for (name, ty) in *fields {
                 match rec.field(name) {
                     None => problems.push(format!("{loc}: missing field `{name}`")),
-                    Some(v) if !type_ok(*ty, v) => {
-                        problems.push(format!("{loc}: field `{name}` has wrong type"))
-                    }
+                    Some(v) if !type_ok(*ty, v) => problems.push(match ty {
+                        FieldTy::Rate => format!("{loc}: field `{name}` is not a positive rate"),
+                        _ => format!("{loc}: field `{name}` has wrong type"),
+                    }),
                     Some(_) => {}
                 }
             }

@@ -8,7 +8,7 @@
 //! `tests/cli_inspectors.rs` covers `powifi-fuzz --replay`'s artifacts.)
 
 use powifi_bench::ckpt_run::chain_path;
-use powifi_sim::ckpt::{self, Value};
+use powifi_sim::ckpt::{self, Value, ValueExt};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,8 +21,10 @@ enum Says {
     StdoutIs(&'static str),
     /// Somewhere in stderr.
     Stderr(&'static str),
+    /// Somewhere in stderr, with stdout on `/dev/full`.
+    StderrFull(&'static str),
 }
-use Says::{Stderr, Stdout, StdoutIs};
+use Says::{Stderr, StderrFull, Stdout, StdoutIs};
 
 /// Arguments, expected exit code, and what the command must say.
 type Row<'a> = (Vec<&'a str>, i32, Says);
@@ -30,10 +32,11 @@ type Row<'a> = (Vec<&'a str>, i32, Says);
 /// Run `powifi-obs` on each row and hold it to the row's code and fragment.
 fn check(rows: &[Row]) {
     for (args, code, says) in rows {
-        let out = Command::new(env!("CARGO_BIN_EXE_powifi-obs"))
-            .args(args)
-            .output()
-            .expect("spawn powifi-obs");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_powifi-obs"));
+        if let StderrFull(_) = says {
+            cmd.stdout(fs::File::create("/dev/full").unwrap());
+        }
+        let out = cmd.args(args).output().expect("spawn powifi-obs");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         let context = format!("{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
@@ -41,7 +44,7 @@ fn check(rows: &[Row]) {
         let said = match says {
             Stdout(f) => stdout.contains(f),
             StdoutIs(f) => stdout == *f,
-            Stderr(f) => stderr.contains(f),
+            Stderr(f) | StderrFull(f) => stderr.contains(f),
         };
         assert!(said, "{context}");
         if *code == 2 {
@@ -98,6 +101,15 @@ const PROF_SNAP_B: &str = "{\"wall\":false,\"spans\":[{\"name\":\"sim.event\",\"
 const FLEET_HEADER: &str =
     "{\"powifi_stream\":1,\"run_id\":\"fleet-7\",\"seed\":7,\"git_sha\":\"x\"}\n";
 
+/// A one-frame trace whose `tx_start` sends at `rate`.
+fn trace_at_rate(rate: &str) -> String {
+    format!(
+        "{{\"experiment\":\"demo\",\"point\":0,\"label\":\"p0\",\"seed\":7}}\n\
+         {{\"t\":10000,\"layer\":\"mac\",\"kind\":\"tx_start\",\"medium\":0,\"sta\":1,\
+         \"frame\":\"power\",\"bytes\":1536,\"rate_mbps\":{rate},\"collided\":false}}\n"
+    )
+}
+
 /// One `progress` record of deployment `d0`.
 fn fleet_record(seq: u64, t_ms: u64) -> String {
     format!(
@@ -111,8 +123,8 @@ fn fleet_record(seq: u64, t_ms: u64) -> String {
 fn state(epoch: u64, x: u64) -> Vec<u8> {
     ckpt::save(
         &Value::map()
-            .field("epoch", Value::U64(epoch))
-            .field("x", Value::U64(x))
+            .field("epoch", Value::UInt(epoch))
+            .field("x", Value::UInt(x))
             .build(),
     )
 }
@@ -161,6 +173,13 @@ fn trace_validate_names_the_offending_line() {
     let s = Scratch::new("trace-validate");
     let good = s.file("good.trace.jsonl", TRACE_A.as_bytes());
     let bad = s.file("bad.trace.jsonl", TRACE_BAD_KIND.as_bytes());
+    let rate = |name, rate| s.file(name, trace_at_rate(rate).as_bytes());
+    let (zero, negative, null) = (
+        rate("zero.trace.jsonl", "0"),
+        rate("negative.trace.jsonl", "-6.5"),
+        rate("null.trace.jsonl", "null"),
+    );
+    let no_rate = "line 2: point 0 record 0 (tx_start): field `rate_mbps` is not a positive rate";
     check(&[
         (
             vec!["trace", "validate", &good],
@@ -172,6 +191,9 @@ fn trace_validate_names_the_offending_line() {
             1,
             Stderr("line 3: point 0 record 1 (tx_stop): unknown event kind"),
         ),
+        (vec!["trace", "validate", &zero], 1, Stderr(no_rate)),
+        (vec!["trace", "validate", &negative], 1, Stderr(no_rate)),
+        (vec!["trace", "validate", &null], 1, Stderr(no_rate)),
     ]);
 }
 
@@ -188,6 +210,11 @@ fn trace_unreadable_input_or_unknown_command_exits_2() {
             Stderr("torn.trace.jsonl: line 2:"),
         ),
         (vec!["trace", "summary", &missing], 2, Stderr("cannot read")),
+        (
+            vec!["trace", "filter", &a],
+            2,
+            StderrFull("error: stdout: "),
+        ),
         (
             vec!["trace", "frobnicate", &a],
             2,
@@ -349,6 +376,17 @@ fn fleet_aggregate_exit_codes() {
             vec!["fleet", "aggregate", &ok, "--window-ms", "0"],
             2,
             Stderr("--window-ms needs a positive count"),
+        ),
+        (
+            vec![
+                "fleet",
+                "aggregate",
+                &ok,
+                "--window-ms",
+                "18446744073709551615",
+            ],
+            2,
+            Stderr("--window-ms 18446744073709551615 overflows 64-bit nanoseconds"),
         ),
         (
             vec!["fleet", "replay", &ok],

@@ -1,14 +1,18 @@
-//! Hostile input for the trace and prof readers. Starting from a runner
-//! capture (fig05's first quick-mode point at seed 0), each reader is fed
-//! every truncation of each line, and every line with one field's value,
-//! at any depth, replaced by a value of each other JSON type. A reader may
-//! accept a mutant or refuse it with an error naming the mutated line; it
-//! may never panic, and neither may the inspector's views of what it
-//! accepts. A sim-only snapshot line must also read back to an equal
-//! `ProfSnapshot`.
+//! Hostile input for the trace, prof and stream readers. Starting from a
+//! runner capture (fig05's first quick-mode point at seed 0) and an
+//! in-process fleet capture, each reader is fed every truncation of each
+//! line, and every line with one field's value, at any depth, replaced by
+//! a value of each other JSON type, and each number by `u64::MAX` and by
+//! `1e300`. A reader may accept a mutant or refuse it with an error naming
+//! the mutated line; it may never panic, and neither may the inspector's
+//! views of what it accepts. A sim-only snapshot line must also read back
+//! to an equal `ProfSnapshot`.
 
+use powifi_bench::fleet::{fleet_session, run_fleet, FleetConfig};
 use powifi_bench::profinspect::{self, TopBy};
 use powifi_bench::traceinspect;
+use powifi_sim::obs::agg::{aggregate_capture, AggConfig};
+use powifi_sim::obs::stream::Egress;
 use serde::Value;
 use std::collections::BTreeSet;
 use std::fs;
@@ -29,7 +33,7 @@ fn every_type() -> [Value; 8] {
 }
 
 /// Every copy of `v` with one object field, at any depth, set to a value
-/// of another type.
+/// of another type, or a number set to one too large for its reader.
 fn retyped(v: &Value) -> Vec<Value> {
     let mut out = Vec::new();
     match v {
@@ -38,7 +42,11 @@ fn retyped(v: &Value) -> Vec<Value> {
                 let alts = every_type()
                     .into_iter()
                     .filter(|alt| std::mem::discriminant(alt) != std::mem::discriminant(fv));
-                for alt in alts.chain(retyped(fv)) {
+                let number = matches!(fv, Value::UInt(_) | Value::Int(_) | Value::Float(_));
+                let huge = [Value::UInt(u64::MAX), Value::Float(1e300)]
+                    .into_iter()
+                    .filter(|_| number);
+                for alt in alts.chain(huge).chain(retyped(fv)) {
                     let mut m = fields.clone();
                     m[i].1 = alt;
                     out.push(Value::Object(m));
@@ -178,4 +186,52 @@ fn readers_refuse_or_accept_every_mutant_without_panicking() {
         Ok(snap)
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn aggregator_refuses_or_accepts_every_mutant_without_panicking() {
+    // Two deployments, 2 sim-seconds, kept whole in a queue larger than
+    // the capture.
+    let cfg = FleetConfig::default_fleet(2, 42, 2);
+    let egress = Egress::new(1 << 16);
+    egress.push_raw(&fleet_session(cfg.seed).header_line());
+    run_fleet(&egress, &cfg);
+    egress.close();
+    assert_eq!(egress.dropped(), 0);
+    let mut capture = Vec::new();
+    while let Some(line) = egress.pop_wait() {
+        capture.push(line);
+    }
+
+    // The header, then the first record of each kind from each deployment.
+    let mut seen = BTreeSet::new();
+    let lines: Vec<String> = capture
+        .into_iter()
+        .enumerate()
+        .filter(|(i, l)| {
+            let v = serde_json::from_str(l).expect("capture line is JSON");
+            let Value::Object(fields) = v else {
+                return false;
+            };
+            let key: Vec<String> = fields
+                .into_iter()
+                .filter(|(k, _)| k == "deployment" || k == "kind")
+                .map(|(_, v)| serde_json::to_string(&v).unwrap())
+                .collect();
+            *i == 0 || seen.insert(key)
+        })
+        .map(|(_, l)| l)
+        .collect();
+    assert!(lines.len() >= 5, "too few records: {lines:?}");
+
+    let cases = hammer(
+        &lines,
+        |text| aggregate_capture(text, &AggConfig::default()),
+        |rows| {
+            for row in rows.lines() {
+                assert!(serde_json::from_str(row).is_ok(), "{row}");
+            }
+        },
+    );
+    assert!(cases > 1_000);
 }

@@ -45,21 +45,21 @@ fn tmp(tag: &str) -> PathBuf {
 
 /// Flip the lowest bit of the `queue/executed` counter in a state tree.
 fn flip_executed_bit(root: &mut Value) {
-    let Value::Map(fields) = root else {
+    let Value::Object(fields) = root else {
         panic!("checkpoint root must be a map");
     };
     let (_, queue) = fields
         .iter_mut()
         .find(|(k, _)| k == "queue")
         .expect("state tree has a queue subtree");
-    let Value::Map(qf) = queue else {
+    let Value::Object(qf) = queue else {
         panic!("queue must be a map");
     };
     let (_, executed) = qf
         .iter_mut()
         .find(|(k, _)| k == "executed")
         .expect("queue has an executed counter");
-    let Value::U64(n) = executed else {
+    let Value::UInt(n) = executed else {
         panic!("executed must be a u64 leaf");
     };
     *n ^= 1;

@@ -1,7 +1,8 @@
 //! A count of zero is refused, not raised to one: `powifi-fleetd` and
 //! `powifi-office` exit 2 with the usage line on every count flag set to
-//! zero, as the sweep binaries already do for `--jobs 0`. (The
-//! inspector's `--window-ms 0` row is in `cli_inspectors.rs`.)
+//! zero, as the sweep binaries already do for `--jobs 0`. So is a
+//! duration whose nanoseconds overflow a `u64`. (The inspector's
+//! `--window-ms` rows are in `cli_inspectors.rs`.)
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -34,17 +35,26 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     (code, stderr)
 }
 
-/// Each row sets one count flag to zero; every one must exit 2 with the
-/// usage line and name the flag.
-fn assert_refused(bin: &str, usage: &str, base: &[&str], flags: &[&str]) {
-    for flag in flags {
-        let args: Vec<&str> = base.iter().copied().chain([*flag, "0"]).collect();
-        let (code, stderr) = run(bin, &args);
-        assert_eq!(code, Some(2), "{args:?}: stderr:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} needs a positive integer")) && stderr.contains(usage),
-            "{args:?}: stderr:\n{stderr}"
-        );
+const MAX: &str = "18446744073709551615";
+
+/// Each row sets one flag to each of its values; every one must exit 2
+/// with the usage line and say why: zero is not a positive integer, and
+/// `u64::MAX` overflows a duration's nanoseconds.
+fn assert_refused(bin: &str, usage: &str, base: &[&str], rows: &[(&str, &[&str])]) {
+    for (flag, values) in rows {
+        for value in *values {
+            let args: Vec<&str> = base.iter().copied().chain([*flag, *value]).collect();
+            let (code, stderr) = run(bin, &args);
+            assert_eq!(code, Some(2), "{args:?}: stderr:\n{stderr}");
+            let why = match *value {
+                "0" => format!("{flag} needs a positive integer"),
+                _ => format!("{flag} {value} overflows 64-bit nanoseconds"),
+            };
+            assert!(
+                stderr.contains(&why) && stderr.contains(usage),
+                "{args:?}: stderr:\n{stderr}"
+            );
+        }
     }
 }
 
@@ -55,12 +65,12 @@ fn fleetd_refuses_zero_counts() {
         "usage: powifi-fleetd",
         &["--listen", "127.0.0.1:0"],
         &[
-            "--checkpoint-every",
-            "--deployments",
-            "--secs",
-            "--epoch-ms",
-            "--jobs",
-            "--subscribers",
+            ("--checkpoint-every", &["0"]),
+            ("--deployments", &["0"]),
+            ("--secs", &["0", MAX]),
+            ("--epoch-ms", &["0", MAX]),
+            ("--jobs", &["0"]),
+            ("--subscribers", &["0"]),
         ],
     );
 }
@@ -71,6 +81,6 @@ fn office_refuses_zero_counts() {
         env!("CARGO_BIN_EXE_powifi-office"),
         "usage: powifi-office",
         &["--secs", "1", "--jobs", "1"],
-        &["--epoch-ms"],
+        &[("--epoch-ms", &["0", MAX]), ("--secs", &[MAX])],
     );
 }

@@ -14,7 +14,7 @@ use crate::injector::InjectorSt;
 use crate::Scheme;
 use powifi_mac::StationId;
 use powifi_rf::Bitrate;
-use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+use powifi_sim::ckpt::{Ckpt, CkptError, Value, ValueExt};
 
 /// A string: `baseline`, `blind_udp`, `no_queue`, `powifi`, or
 /// `equal_share:<rate>`.

@@ -76,7 +76,9 @@ pub enum CoreEvent {
 
 /// Route a [`CoreEvent`] to its handler. Worlds call this from their
 /// [`powifi_sim::Dispatch`] impl for the power-machinery share of the
-/// composed enum.
+/// composed enum. Inlined into the world's dispatch (the injector tick is
+/// half of a home day's events) wherever the codegen units fall.
+#[inline]
 pub fn dispatch_core<W>(w: &mut W, q: &mut Queue<W>, ev: CoreEvent)
 where
     W: MacWorld,

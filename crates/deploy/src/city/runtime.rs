@@ -456,24 +456,24 @@ fn shard_outcome(shard: &Shard) -> ShardOutcome {
 /// `(shard, epoch)` localizes a divergence to one shard and one epoch. Only
 /// computed when a stream handle is installed; purely observational.
 fn shard_state_hash(sh: &Shard) -> String {
-    use powifi_sim::ckpt::{self, Value};
+    use powifi_sim::ckpt::{self, Value, ValueExt};
     let (now, next_seq, executed) = sh.q.ckpt_counters();
     let v = Value::map()
         .field(
             "queue",
             Value::map()
-                .field("now", Value::U64(now))
-                .field("next_seq", Value::U64(next_seq))
-                .field("executed", Value::U64(executed))
+                .field("now", Value::UInt(now))
+                .field("next_seq", Value::UInt(next_seq))
+                .field("executed", Value::UInt(executed))
                 .build(),
         )
         .field("mac", powifi_mac::ckpt::save_mac(&sh.world.mac))
         .field(
             "harvested",
-            Value::List(
+            Value::Array(
                 sh.harvesters
                     .iter()
-                    .map(|h| Value::f64(h.harvested.0))
+                    .map(|h| Value::Float(h.harvested.0))
                     .collect(),
             ),
         )

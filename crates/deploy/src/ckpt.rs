@@ -40,7 +40,7 @@ use powifi_mac::{Mac, MacEvent, MediumId, Queue, RateController, StationId};
 use powifi_net::ckpt::{restore_net, save_net};
 use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, Flow, NetEvent};
 use powifi_rf::Bitrate;
-use powifi_sim::ckpt::{self, Ckpt, CkptError, Value};
+use powifi_sim::ckpt::{self, Ckpt, CkptError, Value, ValueExt};
 use powifi_sim::ckpt_struct;
 use powifi_sim::obs::metrics::{self, MetricsSnapshot};
 use powifi_sim::{SimDuration, SimTime};
@@ -550,7 +550,7 @@ pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
                 .put("now", &now)
                 .put("next_seq", &next_seq)
                 .put("executed", &executed)
-                .field("events", Value::List(events))
+                .field("events", Value::Array(events))
                 .build(),
         )
         .field("mac", save_mac(&run.w.mac))
@@ -736,7 +736,7 @@ mod tests {
     /// `v[key]` of a map value, mutably.
     fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
         match v {
-            Value::Map(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
             other => panic!("{key}: not a map: {other:?}"),
         }
     }
@@ -756,14 +756,14 @@ mod tests {
         let ev1 = q.list_field("events").unwrap()[1].get("ev").unwrap();
         assert_eq!(ev1.str_field("kind"), Ok("tx_end"));
         let edits: [(&[&str], Value); 4] = [
-            (&["t"], Value::U64(now - 1)),
-            (&["seq"], Value::U64(next_seq)),
-            (&["ev", "medium"], Value::U64(1 << 32)),
-            (&["ev", "medium"], Value::U64(7)),
+            (&["t"], Value::UInt(now - 1)),
+            (&["seq"], Value::UInt(next_seq)),
+            (&["ev", "medium"], Value::UInt(1 << 32)),
+            (&["ev", "medium"], Value::UInt(7)),
         ];
         for (path, bad) in edits {
             let mut tree = root.clone();
-            let Value::List(events) = field_mut(field_mut(&mut tree, "queue"), "events") else {
+            let Value::Array(events) = field_mut(field_mut(&mut tree, "queue"), "events") else {
                 panic!("queue.events is not a list");
             };
             let slot = path.iter().fold(&mut events[1], |v, key| field_mut(v, key));
@@ -785,8 +785,8 @@ mod tests {
                 *slot = bad.clone();
                 1
             }
-            (Value::List(items), _) => items.iter_mut().map(|x| set_all(x, path, bad)).sum(),
-            (Value::Map(fields), [key, rest @ ..]) => fields
+            (Value::Array(items), _) => items.iter_mut().map(|x| set_all(x, path, bad)).sum(),
+            (Value::Object(fields), [key, rest @ ..]) => fields
                 .iter_mut()
                 .filter(|(k, _)| k == key)
                 .map(|(_, x)| set_all(x, rest, bad))
@@ -806,13 +806,13 @@ mod tests {
         run.step_epoch();
         let root = save_office(&run).unwrap();
         let edits: [(&[&str], Value); 7] = [
-            (&["mac", "stations", "medium"], Value::U64(7)),
-            (&["spec", "cfg", "monitor_bin"], Value::U64(0)),
-            (&["mac", "mediums", "monitor", "bin"], Value::U64(0)),
-            (&["mac", "stations", "rate_ctl", "best"], Value::U64(8)),
-            (&["mac", "stations", "rate_ctl", "probing"], Value::U64(8)),
-            (&["mac", "mediums", "in_flight", "class"], Value::U64(2)),
-            (&["mac", "stations", "rr"], Value::U64(2)),
+            (&["mac", "stations", "medium"], Value::UInt(7)),
+            (&["spec", "cfg", "monitor_bin"], Value::UInt(0)),
+            (&["mac", "mediums", "monitor", "bin"], Value::UInt(0)),
+            (&["mac", "stations", "rate_ctl", "best"], Value::UInt(8)),
+            (&["mac", "stations", "rate_ctl", "probing"], Value::UInt(8)),
+            (&["mac", "mediums", "in_flight", "class"], Value::UInt(2)),
+            (&["mac", "stations", "rr"], Value::UInt(2)),
         ];
         for (path, bad) in edits {
             let mut tree = root.clone();

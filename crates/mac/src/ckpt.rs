@@ -18,7 +18,7 @@ use crate::trace::{FrameRecord, FrameTrace};
 use crate::world::{
     Contender, InFlight, Link, Mac, Medium, StaState, Station, QUEUE_CLASSES, UNSET_LINK_SNR,
 };
-use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+use powifi_sim::ckpt::{Ckpt, CkptError, Value, ValueExt};
 use powifi_sim::{ckpt_names, ckpt_newtype, ckpt_struct, Db, SimRng};
 
 ckpt_newtype!(StationId, MediumId);
@@ -285,7 +285,7 @@ pub fn save_mac(mac: &Mac) -> Value {
         .put("links", &links)
         .put("stations", &mac.stations)
         .put("mediums", &mac.mediums)
-        .field("faders", Value::List(faders))
+        .field("faders", Value::Array(faders))
         .build()
 }
 

@@ -10,7 +10,7 @@
 use crate::state::{Flow, NetState};
 use crate::tcp::TcpFlow;
 use crate::udp::UdpFlowState;
-use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+use powifi_sim::ckpt::{Ckpt, CkptError, Value, ValueExt};
 use powifi_sim::ckpt_struct;
 
 ckpt_struct!(UdpFlowState as "udp" {

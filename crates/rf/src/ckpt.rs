@@ -20,7 +20,7 @@ powifi_sim::ckpt_names!(Bitrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powifi_sim::ckpt::{Ckpt, CkptError, Value};
+    use powifi_sim::ckpt::{Ckpt, CkptError, Value, ValueExt};
 
     #[test]
     fn bitrate_names_roundtrip() {

@@ -2,10 +2,10 @@
 //! `--checkpoint-every`, `--resume` and the `powifi-obs ckpt` inspector.
 //!
 //! A checkpoint is a self-describing [`Value`] tree rendered to a single
-//! canonical byte string: map keys in insertion order (producers emit a
-//! fixed field order), `f64` stored as raw bit patterns (`f<16 hex>`), no
-//! whitespace. Canonical rendering gives the two properties the
-//! observatory is built on:
+//! canonical byte string, the exact form of the vendored `serde_json`: map
+//! keys in insertion order (producers emit a fixed field order), `f64`
+//! stored as raw bit patterns (`f<16 hex>`), no whitespace. Canonical
+//! rendering gives the two properties the observatory is built on:
 //!
 //! * **byte-identity** — two runs in the same state produce the same
 //!   bytes, in debug and release, at any `--jobs` level, so goldens can
@@ -33,7 +33,6 @@
 //! `ckpt` state struct in the workspace.
 
 use crate::obs::metrics::{HistogramSummary, MetricsSnapshot};
-use crate::obs::push_json_str;
 use crate::units::{Db, Joules, Seconds};
 use crate::{BinnedThroughput, EventHandle, PowerEnvelope, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -118,47 +117,62 @@ impl CkptError {
     }
 }
 
-/// A node of the self-describing state tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Absent optional state (`Option::None`).
-    Null,
-    /// Boolean flag.
-    Bool(bool),
-    /// Unsigned integer (times, seqs, counters, indices).
-    U64(u64),
-    /// An `f64` carried as its raw bit pattern, so rendering is exact and
-    /// NaN/-0.0 round-trip.
-    F64(u64),
-    /// UTF-8 string (labels, enum discriminants).
-    Str(String),
-    /// Ordered sequence.
-    List(Vec<Value>),
-    /// Ordered key–value map. Producers emit a fixed field order; keys are
-    /// not sorted, so order is part of the canonical form.
-    Map(Vec<(String, Value)>),
+/// A node of the self-describing state tree: the vendored `serde` value,
+/// the workspace's one JSON tree. A checkpoint uses `UInt` for times, seqs,
+/// counters and indices and never `Int`; its `Float`s render as their bit
+/// pattern, so NaN payloads and -0.0 round-trip; an `Object` keeps the
+/// fixed field order its producer emits, which is part of the canonical
+/// form.
+pub use serde::Value;
+
+/// The checkpoint accessors of [`Value`]: each names the field path in the
+/// [`CkptError`] it returns.
+pub trait ValueExt {
+    /// Wrap a string-ish.
+    fn str(s: impl Into<String>) -> Value;
+    /// Start an (ordered) map builder.
+    fn map() -> MapBuilder;
+    /// Look up `key` in a map value.
+    fn get(&self, key: &str) -> Result<&Value, CkptError>;
+    /// The value as `u64`.
+    fn as_u64(&self, path: &str) -> Result<u64, CkptError>;
+    /// The value as `f64`.
+    fn as_f64(&self, path: &str) -> Result<f64, CkptError>;
+    /// The value as `bool`.
+    fn as_bool(&self, path: &str) -> Result<bool, CkptError>;
+    /// The value as `&str`.
+    fn as_str(&self, path: &str) -> Result<&str, CkptError>;
+    /// The value as a list slice.
+    fn as_list(&self, path: &str) -> Result<&[Value], CkptError>;
+    /// The value as a map's `(key, value)` slice.
+    fn as_map(&self, path: &str) -> Result<&[(String, Value)], CkptError>;
+    /// `None` for `Null`, else `Some(self)`.
+    fn as_opt(&self) -> Option<&Value>;
+    /// Decode the field `key` of a map value as a `T`.
+    fn field<T: Ckpt>(&self, key: &str) -> Result<T, CkptError>;
+    /// Convenience: `get` then `as_str`.
+    fn str_field(&self, key: &str) -> Result<&str, CkptError>;
+    /// Convenience: `get` then `as_list`.
+    fn list_field(&self, key: &str) -> Result<&[Value], CkptError>;
+    /// Render the canonical byte form.
+    fn encode(&self) -> String;
+    /// Human-oriented rendering of a leaf for diff output: floats shown as
+    /// decimal, everything else as its canonical form.
+    fn display_leaf(&self) -> String;
 }
 
-impl Value {
-    /// Wrap an `f64` by bit pattern.
-    pub fn f64(v: f64) -> Value {
-        Value::F64(v.to_bits())
-    }
-
-    /// Wrap a string-ish.
-    pub fn str(s: impl Into<String>) -> Value {
+impl ValueExt for Value {
+    fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
     }
 
-    /// Start an (ordered) map builder.
-    pub fn map() -> MapBuilder {
+    fn map() -> MapBuilder {
         MapBuilder(Vec::new())
     }
 
-    /// Look up `key` in a map value.
-    pub fn get(&self, key: &str) -> Result<&Value, CkptError> {
+    fn get(&self, key: &str) -> Result<&Value, CkptError> {
         match self {
-            Value::Map(fields) => fields
+            Value::Object(fields) => fields
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v)
@@ -167,127 +181,74 @@ impl Value {
         }
     }
 
-    /// The value as `u64`.
-    pub fn as_u64(&self, path: &str) -> Result<u64, CkptError> {
+    fn as_u64(&self, path: &str) -> Result<u64, CkptError> {
         match self {
-            Value::U64(v) => Ok(*v),
+            Value::UInt(v) => Ok(*v),
             _ => Err(CkptError::field(path, "expected u64")),
         }
     }
 
-    /// The value as `f64` (decoded from its bit pattern).
-    pub fn as_f64(&self, path: &str) -> Result<f64, CkptError> {
+    fn as_f64(&self, path: &str) -> Result<f64, CkptError> {
         match self {
-            Value::F64(bits) => Ok(f64::from_bits(*bits)),
+            Value::Float(v) => Ok(*v),
             _ => Err(CkptError::field(path, "expected f64")),
         }
     }
 
-    /// The value as `bool`.
-    pub fn as_bool(&self, path: &str) -> Result<bool, CkptError> {
+    fn as_bool(&self, path: &str) -> Result<bool, CkptError> {
         match self {
             Value::Bool(v) => Ok(*v),
             _ => Err(CkptError::field(path, "expected bool")),
         }
     }
 
-    /// The value as `&str`.
-    pub fn as_str(&self, path: &str) -> Result<&str, CkptError> {
+    fn as_str(&self, path: &str) -> Result<&str, CkptError> {
         match self {
             Value::Str(s) => Ok(s),
             _ => Err(CkptError::field(path, "expected string")),
         }
     }
 
-    /// The value as a list slice.
-    pub fn as_list(&self, path: &str) -> Result<&[Value], CkptError> {
+    fn as_list(&self, path: &str) -> Result<&[Value], CkptError> {
         match self {
-            Value::List(items) => Ok(items),
+            Value::Array(items) => Ok(items),
             _ => Err(CkptError::field(path, "expected list")),
         }
     }
 
-    /// The value as a map's `(key, value)` slice.
-    pub fn as_map(&self, path: &str) -> Result<&[(String, Value)], CkptError> {
+    fn as_map(&self, path: &str) -> Result<&[(String, Value)], CkptError> {
         match self {
-            Value::Map(fields) => Ok(fields),
+            Value::Object(fields) => Ok(fields),
             _ => Err(CkptError::field(path, "expected map")),
         }
     }
 
-    /// `None` for `Null`, else `Some(self)`.
-    pub fn as_opt(&self) -> Option<&Value> {
+    fn as_opt(&self) -> Option<&Value> {
         match self {
             Value::Null => None,
             v => Some(v),
         }
     }
 
-    /// Decode the field `key` of a map value as a `T`.
-    pub fn field<T: Ckpt>(&self, key: &str) -> Result<T, CkptError> {
+    fn field<T: Ckpt>(&self, key: &str) -> Result<T, CkptError> {
         T::from_ckpt(self.get(key)?, key)
     }
 
-    /// Convenience: `get` then `as_str`.
-    pub fn str_field(&self, key: &str) -> Result<&str, CkptError> {
+    fn str_field(&self, key: &str) -> Result<&str, CkptError> {
         self.get(key)?.as_str(key)
     }
 
-    /// Convenience: `get` then `as_list`.
-    pub fn list_field(&self, key: &str) -> Result<&[Value], CkptError> {
+    fn list_field(&self, key: &str) -> Result<&[Value], CkptError> {
         self.get(key)?.as_list(key)
     }
 
-    /// Render the canonical byte form.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
+    fn encode(&self) -> String {
+        serde_json::to_string_exact(self)
     }
 
-    fn encode_into(&self, out: &mut String) {
+    fn display_leaf(&self) -> String {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(bits) => {
-                let _ = write!(out, "f{bits:016x}");
-            }
-            Value::Str(s) => push_json_str(out, s),
-            Value::List(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.encode_into(out);
-                }
-                out.push(']');
-            }
-            Value::Map(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(out, k);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Human-oriented rendering of a leaf for diff output: floats shown as
-    /// decimal (with the bit pattern when the decimal is lossy-looking),
-    /// everything else as its canonical form.
-    pub fn display_leaf(&self) -> String {
-        match self {
-            Value::F64(bits) => format!("{:?}", f64::from_bits(*bits)),
+            Value::Float(x) => format!("{x:?}"),
             v => v.encode(),
         }
     }
@@ -311,7 +272,7 @@ impl MapBuilder {
 
     /// Finish the map.
     pub fn build(self) -> Value {
-        Value::Map(self.0)
+        Value::Object(self.0)
     }
 }
 
@@ -333,7 +294,7 @@ pub trait Ckpt: Sized {
 /// the tag.
 ///
 /// ```
-/// # use powifi_sim::ckpt::{Ckpt, Value};
+/// # use powifi_sim::ckpt::{Ckpt, ValueExt};
 /// struct Span { start: u64, len: u32 }
 /// powifi_sim::ckpt_struct!(Span { start, len });
 /// let v = Span { start: 7, len: 2 }.to_ckpt();
@@ -346,8 +307,8 @@ macro_rules! ckpt_struct {
         $(reset { $($memo:ident: $init:expr),+ $(,)? })?) => {
         impl $crate::ckpt::Ckpt for $ty {
             fn to_ckpt(&self) -> $crate::ckpt::Value {
-                $crate::ckpt::Value::map()
-                    $(.field("kind", $crate::ckpt::Value::str($tag)))?
+                $crate::ckpt::MapBuilder::default()
+                    $(.field("kind", $crate::ckpt::Value::Str($tag.into())))?
                     $(.put(stringify!($field), &self.$field))+
                     .build()
             }
@@ -356,7 +317,7 @@ macro_rules! ckpt_struct {
                 _path: &str,
             ) -> Result<Self, $crate::ckpt::CkptError> {
                 Ok($ty {
-                    $($field: v.field(stringify!($field))?,)+
+                    $($field: $crate::ckpt::ValueExt::field(v, stringify!($field))?,)+
                     $($($memo: $init,)+)?
                 })
             }
@@ -379,13 +340,13 @@ macro_rules! ckpt_names {
         }
         impl $crate::ckpt::Ckpt for $ty {
             fn to_ckpt(&self) -> $crate::ckpt::Value {
-                $crate::ckpt::Value::str(self.ckpt_name())
+                $crate::ckpt::Value::Str(self.ckpt_name().into())
             }
             fn from_ckpt(
                 v: &$crate::ckpt::Value,
                 path: &str,
             ) -> Result<Self, $crate::ckpt::CkptError> {
-                match v.as_str(path)? {
+                match $crate::ckpt::ValueExt::as_str(v, path)? {
                     $($name => Ok($ty::$variant),)+
                     other => Err($crate::ckpt::CkptError::field(
                         path,
@@ -417,7 +378,7 @@ macro_rules! ckpt_newtype {
 
 impl Ckpt for u64 {
     fn to_ckpt(&self) -> Value {
-        Value::U64(*self)
+        Value::UInt(*self)
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         v.as_u64(path)
@@ -431,7 +392,7 @@ macro_rules! narrow_uint {
         impl Ckpt for $ty {
             fn to_ckpt(&self) -> Value {
                 // Widening: every supported target's usize fits in a u64.
-                Value::U64(*self as u64)
+                Value::UInt(*self as u64)
             }
             fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
                 let n = v.as_u64(path)?;
@@ -456,7 +417,7 @@ impl Ckpt for bool {
 
 impl Ckpt for f64 {
     fn to_ckpt(&self) -> Value {
-        Value::f64(*self)
+        Value::Float(*self)
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         v.as_f64(path)
@@ -465,7 +426,7 @@ impl Ckpt for f64 {
 
 impl Ckpt for SimTime {
     fn to_ckpt(&self) -> Value {
-        Value::U64(self.as_nanos())
+        Value::UInt(self.as_nanos())
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         v.as_u64(path).map(SimTime::from_nanos)
@@ -474,7 +435,7 @@ impl Ckpt for SimTime {
 
 impl Ckpt for SimDuration {
     fn to_ckpt(&self) -> Value {
-        Value::U64(self.as_nanos())
+        Value::UInt(self.as_nanos())
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         v.as_u64(path).map(SimDuration::from_nanos)
@@ -492,7 +453,7 @@ impl<T: Ckpt> Ckpt for Option<T> {
 }
 
 fn list<'a, T: Ckpt + 'a>(items: impl IntoIterator<Item = &'a T>) -> Value {
-    Value::List(items.into_iter().map(T::to_ckpt).collect())
+    Value::Array(items.into_iter().map(T::to_ckpt).collect())
 }
 
 fn items<T: Ckpt>(v: &Value, path: &str) -> Result<Vec<T>, CkptError> {
@@ -523,7 +484,7 @@ list_form!(Vec<T>, VecDeque<T>, BTreeSet<T: Ord>);
 /// A map in ascending key order.
 impl<T: Ckpt> Ckpt for BTreeMap<String, T> {
     fn to_ckpt(&self) -> Value {
-        Value::Map(self.iter().map(|(k, x)| (k.clone(), x.to_ckpt())).collect())
+        Value::Object(self.iter().map(|(k, x)| (k.clone(), x.to_ckpt())).collect())
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         v.as_map(path)?
@@ -549,7 +510,7 @@ impl<T: Ckpt, const N: usize> Ckpt for [T; N] {
 /// A two-entry list.
 impl<A: Ckpt, B: Ckpt> Ckpt for (A, B) {
     fn to_ckpt(&self) -> Value {
-        Value::List(vec![self.0.to_ckpt(), self.1.to_ckpt()])
+        Value::Array(vec![self.0.to_ckpt(), self.1.to_ckpt()])
     }
     fn from_ckpt(v: &Value, path: &str) -> Result<Self, CkptError> {
         match v.as_list(path)? {
@@ -698,192 +659,26 @@ pub fn load(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
     if actual != declared {
         return Err(CkptError::HashMismatch { declared, actual });
     }
-    let root = parse(body)?;
+    // The exact form nests at most 128 levels. A body that does not
+    // re-encode to itself is refused, so each state has one spelling: no
+    // whitespace, leading zeros, optional escapes or upper-case hex bits.
+    let root = serde_json::from_str_exact(body).map_err(|e| CkptError::Parse {
+        offset: e.offset,
+        message: e.message,
+    })?;
+    let canonical = root.encode();
+    if canonical != body {
+        let same = canonical.bytes().zip(body.bytes());
+        return Err(CkptError::Parse {
+            offset: same.take_while(|(a, b)| a == b).count(),
+            message: "not in canonical form".into(),
+        });
+    }
     Ok(Checkpoint {
         version,
         hash: actual,
         root,
     })
-}
-
-/// Parse one canonical value rendering (the body of a checkpoint). Lists
-/// and maps nested deeper than 128 levels are a [`CkptError::Parse`].
-pub fn parse(text: &str) -> Result<Value, CkptError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos, 0)?;
-    if pos != bytes.len() {
-        return Err(CkptError::Parse {
-            offset: pos,
-            message: "trailing bytes after value".into(),
-        });
-    }
-    Ok(v)
-}
-
-fn parse_err(offset: usize, message: &str) -> CkptError {
-    CkptError::Parse {
-        offset,
-        message: message.to_string(),
-    }
-}
-
-/// Deepest list/map nesting [`parse`] accepts (office checkpoints nest 8
-/// deep). A correct FNV header does not prove a trusted writer, so the
-/// limit keeps a hostile body from exhausting the stack.
-const MAX_DEPTH: usize = 128;
-
-/// Parse the value at `*pos`, which sits inside `depth` lists and maps.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, CkptError> {
-    match b.get(*pos) {
-        None => Err(parse_err(*pos, "unexpected end of input")),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(parse_err(
-            *pos,
-            &format!("nesting deeper than {MAX_DEPTH} levels"),
-        )),
-        Some(b'n') => expect_lit(b, pos, "null", Value::Null),
-        Some(b't') => expect_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => {
-            // `f<16 hex>` (an f64) or the literal `false`.
-            if b[*pos..].starts_with(b"false") {
-                expect_lit(b, pos, "false", Value::Bool(false))
-            } else {
-                let start = *pos + 1;
-                let end = start + 16;
-                let hex = b
-                    .get(start..end)
-                    .ok_or_else(|| parse_err(*pos, "truncated f64 bits"))?;
-                let hex =
-                    std::str::from_utf8(hex).map_err(|_| parse_err(start, "non-utf8 f64 bits"))?;
-                let bits = u64::from_str_radix(hex, 16)
-                    .map_err(|_| parse_err(start, "bad f64 hex bits"))?;
-                *pos = end;
-                Ok(Value::F64(bits))
-            }
-        }
-        Some(b'0'..=b'9') => {
-            let start = *pos;
-            while matches!(b.get(*pos), Some(b'0'..=b'9')) {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).unwrap_or_default();
-            s.parse()
-                .map(Value::U64)
-                .map_err(|_| parse_err(start, "u64 out of range"))
-        }
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::List(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::List(items));
-                    }
-                    _ => return Err(parse_err(*pos, "expected ',' or ']'")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Map(fields));
-            }
-            loop {
-                let key = parse_string(b, pos)?;
-                if b.get(*pos) != Some(&b':') {
-                    return Err(parse_err(*pos, "expected ':'"));
-                }
-                *pos += 1;
-                let v = parse_value(b, pos, depth + 1)?;
-                fields.push((key, v));
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Map(fields));
-                    }
-                    _ => return Err(parse_err(*pos, "expected ',' or '}'")),
-                }
-            }
-        }
-        Some(c) => Err(parse_err(
-            *pos,
-            &format!("unexpected byte {:?}", *c as char),
-        )),
-    }
-}
-
-fn expect_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, CkptError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(parse_err(*pos, &format!("expected literal {lit:?}")))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, CkptError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(parse_err(*pos, "expected '\"'"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err(parse_err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| parse_err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| parse_err(*pos, "bad \\u escape"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| parse_err(*pos, "bad \\u escape"))?;
-                        out.push(
-                            char::from_u32(cp)
-                                .ok_or_else(|| parse_err(*pos, "invalid codepoint"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(parse_err(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the run up to the next quote or backslash in one
-                // step. Both are ASCII, so the run ends on a char boundary.
-                let start = *pos;
-                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&b[start..*pos])
-                    .map_err(|_| parse_err(start, "non-utf8 string body"))?;
-                out.push_str(run);
-            }
-        }
-    }
 }
 
 /// One divergent field between two checkpoints.
@@ -915,16 +710,12 @@ fn diff_push(out: &mut Vec<DiffEntry>, path: &str, left: String, right: String, 
     }
 }
 
-fn diff_full(out: &mut Vec<DiffEntry>, path: &str, a: &Value, b: &Value, limit: usize) {
-    diff_push(out, path, a.display_leaf(), b.display_leaf(), limit);
-}
-
 fn diff_walk(a: &Value, b: &Value, path: &mut String, out: &mut Vec<DiffEntry>, limit: usize) {
     if limit != 0 && out.len() >= limit {
         return;
     }
     match (a, b) {
-        (Value::Map(fa), Value::Map(fb)) => {
+        (Value::Object(fa), Value::Object(fb)) => {
             let keys_a: Vec<&str> = fa.iter().map(|(k, _)| k.as_str()).collect();
             let keys_b: Vec<&str> = fb.iter().map(|(k, _)| k.as_str()).collect();
             if keys_a != keys_b {
@@ -947,7 +738,7 @@ fn diff_walk(a: &Value, b: &Value, path: &mut String, out: &mut Vec<DiffEntry>, 
                 path.truncate(len);
             }
         }
-        (Value::List(la), Value::List(lb)) => {
+        (Value::Array(la), Value::Array(lb)) => {
             if la.len() != lb.len() {
                 diff_push(
                     out,
@@ -969,8 +760,13 @@ fn diff_walk(a: &Value, b: &Value, path: &mut String, out: &mut Vec<DiffEntry>, 
             }
         }
         (a, b) => {
-            if a != b {
-                diff_full(out, path, a, b, limit);
+            // Float leaves compare by bit pattern, as the bytes do.
+            let same = match (a, b) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                _ => a == b,
+            };
+            if !same {
+                diff_push(out, path, a.display_leaf(), b.display_leaf(), limit);
             }
         }
     }
@@ -981,16 +777,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Deepest nesting a body may have.
+    const MAX_DEPTH: usize = 128;
+
+    /// Load `body` under a correct container line.
+    fn load_body(body: &str) -> Result<Value, CkptError> {
+        load(&container(body)).map(|c| c.root)
+    }
+
     fn sample() -> Value {
         Value::map()
-            .field("time", Value::U64(12345))
-            .field("pi", Value::f64(std::f64::consts::PI))
+            .field("time", Value::UInt(12345))
+            .field("pi", Value::Float(std::f64::consts::PI))
             .field("label", Value::str("office \"a\"\n"))
             .field("on", Value::Bool(true))
             .field("none", Value::Null)
             .field(
                 "items",
-                Value::List(vec![Value::U64(1), Value::f64(-0.0), Value::Bool(false)]),
+                Value::Array(vec![Value::UInt(1), Value::Float(-0.0), Value::Bool(false)]),
             )
             .build()
     }
@@ -999,17 +803,28 @@ mod tests {
     fn encode_parse_roundtrip_exact() {
         let v = sample();
         let enc = v.encode();
-        let back = parse(&enc).unwrap();
+        let back = load_body(&enc).unwrap();
         assert_eq!(v, back);
         assert_eq!(back.encode(), enc, "canonical form is a fixed point");
     }
 
     #[test]
     fn f64_bits_roundtrip_nan_and_negzero() {
-        for bits in [f64::NAN.to_bits(), (-0.0f64).to_bits(), 0x7ff0000000000001] {
-            let v = Value::F64(bits);
-            let back = parse(&v.encode()).unwrap();
-            assert_eq!(back, Value::F64(bits));
+        let inf = f64::INFINITY.to_bits();
+        for bits in [
+            f64::NAN.to_bits(),
+            (-0.0f64).to_bits(),
+            0x7ff0000000000001,
+            inf,
+        ] {
+            for bits in [bits, bits ^ (1 << 63)] {
+                let v = Value::Float(f64::from_bits(bits));
+                let back = load(&save(&v)).unwrap().root;
+                assert!(
+                    matches!(back, Value::Float(x) if x.to_bits() == bits),
+                    "{bits:x}"
+                );
+            }
         }
     }
 
@@ -1051,10 +866,10 @@ mod tests {
     fn diff_reports_first_divergent_path() {
         let a = sample();
         let mut b = sample();
-        if let Value::Map(fields) = &mut b {
-            fields[0].1 = Value::U64(54321);
-            if let Value::List(items) = &mut fields[5].1 {
-                items[0] = Value::U64(2);
+        if let Value::Object(fields) = &mut b {
+            fields[0].1 = Value::UInt(54321);
+            if let Value::Array(items) = &mut fields[5].1 {
+                items[0] = Value::UInt(2);
             }
         }
         let d = diff(&a, &b, 0);
@@ -1096,21 +911,64 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_every_non_canonical_body() {
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        for (body, offset) in [
+            // Whitespace between tokens, and a trailing blank line.
+            ("{\"a\": 1}", 5),
+            ("[1, 2]", 3),
+            ("{}\n", 2),
+            // Numbers other than a u64 in decimal or an f64's bits.
+            ("-1", 0),
+            ("[1.5]", 2),
+            ("1e3", 1),
+            ("18446744073709551616", 0),
+            ("[f3ff000000000000]", 1),
+            // Escapes the writer never makes.
+            ("\"a\\/b\"", 2),
+            ("\"\\b\"", 2),
+            ("\"\\ud83d\\ude00\"", 1),
+            (deep.as_str(), MAX_DEPTH),
+            // Other spellings of a value the writer spells one way.
+            ("007", 0),
+            ("\"\\u0041\"", 1),
+            ("f3FF0000000000000", 2),
+            ("\"a\u{1}b\"", 2),
+        ] {
+            match load_body(body) {
+                Err(CkptError::Parse { offset: at, .. }) => assert_eq!(at, offset, "{body:?}"),
+                other => panic!("{body:?} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn diff_compares_floats_by_bit_pattern() {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let floats = |xs: [f64; 3]| Value::Array(xs.map(Value::Float).to_vec());
+        let a = floats([0.0, f64::NAN, f64::NAN]);
+        let b = floats([-0.0, f64::NAN, nan2]);
+        let paths: Vec<String> = diff(&a, &b, 0).into_iter().map(|d| d.path).collect();
+        assert_eq!(paths, ["0", "2"]);
+        assert!(diff(&a, &a.clone(), 0).is_empty());
+    }
+
+    #[test]
     fn string_errors_keep_their_offsets() {
         // Pinned: offsets count bytes, multibyte characters included.
         for (text, offset, message) in [
             ("\"abc", 4, "unterminated string"),
             ("[\"\u{b5}\u{2192}", 7, "unterminated string"),
-            ("\"a\\qb\"", 3, "bad escape"),
-            ("\"\u{b5}\u{2192}\\q\"", 7, "bad escape"),
-            ("\"a\\u12", 3, "truncated \\u escape"),
-            ("{\"k\\u00", 4, "truncated \\u escape"),
+            ("\"a\\qb\"", 4, "invalid escape"),
+            ("\"\u{b5}\u{2192}\\q\"", 8, "invalid escape"),
+            ("\"a\\u12", 4, "truncated \\u escape"),
+            ("{\"k\\u00", 5, "truncated \\u escape"),
         ] {
             let want = CkptError::Parse {
                 offset,
                 message: message.into(),
             };
-            assert_eq!(parse(text), Err(want), "{text:?}");
+            assert_eq!(load_body(text), Err(want), "{text:?}");
         }
     }
 
@@ -1131,14 +989,14 @@ mod tests {
         fn strings_roundtrip_as_keys_and_values(
             pairs in prop::collection::vec((text(), text()), 0..6)
         ) {
-            let v = Value::Map(
+            let v = Value::Object(
                 pairs
                     .into_iter()
                     .map(|(k, s)| (k, Value::Str(s)))
                     .collect(),
             );
             let enc = v.encode();
-            let back = parse(&enc).unwrap();
+            let back = load_body(&enc).unwrap();
             prop_assert_eq!(&back, &v);
             prop_assert_eq!(back.encode(), enc, "canonical form is a fixed point");
         }
@@ -1154,24 +1012,24 @@ mod tests {
 
     #[test]
     fn narrow_integers_refuse_values_past_their_range() {
-        let past_u32 = Value::U64(u64::from(u32::MAX) + 1);
+        let past_u32 = Value::UInt(u64::from(u32::MAX) + 1);
         assert_eq!(field_path(u32::from_ckpt(&past_u32, "cw")), "cw");
         assert_eq!(
-            field_path(u8::from_ckpt(&Value::U64(256), "retries")),
+            field_path(u8::from_ckpt(&Value::UInt(256), "retries")),
             "retries"
         );
         assert_eq!(
-            u32::from_ckpt(&Value::U64(u32::MAX.into()), "cw"),
+            u32::from_ckpt(&Value::UInt(u32::MAX.into()), "cw"),
             Ok(u32::MAX)
         );
-        assert_eq!(u8::MAX.to_ckpt(), Value::U64(255));
+        assert_eq!(u8::MAX.to_ckpt(), Value::UInt(255));
     }
 
     #[test]
     fn arrays_and_pairs_check_their_length() {
-        let seven = Value::List(vec![Value::U64(0); 7]);
+        let seven = Value::Array(vec![Value::UInt(0); 7]);
         assert_eq!(field_path(<[u64; 8]>::from_ckpt(&seven, "stats")), "stats");
-        let three = Value::List(vec![Value::U64(1); 3]);
+        let three = Value::Array(vec![Value::UInt(1); 3]);
         assert_eq!(field_path(<(u64, u64)>::from_ckpt(&three, "page")), "page");
         let eight = [1u64, 2, 3, 4, 5, 6, 7, 8];
         assert_eq!(<[u64; 8]>::from_ckpt(&eight.to_ckpt(), "stats"), Ok(eight));
@@ -1186,7 +1044,7 @@ mod tests {
     #[test]
     fn option_roundtrips_through_null_and_some() {
         assert_eq!(None::<u32>.to_ckpt(), Value::Null);
-        assert_eq!(Some(7u32).to_ckpt(), Value::U64(7));
+        assert_eq!(Some(7u32).to_ckpt(), Value::UInt(7));
         for x in [None, Some(7u32)] {
             assert_eq!(Option::<u32>::from_ckpt(&x.to_ckpt(), "probing"), Ok(x));
         }
@@ -1237,12 +1095,12 @@ mod tests {
         assert_eq!(v.encode(), r#"{"hits":{"a":1,"b":2},"at":9}"#);
         let back = Probe::from_ckpt(&v, "probe").unwrap();
         assert_eq!((back.at, &back.hits, back.memo), (p.at, &p.hits, None));
-        let Value::Map(mut fields) = v else {
+        let Value::Object(mut fields) = v else {
             panic!("a struct encodes as a map")
         };
         fields.pop();
         assert_eq!(
-            field_path(Probe::from_ckpt(&Value::Map(fields), "probe")),
+            field_path(Probe::from_ckpt(&Value::Object(fields), "probe")),
             "at"
         );
     }

@@ -20,9 +20,9 @@
 //! artifact. `powifi-obs fleet aggregate` over a capture is therefore stable
 //! across `--jobs` and debug/release, pinned by a committed golden.
 
-use super::{push_f64, push_json_str};
 use crate::SimDuration;
 use serde::Value;
+use serde_json::{write_float, write_string};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -82,14 +82,14 @@ impl Cum {
     }
 
     fn add(&mut self, other: Cum) {
-        self.events += other.events;
-        self.frames += other.frames;
-        self.retrans += other.retrans;
-        self.corrupted += other.corrupted;
-        self.busy_ns += other.busy_ns;
-        self.harvested_uj += other.harvested_uj;
-        self.power_sent += other.power_sent;
-        self.power_gated += other.power_gated;
+        self.events = self.events.saturating_add(other.events);
+        self.frames = self.frames.saturating_add(other.frames);
+        self.retrans = self.retrans.saturating_add(other.retrans);
+        self.corrupted = self.corrupted.saturating_add(other.corrupted);
+        self.busy_ns = self.busy_ns.saturating_add(other.busy_ns);
+        self.harvested_uj = self.harvested_uj.saturating_add(other.harvested_uj);
+        self.power_sent = self.power_sent.saturating_add(other.power_sent);
+        self.power_gated = self.power_gated.saturating_add(other.power_gated);
     }
 
     fn is_zero(&self) -> bool {
@@ -100,6 +100,12 @@ impl Cum {
 /// One deployment's sample series, keyed by shard (`None` for unsharded
 /// metrics snapshots).
 type Series = BTreeMap<Option<u64>, BTreeMap<u64, Cum>>;
+
+/// Most windows a render may span. A record stamped past them is refused:
+/// one wild `t` would otherwise make [`Aggregator::render`] walk billions
+/// of windows. A 24 h capture in 1 s windows spans 86,400; the
+/// benchmark's fleet spans 600.
+pub const MAX_WINDOWS: u64 = 1 << 17;
 
 /// Key of a `ckpt` record's state hash: `(deployment, shard, epoch)`.
 pub type CkptKey = (String, Option<u64>, u64);
@@ -174,8 +180,9 @@ impl Aggregator {
     /// (the egress queue consumes a seq even when it drops) or transport
     /// loss. Zero on a clean capture.
     pub fn seq_gaps(&self) -> u64 {
+        // `seq_seen` is at least one once `seq_max` is set.
         match self.seq_max {
-            Some(max) => (max + 1).saturating_sub(self.seq_seen),
+            Some(max) => max.saturating_sub(self.seq_seen - 1),
             None => 0,
         }
     }
@@ -208,7 +215,7 @@ impl Aggregator {
         if line.is_empty() {
             return Ok(());
         }
-        let v = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e:?}"))?;
+        let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let entries = obj(&v)?;
         if get(entries, "powifi_stream").is_some() {
             let version =
@@ -231,6 +238,11 @@ impl Aggregator {
             .to_string();
         let kind = get_str(entries, "kind").ok_or("record without kind")?;
         let t = get_u64(entries, "t").ok_or("record without t")?;
+        // Each window the render walks must end within `u64` nanoseconds.
+        let windows = t.div_ceil(self.window_ns);
+        if windows > MAX_WINDOWS || windows.checked_mul(self.window_ns).is_none() {
+            return Err(format!("t {t} lies past {MAX_WINDOWS} windows"));
+        }
         self.records += 1;
         self.max_t = self.max_t.max(t);
         match kind {
@@ -337,7 +349,7 @@ impl Aggregator {
             out,
             "{{\"window\":{k},\"t_start_ns\":{start},\"t_end_ns\":{end},\"deployment\":"
         );
-        push_json_str(out, name);
+        write_string(out, name);
         let _ = write!(
             out,
             ",\"events\":{},\"frames\":{},\"retransmissions\":{},\"corrupted\":{},\
@@ -352,13 +364,13 @@ impl Aggregator {
             d.power_gated
         );
         out.push_str(",\"events_per_s\":");
-        push_f64(out, d.events as f64 * 1e9 / w_ns);
+        write_float(out, d.events as f64 * 1e9 / w_ns);
         out.push_str(",\"occupancy\":");
-        push_f64(out, d.busy_ns as f64 / w_ns);
+        write_float(out, d.busy_ns as f64 / w_ns);
         out.push_str(",\"harvested_uw\":");
-        push_f64(out, d.harvested_uj as f64 * 1e9 / w_ns);
+        write_float(out, d.harvested_uj as f64 * 1e9 / w_ns);
         out.push_str(",\"retry_rate\":");
-        push_f64(
+        write_float(
             out,
             if d.frames > 0 {
                 d.retrans as f64 / d.frames as f64
@@ -367,7 +379,7 @@ impl Aggregator {
             },
         );
         out.push_str(",\"corruption_rate\":");
-        push_f64(
+        write_float(
             out,
             if d.frames > 0 {
                 d.corrupted as f64 / d.frames as f64

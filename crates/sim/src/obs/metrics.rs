@@ -17,10 +17,9 @@
 //! here under the well-known names in [`keys`] (the deprecated shim has
 //! been removed).
 
-use super::{push_f64, push_json_str};
+use crate::ckpt::Ckpt;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Well-known metric names recorded by the simulation layers.
 pub mod keys {
@@ -376,52 +375,11 @@ pub fn snapshot() -> MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Render the snapshot as one line of stable JSON: BTree key order,
-    /// deterministic float formatting, no whitespace.
+    /// Render the snapshot as one line of stable JSON: its checkpoint tree
+    /// (BTree key order) in `serde_json`'s compact form, floats in shortest
+    /// round-trip decimal.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push(':');
-            push_f64(&mut out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            let _ = write!(out, ":{{\"count\":{},\"sum\":", h.count);
-            push_f64(&mut out, h.sum);
-            out.push_str(",\"min\":");
-            push_f64(&mut out, h.min);
-            out.push_str(",\"max\":");
-            push_f64(&mut out, h.max);
-            out.push_str(",\"buckets\":[");
-            for (j, (bound, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                push_f64(&mut out, *bound);
-                let _ = write!(out, ",{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
+        serde_json::to_string(&self.to_ckpt()).unwrap_or_default()
     }
 
     /// Counter value by name, zero when absent.

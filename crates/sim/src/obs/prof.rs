@@ -33,8 +33,8 @@
 //! See `docs/OBSERVABILITY.md` ("Profiling") for the span catalogue and
 //! `powifi-obs prof`, the inspector that reads these snapshots back.
 
-use super::push_f64;
 use crate::time::SimDuration;
+use serde_json::{write_float, write_string};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -507,18 +507,20 @@ fn copy_span(arena: &[Node], idx: usize, wall: bool) -> ProfSpan {
 }
 
 fn push_span_json(out: &mut String, sp: &ProfSpan) {
+    out.push_str("{\"name\":");
+    write_string(out, &sp.name);
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"count\":{},\"sim_self_ns\":{},\"sim_total_ns\":{},\"sim_max_ns\":{}",
-        sp.name, sp.count, sp.sim_self_ns, sp.sim_total_ns, sp.sim_max_ns
+        ",\"count\":{},\"sim_self_ns\":{},\"sim_total_ns\":{},\"sim_max_ns\":{}",
+        sp.count, sp.sim_self_ns, sp.sim_total_ns, sp.sim_max_ns
     );
     if let Some(w) = sp.wall_ns {
         out.push_str(",\"wall_ms\":");
-        push_f64(out, w as f64 / 1e6);
+        write_float(out, w as f64 / 1e6);
     }
     if let Some(w) = sp.wall_max_ns {
         out.push_str(",\"max_wall_ms\":");
-        push_f64(out, w as f64 / 1e6);
+        write_float(out, w as f64 / 1e6);
     }
     out.push_str(",\"children\":[");
     for (i, c) in sp.children.iter().enumerate() {

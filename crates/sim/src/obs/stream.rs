@@ -41,9 +41,9 @@
 //! connects a stream to a TCP consumer and drains it from a writer thread.
 
 use super::metrics::{self, MetricsSnapshot};
-use super::push_json_str;
 use super::trace::TraceRecord;
 use crate::SimTime;
+use serde_json::write_string;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -83,9 +83,9 @@ impl SessionInfo {
     pub fn header_line(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\"powifi_stream\":{WIRE_VERSION},\"run_id\":");
-        push_json_str(&mut out, &self.run_id);
+        write_string(&mut out, &self.run_id);
         let _ = write!(out, ",\"seed\":{},\"git_sha\":", self.seed);
-        push_json_str(&mut out, &self.git_sha);
+        write_string(&mut out, &self.git_sha);
         out.push('}');
         out
     }
@@ -273,9 +273,9 @@ impl Handle {
     fn body_prefix(&self, kind: &str, t: SimTime) -> String {
         let mut out = String::new();
         out.push_str("{\"deployment\":");
-        push_json_str(&mut out, &self.deployment);
+        write_string(&mut out, &self.deployment);
         out.push_str(",\"kind\":");
-        push_json_str(&mut out, kind);
+        write_string(&mut out, kind);
         let _ = write!(out, ",\"t\":{}", t.as_nanos());
         out
     }
@@ -317,7 +317,7 @@ impl Handle {
             if i > 0 {
                 body.push(',');
             }
-            push_json_str(&mut body, k);
+            write_string(&mut body, k);
             let _ = write!(body, ":{v}");
         }
         body.push_str("}}");
@@ -336,7 +336,7 @@ impl Handle {
             let _ = write!(body, ",\"shard\":{s}");
         }
         let _ = write!(body, ",\"epoch\":{epoch},\"hash\":");
-        push_json_str(&mut body, hash);
+        write_string(&mut body, hash);
         body.push('}');
         self.egress.push_record(&body)
     }

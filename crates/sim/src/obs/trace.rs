@@ -26,8 +26,8 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use super::push_f64;
 use crate::time::SimTime;
+use serde_json::write_float;
 
 /// Classification of a MAC frame in trace records (mirrors the MAC layer's
 /// frame kinds without depending on it).
@@ -327,7 +327,7 @@ impl TraceRecord {
                     ",\"medium\":{medium},\"sta\":{sta},\"frame\":\"{}\",\"bytes\":{bytes},\"rate_mbps\":",
                     frame.label()
                 );
-                push_f64(&mut s, rate_mbps);
+                write_float(&mut s, rate_mbps);
                 let _ = write!(s, ",\"collided\":{collided}");
             }
             TraceEvent::MacTxEnd { medium, sta } => {
@@ -387,26 +387,26 @@ impl TraceRecord {
                 rising,
             } => {
                 s.push_str(",\"volts\":");
-                push_f64(&mut s, volts);
+                write_float(&mut s, volts);
                 s.push_str(",\"threshold\":");
-                push_f64(&mut s, threshold);
+                write_float(&mut s, threshold);
                 let _ = write!(s, ",\"rising\":{rising}");
             }
             TraceEvent::ColdStart { volts } | TraceEvent::Brownout { volts } => {
                 s.push_str(",\"volts\":");
-                push_f64(&mut s, volts);
+                write_float(&mut s, volts);
             }
             TraceEvent::MpptUpdate { vref_volts, factor } => {
                 s.push_str(",\"vref_volts\":");
-                push_f64(&mut s, vref_volts);
+                write_float(&mut s, vref_volts);
                 s.push_str(",\"factor\":");
-                push_f64(&mut s, factor);
+                write_float(&mut s, factor);
             }
             TraceEvent::TcpRto { flow, rto_s, cwnd } => {
                 let _ = write!(s, ",\"flow\":{flow},\"rto_s\":");
-                push_f64(&mut s, rto_s);
+                write_float(&mut s, rto_s);
                 s.push_str(",\"cwnd\":");
-                push_f64(&mut s, cwnd);
+                write_float(&mut s, cwnd);
             }
             TraceEvent::TcpCwnd {
                 flow,
@@ -415,9 +415,9 @@ impl TraceRecord {
                 cause,
             } => {
                 let _ = write!(s, ",\"flow\":{flow},\"cwnd\":");
-                push_f64(&mut s, cwnd);
+                write_float(&mut s, cwnd);
                 s.push_str(",\"ssthresh\":");
-                push_f64(&mut s, ssthresh);
+                write_float(&mut s, ssthresh);
                 let _ = write!(s, ",\"cause\":\"{}\"", cause.label());
             }
         }
