@@ -18,6 +18,9 @@
 //! resumed run's chain lines up file-for-file — and, by the deploy layer's
 //! restore-then-run invariant, byte-for-byte — with an uninterrupted run's.
 
+// R14: bench may read wall clocks, checkpoint code may not.
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use powifi_deploy::{checkpoint, OfficeRun, OfficeSpec};
 use powifi_sim::ckpt::{self, Ckpt, ValueExt};
 use powifi_sim::obs::stream;

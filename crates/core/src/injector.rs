@@ -111,6 +111,7 @@ where
     ctl
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "R5: u32 depth; rounded")]
 pub(crate) fn injector_tick<W>(w: &mut W, q: &mut Queue<W>, st: Rc<RefCell<InjectorSt>>)
 where
     W: MacWorld,

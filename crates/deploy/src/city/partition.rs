@@ -136,6 +136,7 @@ struct Grid {
 }
 
 impl Grid {
+    #[expect(clippy::cast_possible_truncation, reason = "R5: floored; u32 ids")]
     fn new(pos: &[Pos], range: f64) -> Grid {
         let cell = |p: Pos| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
         let mut keyed: Vec<((i64, i64), Pos, u32)> = pos
@@ -196,6 +197,7 @@ impl Grid {
     /// `a` (at `pa`) within `range` of it, for `range2 = range²`,
     /// ascending. Indices rather than ids keep later scans over a row
     /// reading `points` nearly in order.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     fn neighbors(&self, a: usize, pa: Pos, range2: f64, out: &mut Vec<u32>) {
         for window in self.windows(a, pa, range2) {
             // Write every candidate, keep the ones in range: no branch on
@@ -344,6 +346,7 @@ pub fn partition(topo: &CityTopology, max_group: usize, max_shard: usize) -> Par
     // `below` for its importer, so each importer's row comes out in the
     // `(to, from)` order of `couplings` with no sort.
     let ng = groups.len();
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     let grid_group: Vec<u32> = grid
         .points
         .iter()

@@ -147,6 +147,7 @@ struct Shard {
 }
 
 /// Non-poisoning mutex lock: a panicked peer already aborts the run.
+#[expect(clippy::disallowed_methods, reason = "R9: the export table's one lock")]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -165,6 +166,7 @@ fn build_shard(
     seed: u64,
     cfg: &CityConfig,
 ) -> Shard {
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let mut world = CityWorld {
         // The MAC-wide stream is never drawn from: every medium gets its own.
         mac: Mac::new(SimRng::from_seed(seed).derive("city-mac-unused")),
@@ -175,6 +177,7 @@ fn build_shard(
     for &g in group_ids {
         let grp = &part.groups[g];
         let m = world.mac.add_medium(cfg.monitor_bin);
+        #[expect(clippy::disallowed_methods, reason = "R10: seeded once, at build")]
         world.mac.seed_medium_rng(
             m,
             SimRng::from_seed(seed).derive_idx("city-medium", grp.key),
@@ -219,6 +222,7 @@ fn build_shard(
                 net.beacon_rate,
             );
             if let Some(client) = client {
+                #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
                 let tag = PayloadTag {
                     flow: nid as u32,
                     seq: 0,
@@ -485,6 +489,7 @@ fn shard_state_hash(sh: &Shard) -> String {
 /// `now` — the fields [`powifi_sim::obs::agg`] windows a city run from.
 /// All values are totals since the run started (the aggregator diffs
 /// consecutive samples), so a dropped record only widens one window.
+#[expect(clippy::cast_possible_truncation, reason = "R5: rounded first")]
 fn emit_shard_progress(hs: &obs_stream::Handle, shard_ix: u64, sh: &Shard, now: SimTime) {
     let harvested_uj: f64 = sh.harvesters.iter().map(|h| h.harvested.0 * 1e6).sum();
     hs.emit_progress(

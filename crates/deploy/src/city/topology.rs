@@ -96,6 +96,7 @@ fn network_at(rng: &mut SimRng, pos: Pos, burst_frac: f64) -> Network {
 /// router jittered inside its unit. Dense co-channel interference — most
 /// units hear dozens of neighbors.
 pub fn apartment_block(n: usize, seed: u64) -> CityTopology {
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let mut rng = SimRng::from_seed(seed).derive("city-gen-block");
     let mut side = 1usize;
     while side * side < n {
@@ -124,6 +125,7 @@ pub fn apartment_block(n: usize, seed: u64) -> CityTopology {
 /// that many building pairs are provably independent — the partitioner's
 /// best case.
 pub fn campus(n: usize, seed: u64) -> CityTopology {
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let mut rng = SimRng::from_seed(seed).derive("city-gen-campus");
     let buildings = (n / 40).max(1);
     let quad = (buildings as f64).sqrt() * 220.0; // meters; > interaction range apart
@@ -150,6 +152,7 @@ pub fn campus(n: usize, seed: u64) -> CityTopology {
 /// A diurnal city: apartment-block geometry at a looser 14 m pitch whose
 /// burst activity follows the §6 diurnal neighbor-load curve for `hour`.
 pub fn diurnal_city(n: usize, hour: u32, seed: u64) -> CityTopology {
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let mut rng = SimRng::from_seed(seed).derive_idx("city-gen-diurnal", hour as usize);
     let mut side = 1usize;
     while side * side < n {

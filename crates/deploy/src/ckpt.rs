@@ -326,6 +326,10 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
         audit: false,
     };
     for (_, _, ev) in q.ckpt_pending() {
+        // Only the Rc-carrying kinds and the audit need re-linking, and a
+        // new kind cannot slip through silently because `event_v` matches
+        // exhaustively at save time.
+        #[expect(clippy::wildcard_enum_match_arm, reason = "R11: filter, not dispatch")]
         match ev {
             WorldEvent::Core(CoreEvent::InjectorTick(st)) => {
                 let iface = powifi_core::ckpt::injector_iface(&st.borrow());
@@ -336,10 +340,6 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
                 blocks.bursts.insert(src, Rc::clone(st));
             }
             WorldEvent::Mac(MacEvent::Audit) => blocks.audit = true,
-            // powifi-lint: allow(non-exhaustive-dispatch) — collection
-            // filter, not a dispatch: only the Rc-carrying kinds and the
-            // audit need re-linking, and a new kind cannot slip through
-            // silently because `event_v` matches exhaustively at save time.
             _ => {}
         }
     }
@@ -610,7 +610,7 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
             check_id(t.dst.0, w.mac.station_count(), "flows/dst")?;
         }
     }
-    metrics::restore(&v.field("metrics")?);
+    metrics::restore(&v.field("metrics")?)?;
     let mut drv = EpochDriver::new(spec.epoch, &s);
     driver_overlay(&mut drv, v.get("driver")?)?;
     Ok(OfficeRun {
@@ -797,15 +797,22 @@ mod tests {
 
     /// A checkpoint with a valid hash but a value the rebuilt world cannot
     /// hold — a station on a medium it does not have, a zero occupancy
-    /// bin, or an index past the table it indexes — is refused with the
-    /// field's path instead of panicking later in the run.
+    /// bin, an index past the table it indexes, or a histogram bucket bound
+    /// that is not one of the registry's — is refused with the field's path
+    /// instead of panicking or being misfiled later in the run.
     #[test]
     fn resume_rejects_state_the_rebuilt_world_cannot_hold() {
         metrics::reset();
         let mut run = OfficeRun::start(&spec(TrafficSpec::Udp { rate_mbps: 10.0 }));
         run.step_epoch();
+        metrics::histogram("t.resume").observe(3.0);
         let root = save_office(&run).unwrap();
-        let edits: [(&[&str], Value); 7] = [
+        let buckets = |bounds: &[f64]| {
+            let pair = |&b: &f64| Value::Array(vec![Value::Float(b), Value::UInt(1)]);
+            Value::Array(bounds.iter().map(pair).collect())
+        };
+        let hist = ["metrics", "histograms", "t.resume", "buckets"];
+        let edits: [(&[&str], Value); 9] = [
             (&["mac", "stations", "medium"], Value::UInt(7)),
             (&["spec", "cfg", "monitor_bin"], Value::UInt(0)),
             (&["mac", "mediums", "monitor", "bin"], Value::UInt(0)),
@@ -813,6 +820,8 @@ mod tests {
             (&["mac", "stations", "rate_ctl", "probing"], Value::UInt(8)),
             (&["mac", "mediums", "in_flight", "class"], Value::UInt(2)),
             (&["mac", "stations", "rr"], Value::UInt(2)),
+            (&hist, buckets(&[3.0])),
+            (&hist, buckets(&[4.0, 2.0])),
         ];
         for (path, bad) in edits {
             let mut tree = root.clone();

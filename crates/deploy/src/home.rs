@@ -126,6 +126,7 @@ pub fn build_home(
     );
     let bin = SimDuration::from_nanos(sim_seconds_per_day * 1_000_000_000 / 1440);
     let (mut w, mut q, channels) = three_channel_world(seed.wrapping_add(cfg.id as u64), bin);
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let rng = SimRng::from_seed(seed).derive_idx("home", cfg.id);
     let router = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
 

@@ -47,6 +47,7 @@ pub fn build_office(
     cfg: OfficeConfig,
 ) -> (SimWorld, Queue<SimWorld>, OfficeScenario) {
     let (mut w, mut q, channels) = three_channel_world(seed, cfg.monitor_bin);
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let rng = SimRng::from_seed(seed).derive("office");
     let router = Router::install(
         &mut w,

@@ -112,6 +112,7 @@ pub fn three_channel_world(
     seed: u64,
     monitor_bin: SimDuration,
 ) -> (SimWorld, Queue<SimWorld>, Vec<(WifiChannel, MediumId)>) {
+    #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let rng = SimRng::from_seed(seed);
     let mut w = SimWorld {
         mac: Mac::new(rng.derive("mac")),

@@ -1,494 +1,206 @@
-//! A small self-contained Rust lexer — just enough token structure for the
-//! rule catalogue (identifiers, literals, punctuation, comment positions),
-//! with strings/chars/comments handled so that a `HashMap` inside a string
-//! literal or a doc comment never produces a false finding.
-//!
-//! No external dependencies on purpose: the vendor directory is frozen, and
-//! the analyzer must build everywhere the workspace builds.
+//! The token check's view of Rust source: comments and string and char
+//! literals blanked out, and nothing more. No token stream, no parse.
 
-/// Token classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
-    /// Identifier or keyword (`HashMap`, `as`, `fn`, …).
-    Ident,
-    /// Integer literal (`42`, `0xFF`, `1_000u64`).
-    Int,
-    /// Floating-point literal (`1.0`, `1e9`, `2.5f64`).
-    Float,
-    /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`).
-    Str,
-    /// Character or byte literal (`'x'`, `b'\n'`).
-    Char,
-    /// Punctuation, greedily grouped (`==`, `::`, `->`, `..=`, `(`, …).
-    Punct,
-}
-
-/// One lexed token with its source position (1-based line and column).
-#[derive(Debug, Clone)]
-pub struct Token {
-    /// Classification.
-    pub kind: TokKind,
-    /// Raw text (string/char literals keep delimiters).
-    pub text: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub col: u32,
-}
-
-/// A comment with its position, kept out of the token stream; suppression
-/// directives (`// powifi-lint: allow(...)`) are parsed from these.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line of the comment's first character.
-    pub line: u32,
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-}
-
-/// Output of [`lex`]: the token stream plus the comment side-channel.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Tokens in source order.
-    pub tokens: Vec<Token>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
-}
-
-/// Two- and three-character operators the rules care about being atomic.
-const MULTI_PUNCT: [&str; 19] = [
-    "..=", "...", "==", "!=", "<=", ">=", "&&", "||", "::", "->", "=>", "..", "+=", "-=", "*=",
-    "/=", "%=", "^=", "<<",
-];
-
-struct Cursor<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self, ahead: usize) -> Option<u8> {
-        self.src.get(self.pos + ahead).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.src.get(self.pos).copied()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
+/// `src` with comments and string and char literals blanked to spaces;
+/// newlines stay, so line numbers do too.
+pub fn strip(src: &str) -> String {
+    let c: Vec<char> = src.chars().collect();
+    let ident = |i: usize| c[i].is_alphanumeric() || c[i] == '_';
+    let mut out = String::with_capacity(src.len());
+    let mut i = 0;
+    while i < c.len() {
+        let rest = &c[i..];
+        // A `b` prefix of a byte literal is blanked with the literal.
+        let byte = i > 0 && c[i - 1] == 'b' && (i < 2 || !ident(i - 2));
+        let raw_hashes = (rest[0] == 'r' && (i == 0 || !ident(i - 1) || byte))
+            .then(|| rest[1..].iter().take_while(|&&x| x == '#').count())
+            .filter(|&n| rest.get(n + 1) == Some(&'"'));
+        let len = match (raw_hashes, rest) {
+            (Some(n), _) => {
+                let body = &rest[n + 2..];
+                let close = (0..body.len()).find(|&k| {
+                    body[k] == '"'
+                        && body[k + 1..].iter().take(n).filter(|&&x| x == '#').count() == n
+                });
+                close.map_or(rest.len(), |k| n + 2 + k + 1 + n)
+            }
+            (_, ['/', '/', ..]) => rest.iter().position(|&x| x == '\n').unwrap_or(rest.len()),
+            (_, ['/', '*', ..]) => {
+                let mut depth = 0;
+                let mut k = 0;
+                while k < rest.len() {
+                    match (rest[k], rest.get(k + 1)) {
+                        ('/', Some('*')) => (depth, k) = (depth + 1, k + 2),
+                        ('*', Some('/')) => (depth, k) = (depth - 1, k + 2),
+                        _ => k += 1,
+                    }
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                k
+            }
+            (_, ['"', ..]) => {
+                let mut k = 1;
+                while k < rest.len() && rest[k] != '"' {
+                    k += if rest[k] == '\\' { 2 } else { 1 };
+                }
+                k + 1
+            }
+            (_, ['\'', '\\', ..]) => rest
+                .get(3..)
+                .and_then(|r| r.iter().position(|&x| x == '\''))
+                .map_or(1, |p| p + 4),
+            (_, ['\'', _, '\'', ..]) => 3,
+            _ => 0,
+        };
+        if len == 0 {
+            out.push(rest[0]);
+            i += 1;
         } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-}
-
-fn is_ident_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
-}
-
-fn is_ident_continue(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
-}
-
-/// Tokenize `src`. The lexer is permissive: malformed input never panics,
-/// it just degrades into punctuation tokens.
-pub fn lex(src: &str) -> Lexed {
-    let mut c = Cursor {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
-    let mut out = Lexed::default();
-
-    while let Some(b) = c.peek(0) {
-        let (line, col) = (c.line, c.col);
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                c.bump();
+            if byte && rest[0] != '/' {
+                out.pop();
+                out.push(' ');
             }
-            b'/' if c.peek(1) == Some(b'/') => {
-                let start = c.pos;
-                while let Some(nb) = c.peek(0) {
-                    if nb == b'\n' {
-                        break;
-                    }
-                    c.bump();
-                }
-                out.comments.push(Comment {
-                    line,
-                    text: src[start..c.pos].to_string(),
-                });
-            }
-            b'/' if c.peek(1) == Some(b'*') => {
-                let start = c.pos;
-                c.bump();
-                c.bump();
-                let mut depth = 1u32;
-                while depth > 0 {
-                    match (c.peek(0), c.peek(1)) {
-                        (Some(b'/'), Some(b'*')) => {
-                            c.bump();
-                            c.bump();
-                            depth += 1;
-                        }
-                        (Some(b'*'), Some(b'/')) => {
-                            c.bump();
-                            c.bump();
-                            depth -= 1;
-                        }
-                        (Some(_), _) => {
-                            c.bump();
-                        }
-                        (None, _) => break,
-                    }
-                }
-                out.comments.push(Comment {
-                    line,
-                    text: src[start..c.pos].to_string(),
-                });
-            }
-            b'"' => {
-                let text = lex_string(&mut c, src);
-                out.tokens.push(Token {
-                    kind: TokKind::Str,
-                    text,
-                    line,
-                    col,
-                });
-            }
-            b'r' | b'b' if raw_or_byte_string_starts(&c) => {
-                let text = lex_raw_or_byte(&mut c, src);
-                out.tokens.push(Token {
-                    kind: TokKind::Str,
-                    text,
-                    line,
-                    col,
-                });
-            }
-            b'\'' => {
-                // Char literal vs lifetime/label.
-                let is_char = match (c.peek(1), c.peek(2)) {
-                    (Some(b'\\'), _) => true,
-                    (Some(x), Some(b'\'')) if x != b'\'' => true,
-                    _ => false,
-                };
-                if is_char {
-                    let start = c.pos;
-                    c.bump(); // opening '
-                    if c.peek(0) == Some(b'\\') {
-                        c.bump();
-                        c.bump();
-                        // \u{...} and multi-byte escapes: consume to the quote.
-                        while let Some(nb) = c.peek(0) {
-                            if nb == b'\'' {
-                                break;
-                            }
-                            c.bump();
-                        }
-                    } else {
-                        c.bump();
-                    }
-                    c.bump(); // closing '
-                    out.tokens.push(Token {
-                        kind: TokKind::Char,
-                        text: src[start..c.pos].to_string(),
-                        line,
-                        col,
-                    });
-                } else {
-                    // Lifetime: skip it (rules never need lifetimes).
-                    c.bump();
-                    while let Some(nb) = c.peek(0) {
-                        if !is_ident_continue(nb) {
-                            break;
-                        }
-                        c.bump();
-                    }
-                }
-            }
-            _ if b.is_ascii_digit() => {
-                let (text, is_float) = lex_number(&mut c, src);
-                out.tokens.push(Token {
-                    kind: if is_float {
-                        TokKind::Float
-                    } else {
-                        TokKind::Int
-                    },
-                    text,
-                    line,
-                    col,
-                });
-            }
-            _ if is_ident_start(b) => {
-                let start = c.pos;
-                while let Some(nb) = c.peek(0) {
-                    if !is_ident_continue(nb) {
-                        break;
-                    }
-                    c.bump();
-                }
-                out.tokens.push(Token {
-                    kind: TokKind::Ident,
-                    text: src[start..c.pos].to_string(),
-                    line,
-                    col,
-                });
-            }
-            _ => {
-                let rest = &src[c.pos..];
-                let mut matched = None;
-                for op in MULTI_PUNCT {
-                    if rest.starts_with(op) {
-                        matched = Some(op);
-                        break;
-                    }
-                }
-                let text = match matched {
-                    Some(op) => {
-                        for _ in 0..op.len() {
-                            c.bump();
-                        }
-                        op.to_string()
-                    }
-                    None => {
-                        c.bump();
-                        (b as char).to_string()
-                    }
-                };
-                out.tokens.push(Token {
-                    kind: TokKind::Punct,
-                    text,
-                    line,
-                    col,
-                });
-            }
+            let end = (i + len).min(c.len());
+            out.extend(
+                c[i..end]
+                    .iter()
+                    .map(|&x| if x == '\n' { '\n' } else { ' ' }),
+            );
+            i = end;
         }
     }
     out
 }
 
-fn raw_or_byte_string_starts(c: &Cursor<'_>) -> bool {
-    match (c.peek(0), c.peek(1), c.peek(2)) {
-        (Some(b'r'), Some(b'"'), _) | (Some(b'r'), Some(b'#'), _) => {
-            // r" or r#...# — but r#ident is a raw identifier, so require a
-            // quote at the end of the # run.
-            let mut i = 1;
-            while c.peek(i) == Some(b'#') {
-                i += 1;
-            }
-            c.peek(i) == Some(b'"')
-        }
-        (Some(b'b'), Some(b'"'), _) | (Some(b'b'), Some(b'\''), _) => true,
-        (Some(b'b'), Some(b'r'), Some(b'"')) | (Some(b'b'), Some(b'r'), Some(b'#')) => true,
-        _ => false,
-    }
+/// The library code of a file, blanked by [`strip`], line by line and
+/// numbered from one: everything before its first column-0 `#[cfg(test)]`.
+pub fn code_lines(src: &str) -> Vec<(usize, String)> {
+    let library = src.find("\n#[cfg(test)]").map_or(src, |p| &src[..p + 1]);
+    (1..)
+        .zip(strip(library).lines().map(String::from))
+        .collect()
 }
 
-fn lex_string(c: &mut Cursor<'_>, src: &str) -> String {
-    let start = c.pos;
-    c.bump(); // opening "
-    while let Some(b) = c.peek(0) {
-        match b {
-            b'\\' => {
-                c.bump();
-                c.bump();
-            }
-            b'"' => {
-                c.bump();
-                break;
-            }
-            _ => {
-                c.bump();
-            }
-        }
-    }
-    src[start..c.pos].to_string()
+/// A numeric literal that is a float: `0.0`, `1.5e3`, `1e-9`, `2f64`.
+pub fn is_float(tok: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.chars().all(|x| x.is_ascii_digit() || x == '_');
+    let fraction = tok
+        .split('.')
+        .nth(1)
+        .is_some_and(|f| f.starts_with(|x: char| x.is_ascii_digit()));
+    let exponent = tok.split(['e', 'E']).next().is_some_and(digits) && tok.contains(['e', 'E']);
+    tok.starts_with(|x: char| x.is_ascii_digit())
+        && !tok.starts_with("0x")
+        && !tok.starts_with("0b")
+        && !tok.starts_with("0o")
+        && (fraction || exponent || tok.ends_with("f64") || tok.ends_with("f32"))
 }
 
-fn lex_raw_or_byte(c: &mut Cursor<'_>, src: &str) -> String {
-    let start = c.pos;
-    if c.peek(0) == Some(b'b') {
-        c.bump();
-    }
-    if c.peek(0) == Some(b'\'') {
-        // Byte char literal b'x'.
-        c.bump();
-        if c.peek(0) == Some(b'\\') {
-            c.bump();
-        }
-        c.bump();
-        if c.peek(0) == Some(b'\'') {
-            c.bump();
-        }
-        return src[start..c.pos].to_string();
-    }
-    let raw = c.peek(0) == Some(b'r');
-    if raw {
-        c.bump();
-    }
-    let mut hashes = 0usize;
-    while c.peek(0) == Some(b'#') {
-        hashes += 1;
-        c.bump();
-    }
-    c.bump(); // opening "
-    loop {
-        match c.peek(0) {
-            None => break,
-            Some(b'\\') if !raw => {
-                c.bump();
-                c.bump();
+/// The operands of each `==` and `!=` on a stripped line, left to right: the
+/// word, path or literal directly on either side, a leading `-` dropped.
+pub fn comparisons(line: &str) -> Vec<(&str, &str)> {
+    let word = |x: char| x.is_alphanumeric() || x == '_' || x == '.';
+    let mut ops: Vec<(usize, &str)> = ["==", "!="]
+        .iter()
+        .flat_map(|op| line.match_indices(op))
+        .collect();
+    ops.sort_unstable();
+    ops.into_iter()
+        .map(|(at, op)| {
+            let before = line[..at].trim_end();
+            let mut left = &before[before.trim_end_matches(word).len()..];
+            // A negative exponent (`1e-9`) splits the left literal.
+            let head = &before[..before.len() - left.len()];
+            if let Some(h) = head
+                .strip_suffix(['-', '+'])
+                .filter(|h| h.ends_with(['e', 'E']))
+            {
+                left = &before[h.trim_end_matches(word).len()..];
             }
-            Some(b'"') => {
-                c.bump();
-                let mut seen = 0usize;
-                while seen < hashes && c.peek(0) == Some(b'#') {
-                    seen += 1;
-                    c.bump();
-                }
-                if seen == hashes {
-                    break;
-                }
-            }
-            Some(_) => {
-                c.bump();
-            }
-        }
-    }
-    src[start..c.pos].to_string()
-}
-
-fn lex_number(c: &mut Cursor<'_>, src: &str) -> (String, bool) {
-    let start = c.pos;
-    let radix_prefixed = c.peek(0) == Some(b'0')
-        && matches!(
-            c.peek(1),
-            Some(b'x') | Some(b'X') | Some(b'b') | Some(b'B') | Some(b'o')
-        );
-    let mut saw_dot = false;
-    let mut saw_exp = false;
-    while let Some(b) = c.peek(0) {
-        if b.is_ascii_alphanumeric() || b == b'_' {
-            if !radix_prefixed && (b == b'e' || b == b'E') {
-                // Exponent only if followed by digit or sign+digit.
-                let next = c.peek(1);
-                let nn = c.peek(2);
-                let exp = matches!(next, Some(d) if d.is_ascii_digit())
-                    || (matches!(next, Some(b'+') | Some(b'-'))
-                        && matches!(nn, Some(d) if d.is_ascii_digit()));
-                if exp {
-                    saw_exp = true;
-                    c.bump(); // e
-                    if matches!(c.peek(0), Some(b'+') | Some(b'-')) {
-                        c.bump();
-                    }
-                    continue;
-                }
-            }
-            c.bump();
-        } else if b == b'.' && !saw_dot && !radix_prefixed {
-            // A dot only continues the number when a digit follows (so `1..2`
-            // and `1.max(2)` stay integers).
-            if matches!(c.peek(1), Some(d) if d.is_ascii_digit()) {
-                saw_dot = true;
-                c.bump();
-            } else {
-                break;
-            }
-        } else {
-            break;
-        }
-    }
-    let text = src[start..c.pos].to_string();
-    let float_suffix = !radix_prefixed && (text.ends_with("f32") || text.ends_with("f64"));
-    (
-        text.clone(),
-        saw_dot || (saw_exp && !radix_prefixed) || float_suffix,
-    )
+            let after = line[at + op.len()..].trim_start();
+            let after = after.strip_prefix('-').unwrap_or(after).trim_start();
+            (
+                left,
+                &after[..after.find(|x| !word(x)).unwrap_or(after.len())],
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+    fn words(src: &str) -> Vec<String> {
+        strip(src).split_whitespace().map(String::from).collect()
     }
 
     #[test]
     fn strings_and_comments_hide_identifiers() {
-        let l = lex("let x = \"HashMap\"; // HashMap here\n/* HashSet */ let y = 1;");
-        assert!(l
-            .tokens
-            .iter()
-            .all(|t| t.text != "HashMap" && t.text != "HashSet"));
-        assert_eq!(l.comments.len(), 2);
-        assert!(l.comments[0].text.contains("HashMap"));
+        let src = "let x = \"HashMap\"; // HashMap here\n\
+                   /* HashSet /* nested */ RefCell */ let y = \"a\\\"static\\\"\";";
+        assert_eq!(words(src), ["let", "x", "=", ";", "let", "y", "=", ";"]);
+        assert_eq!(strip(src).lines().count(), 2);
     }
 
     #[test]
     fn float_vs_int_vs_range() {
-        let k = kinds("1.0 1e9 2.5f64 0x1E 10 1..2 3.max(4) 1_000.0");
-        assert_eq!(k[0], (TokKind::Float, "1.0".into()));
-        assert_eq!(k[1], (TokKind::Float, "1e9".into()));
-        assert_eq!(k[2], (TokKind::Float, "2.5f64".into()));
-        assert_eq!(k[3], (TokKind::Int, "0x1E".into()));
-        assert_eq!(k[4], (TokKind::Int, "10".into()));
-        assert_eq!(k[5], (TokKind::Int, "1".into()));
-        assert_eq!(k[6], (TokKind::Punct, "..".into()));
-        assert_eq!(k[7], (TokKind::Int, "2".into()));
-        assert_eq!(k[8], (TokKind::Int, "3".into()));
-        assert_eq!(k.last().unwrap(), &(TokKind::Float, "1_000.0".into()));
+        for float in ["1.0", "1e9", "1e-9", "2.5f64", "2f32", "1_000.0"] {
+            assert!(is_float(float), "{float}");
+        }
+        for other in ["0x1E", "0b1", "10", "1..2", "1..=2", "3.max", "a.0", "x"] {
+            assert!(!is_float(other), "{other}");
+        }
     }
 
+    /// A lifetime is skipped over, not read as an unclosed char literal;
+    /// a char literal, `'"'` and `'\''` included, is kept to its own
+    /// length, so the code after it stays code.
     #[test]
     fn lifetimes_are_skipped_chars_kept() {
-        let k = kinds("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
-        // The lifetime `'a` is swallowed whole: neither a Char token nor a
-        // stray `a` identifier survives.
-        assert!(k.iter().all(|(_, t)| t != "a" && t != "'a"));
-        assert!(k
-            .iter()
-            .any(|(kind, t)| *kind == TokKind::Char && t == "'x'"));
-        assert!(k
-            .iter()
-            .any(|(kind, t)| *kind == TokKind::Char && t == "'\\n'"));
+        let src = "fn f<'a>(x: &'a str) { let c = '\"'; let q = '\\''; let n = '\\n'; g }";
+        assert_eq!(
+            words(src),
+            [
+                "fn", "f<'a>(x:", "&'a", "str)", "{", "let", "c", "=", ";", "let", "q", "=", ";",
+                "let", "n", "=", ";", "g", "}"
+            ]
+        );
     }
 
     #[test]
     fn multi_char_punct_is_atomic() {
-        let k = kinds("a == b != c :: d -> e ..= f");
-        let puncts: Vec<&str> = k
-            .iter()
-            .filter(|(kind, _)| *kind == TokKind::Punct)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert_eq!(puncts, vec!["==", "!=", "::", "->", "..="]);
+        let line = "a == b != c <= d >= e => f += g -= h ..= i";
+        assert_eq!(comparisons(line), [("a", "b"), ("b", "c")]);
+        assert_eq!(comparisons("1e-9 == x"), [("1e-9", "x")]);
+        assert_eq!(comparisons("x!=-1.5"), [("x", "1.5")]);
     }
 
     #[test]
     fn raw_strings_consume_hashes() {
-        let l = lex("let s = r#\"a \" HashMap \"#; let t = 5;");
-        assert!(l.tokens.iter().all(|t| t.text != "HashMap"));
-        assert!(l
-            .tokens
-            .iter()
-            .any(|t| t.kind == TokKind::Int && t.text == "5"));
+        let src = "let s = r#\"a \" HashMap \"#; let t = 5; \
+                   let u = r##\"\"# Cell\"##; let b = br\"static\"; let c = b\"RwLock\";";
+        assert_eq!(
+            words(src),
+            [
+                "let", "s", "=", ";", "let", "t", "=", "5;", "let", "u", "=", ";", "let", "b", "=",
+                ";", "let", "c", "=", ";"
+            ]
+        );
     }
 
     #[test]
     fn positions_are_one_based() {
-        let l = lex("a\n  b");
-        assert_eq!((l.tokens[0].line, l.tokens[0].col), (1, 1));
-        assert_eq!((l.tokens[1].line, l.tokens[1].col), (2, 3));
+        let lines = code_lines("a\n  b /* c\n */ d");
+        assert_eq!(
+            lines,
+            [
+                (1, "a".to_string()),
+                (2, "  b     ".to_string()),
+                (3, "    d".to_string())
+            ]
+        );
     }
 }

@@ -64,6 +64,7 @@ impl Default for MacTiming {
 /// `4 × rate_mbps` data bits each; 16 service + 6 tail bits are prepended.
 /// DSSS (802.11b): 192 µs long preamble + PLCP, then payload at the data
 /// rate.
+#[expect(clippy::cast_possible_truncation, reason = "R5: rounded first")]
 pub fn frame_airtime(bytes: u32, rate: Bitrate) -> SimDuration {
     let bits = 8 * bytes as u64;
     if rate.is_dsss() {

@@ -264,6 +264,7 @@ fn fader_v(f: &powifi_rf::BlockFader) -> Value {
 /// Serialize every dynamic field of the MAC. Links are written as the
 /// dense row-major `links` and `faders` lists over station indices, an
 /// unset link as [`UNSET_LINK_SNR`] and `null`.
+#[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
 pub fn save_mac(mac: &Mac) -> Value {
     let n = mac.stations.len();
     let mut links = Vec::with_capacity(n * n);
@@ -307,6 +308,7 @@ fn same_len(path: &str, saved: usize, rebuilt: usize) -> Result<(), CkptError> {
 /// panic on later: an index past the table it indexes, or a zero occupancy
 /// bin. Every check runs before anything is written, so a refused tree
 /// leaves the MAC as it was.
+#[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
 pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
     let stations: Vec<Station> = v.field("stations")?;
     same_len("stations", stations.len(), mac.stations.len())?;

@@ -31,6 +31,7 @@ pub fn install_audit<W: MacWorld>(w: &mut W, q: &mut Queue<W>, period: SimDurati
 /// One airtime-conservation pass over every channel and station at `now`
 /// (also what each periodic audit runs). Returns the number of violations
 /// it reported.
+#[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
 pub fn audit_now<W: MacWorld>(world: &W, now: SimTime) -> u64 {
     let before = conformance::violation_count();
     let mac = world.mac();

@@ -72,6 +72,7 @@ impl OccupancyMonitor {
     }
 
     /// Record a frame transmission starting at `t`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn record(&mut self, t: SimTime, src: StationId, bytes: u32, rate: Bitrate) {
         let idx = (t.as_nanos() / self.bin.as_nanos()) as usize;
         if idx >= self.tshark_all.len() {
@@ -119,6 +120,7 @@ impl OccupancyMonitor {
 
     /// Per-bin occupancy (0..~1, tshark metric) of tracked stations over
     /// `[0, end)`. Bins beyond the last recorded frame read as 0.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn tracked_series(&self, end: SimTime) -> Vec<f64> {
         let n = end.duration_since(SimTime::ZERO).div_ceil(self.bin) as usize;
         (0..n)
@@ -127,6 +129,7 @@ impl OccupancyMonitor {
     }
 
     /// Per-bin occupancy of all stations on the channel.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn all_series(&self, end: SimTime) -> Vec<f64> {
         let n = end.duration_since(SimTime::ZERO).div_ceil(self.bin) as usize;
         (0..n)
@@ -147,6 +150,7 @@ impl OccupancyMonitor {
 
     /// Per-bin *physical* duty factor of tracked stations (fraction of the
     /// bin with tracked RF on the air) — what the harvester sees.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn duty_series(&self, end: SimTime) -> Vec<f64> {
         let n = end.duration_since(SimTime::ZERO).div_ceil(self.bin) as usize;
         (0..n)

@@ -351,6 +351,7 @@ impl Mac {
     }
 
     /// Add a channel with the given occupancy-monitor bin width.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     pub fn add_medium(&mut self, monitor_bin: SimDuration) -> MediumId {
         let id = MediumId(self.mediums.len() as u32);
         self.mediums.push(Medium {
@@ -392,6 +393,7 @@ impl Mac {
     }
 
     /// Add a station on `medium`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     pub fn add_station(&mut self, medium: MediumId, rate_ctl: RateController) -> StationId {
         let id = StationId(self.stations.len() as u32);
         self.links.push(Vec::new());
@@ -434,6 +436,7 @@ impl Mac {
     }
 
     /// Attach a block-fading process to the directed link `a → b`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     pub fn set_link_fader(&mut self, a: StationId, b: StationId, fader: powifi_rf::BlockFader) {
         self.check_link("set_link_fader", a, b);
         let link = link_cell(&mut self.links[a.0 as usize], b);
@@ -702,6 +705,7 @@ fn obs_frame_class(kind: crate::frame::FrameKind) -> obs::FrameClass {
 }
 
 /// Queue class of a frame: power broadcasts are isolated from client data.
+#[expect(clippy::wildcard_enum_match_arm, reason = "R11: not an event match")]
 fn frame_class(frame: &Frame) -> usize {
     match frame.kind {
         crate::frame::FrameKind::Power => 1,
@@ -889,6 +893,7 @@ fn arb_fire<W: MacWorld>(w: &mut W, q: &mut Queue<W>, medium: MediumId) {
         for c in &mut m.contenders {
             let eff_start = c.count_start.max(idle_since);
             let counted_from = eff_start + timing.difs();
+            #[expect(clippy::cast_possible_truncation, reason = "R5: at most CWmax slots")]
             if now > counted_from {
                 let elapsed = now.duration_since(counted_from) / timing.slot;
                 c.rem -= (elapsed as u32).min(c.rem);
@@ -914,9 +919,9 @@ fn arb_fire<W: MacWorld>(w: &mut W, q: &mut Queue<W>, medium: MediumId) {
             let (rate, bytes, dst, class, kind) = {
                 let st = &mac.stations[sta.0 as usize];
                 let class = st.next_class();
-                // powifi-lint: allow(R3) — winners are drawn from stations
-                // with queued frames; an empty queue here is a scheduler bug
-                // and a loud panic beats a silently dropped transmission.
+                // An empty queue here is a scheduler bug, and a loud panic
+                // beats a silently dropped transmission.
+                #[expect(clippy::expect_used, reason = "R3: winners have queued frames")]
                 let f = st.queues[class].front().expect("winner with empty queue");
                 let rate = f.rate.unwrap_or_else(|| st.rate_ctl.current());
                 (rate, f.bytes, f.dst, class, f.kind)
@@ -1029,9 +1034,8 @@ fn tx_end<W: MacWorld>(w: &mut W, q: &mut Queue<W>, medium: MediumId) {
                     },
                 );
             }
-            // powifi-lint: allow(R3) — a frame is in flight, so its head
-            // queue slot must still hold it until this completion handler
-            // pops it; anything else is a MAC state-machine bug.
+            // Anything else is a MAC state-machine bug.
+            #[expect(clippy::expect_used, reason = "R3: in flight means at its queue head")]
             let frame = *st.queues[fl.class]
                 .front()
                 .expect("in-flight with empty queue");
@@ -1165,6 +1169,7 @@ pub fn start_beacons<W: MacWorld>(
 }
 
 /// Start traffic source `src`, first firing at `first`.
+#[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
 pub fn start_source<W: MacWorld>(w: &mut W, q: &mut Queue<W>, first: SimTime, src: Source) {
     let mac = w.mac_mut();
     let id = mac.sources.len() as u32;

@@ -45,6 +45,7 @@ impl NetState {
 
     /// Register a flow: `make` receives the newly allocated id and returns
     /// the flow to store under it.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     pub fn insert_flow(&mut self, make: impl FnOnce(FlowId) -> Flow) -> FlowId {
         let id = self.flows.len() as FlowId + 1;
         self.flows.push(make(id));
@@ -63,6 +64,7 @@ impl NetState {
     }
 
     /// Iterate every flow in ascending id order.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: ids are u32")]
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
         self.flows
             .iter()

@@ -118,6 +118,7 @@ impl TcpFlow {
     }
 
     /// The send record of `seq`, if it is inside the outstanding window.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     fn sent_entry(&self, seq: u64) -> Option<(SimTime, bool)> {
         seq.checked_sub(self.snd_una)
             .and_then(|i| self.sent_at.get(i as usize))
@@ -125,6 +126,7 @@ impl TcpFlow {
     }
 
     /// Overwrite the send record of an outstanding `seq`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     fn set_sent(&mut self, seq: u64, entry: (SimTime, bool)) {
         let i = (seq - self.snd_una) as usize;
         if i < self.sent_at.len() {
@@ -185,6 +187,7 @@ fn ack_frame(f: &TcpFlow, ack: u64) -> Frame {
 
 fn try_send<W: NetWorld>(w: &mut W, q: &mut Queue<W>, id: FlowId) {
     let mut to_send = Vec::new();
+    #[expect(clippy::cast_possible_truncation, reason = "R5: whole cwnd segments")]
     let (had_outstanding, src) = {
         let f = w.net_mut().tcp_mut(id);
         let had = f.outstanding() > 0;

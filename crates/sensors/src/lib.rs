@@ -8,6 +8,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// R1–R14 hold in the library build (docs/STATIC_ANALYSIS.md).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 
 pub mod backscatter;
 pub mod camera;

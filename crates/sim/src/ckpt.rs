@@ -161,6 +161,7 @@ pub trait ValueExt {
     fn display_leaf(&self) -> String;
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "R11: not an event match")]
 impl ValueExt for Value {
     fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())

@@ -106,6 +106,7 @@ pub fn take() -> (u64, Vec<Violation>) {
 /// Panic with a readable report if any violation was recorded.
 ///
 /// `context` names the run being checked (test name, experiment point).
+#[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
 pub fn assert_clean(context: &str) {
     let (count, retained) = take();
     if count > 0 {

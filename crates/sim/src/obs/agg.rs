@@ -129,6 +129,7 @@ pub struct Aggregator {
     seq_max: Option<u64>,
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "R11: not an event match")]
 fn obj(v: &Value) -> Result<&[(String, Value)], String> {
     match v {
         Value::Object(entries) => Ok(entries),
@@ -140,6 +141,8 @@ fn get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "R11: not an event match")]
+#[expect(clippy::cast_possible_truncation, reason = "R5: a rounded count")]
 fn get_u64(entries: &[(String, Value)], key: &str) -> Option<u64> {
     match get(entries, key)? {
         Value::UInt(u) => Some(*u),
@@ -150,6 +153,7 @@ fn get_u64(entries: &[(String, Value)], key: &str) -> Option<u64> {
     }
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "R11: not an event match")]
 fn get_str<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a str> {
     match get(entries, key)? {
         Value::Str(s) => Some(s),

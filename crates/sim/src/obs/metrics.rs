@@ -17,7 +17,7 @@
 //! here under the well-known names in [`keys`] (the deprecated shim has
 //! been removed).
 
-use crate::ckpt::Ckpt;
+use crate::ckpt::{Ckpt, CkptError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -280,7 +280,33 @@ fn intern_key(k: &str) -> &'static str {
 /// checkpoint-restore inverse of [`snapshot`]. Restored histograms carry
 /// only the non-empty buckets a summary retains, which is exactly what
 /// [`snapshot`] re-renders, so snapshot→restore→snapshot is a fixed point.
-pub fn restore(s: &MetricsSnapshot) {
+///
+/// Every histogram is checked before the registry is touched: a bucket
+/// bound that is not exactly one of the `2^i` bounds, or that repeats or
+/// breaks ascending order, is refused with the field's path.
+pub fn restore(s: &MetricsSnapshot) -> Result<(), CkptError> {
+    let mut hists = Vec::with_capacity(s.histograms.len());
+    for (k, h) in &s.histograms {
+        let mut hist = Hist::new();
+        hist.count = h.count;
+        hist.sum = h.sum;
+        hist.min = h.min;
+        hist.max = h.max;
+        let mut next = 0;
+        for &(bound, n) in &h.buckets {
+            let Some(idx) =
+                (next..BUCKET_COUNT).find(|&i| bucket_bound(i).to_bits() == bound.to_bits())
+            else {
+                return Err(CkptError::field(
+                    &format!("histograms/{k}/buckets"),
+                    format!("bound {bound} is not a power of two above the previous bucket's"),
+                ));
+            };
+            hist.buckets[idx] = n;
+            next = idx + 1;
+        }
+        hists.push((k, hist));
+    }
     REGISTRY.with(|r| {
         let mut r = r.borrow_mut();
         r.counters.clear();
@@ -292,21 +318,11 @@ pub fn restore(s: &MetricsSnapshot) {
         for (k, v) in &s.gauges {
             r.gauges.insert(intern_key(k), *v);
         }
-        for (k, h) in &s.histograms {
-            let mut hist = Hist::new();
-            hist.count = h.count;
-            hist.sum = h.sum;
-            hist.min = h.min;
-            hist.max = h.max;
-            for &(bound, n) in &h.buckets {
-                let idx = (0..BUCKET_COUNT)
-                    .find(|&i| bucket_bound(i) == bound)
-                    .unwrap_or(BUCKET_COUNT - 1);
-                hist.buckets[idx] = n;
-            }
+        for (k, hist) in hists {
             r.histograms.insert(intern_key(k), hist);
         }
     });
+    Ok(())
 }
 
 /// Rendered summary of one histogram in a [`MetricsSnapshot`].
@@ -485,7 +501,7 @@ mod tests {
         let snap = snapshot();
         reset();
         assert_eq!(snapshot(), MetricsSnapshot::default());
-        restore(&snap);
+        restore(&snap).unwrap();
         assert_eq!(snapshot(), snap, "snapshot→restore→snapshot fixed point");
         // The restored registry stays live: further observations accumulate
         // on top of the restored totals.

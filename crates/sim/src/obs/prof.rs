@@ -38,6 +38,7 @@ use serde_json::{write_float, write_string};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+#[expect(clippy::disallowed_types, reason = "R7: the profiler's wall mode")]
 use std::time::Instant;
 
 /// Sample one in this many span entries for wall timing (power of two).
@@ -261,6 +262,7 @@ pub struct SpanGuard {
     /// Arena index of the enclosing span, restored into [`Prof::cur`] on
     /// drop.
     prev: usize,
+    #[expect(clippy::disallowed_types, reason = "R7: the profiler's wall mode")]
     start: Option<Instant>,
 }
 
@@ -286,6 +288,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         if h.parent.get() == parent && h.name.get() == name.as_ptr() as usize {
             h.pending.set(h.pending.get() + 1);
             p.cur.set(h.idx.get());
+            #[expect(clippy::disallowed_types, reason = "R7: the profiler's wall mode")]
             let start = if p.wall.get() {
                 let t = p.tick.get().wrapping_add(1);
                 p.tick.set(t);
@@ -304,6 +307,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 #[cold]
+#[expect(clippy::disallowed_types, reason = "R7: the profiler's wall mode")]
 fn enter(p: &Prof, name: &'static str) -> SpanGuard {
     let mut s = p.state.borrow_mut();
     let s = &mut *s;

@@ -60,6 +60,7 @@ pub const DEFAULT_QUEUE_CAP: usize = 4096;
 /// Lock a mutex without unwrap: a poisoned stream queue only means a
 /// panicking producer thread died mid-push; the data is a queue of rendered
 /// lines, always structurally valid.
+#[expect(clippy::disallowed_methods, reason = "R9: stream's one queue lock")]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -495,6 +496,7 @@ pub fn spawn_writer(
 /// `powifi-obs fleet record` listener printed), write the session header, and
 /// spawn the writer thread. This is the sanctioned socket touchpoint of
 /// the sim crates (lint R13).
+#[expect(clippy::disallowed_types, reason = "R13: obs::stream owns egress")]
 pub fn tcp_egress(
     addr: &str,
     session: &SessionInfo,

@@ -440,19 +440,6 @@ pub trait TraceSink {
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
-/// Sink that discards everything. Useful for measuring instrumentation
-/// overhead with tracing "on" but output suppressed.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: &TraceRecord) {}
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 /// Bounded in-memory ring of the most recent records.
 #[derive(Debug)]
 pub struct RingSink {
@@ -595,6 +582,7 @@ pub fn emit(at: SimTime, event: TraceEvent) {
 /// Run `f` with a fresh unbounded ring installed on this thread, then
 /// restore whatever sink was installed before and return `f`'s result
 /// alongside the captured records rendered as JSONL.
+#[expect(clippy::disallowed_methods, reason = "R6: obs's own capture sink")]
 pub fn capture_jsonl<T>(f: impl FnOnce() -> T) -> (T, String) {
     let prev = install(Box::new(RingSink::unbounded()));
     let out = f();

@@ -328,7 +328,7 @@ impl<W, E> EventQueue<W, E> {
                 if t >= bound {
                     break;
                 }
-                // powifi-lint: allow(R3) — first_key_value above proves non-empty
+                #[expect(clippy::expect_used, reason = "R3: checked non-empty above")]
                 let ((t, seq), ev) = self.overflow.pop_first().expect("checked non-empty");
                 self.place(t, seq, ev);
             }
@@ -428,7 +428,7 @@ impl<W: Dispatch<E>, E> EventQueue<W, E> {
                 if top.time > end_ns {
                     break;
                 }
-                // powifi-lint: allow(R3) — the peek above proves non-empty
+                #[expect(clippy::expect_used, reason = "R3: the peek above proves non-empty")]
                 let entry = self.active.pop().expect("peeked entry");
                 debug_assert!(
                     entry.time >= self.now.as_nanos(),

@@ -18,6 +18,7 @@ pub struct SimRng {
 
 impl SimRng {
     /// Root stream for an experiment seed.
+    #[expect(clippy::disallowed_methods, reason = "R10: rng.rs seeds generators")]
     pub fn from_seed(seed: u64) -> Self {
         let base = splitmix(seed);
         SimRng {
@@ -28,6 +29,7 @@ impl SimRng {
 
     /// Derive an independent child stream identified by `label`.
     /// Identical `(seed, label)` pairs always produce identical streams.
+    #[expect(clippy::disallowed_methods, reason = "R10: rng.rs seeds generators")]
     pub fn derive(&self, label: &str) -> SimRng {
         let base = self.derive_seed(label);
         SimRng {

@@ -60,6 +60,7 @@ impl TimeSeries {
     /// Average the series into fixed-width bins over `[0, end)`; bins with no
     /// points carry the previous value forward (sample-and-hold), starting
     /// from `initial`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn bin_mean(&self, bin: SimDuration, end: SimTime, initial: f64) -> Vec<f64> {
         assert!(!bin.is_zero());
         let nbins = end.duration_since(SimTime::ZERO).div_ceil(bin) as usize;
@@ -117,8 +118,7 @@ impl PowerEnvelope {
                 *last_v = level;
                 return;
             }
-            // powifi-lint: allow(float-eq) — bitwise-identical levels coalesce;
-            // any difference, however tiny, is a genuine change point.
+            #[expect(clippy::float_cmp, reason = "R4: only bitwise-equal levels coalesce")]
             if *last_v == level {
                 return;
             }

@@ -127,6 +127,7 @@ impl Cdf {
     }
 
     /// Value at quantile `q` in `[0, 1]` (nearest-rank). Panics if empty.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: a rank in [0, len]")]
     pub fn quantile(&mut self, q: f64) -> f64 {
         assert!(!self.samples.is_empty(), "quantile of empty CDF");
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
@@ -251,6 +252,7 @@ impl BinnedThroughput {
     }
 
     /// Record `bytes` delivered at time `t`.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: lossless on 64-bit")]
     pub fn record(&mut self, t: SimTime, bytes: u64) {
         let idx = (t.as_nanos() / self.bin.as_nanos()) as usize;
         if idx >= self.bins.len() {

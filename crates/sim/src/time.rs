@@ -43,6 +43,7 @@ impl SimTime {
     }
 
     /// Construct from fractional seconds. Panics on negative or non-finite input.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: rounded first")]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time {s}");
         SimTime((s * 1e9).round() as u64)
@@ -111,6 +112,7 @@ impl SimDuration {
     }
 
     /// Construct from fractional seconds. Panics on negative or non-finite input.
+    #[expect(clippy::cast_possible_truncation, reason = "R5: rounded first")]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration {s}");
         SimDuration((s * 1e9).round() as u64)
@@ -145,6 +147,7 @@ impl SimDuration {
     /// Panics on negative or non-finite input. This is the blessed rounding
     /// helper for float→integer airtime math (see docs/STATIC_ANALYSIS.md,
     /// rule R5).
+    #[expect(clippy::cast_possible_truncation, reason = "R5: rounded first")]
     pub fn from_micros_f64(us: f64) -> Self {
         assert!(us.is_finite() && us >= 0.0, "invalid duration {us}us");
         SimDuration((us * 1_000.0).round() as u64)
