@@ -60,6 +60,7 @@ impl Experiment for OccupancyCap {
         let r = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
         if pt.target.is_finite() {
             spawn_capper(
+                &mut w,
                 &mut q,
                 &r,
                 CapperConfig {

@@ -70,6 +70,7 @@ impl Experiment for PowerBitrate {
         };
         for (i, iface) in s.router.ifaces.iter().enumerate() {
             powifi_core::spawn_injector(
+                &mut w,
                 &mut q,
                 iface.sta,
                 cfg,

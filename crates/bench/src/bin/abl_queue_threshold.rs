@@ -62,6 +62,7 @@ impl Experiment for QueueThreshold {
         };
         for (i, iface) in s.router.ifaces.iter().enumerate() {
             powifi_core::spawn_injector(
+                &mut w,
                 &mut q,
                 iface.sta,
                 cfg,

@@ -63,6 +63,7 @@ impl Experiment for SilentSlot {
         if pt.policy == "silent-slot" {
             for iface in &s.router.ifaces {
                 spawn_silent_injector(
+                    &mut w,
                     &mut q,
                     iface.sta,
                     SilentSlotConfig::default(),

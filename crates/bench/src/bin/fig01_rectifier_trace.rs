@@ -9,7 +9,6 @@ use powifi_deploy::{
 };
 use powifi_harvest::{rectifier_trace, summarize as trace_summary, Rectifier, RectifierNode};
 use powifi_mac::{Mac, MacWorld, Queue, RateController};
-use powifi_net::NetState;
 use powifi_rf::{Bitrate, Db, Meters, PathLoss, WifiChannel};
 use powifi_sensors::sensor_pathloss;
 use powifi_sim::{SimDuration, SimRng, SimTime};
@@ -54,10 +53,7 @@ impl Experiment for RectifierFig {
         // §2 setup: Asus RT-AC68U (23 dBm, 4.04 dBi) on channel 6, moderate
         // (10–40 %) occupancy from its own client traffic.
         let rng = SimRng::from_seed(seed);
-        let mut w = SimWorld {
-            mac: Mac::new(rng.derive("mac")),
-            net: NetState::new(),
-        };
+        let mut w = SimWorld::new(Mac::new(rng.derive("mac")));
         let mut q = Queue::new();
         let medium = w.mac.add_medium(SimDuration::from_millis(100));
         let router = Router::install(
@@ -76,6 +72,7 @@ impl Experiment for RectifierFig {
             .mac
             .add_station(medium, RateController::fixed(Bitrate::G54));
         install_traffic_source(
+            &mut w,
             &mut q,
             router_sta,
             client,

@@ -8,7 +8,6 @@ use powifi_bench::{banner, row, BenchArgs, Experiment, Sweep};
 use powifi_core::{spawn_injector, PowerTrafficConfig, Scheme};
 use powifi_deploy::{constant_intensity, install_background, BackgroundConfig, SimWorld};
 use powifi_mac::{Mac, MacWorld, Queue, RateController};
-use powifi_net::NetState;
 use powifi_rf::Bitrate;
 use powifi_sim::{SimDuration, SimRng, SimTime};
 use serde::Serialize;
@@ -67,10 +66,7 @@ impl Experiment for OccupancyVsDelay {
 
     fn run(&self, pt: &Pt, seed: u64) -> f64 {
         let rng = SimRng::from_seed(seed);
-        let mut w = SimWorld {
-            mac: Mac::new(rng.derive("mac")),
-            net: NetState::new(),
-        };
+        let mut w = SimWorld::new(Mac::new(rng.derive("mac")));
         let mut q = Queue::new();
         let medium = w.mac.add_medium(SimDuration::from_secs(1));
         let iface = w
@@ -94,7 +90,7 @@ impl Experiment for OccupancyVsDelay {
             qdepth_threshold: Some(pt.threshold),
             ..Scheme::PoWiFi.power_config().unwrap()
         };
-        spawn_injector(&mut q, iface, cfg, rng.derive("inj"), SimTime::ZERO);
+        spawn_injector(&mut w, &mut q, iface, cfg, rng.derive("inj"), SimTime::ZERO);
         let end = SimTime::from_secs(pt.secs);
         q.run_until(&mut w, end);
         let occ = w.mac().monitor(medium).mean_tracked(end);

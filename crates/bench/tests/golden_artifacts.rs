@@ -1,6 +1,6 @@
 //! Golden JSON snapshot tests for quick-mode bench artifacts.
 //!
-//! Runs three representative bench binaries at `--seed 0` and compares
+//! Runs representative bench binaries at `--seed 0` and compares
 //! their `*.points.json` byte-for-byte against committed snapshots
 //! (`tests/golden/`). Manifests are compared too, after stripping the
 //! wall-clock lines — the only nondeterministic bytes any bench artifact
@@ -94,4 +94,42 @@ fn fig07_quick_artifacts_match_golden() {
 #[test]
 fn table1_quick_artifacts_match_golden() {
     check_artifacts(env!("CARGO_BIN_EXE_table1_homes"), "table1");
+}
+
+// The power machinery's extensions: the §6 occupancy capper, §8c
+// time-division fleet, §8b silent-slot policy and §8d power-DoS attacker,
+// plus the two sweeps that disable a built office's injectors and spawn
+// their own.
+
+#[test]
+fn occupancy_cap_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_abl_occupancy_cap"), "abl_occupancy_cap");
+}
+
+#[test]
+fn multi_router_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_abl_multi_router"), "abl_multi_router");
+}
+
+#[test]
+fn silent_slot_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_abl_silent_slot"), "abl_silent_slot");
+}
+
+#[test]
+fn pdos_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_abl_pdos"), "abl_pdos");
+}
+
+#[test]
+fn queue_threshold_quick_artifacts_match_golden() {
+    check_artifacts(
+        env!("CARGO_BIN_EXE_abl_queue_threshold"),
+        "abl_queue_threshold",
+    );
+}
+
+#[test]
+fn power_bitrate_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_abl_power_bitrate"), "abl_power_bitrate");
 }

@@ -10,11 +10,9 @@
 
 use crate::injector::InjectorHandle;
 use crate::router::Router;
-use crate::CoreEvent;
-use powifi_mac::{MacWorld, MediumId, Queue};
+use crate::{CoreEvent, PowerWorld};
+use powifi_mac::{MediumId, Queue};
 use powifi_sim::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
@@ -40,11 +38,12 @@ impl Default for CapperConfig {
     }
 }
 
-/// Spawn-time state of one capper, carried inside its
-/// [`CoreEvent::CapperTick`] event: the router's channels and injectors,
-/// plus the previous step's cumulative on-air seconds, to compute windowed
-/// occupancy.
-pub struct CapperSt {
+/// Per-tick state of one capper: its entry in the world's
+/// [`PowerState`](crate::PowerState) capper table, which its
+/// [`CoreEvent::CapperTick`] indexes. Holds the router's channels and
+/// injectors, plus the previous step's cumulative on-air seconds, to
+/// compute windowed occupancy.
+pub(crate) struct CapperSt {
     cfg: CapperConfig,
     mediums: Vec<MediumId>,
     injectors: Vec<InjectorHandle>,
@@ -53,11 +52,12 @@ pub struct CapperSt {
 }
 
 /// Spawn the capper controlling `router`'s injectors.
-pub fn spawn_capper<W>(q: &mut Queue<W>, router: &Router, cfg: CapperConfig)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+pub fn spawn_capper<W: PowerWorld>(
+    w: &mut W,
+    q: &mut Queue<W>,
+    router: &Router,
+    cfg: CapperConfig,
+) {
     let st = CapperSt {
         cfg,
         mediums: router.ifaces.iter().map(|i| i.medium).collect(),
@@ -65,84 +65,60 @@ where
         prev_total: 0.0,
         prev_t: SimTime::ZERO,
     };
-    let ev = CoreEvent::CapperTick(Rc::new(RefCell::new(st)));
-    q.post_at(SimTime::ZERO + cfg.interval, ev.into());
+    let id = w.power().cappers.len();
+    w.power_mut().cappers.push(st);
+    q.post_at(
+        SimTime::ZERO + cfg.interval,
+        CoreEvent::CapperTick(id).into(),
+    );
 }
 
-pub(crate) fn capper_tick<W>(w: &mut W, q: &mut Queue<W>, st: Rc<RefCell<CapperSt>>)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
-    let interval = {
-        let mut s = st.borrow_mut();
-        let now = q.now();
-        let total: f64 = s
-            .mediums
-            .iter()
-            .map(|&m| w.mac().monitor(m).mean_tracked(now) * now.as_secs_f64())
-            .sum();
-        let window = now.duration_since(s.prev_t).as_secs_f64();
-        if window > 0.0 {
-            let occ = (total - s.prev_total) / window;
-            for inj in &s.injectors {
-                let mut c = inj.borrow_mut();
-                if occ > s.cfg.target {
-                    c.delay_scale = (c.delay_scale * s.cfg.up).min(1000.0);
-                } else {
-                    c.delay_scale = (c.delay_scale * s.cfg.down).max(1.0);
-                }
+pub(crate) fn capper_tick<W: PowerWorld>(w: &mut W, q: &mut Queue<W>, id: usize) {
+    let now = q.now();
+    let total: f64 = w.power().cappers[id]
+        .mediums
+        .iter()
+        .map(|&m| w.mac().monitor(m).mean_tracked(now) * now.as_secs_f64())
+        .sum();
+    let s = &mut w.power_mut().cappers[id];
+    let window = now.duration_since(s.prev_t).as_secs_f64();
+    if window > 0.0 {
+        let occ = (total - s.prev_total) / window;
+        for inj in &s.injectors {
+            let mut c = inj.borrow_mut();
+            if occ > s.cfg.target {
+                c.delay_scale = (c.delay_scale * s.cfg.up).min(1000.0);
+            } else {
+                c.delay_scale = (c.delay_scale * s.cfg.down).max(1.0);
             }
         }
-        s.prev_total = total;
-        s.prev_t = now;
-        s.cfg.interval
-    };
-    q.post_in(interval, CoreEvent::CapperTick(st).into());
+    }
+    s.prev_total = total;
+    s.prev_t = now;
+    q.post_in(s.cfg.interval, CoreEvent::CapperTick(id).into());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::{Router, RouterConfig};
+    use crate::CoreStack;
     use powifi_mac::Mac;
     use powifi_rf::WifiChannel;
     use powifi_sim::SimRng;
 
-    use crate::{dispatch_core_stack, CoreStackEvent};
-    use powifi_sim::Dispatch;
-
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
-
     fn run_with_capper(target: Option<f64>) -> f64 {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let channels: Vec<_> = WifiChannel::POWER_SET
             .iter()
             .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))
             .collect();
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         let rng = SimRng::from_seed(5);
         let r = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
         if let Some(t) = target {
             spawn_capper(
+                &mut w,
                 &mut q,
                 &r,
                 CapperConfig {

@@ -1,17 +1,16 @@
 //! Power-machinery checkpoint state.
 //!
-//! The injector's spawn-time block ([`InjectorSt`]) lives behind an `Rc`
-//! carried inside its own pending [`crate::CoreEvent::InjectorTick`] event,
-//! so restore works by *re-linking*: the deployment layer rebuilds the
-//! world (which spawns fresh injectors with fresh `Rc` blocks), harvests
-//! those blocks from the fresh queue keyed by interface, and overlays the
-//! dynamic state — RNG stream position and the shared control block — via
-//! [`restore_injector`].
+//! An injector's per-tick state is an entry of the world's [`PowerState`]
+//! injector table, which its pending [`crate::CoreEvent::InjectorTick`]
+//! indexes. Restore is rebuild-and-overlay: the deployment layer rebuilds
+//! the world (which refills the table, config included), and
+//! [`restore_injector`] overlays the dynamic state that [`save_injector`]
+//! wrote — RNG stream position and the shared control block — onto the
+//! rebuilt entry on the same interface.
 //!
 //! The [`Scheme`] under test is part of every office checkpoint's spec.
 
-use crate::injector::InjectorSt;
-use crate::Scheme;
+use crate::{PowerState, Scheme};
 use powifi_mac::StationId;
 use powifi_rf::Bitrate;
 use powifi_sim::ckpt::{Ckpt, CkptError, Value, ValueExt};
@@ -42,14 +41,10 @@ impl Ckpt for Scheme {
     }
 }
 
-/// The interface an injector block is bound to (the re-link key).
-pub fn injector_iface(st: &InjectorSt) -> StationId {
-    st.iface
-}
-
-/// Serialize an injector's dynamic state (RNG position plus the shared
+/// Serialize injector `id`'s dynamic state (RNG position plus the shared
 /// control block). The traffic config is rebuilt from the experiment spec.
-pub fn save_injector(st: &InjectorSt) -> Value {
+pub fn save_injector(power: &PowerState, id: usize) -> Value {
+    let st = &power.injectors[id];
     let ctl = st.ctl.borrow();
     Value::map()
         .put("iface", &st.iface)
@@ -63,19 +58,22 @@ pub fn save_injector(st: &InjectorSt) -> Value {
         .build()
 }
 
-/// Overlay a [`save_injector`] tree onto a freshly spawned injector block.
-/// The block's interface must match the tree's `iface` key.
-pub fn restore_injector(st: &mut InjectorSt, v: &Value) -> Result<(), CkptError> {
+/// Overlay a [`save_injector`] tree onto the rebuilt injector on the tree's
+/// `iface`, and return that injector's id. A tree for an interface without
+/// an injector is refused.
+pub fn restore_injector(power: &mut PowerState, v: &Value) -> Result<usize, CkptError> {
     let iface: StationId = v.field("iface")?;
-    if iface != st.iface {
-        return Err(CkptError::field(
-            "iface",
-            format!(
-                "checkpoint is for iface {}, rebuilt injector is on {}",
-                iface.0, st.iface.0
-            ),
-        ));
-    }
+    let id = power
+        .injectors
+        .iter()
+        .position(|st| st.iface == iface)
+        .ok_or_else(|| {
+            CkptError::field(
+                "iface",
+                format!("rebuilt world has no injector on iface {}", iface.0),
+            )
+        })?;
+    let st = &mut power.injectors[id];
     st.rng = v.field("rng")?;
     let mut ctl = st.ctl.borrow_mut();
     ctl.sent = v.field("sent")?;
@@ -84,21 +82,23 @@ pub fn restore_injector(st: &mut InjectorSt, v: &Value) -> Result<(), CkptError>
     ctl.delay_scale = v.field("delay_scale")?;
     ctl.enabled = v.field("enabled")?;
     ctl.gate_open = v.field("gate_open")?;
-    Ok(())
+    Ok(id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{JitterModel, PowerTrafficConfig};
-    use crate::injector::InjectorCtl;
+    use crate::injector::{InjectorCtl, InjectorSt};
     use powifi_rf::Bitrate;
     use powifi_sim::{SimDuration, SimRng};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn block(iface: u32) -> InjectorSt {
-        InjectorSt {
+    /// A power table holding one injector, on `iface`.
+    fn table(iface: u32) -> PowerState {
+        let mut power = PowerState::default();
+        power.injectors.push(InjectorSt {
             iface: StationId(iface),
             cfg: PowerTrafficConfig {
                 payload_bytes: 1500,
@@ -109,35 +109,39 @@ mod tests {
             },
             rng: SimRng::from_seed(3),
             ctl: Rc::new(RefCell::new(InjectorCtl::default())),
-        }
+        });
+        power
     }
 
     #[test]
     fn injector_state_roundtrips() {
-        let mut a = block(4);
-        a.rng.f64();
+        let mut a = table(4);
+        a.injectors[0].rng.f64();
         {
-            let mut c = a.ctl.borrow_mut();
+            let mut c = a.injectors[0].ctl.borrow_mut();
             c.sent = 120;
             c.dropped = 37;
             c.delay_scale = 2.5;
             c.gate_open = Some(false);
         }
-        let v = save_injector(&a);
-        let mut b = block(4);
-        restore_injector(&mut b, &v).unwrap();
+        let v = save_injector(&a, 0);
+        let mut b = table(4);
+        assert_eq!(restore_injector(&mut b, &v), Ok(0));
         assert_eq!(
             powifi_sim::ckpt::state_hash(&v),
-            powifi_sim::ckpt::state_hash(&save_injector(&b))
+            powifi_sim::ckpt::state_hash(&save_injector(&b, 0))
         );
         // The restored RNG continues the same draw sequence.
-        assert_eq!(a.rng.f64().to_bits(), b.rng.f64().to_bits());
+        assert_eq!(
+            a.injectors[0].rng.f64().to_bits(),
+            b.injectors[0].rng.f64().to_bits()
+        );
     }
 
     #[test]
     fn iface_mismatch_is_refused() {
-        let a = block(4);
-        let mut b = block(5);
-        assert!(restore_injector(&mut b, &save_injector(&a)).is_err());
+        let a = table(4);
+        let mut b = table(5);
+        assert!(restore_injector(&mut b, &save_injector(&a, 0)).is_err());
     }
 }

@@ -8,9 +8,9 @@
 
 use crate::config::PowerTrafficConfig;
 use crate::stack::{ip_power_check, IpPowerVerdict};
-use crate::CoreEvent;
-use powifi_mac::{enqueue, Frame, MacWorld, Queue, StationId};
-use powifi_sim::{SimRng, SimTime};
+use crate::{CoreEvent, PowerWorld};
+use powifi_mac::{enqueue, Frame, Queue, StationId};
+use powifi_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -76,11 +76,12 @@ pub fn record_injector_progress(injectors: &[InjectorHandle]) {
     gauge(keys::CORE_LIVE_POWER_GATED).set(gated as f64);
 }
 
-/// Spawn-time state of one injector, carried inside its
-/// [`CoreEvent::InjectorTick`] event: the traffic config, the injector's
-/// private RNG stream, and the shared control block. Allocated once at
-/// [`spawn_injector`]; every tick re-posts the same block.
-pub struct InjectorSt {
+/// Per-tick state of one injector: its entry in the world's
+/// [`PowerState`](crate::PowerState) injector table, which its
+/// [`CoreEvent::InjectorTick`] indexes. Holds the traffic config, the
+/// injector's private RNG stream and the shared control block; filled once
+/// at [`spawn_injector`].
+pub(crate) struct InjectorSt {
     pub(crate) iface: StationId,
     pub(crate) cfg: PowerTrafficConfig,
     pub(crate) rng: SimRng,
@@ -89,47 +90,41 @@ pub struct InjectorSt {
 
 /// Start an injector on `iface`, first tick at `start`. Returns the shared
 /// control block.
-pub fn spawn_injector<W>(
+pub fn spawn_injector<W: PowerWorld>(
+    w: &mut W,
     q: &mut Queue<W>,
     iface: StationId,
     cfg: PowerTrafficConfig,
     rng: SimRng,
     start: SimTime,
-) -> InjectorHandle
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+) -> InjectorHandle {
     let ctl: InjectorHandle = Rc::new(RefCell::new(InjectorCtl::default()));
-    let st = Rc::new(RefCell::new(InjectorSt {
+    let st = InjectorSt {
         iface,
         cfg,
         rng,
-        ctl: ctl.clone(),
-    }));
-    q.post_at(start, CoreEvent::InjectorTick(st).into());
+        ctl: Rc::clone(&ctl),
+    };
+    let id = w.power().injectors.len();
+    w.power_mut().injectors.push(st);
+    q.post_at(start, CoreEvent::InjectorTick(id).into());
     ctl
 }
 
+/// One tick (routed here from [`crate::dispatch_core`]). Inlined into the
+/// world's dispatch like `dispatch_core` itself: it is half of a home
+/// day's events.
+#[inline]
 #[expect(clippy::cast_possible_truncation, reason = "R5: u32 depth; rounded")]
-pub(crate) fn injector_tick<W>(w: &mut W, q: &mut Queue<W>, st: Rc<RefCell<InjectorSt>>)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+pub(crate) fn injector_tick<W: PowerWorld>(w: &mut W, q: &mut Queue<W>, id: usize) {
     let _prof = powifi_sim::obs::prof::span("core.injector.tick");
-    // One borrow of the spawn-time state and one of the shared control block
-    // for the whole tick. Nothing reached from here (enqueue → MAC, trace,
-    // conformance) touches either RefCell, and holding them saves an Rc
-    // clone plus several borrow round-trips on the hottest event in the
-    // tier-1 scenarios.
-    let delay = {
-        let mut s = st.borrow_mut();
-        let s = &mut *s;
-        let iface = s.iface;
-        let cfg = s.cfg;
-        let mut c = s.ctl.borrow_mut();
-        if c.enabled {
+    let InjectorSt { iface, cfg, .. } = w.power().injectors[id];
+    // The gate and the pacing scale under one borrow of the control block:
+    // a gated tick (most of them) takes no other. Nothing the gate reaches
+    // (MAC queue depth, trace) touches the block.
+    let (admit, delay_scale) = {
+        let mut c = w.power().injectors[id].ctl.borrow_mut();
+        let admit = c.enabled && {
             let verdict = {
                 let _prof = powifi_sim::obs::prof::span("core.injector.qdepth_poll");
                 ip_power_check(w.mac(), iface, cfg.qdepth_threshold)
@@ -149,84 +144,66 @@ where
                 }
             }
             match verdict {
-                IpPowerVerdict::Admit => {
-                    let frame = Frame::power(iface, cfg.payload_bytes, cfg.bitrate);
-                    if enqueue(w, q, iface, frame) {
-                        c.sent += 1;
-                        powifi_sim::obs::trace::emit(
-                            q.now(),
-                            powifi_sim::obs::trace::TraceEvent::PowerPacket {
-                                iface: iface.0,
-                                bytes: cfg.payload_bytes,
-                            },
-                        );
-                    } else {
-                        c.queue_full += 1;
-                    }
-                    if powifi_sim::conformance::enabled() {
-                        // §3.2 contract: admission requires depth < threshold,
-                        // so right after an admission depth ≤ threshold; more
-                        // means the IP_Power check let traffic pile up behind
-                        // the MAC's back.
-                        if let Some(t) = cfg.qdepth_threshold {
-                            let depth = w.mac().queue_depth(iface);
-                            if depth > t {
-                                powifi_sim::conformance::report(
-                                    "core/qdepth-threshold",
-                                    q.now(),
-                                    format!(
-                                        "iface {} queue depth {depth} after admit, threshold {t}",
-                                        iface.0
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
+                IpPowerVerdict::Admit => true,
                 IpPowerVerdict::Drop => {
                     c.dropped += 1;
+                    false
+                }
+            }
+        };
+        (admit, c.delay_scale)
+    };
+    if admit {
+        let frame = Frame::power(iface, cfg.payload_bytes, cfg.bitrate);
+        let queued = enqueue(w, q, iface, frame);
+        let mut c = w.power().injectors[id].ctl.borrow_mut();
+        if queued {
+            c.sent += 1;
+            powifi_sim::obs::trace::emit(
+                q.now(),
+                powifi_sim::obs::trace::TraceEvent::PowerPacket {
+                    iface: iface.0,
+                    bytes: cfg.payload_bytes,
+                },
+            );
+        } else {
+            c.queue_full += 1;
+        }
+        if powifi_sim::conformance::enabled() {
+            // §3.2 contract: admission requires depth < threshold, so right
+            // after an admission depth ≤ threshold; more means the IP_Power
+            // check let traffic pile up behind the MAC's back.
+            if let Some(t) = cfg.qdepth_threshold {
+                let depth = w.mac().queue_depth(iface);
+                if depth > t {
+                    powifi_sim::conformance::report(
+                        "core/qdepth-threshold",
+                        q.now(),
+                        format!(
+                            "iface {} queue depth {depth} after admit, threshold {t}",
+                            iface.0
+                        ),
+                    );
                 }
             }
         }
-        let base = cfg.inter_packet_delay.as_nanos() as f64 * c.delay_scale.max(0.01);
-        drop(c);
-        let jitter = cfg.jitter.sample(&mut s.rng);
-        powifi_sim::SimDuration::from_nanos(base.round() as u64) + jitter
-    };
-    q.post_in(delay, CoreEvent::InjectorTick(st).into());
+    }
+    let base = cfg.inter_packet_delay.as_nanos() as f64 * delay_scale.max(0.01);
+    let jitter = cfg.jitter.sample(&mut w.power_mut().injectors[id].rng);
+    let delay = SimDuration::from_nanos(base.round() as u64) + jitter;
+    q.post_in(delay, CoreEvent::InjectorTick(id).into());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::JitterModel;
-    use crate::{dispatch_core_stack, CoreStackEvent};
+    use crate::CoreStack;
     use powifi_mac::{Mac, RateController};
     use powifi_rf::Bitrate;
-    use powifi_sim::{Dispatch, SimDuration, SimTime};
 
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
-
-    fn setup() -> (W, Queue<W>, StationId) {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+    fn setup() -> (CoreStack, Queue<CoreStack>, StationId) {
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let sta = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         {
@@ -250,6 +227,7 @@ mod tests {
     fn injector_reaches_high_solo_occupancy() {
         let (mut w, mut q, sta) = setup();
         spawn_injector(
+            &mut w,
             &mut q,
             sta,
             cfg(Some(5)),
@@ -269,6 +247,7 @@ mod tests {
     fn threshold_bounds_queue_depth() {
         let (mut w, mut q, sta) = setup();
         spawn_injector(
+            &mut w,
             &mut q,
             sta,
             cfg(Some(5)),
@@ -290,6 +269,7 @@ mod tests {
     fn drops_are_reported_to_userspace() {
         let (mut w, mut q, sta) = setup();
         let ctl = spawn_injector(
+            &mut w,
             &mut q,
             sta,
             cfg(Some(1)),
@@ -307,7 +287,14 @@ mod tests {
     #[test]
     fn no_queue_mode_fills_queue() {
         let (mut w, mut q, sta) = setup();
-        spawn_injector(&mut q, sta, cfg(None), SimRng::from_seed(2), SimTime::ZERO);
+        spawn_injector(
+            &mut w,
+            &mut q,
+            sta,
+            cfg(None),
+            SimRng::from_seed(2),
+            SimTime::ZERO,
+        );
         q.run_until(&mut w, SimTime::from_secs(1));
         // Without the check the queue grows far past 5 (arrival every 100 µs,
         // service every ~340 µs).
@@ -322,6 +309,7 @@ mod tests {
     fn disabled_injector_sends_nothing() {
         let (mut w, mut q, sta) = setup();
         let ctl = spawn_injector(
+            &mut w,
             &mut q,
             sta,
             cfg(Some(5)),
@@ -338,6 +326,7 @@ mod tests {
     fn delay_scale_throttles_occupancy() {
         let (mut w, mut q, sta) = setup();
         let ctl = spawn_injector(
+            &mut w,
             &mut q,
             sta,
             cfg(Some(5)),

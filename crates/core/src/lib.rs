@@ -32,39 +32,29 @@ pub mod stack;
 
 pub use capper::{spawn_capper, CapperConfig};
 pub use config::{JitterModel, PowerTrafficConfig, Scheme};
-pub use injector::{
-    record_injector_progress, spawn_injector, InjectorCtl, InjectorHandle, InjectorSt,
-};
+pub use injector::{record_injector_progress, spawn_injector, InjectorCtl, InjectorHandle};
 pub use multi_router::{install_fleet, FleetMode};
 pub use pdos::{spawn_attacker, AttackConfig};
 pub use router::{Router, RouterConfig, RouterIface};
 pub use silent_slot::{spawn_silent_injector, SilentSlotConfig};
 pub use stack::{ip_power_check, IpPowerVerdict, PowerMacShim, PowerSocket};
 
-use powifi_mac::{dispatch_mac, MacEvent, MacWorld, Queue, StationId};
-use std::cell::RefCell;
-use std::rc::Rc;
+use powifi_mac::{dispatch_mac, Mac, MacEvent, MacWorld, Queue, StationId};
+use powifi_sim::Dispatch;
 
 /// The power machinery's typed events. A world hosting PoWiFi routers
-/// absorbs these via `From` on its event enum; the per-tick state each
-/// variant needs is either `Copy` or a shared block allocated once at
-/// spawn, so the hot injector cadence (~10 kHz per interface) posts with
-/// zero per-event allocation.
-#[derive(Clone)]
+/// absorbs these via `From` on its event enum. Each periodic variant
+/// carries the index of its entry in the world's [`PowerState`] tables,
+/// filled once at spawn, so every event is a plain `Copy` value and the
+/// hot injector cadence (~10 kHz per interface) posts with zero per-event
+/// allocation.
+#[derive(Debug, Clone, Copy)]
 pub enum CoreEvent {
     /// One injector tick: `IP_Power`-gated power packet, then re-post.
-    /// Carries the injector's spawn-time state block (config, RNG stream,
-    /// control handle).
-    InjectorTick(Rc<RefCell<InjectorSt>>),
-    /// One silent-slot poll on `iface`.
-    SilentTick {
-        /// Interface the silent-slot policy transmits on.
-        iface: StationId,
-        /// Policy parameters.
-        cfg: SilentSlotConfig,
-        /// Shared control/statistics block.
-        ctl: InjectorHandle,
-    },
+    /// Indexes the injector table.
+    InjectorTick(usize),
+    /// One silent-slot poll, then re-post. Indexes the silent-slot table.
+    SilentTick(usize),
     /// One power-DoS injection attempt by attacker station `sta`.
     AttackTick {
         /// The attacker's station.
@@ -72,12 +62,39 @@ pub enum CoreEvent {
         /// Attack parameters.
         cfg: AttackConfig,
     },
-    /// One occupancy-capper control step, then re-post. Carries the
-    /// capper's spawn-time state block.
-    CapperTick(Rc<RefCell<capper::CapperSt>>),
+    /// One occupancy-capper control step, then re-post. Indexes the capper
+    /// table.
+    CapperTick(usize),
     /// One time-division slot change of a router fleet, then re-post.
-    /// Carries the fleet's rotation block.
-    TdmRotate(Rc<RefCell<multi_router::TdmSt>>),
+    /// Indexes the fleet table.
+    TdmRotate(usize),
+}
+
+/// Per-tick state of the power machinery: one table per periodic
+/// [`CoreEvent`] kind, indexed by the id its event carries. The spawn
+/// functions fill it; the world owns it, the way it owns the MAC.
+#[derive(Default)]
+pub struct PowerState {
+    pub(crate) injectors: Vec<injector::InjectorSt>,
+    pub(crate) silent: Vec<silent_slot::SilentSt>,
+    pub(crate) cappers: Vec<capper::CapperSt>,
+    pub(crate) fleets: Vec<multi_router::TdmSt>,
+}
+
+impl PowerState {
+    /// Injectors spawned into this world.
+    pub fn injector_count(&self) -> usize {
+        self.injectors.len()
+    }
+}
+
+/// World trait for simulations that host the power machinery. The world's
+/// event enum must absorb [`CoreEvent`] on top of the MAC's events.
+pub trait PowerWorld: MacWorld<Ev: From<CoreEvent>> {
+    /// Immutable power-machinery state.
+    fn power(&self) -> &PowerState;
+    /// Mutable power-machinery state.
+    fn power_mut(&mut self) -> &mut PowerState;
 }
 
 /// Route a [`CoreEvent`] to its handler. Worlds call this from their
@@ -85,27 +102,19 @@ pub enum CoreEvent {
 /// composed enum. Inlined into the world's dispatch (the injector tick is
 /// half of a home day's events) wherever the codegen units fall.
 #[inline]
-pub fn dispatch_core<W>(w: &mut W, q: &mut Queue<W>, ev: CoreEvent)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+pub fn dispatch_core<W: PowerWorld>(w: &mut W, q: &mut Queue<W>, ev: CoreEvent) {
     match ev {
-        CoreEvent::InjectorTick(st) => injector::injector_tick(w, q, st),
-        CoreEvent::SilentTick { iface, cfg, ctl } => {
-            silent_slot::silent_tick(w, q, iface, cfg, ctl)
-        }
+        CoreEvent::InjectorTick(id) => injector::injector_tick(w, q, id),
+        CoreEvent::SilentTick(id) => silent_slot::silent_tick(w, q, id),
         CoreEvent::AttackTick { sta, cfg } => pdos::attack_tick(w, q, sta, cfg),
-        CoreEvent::CapperTick(st) => capper::capper_tick(w, q, st),
-        CoreEvent::TdmRotate(st) => multi_router::tdm_rotate(q, st),
+        CoreEvent::CapperTick(id) => capper::capper_tick(w, q, id),
+        CoreEvent::TdmRotate(id) => multi_router::tdm_rotate(w, q, id),
     }
 }
 
-/// Composed event enum for worlds that carry exactly the MAC plus the
-/// power machinery (no transport) — the core test harnesses and power-only
-/// benches. Larger worlds define their own enum absorbing [`MacEvent`] and
-/// [`CoreEvent`] the same way.
-#[derive(Clone)]
+/// Composed event enum of [`CoreStack`]. Larger worlds define their own
+/// enum absorbing [`MacEvent`] and [`CoreEvent`] the same way.
+#[derive(Debug, Clone, Copy)]
 pub enum CoreStackEvent {
     /// MAC-layer event.
     Mac(MacEvent),
@@ -125,14 +134,49 @@ impl From<CoreEvent> for CoreStackEvent {
     }
 }
 
-/// Route a [`CoreStackEvent`] for worlds whose event enum is exactly
-/// [`CoreStackEvent`].
-pub fn dispatch_core_stack<W>(w: &mut W, q: &mut Queue<W>, ev: CoreStackEvent)
-where
-    W: MacWorld<Ev = CoreStackEvent>,
-{
-    match ev {
-        CoreStackEvent::Mac(m) => dispatch_mac(w, q, m),
-        CoreStackEvent::Core(c) => dispatch_core(w, q, c),
+/// A world of exactly the MAC plus the power machinery, no transport: the
+/// core test harnesses, the golden-trace corpus and the fuzz driver.
+pub struct CoreStack {
+    /// The 802.11 substrate.
+    pub mac: Mac,
+    /// Injector, silent-slot, capper and time-division tables.
+    pub power: PowerState,
+}
+
+impl CoreStack {
+    /// A world around `mac` with empty power tables.
+    pub fn new(mac: Mac) -> CoreStack {
+        CoreStack {
+            mac,
+            power: PowerState::default(),
+        }
+    }
+}
+
+impl Dispatch<CoreStackEvent> for CoreStack {
+    fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
+        match ev {
+            CoreStackEvent::Mac(m) => dispatch_mac(self, q, m),
+            CoreStackEvent::Core(c) => dispatch_core(self, q, c),
+        }
+    }
+}
+
+impl MacWorld for CoreStack {
+    type Ev = CoreStackEvent;
+    fn mac(&self) -> &Mac {
+        &self.mac
+    }
+    fn mac_mut(&mut self) -> &mut Mac {
+        &mut self.mac
+    }
+}
+
+impl PowerWorld for CoreStack {
+    fn power(&self) -> &PowerState {
+        &self.power
+    }
+    fn power_mut(&mut self) -> &mut PowerState {
+        &mut self.power
     }
 }

@@ -7,12 +7,10 @@
 
 use crate::injector::InjectorHandle;
 use crate::router::{Router, RouterConfig};
-use crate::CoreEvent;
-use powifi_mac::{MacWorld, MediumId, Queue};
+use crate::{CoreEvent, PowerWorld};
+use powifi_mac::{MediumId, Queue};
 use powifi_rf::WifiChannel;
 use powifi_sim::{SimDuration, SimRng, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// How a fleet of routers shares the air for power traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +24,11 @@ pub enum FleetMode {
     },
 }
 
-/// Spawn-time state of a time-division fleet, carried inside its
-/// [`CoreEvent::TdmRotate`] event: every router's injector handles and
-/// whose turn it is.
-pub struct TdmSt {
+/// Per-tick state of a time-division fleet: its entry in the world's
+/// [`PowerState`](crate::PowerState) fleet table, which its
+/// [`CoreEvent::TdmRotate`] indexes. Holds every router's injector handles
+/// and whose turn it is.
+pub(crate) struct TdmSt {
     routers: Vec<Vec<InjectorHandle>>,
     slot: SimDuration,
     turn: usize,
@@ -37,7 +36,7 @@ pub struct TdmSt {
 
 /// Install `n` routers over the same channel set and arrange their power
 /// traffic per `mode`.
-pub fn install_fleet<W>(
+pub fn install_fleet<W: PowerWorld>(
     w: &mut W,
     q: &mut Queue<W>,
     channels: &[(WifiChannel, MediumId)],
@@ -45,11 +44,7 @@ pub fn install_fleet<W>(
     cfg: RouterConfig,
     mode: FleetMode,
     rng: &SimRng,
-) -> Vec<Router>
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+) -> Vec<Router> {
     assert!(n >= 1);
     let routers: Vec<Router> = (0..n)
         .map(|i| Router::install(w, q, channels, cfg, &rng.derive_idx("router", i)))
@@ -62,8 +57,12 @@ where
             turn: 0,
         };
         st.enable_turn();
-        let ev = CoreEvent::TdmRotate(Rc::new(RefCell::new(st)));
-        q.post_at(SimTime::from_millis(slot_ms), ev.into());
+        let id = w.power().fleets.len();
+        w.power_mut().fleets.push(st);
+        q.post_at(
+            SimTime::from_millis(slot_ms),
+            CoreEvent::TdmRotate(id).into(),
+        );
     }
     routers
 }
@@ -79,54 +78,26 @@ impl TdmSt {
     }
 }
 
-pub(crate) fn tdm_rotate<W>(q: &mut Queue<W>, st: Rc<RefCell<TdmSt>>)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
-    let slot = {
-        let mut s = st.borrow_mut();
-        s.turn = (s.turn + 1) % s.routers.len();
-        s.enable_turn();
-        s.slot
-    };
-    q.post_in(slot, CoreEvent::TdmRotate(st).into());
+pub(crate) fn tdm_rotate<W: PowerWorld>(w: &mut W, q: &mut Queue<W>, id: usize) {
+    let s = &mut w.power_mut().fleets[id];
+    s.turn = (s.turn + 1) % s.routers.len();
+    s.enable_turn();
+    q.post_in(s.slot, CoreEvent::TdmRotate(id).into());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dispatch_core_stack, CoreStackEvent};
+    use crate::CoreStack;
     use powifi_mac::Mac;
-    use powifi_sim::{Dispatch, SimTime};
-
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
 
     fn run(n: usize, mode: FleetMode) -> Vec<f64> {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(2)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(2)));
         let channels: Vec<_> = WifiChannel::POWER_SET
             .iter()
             .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))
             .collect();
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         let rng = SimRng::from_seed(3);
         let routers = install_fleet(
             &mut w,
@@ -174,14 +145,12 @@ mod tests {
     fn concurrent_needs_no_coordination_but_collides() {
         // §8c: concurrent injection causes power-packet collisions, which is
         // acceptable because no client needs to decode them.
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(2)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(2)));
         let channels: Vec<_> = WifiChannel::POWER_SET
             .iter()
             .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))
             .collect();
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         let rng = SimRng::from_seed(3);
         install_fleet(
             &mut w,

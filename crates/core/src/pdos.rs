@@ -6,8 +6,8 @@
 //! ordinary (protocol-compliant or greedy) station blasting junk broadcast
 //! frames; the ablation bench measures delivered power vs attack intensity.
 
-use crate::CoreEvent;
-use powifi_mac::{enqueue, Frame, MacWorld, MediumId, Queue, RateController, StationId};
+use crate::{CoreEvent, PowerWorld};
+use powifi_mac::{enqueue, Frame, MediumId, Queue, RateController, StationId};
 use powifi_rf::Bitrate;
 use powifi_sim::{SimDuration, SimRng, SimTime};
 
@@ -47,17 +47,13 @@ impl AttackConfig {
 }
 
 /// Spawn an attacker station on `medium`. Returns its station id.
-pub fn spawn_attacker<W>(
+pub fn spawn_attacker<W: PowerWorld>(
     w: &mut W,
     q: &mut Queue<W>,
     medium: MediumId,
     cfg: AttackConfig,
     _rng: &SimRng,
-) -> StationId
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+) -> StationId {
     let sta = w
         .mac_mut()
         .add_station(medium, RateController::fixed(cfg.bitrate));
@@ -67,11 +63,12 @@ where
 
 /// One injection attempt (routed here from [`crate::dispatch_core`]): top
 /// the attacker's queue up to its target, then re-post.
-pub(crate) fn attack_tick<W>(w: &mut W, q: &mut Queue<W>, sta: StationId, cfg: AttackConfig)
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
+pub(crate) fn attack_tick<W: PowerWorld>(
+    w: &mut W,
+    q: &mut Queue<W>,
+    sta: StationId,
+    cfg: AttackConfig,
+) {
     if w.mac().queue_depth(sta) < cfg.queue_target {
         let f = Frame::power(sta, cfg.payload_bytes, cfg.bitrate);
         enqueue(w, q, sta, f);
@@ -83,38 +80,17 @@ where
 mod tests {
     use super::*;
     use crate::router::{Router, RouterConfig};
-    use crate::{dispatch_core_stack, CoreStackEvent};
+    use crate::CoreStack;
     use powifi_mac::Mac;
     use powifi_rf::WifiChannel;
-    use powifi_sim::Dispatch;
-
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
 
     fn router_occupancy_under_attack(attack: Option<AttackConfig>) -> f64 {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(4)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(4)));
         let channels: Vec<_> = WifiChannel::POWER_SET
             .iter()
             .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))
             .collect();
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         let rng = SimRng::from_seed(5);
         let r = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
         if let Some(a) = attack {

@@ -4,8 +4,8 @@
 
 use crate::config::Scheme;
 use crate::injector::{spawn_injector, InjectorHandle};
-use crate::CoreEvent;
-use powifi_mac::{start_beacons, Mac, MacWorld, MediumId, Queue, RateController, StationId};
+use crate::PowerWorld;
+use powifi_mac::{start_beacons, Mac, MediumId, Queue, RateController, StationId};
 use powifi_rf::{Bitrate, WifiChannel};
 use powifi_sim::{SimDuration, SimRng, SimTime};
 
@@ -64,17 +64,13 @@ impl Router {
     /// medium)` pair, marks it tracked in the channel monitor, starts
     /// beacons and the scheme's injectors. The first interface is the one
     /// that serves clients (channel 1 in the paper).
-    pub fn install<W>(
+    pub fn install<W: PowerWorld>(
         w: &mut W,
         q: &mut Queue<W>,
         channels: &[(WifiChannel, MediumId)],
         cfg: RouterConfig,
         rng: &SimRng,
-    ) -> Router
-    where
-        W: MacWorld,
-        W::Ev: From<CoreEvent>,
-    {
+    ) -> Router {
         assert!(!channels.is_empty(), "router needs at least one interface");
         let mut ifaces = Vec::new();
         let mut injectors = Vec::new();
@@ -111,7 +107,7 @@ impl Router {
                 let stream = rng.derive_idx("injector", i);
                 // Small start stagger so channels do not tick in lockstep.
                 let start = SimTime::from_micros(7 * (i as u64 + 1));
-                injectors.push(spawn_injector(q, sta, pcfg, stream, start));
+                injectors.push(spawn_injector(w, q, sta, pcfg, stream, start));
             }
         }
         Router { ifaces, injectors }
@@ -163,31 +159,10 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dispatch_core_stack, CoreStackEvent};
-    use powifi_sim::Dispatch;
+    use crate::CoreStack;
 
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
-
-    fn three_channel_world() -> (W, Queue<W>, Vec<(WifiChannel, MediumId)>) {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+    fn three_channel_world() -> (CoreStack, Queue<CoreStack>, Vec<(WifiChannel, MediumId)>) {
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let channels: Vec<_> = WifiChannel::POWER_SET
             .iter()
             .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))

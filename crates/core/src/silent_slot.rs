@@ -9,8 +9,8 @@
 //! design.
 
 use crate::injector::{InjectorCtl, InjectorHandle};
-use crate::CoreEvent;
-use powifi_mac::{enqueue, Frame, MacWorld, Queue, StationId};
+use crate::{CoreEvent, PowerWorld};
+use powifi_mac::{enqueue, Frame, Queue, StationId};
 use powifi_rf::Bitrate;
 use powifi_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -40,43 +40,40 @@ impl Default for SilentSlotConfig {
     }
 }
 
+/// Per-tick state of one silent-slot policy: its entry in the world's
+/// [`PowerState`](crate::PowerState) silent-slot table, which its
+/// [`CoreEvent::SilentTick`] indexes.
+pub(crate) struct SilentSt {
+    iface: StationId,
+    cfg: SilentSlotConfig,
+    ctl: InjectorHandle,
+}
+
 /// Start a silent-slot injector on `iface`. Returns the shared control
 /// block (same shape as the queue-threshold injector's, so cappers and
 /// fleet controllers compose).
-pub fn spawn_silent_injector<W>(
-    q: &mut Queue<W>,
-    iface: StationId,
-    cfg: SilentSlotConfig,
-    start: SimTime,
-) -> InjectorHandle
-where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
-    let ctl: InjectorHandle = Rc::new(RefCell::new(InjectorCtl::default()));
-    q.post_at(
-        start,
-        CoreEvent::SilentTick {
-            iface,
-            cfg,
-            ctl: ctl.clone(),
-        }
-        .into(),
-    );
-    ctl
-}
-
-pub(crate) fn silent_tick<W>(
+pub fn spawn_silent_injector<W: PowerWorld>(
     w: &mut W,
     q: &mut Queue<W>,
     iface: StationId,
     cfg: SilentSlotConfig,
-    ctl: InjectorHandle,
-) where
-    W: MacWorld,
-    W::Ev: From<CoreEvent>,
-{
-    let enabled = ctl.borrow().enabled;
+    start: SimTime,
+) -> InjectorHandle {
+    let ctl: InjectorHandle = Rc::new(RefCell::new(InjectorCtl::default()));
+    let st = SilentSt {
+        iface,
+        cfg,
+        ctl: Rc::clone(&ctl),
+    };
+    let id = w.power().silent.len();
+    w.power_mut().silent.push(st);
+    q.post_at(start, CoreEvent::SilentTick(id).into());
+    ctl
+}
+
+pub(crate) fn silent_tick<W: PowerWorld>(w: &mut W, q: &mut Queue<W>, id: usize) {
+    let SilentSt { iface, cfg, .. } = w.power().silent[id];
+    let enabled = w.power().silent[id].ctl.borrow().enabled;
     if enabled {
         let now = q.now();
         let medium = w.mac().medium_of(iface);
@@ -88,53 +85,39 @@ pub(crate) fn silent_tick<W>(
         if idle_long_enough && w.mac().queue_depth(iface) == 0 {
             let frame = Frame::power(iface, cfg.payload_bytes, cfg.bitrate);
             if enqueue(w, q, iface, frame) {
-                ctl.borrow_mut().sent += 1;
+                w.power().silent[id].ctl.borrow_mut().sent += 1;
             }
         } else {
-            ctl.borrow_mut().dropped += 1;
+            w.power().silent[id].ctl.borrow_mut().dropped += 1;
         }
     }
-    q.post_in(cfg.poll, CoreEvent::SilentTick { iface, cfg, ctl }.into());
+    q.post_in(cfg.poll, CoreEvent::SilentTick(id).into());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dispatch_core_stack, CoreStackEvent};
+    use crate::CoreStack;
     use powifi_mac::{start_source, Mac, RateController, Source};
-    use powifi_sim::{Dispatch, SimRng};
-
-    struct W {
-        mac: Mac,
-    }
-    impl Dispatch<CoreStackEvent> for W {
-        fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-            dispatch_core_stack(self, q, ev);
-        }
-    }
-    impl MacWorld for W {
-        type Ev = CoreStackEvent;
-        fn mac(&self) -> &Mac {
-            &self.mac
-        }
-        fn mac_mut(&mut self) -> &mut Mac {
-            &mut self.mac
-        }
-    }
+    use powifi_sim::SimRng;
 
     #[test]
     fn fills_idle_channel() {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let iface = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         {
             let mon = w.mac.monitor_mut(m).monitor();
             mon.track(iface);
         }
-        let mut q = Queue::<W>::new();
-        spawn_silent_injector(&mut q, iface, SilentSlotConfig::default(), SimTime::ZERO);
+        let mut q = Queue::<CoreStack>::new();
+        spawn_silent_injector(
+            &mut w,
+            &mut q,
+            iface,
+            SilentSlotConfig::default(),
+            SimTime::ZERO,
+        );
         let end = SimTime::from_secs(2);
         q.run_until(&mut w, end);
         let occ = w.mac.monitor(m).mean_tracked(end);
@@ -146,13 +129,11 @@ mod tests {
 
     #[test]
     fn defers_entirely_to_a_busy_channel() {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let iface = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         let hog = w.mac.add_station(m, RateController::fixed(Bitrate::B1));
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         // Saturate the channel with 12.5 ms frames: idle windows stay far
         // below the guard.
         let src = Source {
@@ -161,7 +142,13 @@ mod tests {
             below: 3,
         };
         start_source(&mut w, &mut q, SimTime::ZERO, src);
-        let ctl = spawn_silent_injector(&mut q, iface, SilentSlotConfig::default(), SimTime::ZERO);
+        let ctl = spawn_silent_injector(
+            &mut w,
+            &mut q,
+            iface,
+            SilentSlotConfig::default(),
+            SimTime::ZERO,
+        );
         q.run_until(&mut w, SimTime::from_secs(2));
         let c = ctl.borrow();
         // A handful of frames may slip into inter-frame gaps, but the policy
@@ -172,13 +159,17 @@ mod tests {
 
     #[test]
     fn disable_stops_injection() {
-        let mut w = W {
-            mac: Mac::new(SimRng::from_seed(1)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let iface = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-        let mut q = Queue::<W>::new();
-        let ctl = spawn_silent_injector(&mut q, iface, SilentSlotConfig::default(), SimTime::ZERO);
+        let mut q = Queue::<CoreStack>::new();
+        let ctl = spawn_silent_injector(
+            &mut w,
+            &mut q,
+            iface,
+            SilentSlotConfig::default(),
+            SimTime::ZERO,
+        );
         ctl.borrow_mut().enabled = false;
         q.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(ctl.borrow().sent, 0);

@@ -3,36 +3,16 @@
 //! the determinism of the whole pipeline.
 
 use powifi_core::{
-    dispatch_core_stack, ip_power_check, spawn_capper, spawn_injector, CapperConfig,
-    CoreStackEvent, IpPowerVerdict, PowerTrafficConfig, Router, RouterConfig, Scheme,
+    ip_power_check, spawn_capper, spawn_injector, CapperConfig, CoreStack, IpPowerVerdict,
+    PowerTrafficConfig, Router, RouterConfig, Scheme,
 };
-use powifi_mac::{enqueue, Frame, Mac, MacWorld, MediumId, Queue, RateController};
+use powifi_mac::{enqueue, Frame, Mac, MediumId, Queue, RateController};
 use powifi_rf::{Bitrate, WifiChannel};
-use powifi_sim::{Dispatch, SimDuration, SimRng, SimTime};
+use powifi_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
-struct W {
-    mac: Mac,
-}
-impl Dispatch<CoreStackEvent> for W {
-    fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-        dispatch_core_stack(self, q, ev);
-    }
-}
-impl MacWorld for W {
-    type Ev = CoreStackEvent;
-    fn mac(&self) -> &Mac {
-        &self.mac
-    }
-    fn mac_mut(&mut self) -> &mut Mac {
-        &mut self.mac
-    }
-}
-
-fn three_channels(seed: u64) -> (W, Queue<W>, Vec<(WifiChannel, MediumId)>) {
-    let mut w = W {
-        mac: Mac::new(SimRng::from_seed(seed)),
-    };
+fn three_channels(seed: u64) -> (CoreStack, Queue<CoreStack>, Vec<(WifiChannel, MediumId)>) {
+    let mut w = CoreStack::new(Mac::new(SimRng::from_seed(seed)));
     let channels: Vec<_> = WifiChannel::POWER_SET
         .iter()
         .map(|&ch| (ch, w.mac.add_medium(SimDuration::from_secs(1))))
@@ -46,10 +26,10 @@ proptest! {
     /// The IP_Power verdict is exactly `depth >= threshold`.
     #[test]
     fn ip_power_verdict_matches_definition(pre_queued in 0usize..30, threshold in 1usize..30) {
-        let mut w = W { mac: Mac::new(SimRng::from_seed(1)) };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(1)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let sta = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         for _ in 0..pre_queued {
             enqueue(&mut w, &mut q, sta, Frame::power(sta, 1500, Bitrate::G54));
         }
@@ -70,16 +50,16 @@ proptest! {
         delay_us in 20u64..500,
         seed in 0u64..100,
     ) {
-        let mut w = W { mac: Mac::new(SimRng::from_seed(seed)) };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(seed)));
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let sta = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-        let mut q = Queue::<W>::new();
+        let mut q = Queue::<CoreStack>::new();
         let cfg = PowerTrafficConfig {
             inter_packet_delay: SimDuration::from_micros(delay_us),
             qdepth_threshold: Some(threshold),
             ..PowerTrafficConfig::powifi_default()
         };
-        spawn_injector(&mut q, sta, cfg, SimRng::from_seed(seed + 1), SimTime::ZERO);
+        spawn_injector(&mut w, &mut q, sta, cfg, SimRng::from_seed(seed + 1), SimTime::ZERO);
         for step in 1..100u64 {
             q.run_until(&mut w, SimTime::from_micros(step * 997));
             prop_assert!(
@@ -98,7 +78,7 @@ proptest! {
         let (mut w, mut q, channels) = three_channels(9);
         let rng = SimRng::from_seed(10);
         let r = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
-        spawn_capper(&mut q, &r, CapperConfig { target, ..CapperConfig::default() });
+        spawn_capper(&mut w, &mut q, &r, CapperConfig { target, ..CapperConfig::default() });
         let end = SimTime::from_secs(12);
         q.run_until(&mut w, end);
         let series = r.occupancy_series(&w.mac, end);

@@ -11,7 +11,6 @@ use crate::world::{DeployEvent, SimWorld};
 use powifi_mac::{enqueue, Dest, Frame, MediumId, PayloadTag, Queue, RateController, StationId};
 use powifi_rf::Bitrate;
 use powifi_sim::{SimDuration, SimRng, SimTime};
-use std::cell::RefCell;
 use std::rc::Rc;
 
 /// A background AP→client pair.
@@ -47,10 +46,10 @@ pub fn constant_intensity() -> IntensityFn {
     Rc::new(|_| 1.0)
 }
 
-/// Spawn-time state of one background source, carried inside its
-/// [`DeployEvent::Burst`] event: the endpoints, traffic shape, intensity
-/// schedule and the source's private RNG stream. Allocated once at
-/// [`install_traffic_source`].
+/// Per-tick state of one background source: its entry in
+/// [`SimWorld::bursts`], which its [`DeployEvent::Burst`] indexes. Holds
+/// the endpoints, traffic shape, intensity schedule and the source's
+/// private RNG stream; filled once at [`install_traffic_source`].
 pub struct BurstSt {
     pub(crate) src: StationId,
     pub(crate) dst: StationId,
@@ -61,10 +60,12 @@ pub struct BurstSt {
 }
 
 /// Route a [`DeployEvent`] to its handler (called from the world's
-/// [`powifi_sim::Dispatch`] impl).
+/// [`powifi_sim::Dispatch`] impl, which inlines it: every background data
+/// frame arrives through it).
+#[inline]
 pub(crate) fn dispatch_deploy(w: &mut SimWorld, q: &mut Queue<SimWorld>, ev: DeployEvent) {
     match ev {
-        DeployEvent::Burst(st) => burst_fire(w, q, st),
+        DeployEvent::Burst(id) => burst_fire(w, q, id),
         DeployEvent::BgFrame { src, frame } => {
             enqueue(w, q, src, frame);
         }
@@ -86,7 +87,7 @@ pub fn install_background(
     let client = w
         .mac
         .add_station(medium, RateController::fixed(cfg.bitrate));
-    install_traffic_source(q, ap, client, cfg, intensity, rng);
+    install_traffic_source(w, q, ap, client, cfg, intensity, rng);
     (ap, client)
 }
 
@@ -99,6 +100,7 @@ pub fn install_background(
 /// length stretches as `intensity` falls, so mean offered load ≈
 /// `base_load × intensity(t)`.
 pub fn install_traffic_source(
+    w: &mut SimWorld,
     q: &mut Queue<SimWorld>,
     src: StationId,
     dst: StationId,
@@ -112,54 +114,53 @@ pub fn install_traffic_source(
     // Arrival rate during ON bursts to hit base_load/duty occupancy.
     let on_rate = (cfg.base_load / duty / frame_airtime).max(0.1);
     let start = SimTime::from_nanos(rng.range(0..2_000_000u64));
-    let st = Rc::new(RefCell::new(BurstSt {
+    let id = w.bursts.len();
+    w.bursts.push(BurstSt {
         src,
         dst,
         cfg,
         intensity,
         rng,
         on_rate,
-    }));
-    q.post_at(start, DeployEvent::Burst(st).into());
+    });
+    q.post_at(start, DeployEvent::Burst(id).into());
 }
 
 /// One burst decision (routed here from [`dispatch_deploy`]): maybe emit a
 /// Poisson ON burst of frame arrivals, then re-post after the OFF gap.
-fn burst_fire(_w: &mut SimWorld, q: &mut Queue<SimWorld>, st: Rc<RefCell<BurstSt>>) {
+fn burst_fire(w: &mut SimWorld, q: &mut Queue<SimWorld>, id: usize) {
     let now = q.now();
-    let next = {
-        let s = &mut *st.borrow_mut();
-        let scale = (s.intensity)(now).clamp(0.0, 1.0);
-        if scale > 0.0 && s.rng.chance(scale.sqrt()) {
-            // Emit one ON burst: Poisson arrivals over the burst window.
-            let burst_len = s.rng.exp(s.cfg.on_mean.as_secs_f64());
-            let mut t = 0.0;
-            loop {
-                t += s.rng.exp(1.0 / s.on_rate);
-                if t >= burst_len {
-                    break;
-                }
-                let frame = Frame::data(
-                    s.src,
-                    Dest::Unicast(s.dst),
-                    PayloadTag {
-                        flow: 0,
-                        seq: 0,
-                        bytes: 1500,
-                    },
-                );
-                q.post_in(
-                    SimDuration::from_secs_f64(t),
-                    DeployEvent::BgFrame { src: s.src, frame }.into(),
-                );
+    let s = &mut w.bursts[id];
+    let scale = (s.intensity)(now).clamp(0.0, 1.0);
+    if scale > 0.0 && s.rng.chance(scale.sqrt()) {
+        // Emit one ON burst: Poisson arrivals over the burst window.
+        let burst_len = s.rng.exp(s.cfg.on_mean.as_secs_f64());
+        let mut t = 0.0;
+        loop {
+            t += s.rng.exp(1.0 / s.on_rate);
+            if t >= burst_len {
+                break;
             }
+            let frame = Frame::data(
+                s.src,
+                Dest::Unicast(s.dst),
+                PayloadTag {
+                    flow: 0,
+                    seq: 0,
+                    bytes: 1500,
+                },
+            );
+            q.post_in(
+                SimDuration::from_secs_f64(t),
+                DeployEvent::BgFrame { src: s.src, frame }.into(),
+            );
         }
-        // Next burst after the OFF gap, stretched by inverse intensity.
-        let gap =
-            s.rng.exp(s.cfg.off_mean.as_secs_f64() / scale.max(0.05)) + s.cfg.on_mean.as_secs_f64();
-        now + SimDuration::from_secs_f64(gap)
-    };
-    q.post_at(next, DeployEvent::Burst(st).into());
+    }
+    // Next burst after the OFF gap, stretched by inverse intensity.
+    let gap =
+        s.rng.exp(s.cfg.off_mean.as_secs_f64() / scale.max(0.05)) + s.cfg.on_mean.as_secs_f64();
+    let next = now + SimDuration::from_secs_f64(gap);
+    q.post_at(next, DeployEvent::Burst(id).into());
 }
 
 #[cfg(test)]

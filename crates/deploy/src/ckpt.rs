@@ -6,18 +6,22 @@
 //!
 //! ## Restore is rebuild-and-overlay
 //!
-//! A checkpoint does not serialize `Rc` graphs, builder tables or derived caches.
+//! A checkpoint does not serialize builder tables or derived caches.
 //! Instead [`resume_value`] re-executes the deterministic builder
 //! ([`build_office`]) to get the static topology — stations, mediums,
-//! path-loss links, intensity schedules, spawn-time `Rc` state blocks —
-//! then overlays every piece of dynamic state from the tree:
+//! path-loss links, intensity schedules, the injector and background-source
+//! tables — then overlays every piece of dynamic state from the tree:
 //!
 //! * the event wheel (pending typed events, `now`, seq and executed
 //!   counters) via `EventQueue::ckpt_restore`;
 //! * MAC/DCF state via [`powifi_mac::ckpt::restore_mac`];
 //! * the transport flow table via [`powifi_net::ckpt::restore_net`];
-//! * injector blocks (re-linked by interface) and background-burst blocks
-//!   (re-linked by source station);
+//! * each injector's RNG and control block, written inside its pending
+//!   tick and overlaid onto the rebuilt injector on the same interface, and
+//!   each background source's RNG, written inside its pending burst
+//!   decision and overlaid onto the rebuilt source on the same station —
+//!   exactly one pending event per injector and per source, or the
+//!   checkpoint is refused;
 //! * the epoch driver's monitoring harvester and busy-time baselines;
 //! * the thread metrics registry via [`metrics::restore`].
 //!
@@ -29,14 +33,13 @@
 //! MAC audit event. It resumes only into a checked run, whose builder
 //! re-installs the audit period that event re-posts with.
 
-use crate::background::BurstSt;
 use crate::office::{build_office, OfficeConfig, OfficeScenario};
 use crate::telemetry::EpochDriver;
 use crate::world::{DeployEvent, SimWorld, WorldEvent};
-use powifi_core::{CoreEvent, InjectorSt, Scheme};
+use powifi_core::{CoreEvent, Scheme};
 use powifi_harvest::{Harvester, Store};
 use powifi_mac::ckpt::{check_frame, check_id, restore_mac, save_mac};
-use powifi_mac::{Mac, MacEvent, MediumId, Queue, RateController, StationId};
+use powifi_mac::{MacEvent, MediumId, Queue, RateController, StationId};
 use powifi_net::ckpt::{restore_net, save_net};
 use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, Flow, NetEvent};
 use powifi_rf::Bitrate;
@@ -44,9 +47,6 @@ use powifi_sim::ckpt::{self, Ckpt, CkptError, Value, ValueExt};
 use powifi_sim::ckpt_struct;
 use powifi_sim::obs::metrics::{self, MetricsSnapshot};
 use powifi_sim::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Client traffic driven through the office run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -243,7 +243,9 @@ ckpt_struct!(OfficeSpec {
 
 // -------------------------------------------------------------- events --
 
-fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
+/// One pending event's checkpoint form. An injector tick or burst decision
+/// writes its table entry's dynamic state in place, where the event sits.
+fn event_v(ev: &WorldEvent, w: &SimWorld) -> Result<Value, CkptError> {
     let kind = |k| Value::map().field("kind", Value::str(k));
     Ok(match ev {
         WorldEvent::Mac(MacEvent::ArbFire(m)) => kind("arb_fire").put("medium", m).build(),
@@ -287,8 +289,8 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
                 "pending page-load events cannot be checkpointed".into(),
             ))
         }
-        WorldEvent::Core(CoreEvent::InjectorTick(st)) => kind("injector_tick")
-            .field("st", powifi_core::ckpt::save_injector(&st.borrow()))
+        WorldEvent::Core(CoreEvent::InjectorTick(id)) => kind("injector_tick")
+            .field("st", powifi_core::ckpt::save_injector(&w.power, *id))
             .build(),
         WorldEvent::Mac(MacEvent::Source { .. })
         | WorldEvent::Core(CoreEvent::SilentTick { .. })
@@ -301,8 +303,8 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
                     .into(),
             ))
         }
-        WorldEvent::Deploy(DeployEvent::Burst(st)) => {
-            let b = st.borrow();
+        WorldEvent::Deploy(DeployEvent::Burst(id)) => {
+            let b = &w.bursts[*id];
             kind("burst").put("src", &b.src).put("rng", &b.rng).build()
         }
         WorldEvent::Deploy(DeployEvent::BgFrame { src, frame }) => {
@@ -311,44 +313,41 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
     })
 }
 
-/// Spawn-time `Rc` state blocks harvested from a freshly rebuilt world's
-/// queue, keyed for re-linking, plus whether the rebuilt world audits.
-struct FreshBlocks {
-    injectors: BTreeMap<StationId, Rc<RefCell<InjectorSt>>>,
-    bursts: BTreeMap<StationId, Rc<RefCell<BurstSt>>>,
-    audit: bool,
+/// Pending events per rebuilt injector and background source. A run holds
+/// exactly one injector tick per injector and one burst decision per
+/// source; a checkpoint with more or fewer describes no state a run could
+/// reach.
+struct Pending {
+    injectors: Vec<u32>,
+    bursts: Vec<u32>,
 }
 
-fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
-    let mut blocks = FreshBlocks {
-        injectors: BTreeMap::new(),
-        bursts: BTreeMap::new(),
-        audit: false,
-    };
-    for (_, _, ev) in q.ckpt_pending() {
-        // Only the Rc-carrying kinds and the audit need re-linking, and a
-        // new kind cannot slip through silently because `event_v` matches
-        // exhaustively at save time.
-        #[expect(clippy::wildcard_enum_match_arm, reason = "R11: filter, not dispatch")]
-        match ev {
-            WorldEvent::Core(CoreEvent::InjectorTick(st)) => {
-                let iface = powifi_core::ckpt::injector_iface(&st.borrow());
-                blocks.injectors.insert(iface, Rc::clone(st));
+impl Pending {
+    /// Every entry has exactly one pending event.
+    fn check(&self) -> Result<(), CkptError> {
+        for (counts, kind, what) in [
+            (&self.injectors, "injector_tick", "injector"),
+            (&self.bursts, "burst", "background source"),
+        ] {
+            if let Some(id) = counts.iter().position(|&n| n != 1) {
+                return Err(CkptError::field(
+                    kind,
+                    format!(
+                        "rebuilt {what} {id} has {} pending events, not one",
+                        counts[id]
+                    ),
+                ));
             }
-            WorldEvent::Deploy(DeployEvent::Burst(st)) => {
-                let src = st.borrow().src;
-                blocks.bursts.insert(src, Rc::clone(st));
-            }
-            WorldEvent::Mac(MacEvent::Audit) => blocks.audit = true,
-            _ => {}
         }
+        Ok(())
     }
-    blocks
 }
 
 /// Decode one pending event. Station and medium ids are checked against
-/// the rebuilt `mac`, and Rc-carrying kinds re-link to its fresh blocks.
-fn event_from(v: &Value, blocks: &FreshBlocks, mac: &Mac) -> Result<WorldEvent, CkptError> {
+/// the rebuilt world's MAC; an injector tick or burst decision overlays its
+/// state onto the rebuilt entry on the same interface or source station.
+fn event_from(v: &Value, w: &mut SimWorld, pending: &mut Pending) -> Result<WorldEvent, CkptError> {
+    let mac = &w.mac;
     let sta = |key| -> Result<StationId, CkptError> {
         let sta: StationId = v.field(key)?;
         check_id(sta.0, mac.station_count(), key)?;
@@ -368,7 +367,7 @@ fn event_from(v: &Value, blocks: &FreshBlocks, mac: &Mac) -> Result<WorldEvent, 
             rate: v.field("rate")?,
         }
         .into(),
-        "audit" if blocks.audit => MacEvent::Audit.into(),
+        "audit" if mac.audits() => MacEvent::Audit.into(),
         "audit" => {
             return Err(CkptError::Unsupported(
                 "checkpoint was taken under the conformance checker; resume it checked".into(),
@@ -394,27 +393,21 @@ fn event_from(v: &Value, blocks: &FreshBlocks, mac: &Mac) -> Result<WorldEvent, 
         }
         .into(),
         "injector_tick" => {
-            let st_v = v.get("st")?;
-            let iface: StationId = st_v.field("iface")?;
-            let rc = blocks.injectors.get(&iface).ok_or_else(|| {
-                CkptError::field(
-                    "injector_tick",
-                    format!("rebuilt world has no injector on iface {}", iface.0),
-                )
-            })?;
-            powifi_core::ckpt::restore_injector(&mut rc.borrow_mut(), st_v)?;
-            CoreEvent::InjectorTick(Rc::clone(rc)).into()
+            let id = powifi_core::ckpt::restore_injector(&mut w.power, v.get("st")?)?;
+            pending.injectors[id] += 1;
+            CoreEvent::InjectorTick(id).into()
         }
         "burst" => {
             let src: StationId = v.field("src")?;
-            let rc = blocks.bursts.get(&src).ok_or_else(|| {
+            let id = w.bursts.iter().position(|b| b.src == src).ok_or_else(|| {
                 CkptError::field(
                     "burst",
                     format!("rebuilt world has no burst source on station {}", src.0),
                 )
             })?;
-            rc.borrow_mut().rng = v.field("rng")?;
-            DeployEvent::Burst(Rc::clone(rc)).into()
+            pending.bursts[id] += 1;
+            w.bursts[id].rng = v.field("rng")?;
+            DeployEvent::Burst(id).into()
         }
         "bg_frame" => {
             let frame = v.field("frame")?;
@@ -537,7 +530,7 @@ pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
             Ok(Value::map()
                 .put("t", &t)
                 .put("seq", &seq)
-                .field("ev", event_v(ev)?)
+                .field("ev", event_v(ev, &run.w)?)
                 .build())
         })
         .collect::<Result<Vec<_>, CkptError>>()?;
@@ -583,7 +576,10 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
     // state come from the tree. (Traffic spec is applied on cold starts;
     // here the flow table arrives wholesale from `restore_net`.)
     let (mut w, mut q, s) = build_office(spec.seed, spec.scheme, spec.cfg);
-    let blocks = harvest_blocks(&q);
+    let mut pending = Pending {
+        injectors: vec![0; w.power.injector_count()],
+        bursts: vec![0; w.bursts.len()],
+    };
     let qv = v.get("queue")?;
     let entries = qv
         .list_field("events")?
@@ -592,10 +588,11 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
             Ok((
                 e.field("t")?,
                 e.field("seq")?,
-                event_from(e.get("ev")?, &blocks, &w.mac)?,
+                event_from(e.get("ev")?, &mut w, &mut pending)?,
             ))
         })
         .collect::<Result<Vec<_>, CkptError>>()?;
+    pending.check()?;
     q.ckpt_restore(
         qv.field("now")?,
         qv.field("next_seq")?,
@@ -741,10 +738,24 @@ mod tests {
         }
     }
 
-    /// A checkpoint with a valid hash but impossible queue content — an
-    /// event before `queue.now`, a seq the counter never issued, or a
-    /// medium id the rebuilt world does not have (or one past `u32`) — is
-    /// refused with an error instead of aborting the process.
+    /// One edit of a saved queue's event list.
+    #[derive(Debug)]
+    enum Edit {
+        /// Set the slot at this path under event `i`.
+        Set(usize, &'static [&'static str], Value),
+        /// Append a copy of event `i` under a seq no pending event holds.
+        Duplicate(usize),
+        /// Remove event `i`.
+        Remove(usize),
+    }
+
+    /// A checkpoint with a valid hash but impossible queue content is
+    /// refused with an error instead of aborting the process or resuming
+    /// into a run no straight run matches: an event before `queue.now`, a
+    /// seq the counter never issued, a medium id the rebuilt world does not
+    /// have (or one past `u32`), an injector tick or burst decision for a
+    /// station without an injector or source, and an injector or source
+    /// with two pending events or none.
     #[test]
     fn resume_rejects_impossible_queue_content() {
         metrics::reset();
@@ -753,27 +764,57 @@ mod tests {
         let root = save_office(&run).unwrap();
         let q = root.get("queue").unwrap();
         let (now, next_seq): (u64, u64) = (q.field("now").unwrap(), q.field("next_seq").unwrap());
-        let ev1 = q.list_field("events").unwrap()[1].get("ev").unwrap();
-        assert_eq!(ev1.str_field("kind"), Ok("tx_end"));
-        let edits: [(&[&str], Value); 4] = [
-            (&["t"], Value::UInt(now - 1)),
-            (&["seq"], Value::UInt(next_seq)),
-            (&["ev", "medium"], Value::UInt(1 << 32)),
-            (&["ev", "medium"], Value::UInt(7)),
+        let events = q.list_field("events").unwrap();
+        let ev = |i: usize| events[i].get("ev").unwrap();
+        assert_eq!(ev(1).str_field("kind"), Ok("tx_end"));
+        let first = |kind| {
+            (0..events.len())
+                .find(|&i| ev(i).str_field("kind") == Ok(kind))
+                .unwrap()
+        };
+        let (tick, burst) = (first("injector_tick"), first("burst"));
+        let iface = ev(tick).get("st").unwrap().get("iface").unwrap().clone();
+        let src = ev(burst).get("src").unwrap().clone();
+        let seqs: Vec<u64> = events.iter().map(|e| e.field("seq").unwrap()).collect();
+        let free = (0..next_seq).find(|s| !seqs.contains(s)).unwrap();
+        let edits = [
+            Edit::Set(1, &["t"], Value::UInt(now - 1)),
+            Edit::Set(1, &["seq"], Value::UInt(next_seq)),
+            Edit::Set(1, &["ev", "medium"], Value::UInt(1 << 32)),
+            Edit::Set(1, &["ev", "medium"], Value::UInt(7)),
+            Edit::Set(tick, &["ev", "st", "iface"], src),
+            Edit::Set(burst, &["ev", "src"], iface),
+            Edit::Duplicate(tick),
+            Edit::Duplicate(burst),
+            Edit::Remove(tick),
         ];
-        for (path, bad) in edits {
-            let mut tree = root.clone();
-            let Value::Array(events) = field_mut(field_mut(&mut tree, "queue"), "events") else {
-                panic!("queue.events is not a list");
-            };
-            let slot = path.iter().fold(&mut events[1], |v, key| field_mut(v, key));
-            *slot = bad.clone();
-            let bytes = ckpt::save(&tree);
-            assert!(
-                matches!(resume(&bytes), Err(CkptError::Field { .. })),
-                "events[1]/{path:?} = {bad:?} was accepted"
-            );
-        }
+        let accepted: Vec<&Edit> = edits
+            .iter()
+            .filter(|edit| {
+                let mut tree = root.clone();
+                let Value::Array(events) = field_mut(field_mut(&mut tree, "queue"), "events")
+                else {
+                    panic!("queue.events is not a list");
+                };
+                match edit {
+                    Edit::Set(i, path, bad) => {
+                        *path
+                            .iter()
+                            .fold(&mut events[*i], |v, key| field_mut(v, key)) = bad.clone();
+                    }
+                    Edit::Duplicate(i) => {
+                        let mut copy = events[*i].clone();
+                        *field_mut(&mut copy, "seq") = Value::UInt(free);
+                        events.push(copy);
+                    }
+                    Edit::Remove(i) => {
+                        events.remove(*i);
+                    }
+                }
+                !matches!(resume(&ckpt::save(&tree)), Err(CkptError::Field { .. }))
+            })
+            .collect();
+        assert!(accepted.is_empty(), "accepted: {accepted:?}");
         metrics::reset();
     }
 

@@ -149,6 +149,7 @@ pub fn build_home(
         let base = 0.03 + 0.05 * cfg.users as f64 / cfg.devices.max(1) as f64;
         let jitterless: IntensityFn = Rc::new(move |t| diurnal_intensity(hour_of(t)));
         install_traffic_source(
+            &mut w,
             &mut q,
             router_sta,
             sta,

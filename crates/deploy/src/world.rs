@@ -1,15 +1,13 @@
 //! The composed simulation world: MAC + transport + power machinery.
 
 use crate::background::{self, BurstSt};
-use powifi_core::{dispatch_core, CoreEvent};
+use powifi_core::{dispatch_core, CoreEvent, PowerState, PowerWorld};
 use powifi_mac::{
     dispatch_mac, Frame, Mac, MacEvent, MacWorld, MediumId, Queue, StationId, TxOutcome,
 };
 use powifi_net::{dispatch_net, on_deliver, NetEvent, NetState, NetWorld};
 use powifi_rf::WifiChannel;
 use powifi_sim::{Dispatch, SimDuration, SimRng};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The world used by every deployment scenario, example and bench.
 pub struct SimWorld {
@@ -17,11 +15,27 @@ pub struct SimWorld {
     pub mac: Mac,
     /// Transport flows and page loads.
     pub net: NetState,
+    /// Injector, silent-slot, capper and time-division tables.
+    pub power: PowerState,
+    /// Background traffic sources, indexed by [`DeployEvent::Burst`].
+    pub bursts: Vec<BurstSt>,
+}
+
+impl SimWorld {
+    /// A world around `mac` with no flows, injectors or sources yet.
+    pub fn new(mac: Mac) -> SimWorld {
+        SimWorld {
+            mac,
+            net: NetState::new(),
+            power: PowerState::default(),
+            bursts: Vec::new(),
+        }
+    }
 }
 
 /// The full composed event enum: every layer's typed events, absorbed via
 /// `From` so each layer can post its own events without knowing the world.
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum WorldEvent {
     /// MAC-layer event.
     Mac(MacEvent),
@@ -33,12 +47,17 @@ pub enum WorldEvent {
     Deploy(DeployEvent),
 }
 
+// Every pending event sits in a timer-wheel entry, so its size multiplies
+// the queue's peak backlog (as with `MacEvent`'s 16). The largest variant
+// is a background frame: a `Frame` and its sender.
+const _: () = assert!(std::mem::size_of::<WorldEvent>() <= 64);
+
 /// Events of the deployment layer's background-traffic sources.
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum DeployEvent {
-    /// One ON/OFF burst decision of a background source; carries the
-    /// source's spawn-time state block.
-    Burst(Rc<RefCell<BurstSt>>),
+    /// One ON/OFF burst decision of a background source. Indexes
+    /// [`SimWorld::bursts`].
+    Burst(usize),
     /// Enqueue one background data frame at its Poisson arrival time.
     BgFrame {
         /// The transmitting station.
@@ -106,6 +125,15 @@ impl NetWorld for SimWorld {
     }
 }
 
+impl PowerWorld for SimWorld {
+    fn power(&self) -> &PowerState {
+        &self.power
+    }
+    fn power_mut(&mut self) -> &mut PowerState {
+        &mut self.power
+    }
+}
+
 /// Create a world with the three PoWiFi channels (1, 6, 11) as mediums.
 /// Returns the world, the event queue and the `(channel, medium)` pairs.
 pub fn three_channel_world(
@@ -114,10 +142,7 @@ pub fn three_channel_world(
 ) -> (SimWorld, Queue<SimWorld>, Vec<(WifiChannel, MediumId)>) {
     #[expect(clippy::disallowed_methods, reason = "R10: a run's root stream")]
     let rng = SimRng::from_seed(seed);
-    let mut w = SimWorld {
-        mac: Mac::new(rng.derive("mac")),
-        net: NetState::new(),
-    };
+    let mut w = SimWorld::new(Mac::new(rng.derive("mac")));
     let channels: Vec<_> = WifiChannel::POWER_SET
         .iter()
         .map(|&ch| (ch, w.mac.add_medium(monitor_bin)))

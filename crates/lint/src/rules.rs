@@ -20,10 +20,23 @@ const SHARED_STATE: [&str; 7] = [
     "Atomic",
 ];
 
-/// R8: a boxed closure type.
+/// R8: a boxed closure type, also behind leading auto-trait bounds or a
+/// `std::ops::`/`core::ops::` path (`Box<dyn Send + std::ops::FnMut()>`).
 fn boxed_fn(line: &str) -> bool {
     let squeezed: String = line.chars().filter(|x| !x.is_whitespace()).collect();
-    squeezed.contains("Box<dynFn")
+    squeezed.split("Box<dyn").skip(1).any(|mut rest| {
+        while let Some(r) = ["Send+", "Sync+", "Unpin+"]
+            .iter()
+            .find_map(|bound| rest.strip_prefix(bound))
+        {
+            rest = r;
+        }
+        ["std::ops::", "core::ops::"]
+            .iter()
+            .find_map(|path| rest.strip_prefix(path))
+            .unwrap_or(rest)
+            .starts_with("Fn")
+    })
 }
 
 /// R9: the first shared-state identifier on the line (lifetimes excluded).
@@ -101,6 +114,9 @@ mod tests {
             "let g: Box<dyn Fn()> = mk();",
             "fire: Box < dyn  FnOnce(&mut World) >,",
             "handlers: Vec<Box<dyn Fn(u8) -> u8>>,",
+            "let p: Box<dyn std::ops::Fn()> = mk();",
+            "let c: Box<dyn core::ops::FnMut(u8)> = mk();",
+            "let s: Box<dyn Send + FnMut()> = mk();",
         ] {
             assert!(boxed_fn(bad), "{bad}");
         }

@@ -586,6 +586,12 @@ impl Mac {
         self.stations.len()
     }
 
+    /// Whether the world builder installed the periodic conformance audit
+    /// ([`crate::conformance::install_audit`]).
+    pub fn audits(&self) -> bool {
+        self.audit_period.is_some()
+    }
+
     /// Dump end-of-run MAC totals into this thread's metrics registry
     /// ([`powifi_sim::obs::metrics`]): frames sent, collisions,
     /// retransmissions and queue drops summed over every station and

@@ -12,16 +12,14 @@
 //! The driver is a library so tests can call it directly; the
 //! `powifi-fuzz` binary wraps it for CI and command-line use.
 
-use powifi_core::{
-    dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
-};
+use powifi_core::{spawn_injector, CoreStack, JitterModel, PowerTrafficConfig};
 use powifi_mac::{
     conformance as mac_conformance, start_beacons, start_source, Dest, Frame, Mac, MacTiming,
-    MacWorld, PayloadTag, Queue, RateController, Source, StationId,
+    PayloadTag, Queue, RateController, Source, StationId,
 };
 use powifi_rf::{Bitrate, Db};
 use powifi_sim::conformance::{self, Violation};
-use powifi_sim::{Dispatch, SimDuration, SimRng, SimTime};
+use powifi_sim::{SimDuration, SimRng, SimTime};
 
 /// Rates the generator draws station rate controllers from.
 const RATES: [Bitrate; 7] = [
@@ -173,26 +171,6 @@ pub struct CaseResult {
     pub frames: u64,
 }
 
-struct FuzzWorld {
-    mac: Mac,
-}
-
-impl Dispatch<CoreStackEvent> for FuzzWorld {
-    fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-        dispatch_core_stack(self, q, ev);
-    }
-}
-
-impl MacWorld for FuzzWorld {
-    type Ev = CoreStackEvent;
-    fn mac(&self) -> &Mac {
-        &self.mac
-    }
-    fn mac_mut(&mut self) -> &mut Mac {
-        &mut self.mac
-    }
-}
-
 /// Build and run one topology under the invariant checker. Restores the
 /// caller's checker-enabled state afterwards, so the surrounding test or
 /// sweep sink is unaffected.
@@ -201,9 +179,7 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
     let saved = conformance::take();
     conformance::set_enabled(true);
 
-    let mut w = FuzzWorld {
-        mac: Mac::new(SimRng::from_seed(spec.seed).derive("fuzz-mac")),
-    };
+    let mut w = CoreStack::new(Mac::new(SimRng::from_seed(spec.seed).derive("fuzz-mac")));
     if spec.mixed_bg {
         w.mac.timing = MacTiming::bg_mixed();
     }
@@ -246,7 +222,7 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
                     },
                 };
                 let rng = SimRng::from_seed(spec.seed).derive_idx("fuzz-injector", i);
-                spawn_injector(&mut q, sta, cfg, rng, SimTime::ZERO);
+                spawn_injector(&mut w, &mut q, sta, cfg, rng, SimTime::ZERO);
             }
             Role::Talker {
                 peer_rank,

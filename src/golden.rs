@@ -13,46 +13,24 @@
 //! count is part of the rendered document, so a checker regression is a
 //! golden drift too.
 
-use powifi_core::{
-    dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
-};
+use powifi_core::{spawn_injector, CoreStack, JitterModel, PowerTrafficConfig};
 use powifi_mac::{
-    start_source, Dest, Frame, Mac, MacWorld, PayloadTag, Queue, RateController, Source, StationId,
+    start_source, Dest, Frame, Mac, PayloadTag, Queue, RateController, Source, StationId,
 };
 use powifi_rf::{Bitrate, Db};
 use powifi_sim::conformance;
-use powifi_sim::{Dispatch, SimDuration, SimRng, SimTime};
+use powifi_sim::{SimDuration, SimRng, SimTime};
 use serde::Value;
 
 /// Trace-ring capacity; scenarios are sized so nothing is ever evicted.
 const TRACE_CAP: usize = 512;
 
-struct GoldenWorld {
-    mac: Mac,
-}
-
-impl Dispatch<CoreStackEvent> for GoldenWorld {
-    fn dispatch(&mut self, q: &mut Queue<Self>, ev: CoreStackEvent) {
-        dispatch_core_stack(self, q, ev);
-    }
-}
-
-impl MacWorld for GoldenWorld {
-    type Ev = CoreStackEvent;
-    fn mac(&self) -> &Mac {
-        &self.mac
-    }
-    fn mac_mut(&mut self) -> &mut Mac {
-        &mut self.mac
-    }
-}
-
 /// Start a source at `first` that enqueues `frame` every `period_us` µs
 /// (once, for a zero period) while its sender holds fewer than `below`
 /// frames.
 fn saturate(
-    w: &mut GoldenWorld,
-    q: &mut Queue<GoldenWorld>,
+    w: &mut CoreStack,
+    q: &mut Queue<CoreStack>,
     first: SimTime,
     frame: Frame,
     period_us: u64,
@@ -78,7 +56,7 @@ pub struct GoldenScenario {
     /// One-line description, embedded in the rendered JSON.
     pub about: &'static str,
     horizon: SimDuration,
-    build: fn(&mut GoldenWorld, &mut Queue<GoldenWorld>),
+    build: fn(&mut CoreStack, &mut Queue<CoreStack>),
 }
 
 /// The full corpus, in render order.
@@ -151,6 +129,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                     jitter: JitterModel::none(),
                 };
                 spawn_injector(
+                    w,
                     q,
                     a,
                     cfg,
@@ -213,9 +192,7 @@ pub fn render_trace(name: &str) -> String {
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"));
     let ((), jsonl) = powifi_sim::obs::trace::capture_jsonl(|| {
-        let mut w = GoldenWorld {
-            mac: Mac::new(SimRng::from_seed(0).derive(sc.name)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
         let mut q = Queue::new();
         (sc.build)(&mut w, &mut q);
         q.run_until(&mut w, SimTime::ZERO + sc.horizon);
@@ -235,9 +212,7 @@ pub fn render_prof(name: &str) -> String {
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"));
     let ((), snap) = powifi_sim::obs::prof::capture(|| {
-        let mut w = GoldenWorld {
-            mac: Mac::new(SimRng::from_seed(0).derive(sc.name)),
-        };
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
         let mut q = Queue::new();
         (sc.build)(&mut w, &mut q);
         q.run_until(&mut w, SimTime::ZERO + sc.horizon);
@@ -262,9 +237,7 @@ fn render_scenario(sc: &GoldenScenario) -> String {
     let saved = conformance::take();
     conformance::set_enabled(true);
 
-    let mut w = GoldenWorld {
-        mac: Mac::new(SimRng::from_seed(0).derive(sc.name)),
-    };
+    let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
     let mut q = Queue::new();
     (sc.build)(&mut w, &mut q);
     powifi_mac::conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(1));

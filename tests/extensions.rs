@@ -31,6 +31,7 @@ fn capper_composes_with_fleet() {
     );
     for r in &routers {
         spawn_capper(
+            &mut w,
             &mut q,
             r,
             CapperConfig {
@@ -66,6 +67,7 @@ fn pdos_attack_starves_silent_slot_policy_too() {
         );
         for iface in &r.ifaces {
             spawn_silent_injector(
+                &mut w,
                 &mut q,
                 iface.sta,
                 SilentSlotConfig::default(),
