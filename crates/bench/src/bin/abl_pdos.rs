@@ -58,7 +58,7 @@ impl Experiment for PowerDos {
         if pt.period_ms.is_finite() {
             let cfg = AttackConfig::duty_cycled(SimDuration::from_secs_f64(pt.period_ms / 1000.0));
             for &(_, m) in &channels {
-                spawn_attacker(&mut w, &mut q, m, cfg, &rng);
+                spawn_attacker(&mut w, &mut q, m, cfg);
             }
         }
         let end = SimTime::from_secs(pt.secs);

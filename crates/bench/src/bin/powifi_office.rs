@@ -139,7 +139,7 @@ impl Experiment for OfficeExperiment {
         };
         let checkpoints = ckpt_run::drive(&mut run, self.policy.as_ref(), "office")
             .unwrap_or_else(|e| panic!("checkpoint write: {e}"));
-        run.record_run_telemetry();
+        run.s.record_run_telemetry(&run.w, run.end());
         let final_hash = match powifi_deploy::checkpoint(&run) {
             Ok((_, hash)) => hash,
             Err(e) => {
@@ -239,6 +239,10 @@ fn split_args() -> Result<(OfficeParams, CkptFlags, Vec<String>), String> {
             "--checkpoint-every" => ckpt.every = Some(positive(&mut it, "--checkpoint-every")?),
             "--ckpt-dir" => ckpt.dir = Some(need(&mut it, "--ckpt-dir")?.into()),
             "--resume" => ckpt.resume = Some(need(&mut it, "--resume")?.into()),
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                exit(0);
+            }
             other => rest.push(other.to_string()),
         }
     }

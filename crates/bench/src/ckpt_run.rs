@@ -1,18 +1,19 @@
-//! Checkpoint-chain plumbing shared by the checkpoint-aware binaries.
+//! Checkpoint-chain plumbing for the stepped office runs of `powifi-office`
+//! and the fleet ([`crate::fleet`]), with or without a chain.
 //!
 //! A *chain* is a directory of checkpoint files for one named run, one file
 //! per checkpointed epoch: `<name>.ckpt-<epoch>` (epoch zero-padded so the
-//! lexical order is the epoch order). [`drive`] steps an
-//! [`OfficeRun`](powifi_deploy::OfficeRun) to completion, writing a chain
-//! checkpoint every `every` epochs (the final epoch always gets one) and
-//! announcing each write on the live telemetry stream as a seq-numbered
-//! `ckpt` record carrying the state hash. [`start_or_resume`] is the
-//! crash-resume entry point: it picks up from the newest *valid* chain file
-//! (a torn write from a crash mid-`fs::write` fails the container hash
-//! check and is skipped), falling back to a cold start when the chain is
-//! empty. A valid chain file written for a different spec is an error, not
-//! a skip: resuming it would continue another run, and a cold start would
-//! overwrite that run's chain.
+//! lexical order is the epoch order). [`drive`] steps an [`OfficeRun`] to
+//! completion; given a policy, it writes a chain checkpoint every `every`
+//! epochs (the final epoch always gets one) and announces each write on
+//! the live telemetry stream as a seq-numbered `ckpt` record carrying the
+//! state hash.
+//! [`start_or_resume`] is the crash-resume entry point: it picks up from
+//! the newest *valid* chain file (a torn write from a crash
+//! mid-`fs::write` fails the container hash check and is skipped), falling
+//! back to a cold start when the chain is empty. A valid chain file written
+//! for a different spec is an error, not a skip: resuming it would continue
+//! another run, and a cold start would overwrite that run's chain.
 //!
 //! Checkpoint cadence is in *absolute* epochs (`epochs_done % every`), so a
 //! resumed run's chain lines up file-for-file — and, by the deploy layer's

@@ -5,7 +5,11 @@
 //! existing sweep engine's worker pool ([`crate::Sweep`]), with a
 //! [`stream::Handle`] installed per worker thread so each deployment's
 //! epoch-stepped run emits tagged `metrics` records into one shared
-//! [`stream::Egress`]. [`serve_fleet`] wraps that in a TCP listener: it
+//! [`stream::Egress`]. Every deployment takes one path: an
+//! [`OfficeRun`](powifi_deploy::OfficeRun) started or resumed by
+//! [`ckpt_run::start_or_resume`] and stepped by [`ckpt_run::drive`], which
+//! also writes its checkpoint chain when [`FleetConfig::ckpt`] names a
+//! directory. [`serve_fleet`] wraps that in a TCP listener: it
 //! waits for subscribers, broadcasts the merged stream to all of them
 //! ([`FanOut`]), and closes the connections when the last deployment
 //! finishes. The client half lives in [`record_stream`] and the
@@ -20,9 +24,7 @@
 use crate::ckpt_run::{self, CkptPolicy};
 use crate::runner::{BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
-use powifi_deploy::{
-    tcp_experiment_epochs, udp_experiment_epochs, OfficeConfig, OfficeSpec, TrafficSpec,
-};
+use powifi_deploy::{OfficeConfig, OfficeSpec, TrafficSpec};
 use powifi_sim::obs::stream::{self, Egress, SessionInfo};
 use powifi_sim::{SimDuration, SimTime};
 use serde::Serialize;
@@ -66,10 +68,10 @@ pub struct FleetConfig {
     pub jobs: usize,
     /// The deployments.
     pub deployments: Vec<DeploymentSpec>,
-    /// Checkpoint-chain policy: `Some` drives every deployment through the
-    /// checkpointable runner ([`crate::ckpt_run`]), writing per-deployment
-    /// chain files and *crash-resuming* from the newest valid one on
-    /// restart. `None` runs straight through (the historical path).
+    /// Where checkpoint chains go: `Some` writes per-deployment chain files
+    /// ([`crate::ckpt_run`]) and *crash-resumes* each deployment from its
+    /// newest valid one on restart; `None` writes none. Every deployment
+    /// runs through the same epoch-stepped office runner either way.
     pub ckpt: Option<CkptPolicy>,
 }
 
@@ -149,54 +151,25 @@ impl Experiment for FleetExperiment {
 
     fn run(&self, pt: &DeploymentSpec, seed: u64) -> DeploymentOutput {
         let prev = stream::install(stream::Handle::new(Arc::clone(&self.egress), &pt.name));
-        let epoch = Some(self.cfg.epoch);
-        let throughput = if let Some(policy) = &self.cfg.ckpt {
-            // Checkpointed path: drive the deployment through the
-            // resumable runner, picking up from its chain if one exists
-            // (crash-resume) and announcing every chain write as a `ckpt`
-            // stream record. Event execution is identical to the straight
-            // path, so the throughput is too.
-            let spec = OfficeSpec {
-                seed,
-                scheme: pt.scheme,
-                cfg: OfficeConfig::default(),
-                traffic: match pt.kind {
-                    DeploymentKind::Udp { rate_mbps } => TrafficSpec::Udp { rate_mbps },
-                    DeploymentKind::Tcp => TrafficSpec::Tcp,
-                },
-                secs: self.cfg.secs,
-                epoch: self.cfg.epoch,
-            };
-            let (mut run, _info) = ckpt_run::start_or_resume(&spec, Some(policy), &pt.name)
+        let spec = OfficeSpec {
+            seed,
+            scheme: pt.scheme,
+            cfg: OfficeConfig::default(),
+            traffic: match pt.kind {
+                DeploymentKind::Udp { rate_mbps } => TrafficSpec::Udp { rate_mbps },
+                DeploymentKind::Tcp => TrafficSpec::Tcp,
+            },
+            secs: self.cfg.secs,
+            epoch: self.cfg.epoch,
+        };
+        let policy = self.cfg.ckpt.as_ref();
+        let throughput_mbps = {
+            let (mut run, _info) = ckpt_run::start_or_resume(&spec, policy, &pt.name)
                 .unwrap_or_else(|e| panic!("deployment {}: checkpoint chain: {e}", pt.name));
-            ckpt_run::drive(&mut run, Some(policy), &pt.name)
+            ckpt_run::drive(&mut run, policy, &pt.name)
                 .unwrap_or_else(|e| panic!("deployment {}: checkpoint write: {e}", pt.name));
-            run.record_run_telemetry();
+            run.s.record_run_telemetry(&run.w, run.end());
             run.throughput_mbps()
-        } else {
-            match pt.kind {
-                DeploymentKind::Udp { rate_mbps } => {
-                    udp_experiment_epochs(
-                        OfficeConfig::default(),
-                        pt.scheme,
-                        rate_mbps,
-                        seed,
-                        self.cfg.secs,
-                        epoch,
-                    )
-                    .throughput_mbps
-                }
-                DeploymentKind::Tcp => {
-                    tcp_experiment_epochs(
-                        OfficeConfig::default(),
-                        pt.scheme,
-                        seed,
-                        self.cfg.secs,
-                        epoch,
-                    )
-                    .throughput_mbps
-                }
-            }
         };
         stream::finish(SimTime::from_secs(self.cfg.secs));
         if let Some(h) = prev {
@@ -204,7 +177,7 @@ impl Experiment for FleetExperiment {
         }
         DeploymentOutput {
             name: pt.name.clone(),
-            throughput_mbps: throughput,
+            throughput_mbps,
         }
     }
 }

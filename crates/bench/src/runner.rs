@@ -32,6 +32,7 @@
 //!   periodic audits, violations are counted per point, and the sweep
 //!   panics after reporting if any point violated an invariant.
 
+use powifi_sim::ckpt::Ckpt;
 use powifi_sim::obs::{metrics, prof, stream, trace};
 use powifi_sim::{conformance, RunTelemetry, SimRng, SimTime};
 use serde::{Serialize, Value};
@@ -552,7 +553,7 @@ impl<'a> Sweep<'a> {
                                 ("occupancy".into(), Value::Float(r.telemetry.occupancy)),
                             ];
                             if let Some(m) = &r.metrics {
-                                row.push(("metrics".into(), metrics_value(m)));
+                                row.push(("metrics".into(), m.to_ckpt()));
                             }
                             Value::Object(row)
                         })
@@ -663,69 +664,10 @@ fn point_value<P, O: Serialize>(run: &PointRun<P, O>) -> Value {
         ("violations".into(), Value::UInt(run.violations)),
     ];
     if let Some(m) = &run.metrics {
-        row.push(("metrics".into(), metrics_value(m)));
+        row.push(("metrics".into(), m.to_ckpt()));
     }
     row.push(("output".into(), run.output.to_value()));
     Value::Object(row)
-}
-
-/// Render a [`metrics::MetricsSnapshot`] as an artifact [`Value`] tree
-/// (same shape as [`metrics::MetricsSnapshot::to_json`], embedded so the
-/// points/manifest files stay a single well-formed JSON document).
-fn metrics_value(m: &metrics::MetricsSnapshot) -> Value {
-    Value::Object(vec![
-        (
-            "counters".into(),
-            Value::Object(
-                m.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges".into(),
-            Value::Object(
-                m.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Float(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms".into(),
-            Value::Object(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Value::Object(vec![
-                                ("count".into(), Value::UInt(h.count)),
-                                ("sum".into(), Value::Float(h.sum)),
-                                ("min".into(), Value::Float(h.min)),
-                                ("max".into(), Value::Float(h.max)),
-                                (
-                                    "buckets".into(),
-                                    Value::Array(
-                                        h.buckets
-                                            .iter()
-                                            .map(|(bound, n)| {
-                                                Value::Array(vec![
-                                                    Value::Float(*bound),
-                                                    Value::UInt(*n),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Wall-clock summary over a sweep's points. Nondeterministic, so every

@@ -133,3 +133,21 @@ fn queue_threshold_quick_artifacts_match_golden() {
 fn power_bitrate_quick_artifacts_match_golden() {
     check_artifacts(env!("CARGO_BIN_EXE_abl_power_bitrate"), "abl_power_bitrate");
 }
+
+// The §4.1 office sweeps: UDP throughput and TCP throughput under the four
+// schemes, and the neighbour-fairness sweep beside them.
+
+#[test]
+fn fig06a_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_fig06a_udp_throughput"), "fig06a");
+}
+
+#[test]
+fn fig06b_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_fig06b_tcp_cdf"), "fig06b");
+}
+
+#[test]
+fn fig08_quick_artifacts_match_golden() {
+    check_artifacts(env!("CARGO_BIN_EXE_fig08_neighbor_fairness"), "fig08");
+}

@@ -1,7 +1,7 @@
 //! `powifi-office` is the one sweep binary that takes the checkpoint flags:
 //! `--checkpoint-every` with `--ckpt-dir` writes a chain, `--resume` picks
-//! up one of its files and records that in the manifest, and a cadence of
-//! zero is a usage error.
+//! up one of its files and records that in the manifest, a cadence of
+//! zero is a usage error, and `--help` prints the office's own usage.
 
 use serde::Value;
 use std::fs;
@@ -93,4 +93,18 @@ fn checkpoint_flags_write_a_chain_resume_from_it_and_refuse_zero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+/// `--help` and `-h` answer with the office's usage line, which names its
+/// own flags, rather than the shared sweep flags alone.
+#[test]
+fn help_prints_the_office_usage() {
+    for flag in ["--help", "-h"] {
+        let out = office(&[flag], None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flag}: stderr:\n{stderr}");
+        for want in ["usage: powifi-office", "--checkpoint-every"] {
+            assert!(stderr.contains(want), "{flag}: no `{want}` in:\n{stderr}");
+        }
+    }
 }

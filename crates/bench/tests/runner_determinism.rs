@@ -6,7 +6,9 @@
 use powifi_bench::{BenchArgs, Experiment, Sweep};
 use powifi_core::{Router, RouterConfig, Scheme};
 use powifi_deploy::three_channel_world;
+use powifi_sim::obs::metrics;
 use powifi_sim::{SimDuration, SimRng, SimTime};
+use serde::Value;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -61,7 +63,10 @@ impl Experiment for MiniOccupancy {
         let end = SimTime::from_secs(pt.secs);
         q.run_until(&mut w, end);
         w.mac.record_metrics();
-        (r.occupancy(&w.mac, end).1, w.mac.total_frames_sent())
+        let occupancy = r.occupancy(&w.mac, end).1;
+        // One histogram, so the `--metrics` column carries all three maps.
+        metrics::histogram("mini.occupancy").observe(occupancy);
+        (occupancy, w.mac.total_frames_sent())
     }
 }
 
@@ -161,6 +166,48 @@ fn metrics_and_trace_are_bit_identical_across_job_counts() {
 
     let _ = fs::remove_dir_all(&d1);
     let _ = fs::remove_dir_all(&d8);
+}
+
+/// The `--metrics` column is the point's registry snapshot itself: each
+/// point's `metrics` object in the points artifact, re-serialized
+/// compactly, is that point's `MetricsSnapshot::to_json()`.
+#[test]
+fn metrics_column_renders_each_points_snapshot() {
+    let dir = scratch_dir("metrics-column");
+    let args = BenchArgs {
+        seed: 42,
+        json_dir: Some(dir.clone()),
+        jobs: 2,
+        metrics: true,
+        ..BenchArgs::default()
+    };
+    let runs = Sweep::new(&args).run(&MiniOccupancy);
+    let text = fs::read_to_string(dir.join("mini_occupancy.points.json")).unwrap();
+    let Ok(Value::Array(rows)) = serde_json::from_str(&text) else {
+        panic!("points artifact is not an array");
+    };
+    assert_eq!(rows.len(), runs.len());
+    let field = |row: &Value, key: &str| match row {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).unwrap().1.clone(),
+        other => panic!("point row is not an object: {other:?}"),
+    };
+    let mut histograms = 0;
+    for run in &runs {
+        let row = rows
+            .iter()
+            .find(|row| field(row, "index") == Value::UInt(run.index as u64))
+            .unwrap_or_else(|| panic!("no row for {}", run.label));
+        let snap = run.metrics.as_ref().expect("--metrics keeps the snapshot");
+        histograms += snap.histograms.len();
+        assert_eq!(
+            serde_json::to_string(&field(row, "metrics")).unwrap(),
+            snap.to_json(),
+            "{}",
+            run.label
+        );
+    }
+    assert!(histograms > 0, "no point recorded a histogram");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Run the mini sweep with `--prof`, returning the prof JSONL.

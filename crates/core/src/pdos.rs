@@ -9,7 +9,7 @@
 use crate::{CoreEvent, PowerWorld};
 use powifi_mac::{enqueue, Frame, MediumId, Queue, RateController, StationId};
 use powifi_rf::Bitrate;
-use powifi_sim::{SimDuration, SimRng, SimTime};
+use powifi_sim::{SimDuration, SimTime};
 
 /// Attack configuration.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +52,6 @@ pub fn spawn_attacker<W: PowerWorld>(
     q: &mut Queue<W>,
     medium: MediumId,
     cfg: AttackConfig,
-    _rng: &SimRng,
 ) -> StationId {
     let sta = w
         .mac_mut()
@@ -83,6 +82,7 @@ mod tests {
     use crate::CoreStack;
     use powifi_mac::Mac;
     use powifi_rf::WifiChannel;
+    use powifi_sim::SimRng;
 
     fn router_occupancy_under_attack(attack: Option<AttackConfig>) -> f64 {
         let mut w = CoreStack::new(Mac::new(SimRng::from_seed(4)));
@@ -95,7 +95,7 @@ mod tests {
         let r = Router::install(&mut w, &mut q, &channels, RouterConfig::powifi(), &rng);
         if let Some(a) = attack {
             for &(_, m) in &channels {
-                spawn_attacker(&mut w, &mut q, m, a, &rng);
+                spawn_attacker(&mut w, &mut q, m, a);
             }
         }
         let end = SimTime::from_secs(3);

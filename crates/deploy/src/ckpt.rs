@@ -1,4 +1,4 @@
-//! Whole-deployment checkpoint/restore: freeze a running office experiment
+//! Whole-deployment checkpoint/restore: freeze a running [`OfficeRun`]
 //! at an epoch boundary, persist it as a versioned [`powifi_sim::ckpt`]
 //! container, and later resume it such that *restore(checkpoint(t)) run to
 //! T is byte-identical to an uninterrupted run to T* — the invariant every
@@ -33,170 +33,19 @@
 //! MAC audit event. It resumes only into a checked run, whose builder
 //! re-installs the audit period that event re-posts with.
 
-use crate::office::{build_office, OfficeConfig, OfficeScenario};
+use crate::office::{build_office, OfficeConfig, OfficeRun, OfficeSpec, TrafficSpec};
 use crate::telemetry::EpochDriver;
 use crate::world::{DeployEvent, SimWorld, WorldEvent};
-use powifi_core::{CoreEvent, Scheme};
+use powifi_core::CoreEvent;
 use powifi_harvest::{Harvester, Store};
 use powifi_mac::ckpt::{check_frame, check_id, restore_mac, save_mac};
-use powifi_mac::{MacEvent, MediumId, Queue, RateController, StationId};
+use powifi_mac::{MacEvent, MediumId, StationId};
 use powifi_net::ckpt::{restore_net, save_net};
-use powifi_net::{start_tcp_flow, start_udp_flow, tcp_push_at, Flow, NetEvent};
-use powifi_rf::Bitrate;
+use powifi_net::{Flow, NetEvent};
 use powifi_sim::ckpt::{self, Ckpt, CkptError, Value, ValueExt};
 use powifi_sim::ckpt_struct;
 use powifi_sim::obs::metrics::{self, MetricsSnapshot};
-use powifi_sim::{SimDuration, SimTime};
-
-/// Client traffic driven through the office run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrafficSpec {
-    /// No client flow (occupancy/harvest-only runs).
-    None,
-    /// §4.1(a): CBR UDP at this offered rate (Mbit/s), client rate pinned
-    /// to 54 Mbps, starting at t=100 ms and stopping at the run end.
-    Udp {
-        /// Offered rate, Mbit/s.
-        rate_mbps: f64,
-    },
-    /// §4.1(b): one long-lived TCP flow, pushed a huge byte budget at
-    /// t=100 ms.
-    Tcp,
-}
-
-/// Everything needed to *rebuild* a run from scratch: the deterministic
-/// builder inputs plus the run schedule. Stored inside every checkpoint so
-/// a resume needs only the checkpoint file.
-#[derive(Debug, Clone)]
-pub struct OfficeSpec {
-    /// World seed.
-    pub seed: u64,
-    /// Power-delivery scheme under test.
-    pub scheme: Scheme,
-    /// Office environment parameters.
-    pub cfg: OfficeConfig,
-    /// Client traffic.
-    pub traffic: TrafficSpec,
-    /// Total run length, seconds.
-    pub secs: u64,
-    /// Epoch (checkpoint/telemetry) width.
-    pub epoch: SimDuration,
-}
-
-/// A live, epoch-steppable, checkpointable office run.
-pub struct OfficeRun {
-    /// The composed world.
-    pub w: SimWorld,
-    /// Its event queue.
-    pub q: Queue<SimWorld>,
-    /// The built scenario (router, client, channels).
-    pub s: OfficeScenario,
-    /// The live-telemetry driver stepping the run.
-    pub drv: EpochDriver,
-    /// The spec this run was started (or resumed) from.
-    pub spec: OfficeSpec,
-    /// Epochs completed so far.
-    pub epochs_done: u64,
-}
-
-impl OfficeRun {
-    /// Cold-start a run from its spec (epoch 0, nothing executed).
-    pub fn start(spec: &OfficeSpec) -> OfficeRun {
-        let (mut w, mut q, s) = build_office(spec.seed, spec.scheme, spec.cfg);
-        let end = SimTime::from_secs(spec.secs);
-        match spec.traffic {
-            TrafficSpec::None => {}
-            TrafficSpec::Udp { rate_mbps } => {
-                // §4.1(a): "The client sets its Wi-Fi bitrate to 54 Mbps".
-                w.mac.set_rate_controller(
-                    s.router.client_iface().sta,
-                    RateController::fixed(Bitrate::G54),
-                );
-                start_udp_flow(
-                    &mut w,
-                    &mut q,
-                    s.router.client_iface().sta,
-                    s.client,
-                    rate_mbps,
-                    SimTime::from_millis(100),
-                    end,
-                );
-            }
-            TrafficSpec::Tcp => {
-                let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-                tcp_push_at(&mut q, SimTime::from_millis(100), flow, u64::MAX / 4);
-            }
-        }
-        let drv = EpochDriver::new(spec.epoch, &s);
-        OfficeRun {
-            w,
-            q,
-            s,
-            drv,
-            spec: spec.clone(),
-            epochs_done: 0,
-        }
-    }
-
-    /// Total epochs the run spans (the last may be short).
-    pub fn total_epochs(&self) -> u64 {
-        let end = SimTime::from_secs(self.spec.secs).as_nanos();
-        let width = self.spec.epoch.as_nanos().max(1);
-        end.div_ceil(width)
-    }
-
-    /// Has the run reached its end?
-    pub fn done(&self) -> bool {
-        self.epochs_done >= self.total_epochs()
-    }
-
-    /// Advance one epoch: run the queue to the next boundary and fire the
-    /// telemetry driver. Returns the boundary time.
-    pub fn step_epoch(&mut self) -> SimTime {
-        let end = SimTime::from_secs(self.spec.secs);
-        let width = self.spec.epoch;
-        let t =
-            SimTime::from_nanos((width.as_nanos()).saturating_mul(self.epochs_done + 1)).min(end);
-        self.q.run_until(&mut self.w, t);
-        self.drv.after_epoch(&self.w, &self.s, t);
-        self.epochs_done += 1;
-        t
-    }
-
-    /// Current sim time of the run's queue.
-    pub fn now(&self) -> SimTime {
-        self.q.now()
-    }
-
-    /// Mean client throughput achieved so far, Mbit/s (0 for quiet runs).
-    /// The client flow is the run's only transport flow, so it is found by
-    /// scan rather than a remembered id — which makes this work identically
-    /// on cold-started and resumed runs.
-    pub fn throughput_mbps(&self) -> f64 {
-        self.w
-            .net
-            .flows()
-            .map(|(_, f)| match f {
-                powifi_net::Flow::Udp(u) => u.mean_mbps(),
-                powifi_net::Flow::Tcp(t) => t.mean_mbps(),
-            })
-            .next()
-            .unwrap_or(0.0)
-    }
-
-    /// Report the finished run's totals to the thread metrics registry —
-    /// the same counters and gauges the experiment runners record at the
-    /// end of a straight-through run.
-    pub fn record_run_telemetry(&self) {
-        let end = SimTime::from_secs(self.spec.secs);
-        let (_, cum) = self.s.router.occupancy(&self.w.mac, end);
-        self.w.mac.record_metrics();
-        metrics::gauge(metrics::keys::MAC_OCCUPANCY).set(cum);
-        for inj in &self.s.router.injectors {
-            inj.borrow().record_metrics();
-        }
-    }
-}
+use powifi_sim::SimDuration;
 
 // ---------------------------------------------------------------- spec --
 
@@ -628,6 +477,8 @@ pub fn resume(bytes: &[u8]) -> Result<OfficeRun, CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powifi_core::Scheme;
+    use powifi_rf::Bitrate;
 
     fn spec(traffic: TrafficSpec) -> OfficeSpec {
         OfficeSpec {

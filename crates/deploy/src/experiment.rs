@@ -2,16 +2,12 @@
 //! the bench binaries, examples and integration tests.
 
 use crate::home::HomeRun;
-use crate::office::{build_office, OfficeConfig};
-use crate::world::SimWorld;
+use crate::office::{build_office, OfficeConfig, OfficeRun, OfficeSpec, TrafficSpec};
 use powifi_core::Scheme;
 use powifi_mac::RateController;
-use powifi_net::{
-    start_page_load, start_tcp_flow, start_udp_flow, tcp_push_at, Flow, SiteProfile, WanConfig,
-};
+use powifi_net::{start_page_load, start_udp_flow, Flow, SiteProfile, WanConfig};
 use powifi_rf::{Bitrate, Dbm, Hertz, Meters, PathLoss, Transmitter, WifiChannel};
 use powifi_sensors::{sensor_pathloss, TemperatureSensor};
-use powifi_sim::obs::metrics::{gauge, keys};
 use powifi_sim::{SimDuration, SimTime};
 
 /// Result of one §4.1(a) UDP run.
@@ -41,25 +37,14 @@ pub struct TcpResult {
 /// §4.1(a): iperf UDP at `rate_mbps` to a client 7 ft away, under `scheme`,
 /// in the default busy office.
 pub fn udp_experiment(scheme: Scheme, rate_mbps: f64, seed: u64, secs: u64) -> UdpResult {
-    udp_experiment_in(OfficeConfig::default(), scheme, rate_mbps, seed, secs)
+    udp_experiment_epochs(OfficeConfig::default(), scheme, rate_mbps, seed, secs, None)
 }
 
-/// [`udp_experiment`] in an explicitly configured office.
-pub fn udp_experiment_in(
-    cfg: OfficeConfig,
-    scheme: Scheme,
-    rate_mbps: f64,
-    seed: u64,
-    secs: u64,
-) -> UdpResult {
-    udp_experiment_epochs(cfg, scheme, rate_mbps, seed, secs, None)
-}
-
-/// [`udp_experiment_in`] with optional live telemetry: `Some(width)` steps
-/// the run in `width`-wide epochs, refreshing `*.live.*` gauges and
-/// emitting a stream `metrics` record at each boundary
-/// ([`crate::telemetry::drive`]). Event execution — and therefore the
-/// result — is identical either way.
+/// [`udp_experiment`] in an explicitly configured office, with optional
+/// live telemetry: `Some(width)` steps the run in `width`-wide epochs,
+/// refreshing `*.live.*` gauges and emitting a stream `metrics` record at
+/// each boundary; `None` runs it in one batch. Event execution — and
+/// therefore the result — is identical either way.
 pub fn udp_experiment_epochs(
     cfg: OfficeConfig,
     scheme: Scheme,
@@ -68,29 +53,12 @@ pub fn udp_experiment_epochs(
     secs: u64,
     epoch: Option<SimDuration>,
 ) -> UdpResult {
-    let (mut w, mut q, s) = build_office(seed, scheme, cfg);
-    // §4.1(a): "The client sets its Wi-Fi bitrate to 54 Mbps" — pin the
-    // data rate rather than letting AARF misread collision losses.
-    w.mac.set_rate_controller(
-        s.router.client_iface().sta,
-        RateController::fixed(Bitrate::G54),
-    );
-    let end = SimTime::from_secs(secs);
-    let flow = start_udp_flow(
-        &mut w,
-        &mut q,
-        s.router.client_iface().sta,
-        s.client,
-        rate_mbps,
-        SimTime::from_millis(100),
-        end,
-    );
-    crate::telemetry::drive(&mut w, &mut q, &s, end, epoch);
-    let Some(Flow::Udp(u)) = w.net.flow(flow) else {
-        unreachable!()
+    let traffic = TrafficSpec::Udp { rate_mbps };
+    let run = office_run(cfg, scheme, traffic, seed, secs, epoch);
+    let Some(Flow::Udp(u)) = run.client_flow() else {
+        unreachable!("a UDP office run has one UDP flow")
     };
-    let (per, cum) = s.router.occupancy(&w.mac, end);
-    record_run_telemetry(&w, &s.router, cum);
+    let (per, cum) = run.s.router.occupancy(&run.w.mac, run.end());
     UdpResult {
         throughput_mbps: u.mean_mbps(),
         bins: u.delivered.mbps_per_bin(),
@@ -101,16 +69,11 @@ pub fn udp_experiment_epochs(
 
 /// §4.1(b): one iperf TCP run in the default busy office.
 pub fn tcp_experiment(scheme: Scheme, seed: u64, secs: u64) -> TcpResult {
-    tcp_experiment_in(OfficeConfig::default(), scheme, seed, secs)
+    tcp_experiment_epochs(OfficeConfig::default(), scheme, seed, secs, None)
 }
 
-/// [`tcp_experiment`] in an explicitly configured office.
-pub fn tcp_experiment_in(cfg: OfficeConfig, scheme: Scheme, seed: u64, secs: u64) -> TcpResult {
-    tcp_experiment_epochs(cfg, scheme, seed, secs, None)
-}
-
-/// [`tcp_experiment_in`] with optional epoch-stepped live telemetry (see
-/// [`udp_experiment_epochs`]).
+/// [`tcp_experiment`] in an explicitly configured office, with optional
+/// epoch-stepped live telemetry (see [`udp_experiment_epochs`]).
 pub fn tcp_experiment_epochs(
     cfg: OfficeConfig,
     scheme: Scheme,
@@ -118,14 +81,11 @@ pub fn tcp_experiment_epochs(
     secs: u64,
     epoch: Option<SimDuration>,
 ) -> TcpResult {
-    let (mut w, mut q, s) = build_office(seed, scheme, cfg);
-    let end = SimTime::from_secs(secs);
-    let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-    tcp_push_at(&mut q, SimTime::from_millis(100), flow, u64::MAX / 4);
-    crate::telemetry::drive(&mut w, &mut q, &s, end, epoch);
-    let tcp = w.net.tcp(flow);
-    let (_, cum) = s.router.occupancy(&w.mac, end);
-    record_run_telemetry(&w, &s.router, cum);
+    let run = office_run(cfg, scheme, TrafficSpec::Tcp, seed, secs, epoch);
+    let Some(Flow::Tcp(tcp)) = run.client_flow() else {
+        unreachable!("a TCP office run has one TCP flow")
+    };
+    let (_, cum) = run.s.router.occupancy(&run.w.mac, run.end());
     TcpResult {
         throughput_mbps: tcp.mean_mbps(),
         bins: tcp.delivered.mbps_per_bin(),
@@ -133,21 +93,41 @@ pub fn tcp_experiment_epochs(
     }
 }
 
+/// One office run to its end with `traffic`, stepped in `Some(width)`-wide
+/// epochs or in one batch for `None`, with its end-of-run telemetry
+/// recorded.
+fn office_run(
+    cfg: OfficeConfig,
+    scheme: Scheme,
+    traffic: TrafficSpec,
+    seed: u64,
+    secs: u64,
+    epoch: Option<SimDuration>,
+) -> OfficeRun {
+    let mut run = OfficeRun::start(&OfficeSpec {
+        seed,
+        scheme,
+        cfg,
+        traffic,
+        secs,
+        // A batch run is one epoch long.
+        epoch: epoch.unwrap_or(SimDuration::from_secs(secs)),
+    });
+    if epoch.is_some() {
+        while !run.done() {
+            run.step_epoch();
+        }
+    } else {
+        run.run_to_end();
+    }
+    run.s.record_run_telemetry(&run.w, run.end());
+    run
+}
+
 /// §4.1(c): load `site` `loads` times under `scheme` in the default busy
 /// office; returns the PLTs (s).
 pub fn plt_experiment(scheme: Scheme, site: SiteProfile, loads: usize, seed: u64) -> Vec<f64> {
-    plt_experiment_in(OfficeConfig::default(), scheme, site, loads, seed)
-}
-
-/// [`plt_experiment`] in an explicitly configured office.
-pub fn plt_experiment_in(
-    cfg: OfficeConfig,
-    scheme: Scheme,
-    site: SiteProfile,
-    loads: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let (mut w, mut q, s) = build_office(seed, scheme, cfg);
+    let (mut w, mut q, s) = build_office(seed, scheme, OfficeConfig::default());
     let router_sta = s.router.client_iface().sta;
     let client = s.client;
     // Pages are loaded sequentially with a 1 s pause, as in the paper.
@@ -169,8 +149,7 @@ pub fn plt_experiment_in(
         t += SimDuration::from_secs(12);
     }
     q.run_until(&mut w, t + SimDuration::from_secs(30));
-    let end_occ = s.router.occupancy(&w.mac, q.now()).1;
-    record_run_telemetry(&w, &s.router, end_occ);
+    s.record_run_telemetry(&w, q.now());
     pages.iter().filter_map(|&p| w.net.pages[p].plt()).collect()
 }
 
@@ -179,28 +158,12 @@ pub fn plt_experiment_in(
 /// neighbor's achieved throughput (Mbit/s). Uses the Fig. 8 office (no
 /// extra background noise).
 pub fn neighbor_experiment(scheme: Scheme, neighbor_rate: Bitrate, seed: u64, secs: u64) -> f64 {
-    neighbor_experiment_in(
-        OfficeConfig {
-            // Fig. 8 isolates the interaction: no extra office noise.
-            neighbors_per_channel: 0,
-            load_per_channel: 0.0,
-            ..OfficeConfig::default()
-        },
-        scheme,
-        neighbor_rate,
-        seed,
-        secs,
-    )
-}
-
-/// [`neighbor_experiment`] in an explicitly configured office.
-pub fn neighbor_experiment_in(
-    cfg: OfficeConfig,
-    scheme: Scheme,
-    neighbor_rate: Bitrate,
-    seed: u64,
-    secs: u64,
-) -> f64 {
+    let cfg = OfficeConfig {
+        // Fig. 8 isolates the interaction: no extra office noise.
+        neighbors_per_channel: 0,
+        load_per_channel: 0.0,
+        ..OfficeConfig::default()
+    };
     let (mut w, mut q, s) = build_office(seed, scheme, cfg);
     let ch1 = s.channels[0].1;
     let n_ap = w.mac.add_station(ch1, RateController::fixed(neighbor_rate));
@@ -220,20 +183,8 @@ pub fn neighbor_experiment_in(
     let Some(Flow::Udp(u)) = w.net.flow(flow) else {
         unreachable!()
     };
-    let cum = s.router.occupancy(&w.mac, end).1;
-    record_run_telemetry(&w, &s.router, cum);
+    s.record_run_telemetry(&w, end);
     u.mean_mbps()
-}
-
-/// Report a finished run's totals to this thread's metrics registry
-/// (observability only; see `powifi_sim::obs::metrics`): MAC counters,
-/// the run's cumulative occupancy, and the router's injector gate totals.
-fn record_run_telemetry(w: &SimWorld, router: &powifi_core::Router, cumulative_occupancy: f64) {
-    w.mac.record_metrics();
-    gauge(keys::MAC_OCCUPANCY).set(cumulative_occupancy);
-    for inj in &router.injectors {
-        inj.borrow().record_metrics();
-    }
 }
 
 /// Fig. 15: battery-free temperature-sensor update rates at `feet` from the

@@ -32,15 +32,14 @@ pub use city::{
     apartment_block, campus, diurnal_city, partition, run_city, run_city_monolithic, CityConfig,
     CityRun, CityTopology, Network, Partition,
 };
-pub use ckpt::{checkpoint, resume, OfficeRun, OfficeSpec, TrafficSpec};
+pub use ckpt::{checkpoint, resume};
 pub use diurnal::diurnal_intensity;
 pub use experiment::{
-    neighbor_experiment, neighbor_experiment_in, plt_experiment, plt_experiment_in,
-    sensor_rates_from_home, tcp_experiment, tcp_experiment_epochs, tcp_experiment_in,
-    udp_experiment, udp_experiment_epochs, udp_experiment_in, TcpResult, UdpResult,
+    neighbor_experiment, plt_experiment, sensor_rates_from_home, tcp_experiment,
+    tcp_experiment_epochs, udp_experiment, udp_experiment_epochs, TcpResult, UdpResult,
 };
 pub use geometry::{FloorPlan, Pos, Wall};
 pub use home::{build_home, run_home, table1, HomeConfig, HomeDeployment, HomeRun};
-pub use office::{build_office, OfficeConfig, OfficeScenario};
+pub use office::{build_office, OfficeConfig, OfficeRun, OfficeScenario, OfficeSpec, TrafficSpec};
 pub use telemetry::EpochDriver;
 pub use world::{three_channel_world, SimWorld};

@@ -1,21 +1,24 @@
 //! Epoch-stepped live telemetry: the deploy-layer glue between a running
-//! office scenario and [`powifi_sim::obs::stream`].
+//! office deployment and [`powifi_sim::obs::stream`].
 //!
-//! Batch experiment runners execute one `run_until(end)` and dump totals at
-//! the end. A *servable* deployment instead steps the same queue through
-//! fixed sim-time epochs and, at each boundary, refreshes the cumulative
-//! `*.live.*` gauges (MAC, injector gate, harvest), advances a monitoring
-//! harvester fed by the epoch's per-channel airtime duty, and emits a
-//! `metrics` snapshot record through the installed stream handle
-//! ([`stream::epoch_mark`]). Event execution is identical however
-//! `run_until` is chopped, so a streamed run returns byte-identical results
-//! to its batch twin — pinned by tests.
+//! [`OfficeRun`](crate::OfficeRun) is the one office runner. Run in one
+//! batch ([`OfficeRun::run_to_end`](crate::OfficeRun::run_to_end)), it
+//! executes a single `run_until(end)` and leaves telemetry to the end-of-run
+//! totals. Stepped ([`OfficeRun::step_epoch`](crate::OfficeRun::step_epoch)),
+//! it runs the same queue through fixed sim-time epochs and, at each
+//! boundary, its [`EpochDriver`] refreshes the cumulative `*.live.*` gauges
+//! (MAC, injector gate, harvest), advances a monitoring harvester fed by
+//! the epoch's per-channel airtime duty, and emits a `metrics` snapshot
+//! record through the installed stream handle ([`stream::epoch_mark`]).
+//! Event execution is identical however `run_until` is chopped, so a
+//! stepped run returns byte-identical results to its batch twin — pinned
+//! by tests.
 
 use crate::office::OfficeScenario;
 use crate::world::SimWorld;
 use powifi_core::record_injector_progress;
 use powifi_harvest::Harvester;
-use powifi_mac::{MediumId, Queue};
+use powifi_mac::MediumId;
 use powifi_rf::{Db, Dbm, Hertz, Meters, PathLoss, Transmitter};
 use powifi_sensors::sensor_pathloss;
 use powifi_sim::obs::stream;
@@ -101,93 +104,92 @@ impl EpochDriver {
     }
 }
 
-/// Run `q` until `end`. With `epoch: None` this is a single plain
-/// `run_until` (the batch path, zero overhead). With `Some(width)` the run
-/// is chopped into tumbling epochs with an [`EpochDriver::after_epoch`]
-/// call at every boundary — same events, same results, plus live telemetry.
-pub fn drive(
-    w: &mut SimWorld,
-    q: &mut Queue<SimWorld>,
-    s: &OfficeScenario,
-    end: SimTime,
-    epoch: Option<SimDuration>,
-) {
-    let Some(width) = epoch else {
-        q.run_until(w, end);
-        return;
-    };
-    let mut drv = EpochDriver::new(width, s);
-    let mut t = SimTime::ZERO;
-    while t < end {
-        t = (t + width).min(end);
-        q.run_until(w, t);
-        drv.after_epoch(w, s, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::office::{build_office, OfficeConfig};
+    use crate::office::{OfficeConfig, OfficeRun, OfficeSpec, TrafficSpec};
     use powifi_core::Scheme;
-    use powifi_net::start_udp_flow;
+    use powifi_sim::obs::metrics::{self, keys};
 
-    fn run_office(epoch: Option<SimDuration>) -> (u64, u64) {
-        let (mut w, mut q, s) = build_office(7, Scheme::PoWiFi, OfficeConfig::default());
-        let end = SimTime::from_secs(3);
-        start_udp_flow(
-            &mut w,
-            &mut q,
-            s.router.client_iface().sta,
-            s.client,
-            10.0,
-            SimTime::from_millis(100),
-            end,
-        );
-        drive(&mut w, &mut q, &s, end, epoch);
-        (w.mac.total_frames_sent(), w.mac.total_busy().as_nanos())
+    fn spec(seed: u64, traffic: TrafficSpec, secs: u64, epoch: SimDuration) -> OfficeSpec {
+        OfficeSpec {
+            seed,
+            scheme: Scheme::PoWiFi,
+            cfg: OfficeConfig::default(),
+            traffic,
+            secs,
+            epoch,
+        }
     }
 
+    /// The one runner's batch and stepped runs execute the same events:
+    /// event count, frames, airtime and client throughput agree bit for bit.
     #[test]
     fn epoch_stepping_does_not_change_the_simulation() {
-        let batch = run_office(None);
-        let stepped = run_office(Some(SimDuration::from_millis(500)));
-        assert_eq!(batch, stepped);
+        for traffic in [TrafficSpec::Udp { rate_mbps: 10.0 }, TrafficSpec::Tcp] {
+            let outcome = |stepped: bool| {
+                let mut run = OfficeRun::start(&spec(7, traffic, 3, SimDuration::from_millis(500)));
+                if stepped {
+                    while !run.done() {
+                        run.step_epoch();
+                    }
+                } else {
+                    run.run_to_end();
+                }
+                (
+                    run.q.executed(),
+                    run.w.mac.total_frames_sent(),
+                    run.w.mac.total_busy().as_nanos(),
+                    run.throughput_mbps().to_bits(),
+                )
+            };
+            assert_eq!(outcome(false), outcome(true), "{traffic:?}");
+        }
+        metrics::reset();
     }
 
+    /// Stepping refreshes the live gauges and harvests at every boundary; a
+    /// batch run of the same spec touches neither.
     #[test]
     fn after_epoch_sets_live_gauges_and_harvests() {
-        powifi_sim::obs::metrics::reset();
-        let (mut w, mut q, s) = build_office(9, Scheme::PoWiFi, OfficeConfig::default());
-        let end = SimTime::from_secs(2);
-        start_udp_flow(
-            &mut w,
-            &mut q,
-            s.router.client_iface().sta,
-            s.client,
-            10.0,
-            SimTime::from_millis(100),
-            end,
+        let sp = spec(
+            9,
+            TrafficSpec::Udp { rate_mbps: 10.0 },
+            2,
+            SimDuration::from_secs(1),
         );
-        let mut drv = EpochDriver::new(SimDuration::from_secs(1), &s);
-        let mut t = SimTime::ZERO;
-        while t < end {
-            t = (t + SimDuration::from_secs(1)).min(end);
-            q.run_until(&mut w, t);
-            drv.after_epoch(&w, &s, t);
-        }
-        let snap = powifi_sim::obs::metrics::snapshot();
-        let g = |k: &str| snap.gauges.get(k).copied();
-        use powifi_sim::obs::metrics::keys;
-        assert!(g(keys::MAC_LIVE_FRAMES).unwrap_or(0.0) > 0.0);
-        assert!(g(keys::MAC_LIVE_BUSY_NS).unwrap_or(0.0) > 0.0);
-        assert!(g(keys::CORE_LIVE_POWER_SENT).unwrap_or(0.0) > 0.0);
+        let live = [
+            keys::MAC_LIVE_FRAMES,
+            keys::MAC_LIVE_BUSY_NS,
+            keys::CORE_LIVE_POWER_SENT,
+            keys::HARVEST_LIVE_ENERGY_UJ,
+        ];
+
+        metrics::reset();
+        let mut batch = OfficeRun::start(&sp);
+        batch.run_to_end();
+        let snap = metrics::snapshot();
         assert!(
-            g(keys::HARVEST_LIVE_ENERGY_UJ).unwrap_or(0.0) > 0.0,
-            "monitoring harvester banked energy: {:?}",
+            live.iter().all(|k| !snap.gauges.contains_key(*k)),
+            "a batch run set live gauges: {:?}",
             snap.gauges
         );
-        assert!(drv.harvester().harvested.0 > 0.0);
-        powifi_sim::obs::metrics::reset();
+        assert_eq!(batch.drv.harvester().harvested.0, 0.0);
+
+        metrics::reset();
+        let mut run = OfficeRun::start(&sp);
+        while !run.done() {
+            run.step_epoch();
+        }
+        let snap = metrics::snapshot();
+        for k in live {
+            assert!(
+                snap.gauges.get(k).copied().unwrap_or(0.0) > 0.0,
+                "{k} not set: {:?}",
+                snap.gauges
+            );
+        }
+        assert!(run.drv.harvester().harvested.0 > 0.0);
+        metrics::reset();
     }
 }

@@ -439,37 +439,6 @@ pub fn finish(t: SimTime) {
     }
 }
 
-/// Decides when sim time crosses snapshot boundaries: `poll(now)` returns
-/// every epoch boundary in `(last, now]`, so a coarse stepper still emits
-/// each intermediate epoch deterministically.
-#[derive(Debug, Clone)]
-pub struct EpochTicker {
-    every_ns: u64,
-    next_ns: u64,
-}
-
-impl EpochTicker {
-    /// Tick every `every` of sim time, first boundary at `every`.
-    pub fn new(every: crate::SimDuration) -> EpochTicker {
-        let every_ns = every.as_nanos().max(1);
-        EpochTicker {
-            every_ns,
-            next_ns: every_ns,
-        }
-    }
-
-    /// All boundaries crossed advancing to `now` (ascending, possibly
-    /// empty); the ticker advances past them.
-    pub fn poll(&mut self, now: SimTime) -> Vec<SimTime> {
-        let mut crossed = Vec::new();
-        while self.next_ns <= now.as_nanos() {
-            crossed.push(SimTime::from_nanos(self.next_ns));
-            self.next_ns += self.every_ns;
-        }
-        crossed
-    }
-}
-
 /// Spawn the writer thread draining `egress` into `writer` line by line
 /// until the queue closes (or the peer goes away — write errors close the
 /// queue so producers start dropping instead of filling a dead buffer).
@@ -513,7 +482,6 @@ pub fn tcp_egress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn header_line_is_stable() {
@@ -662,22 +630,6 @@ mod tests {
             line.contains("\"kind\":\"ckpt\",\"t\":1000000000,\"epoch\":1,\"hash\":\"ff\""),
             "{line}"
         );
-    }
-
-    #[test]
-    fn epoch_ticker_reports_every_crossed_boundary() {
-        let mut t = EpochTicker::new(SimDuration::from_secs(1));
-        assert!(t.poll(SimTime::from_millis(900)).is_empty());
-        let crossed = t.poll(SimTime::from_millis(3500));
-        assert_eq!(
-            crossed,
-            vec![
-                SimTime::from_secs(1),
-                SimTime::from_secs(2),
-                SimTime::from_secs(3)
-            ]
-        );
-        assert!(t.poll(SimTime::from_millis(3600)).is_empty());
     }
 
     #[test]

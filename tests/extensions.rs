@@ -76,7 +76,7 @@ fn pdos_attack_starves_silent_slot_policy_too() {
         }
         if attack {
             for &(_, m) in &channels {
-                spawn_attacker(&mut w, &mut q, m, AttackConfig::saturating_low_rate(), &rng);
+                spawn_attacker(&mut w, &mut q, m, AttackConfig::saturating_low_rate());
             }
         }
         let end = SimTime::from_secs(4);
