@@ -21,8 +21,9 @@
 //! hash, and **crash-resumes**: if the daemon is killed mid-run, the next
 //! invocation with the same `DIR` picks every deployment up from its newest
 //! valid checkpoint (torn tail writes are skipped) and finishes with output
-//! byte-identical to an uninterrupted run. Inspect or bisect the chains
-//! with `powifi-obs ckpt`.
+//! byte-identical to an uninterrupted run. A chain written for another
+//! spec exits 2 with the usage line before the listener is bound. Inspect
+//! or bisect the chains with `powifi-obs ckpt`.
 //!
 //! Counts (`--deployments`, `--secs`, `--epoch-ms`, `--jobs`,
 //! `--subscribers`, `--checkpoint-every`) must be at least one; zero exits
@@ -131,6 +132,12 @@ fn main() {
             dir,
             every: args.checkpoint_every,
         });
+    }
+    // Refuse a chain this fleet cannot resume before anything binds or runs.
+    if let Err(e) = cfg.check_chains() {
+        eprintln!("error: {e}");
+        eprintln!("{USAGE}");
+        exit(2);
     }
     let listener = match TcpListener::bind(&args.listen) {
         Ok(l) => l,

@@ -18,17 +18,20 @@
 //! * `--resume FILE` resumes from one explicit checkpoint file;
 //! * either way the manifest records `resumed_from` (epoch + state hash),
 //!   and the final artifacts are byte-identical to a straight-through
-//!   run's — the deploy layer's restore-then-run invariant.
+//!   run's — the deploy layer's restore-then-run invariant;
+//! * a chain or `--resume` file that cannot start this run (another
+//!   spec's chain, a container that is not an office checkpoint) exits 2
+//!   with the usage line before anything runs or writes.
 //!
 //! Inspect or bisect the chains it writes with `powifi-obs ckpt`.
 
-use powifi_bench::ckpt_run::{self, CkptPolicy};
-use powifi_bench::runner::duration_flag;
+use powifi_bench::ckpt_run::{self, CkptPolicy, ResumeInfo};
+use powifi_bench::runner::{duration_flag, point_seed};
 use powifi_bench::{banner, BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
-use powifi_deploy::{OfficeConfig, OfficeSpec, TrafficSpec};
+use powifi_deploy::{OfficeConfig, OfficeRun, OfficeSpec, TrafficSpec};
 use powifi_rf::Bitrate;
-use powifi_sim::ckpt::ValueExt;
+use powifi_sim::conformance;
 use powifi_sim::SimDuration;
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -100,6 +103,32 @@ fn traffic_tag(t: TrafficSpec) -> String {
     }
 }
 
+impl OfficeExperiment {
+    /// Start the run for `pt` at `seed`: from the `--resume` file, else
+    /// from the newest usable file of the chain, else cold. The error names
+    /// the file that cannot start this run.
+    fn start(
+        &self,
+        pt: &OfficeParams,
+        seed: u64,
+    ) -> Result<(OfficeRun, Option<ResumeInfo>), String> {
+        if let Some(file) = &self.resume {
+            return ckpt_run::resume_file(file)
+                .map(|(run, info)| (run, Some(info)))
+                .map_err(|e| format!("--resume {}: {e}", file.display()));
+        }
+        let spec = OfficeSpec {
+            seed,
+            scheme: pt.scheme,
+            cfg: OfficeConfig::default(),
+            traffic: pt.traffic,
+            secs: pt.secs,
+            epoch: pt.epoch,
+        };
+        ckpt_run::start_or_resume(&spec, self.policy.as_ref(), "office").map_err(|e| e.to_string())
+    }
+}
+
 impl Experiment for OfficeExperiment {
     type Point = OfficeParams;
     type Output = RunOutput;
@@ -117,26 +146,8 @@ impl Experiment for OfficeExperiment {
     }
 
     fn run(&self, pt: &OfficeParams, seed: u64) -> RunOutput {
-        let spec = OfficeSpec {
-            seed,
-            scheme: pt.scheme,
-            cfg: OfficeConfig::default(),
-            traffic: pt.traffic,
-            secs: pt.secs,
-            epoch: pt.epoch,
-        };
-        let mut run = match &self.resume {
-            Some(file) => {
-                ckpt_run::resume_file(file)
-                    .unwrap_or_else(|e| panic!("--resume {}: {e}", file.display()))
-                    .0
-            }
-            None => {
-                ckpt_run::start_or_resume(&spec, self.policy.as_ref(), "office")
-                    .unwrap_or_else(|e| panic!("checkpoint chain: {e}"))
-                    .0
-            }
-        };
+        // `main` made the same start before the sweep and refused it there.
+        let (mut run, _) = self.start(pt, seed).unwrap_or_else(|e| panic!("{e}"));
         let checkpoints = ckpt_run::drive(&mut run, self.policy.as_ref(), "office")
             .unwrap_or_else(|e| panic!("checkpoint write: {e}"));
         run.s.record_run_telemetry(&run.w, run.end());
@@ -262,32 +273,26 @@ fn main() {
             });
         CkptPolicy { dir, every }
     });
-    // Record resume provenance for the manifest before the sweep runs: the
-    // experiment below resolves the resume point the same deterministic way.
-    if let Some(file) = &ckpt.resume {
-        let loaded = std::fs::read(file)
-            .map_err(|e| e.to_string())
-            .and_then(|b| powifi_sim::ckpt::load(&b).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(c) => {
-                let epoch = c.root.field::<u64>("epoch").unwrap_or(0);
-                args.resumed_from = Some((epoch, c.hash));
-            }
-            Err(e) => {
-                eprintln!("error: --resume {}: {e}", file.display());
-                exit(1);
-            }
-        }
-    } else if let Some(p) = &policy {
-        if let Ok(Some(info)) = ckpt_run::peek_latest(&p.dir, "office") {
-            args.resumed_from = Some((info.epoch, info.hash));
-        }
-    }
     let exp = OfficeExperiment {
         params,
         policy,
         resume: ckpt.resume,
     };
+    // Make the run's start up front, exactly as the sweep will (under the
+    // checker for `--check`: a checked run's checkpoint resumes only into
+    // a checked run). A chain or file that cannot start this run is refused
+    // before anything runs or writes, and the manifest learns what the run
+    // resumes from.
+    let seed = point_seed(args.seed, exp.name(), &exp.label(&exp.params), 0);
+    let start = || exp.start(&exp.params, seed).map(|(_, info)| info);
+    let resumed = if args.check {
+        conformance::capture(start).0
+    } else {
+        start()
+    };
+    args.resumed_from = resumed
+        .unwrap_or_else(|e| refuse(&e))
+        .map(|i| (i.epoch, i.hash));
     banner(
         "powifi-office",
         "checkpointable single-deployment office run",

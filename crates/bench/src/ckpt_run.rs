@@ -47,8 +47,6 @@ pub struct ResumeInfo {
     pub epoch: u64,
     /// Content hash of the checkpoint state.
     pub hash: String,
-    /// The file resumed from.
-    pub path: PathBuf,
 }
 
 fn ckpt_io(e: ckpt::CkptError) -> io::Error {
@@ -105,28 +103,8 @@ pub fn resume_file(path: &Path) -> io::Result<(OfficeRun, ResumeInfo)> {
     let info = ResumeInfo {
         epoch: run.epochs_done,
         hash: c.hash,
-        path: path.to_path_buf(),
     };
     Ok((run, info))
-}
-
-/// Inspect the newest *valid* chain file for `name` without building a
-/// run: the cheap provenance probe binaries use to fill the manifest's
-/// `resumed_from` before the sweep executes.
-pub fn peek_latest(dir: &Path, name: &str) -> io::Result<Option<ResumeInfo>> {
-    for (epoch, path) in chain(dir, Some(name))?.into_iter().rev() {
-        let Ok(bytes) = fs::read(&path) else {
-            continue;
-        };
-        if let Ok(c) = ckpt::load(&bytes) {
-            return Ok(Some(ResumeInfo {
-                epoch,
-                hash: c.hash,
-                path,
-            }));
-        }
-    }
-    Ok(None)
 }
 
 /// Crash-resume entry point: resume from the newest *valid* chain file for
@@ -167,7 +145,6 @@ pub fn start_or_resume(
                         Some(ResumeInfo {
                             epoch,
                             hash: c.hash,
-                            path,
                         }),
                     ))
                 }

@@ -22,7 +22,7 @@
 //! capture is byte-identical across `--jobs` and debug/release.
 
 use crate::ckpt_run::{self, CkptPolicy};
-use crate::runner::{BenchArgs, Experiment, Sweep};
+use crate::runner::{point_seed, BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
 use powifi_deploy::{OfficeConfig, OfficeSpec, TrafficSpec};
 use powifi_sim::obs::stream::{self, Egress, SessionInfo};
@@ -102,6 +102,35 @@ impl FleetConfig {
             ckpt: None,
         }
     }
+
+    /// The office run deployment `pt` makes at its sweep `seed`.
+    fn office_spec(&self, pt: &DeploymentSpec, seed: u64) -> OfficeSpec {
+        OfficeSpec {
+            seed,
+            scheme: pt.scheme,
+            cfg: OfficeConfig::default(),
+            traffic: match pt.kind {
+                DeploymentKind::Udp { rate_mbps } => TrafficSpec::Udp { rate_mbps },
+                DeploymentKind::Tcp => TrafficSpec::Tcp,
+            },
+            secs: self.secs,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Start every deployment from its chain as the run will, without
+    /// running it: `powifi-fleetd` refuses a chain written for another
+    /// spec before it binds. The error names the file.
+    pub fn check_chains(&self) -> io::Result<()> {
+        let Some(policy) = &self.ckpt else {
+            return Ok(());
+        };
+        for (index, pt) in self.deployments.iter().enumerate() {
+            let seed = point_seed(self.seed, FLEET, &pt.name, index);
+            ckpt_run::start_or_resume(&self.office_spec(pt, seed), Some(policy), &pt.name)?;
+        }
+        Ok(())
+    }
 }
 
 /// Result of one deployment (the sweep output; also what `--json` would
@@ -126,6 +155,9 @@ impl Serialize for DeploymentOutput {
     }
 }
 
+/// The fleet experiment's name, which salts its deployments' seeds.
+const FLEET: &str = "fleet";
+
 /// The fleet as a sweep experiment: one grid point per deployment, run on
 /// the shared worker pool with a stream handle installed for the duration.
 struct FleetExperiment {
@@ -138,7 +170,7 @@ impl Experiment for FleetExperiment {
     type Output = DeploymentOutput;
 
     fn name(&self) -> &'static str {
-        "fleet"
+        FLEET
     }
 
     fn points(&self, _full: bool) -> Vec<DeploymentSpec> {
@@ -151,21 +183,11 @@ impl Experiment for FleetExperiment {
 
     fn run(&self, pt: &DeploymentSpec, seed: u64) -> DeploymentOutput {
         let prev = stream::install(stream::Handle::new(Arc::clone(&self.egress), &pt.name));
-        let spec = OfficeSpec {
-            seed,
-            scheme: pt.scheme,
-            cfg: OfficeConfig::default(),
-            traffic: match pt.kind {
-                DeploymentKind::Udp { rate_mbps } => TrafficSpec::Udp { rate_mbps },
-                DeploymentKind::Tcp => TrafficSpec::Tcp,
-            },
-            secs: self.cfg.secs,
-            epoch: self.cfg.epoch,
-        };
         let policy = self.cfg.ckpt.as_ref();
         let throughput_mbps = {
-            let (mut run, _info) = ckpt_run::start_or_resume(&spec, policy, &pt.name)
-                .unwrap_or_else(|e| panic!("deployment {}: checkpoint chain: {e}", pt.name));
+            let (mut run, _info) =
+                ckpt_run::start_or_resume(&self.cfg.office_spec(pt, seed), policy, &pt.name)
+                    .unwrap_or_else(|e| panic!("deployment {}: checkpoint chain: {e}", pt.name));
             ckpt_run::drive(&mut run, policy, &pt.name)
                 .unwrap_or_else(|e| panic!("deployment {}: checkpoint write: {e}", pt.name));
             run.s.record_run_telemetry(&run.w, run.end());

@@ -244,6 +244,13 @@ pub struct PointRun<P, O> {
     pub violations: u64,
 }
 
+/// The seed a sweep at `seed` runs the point at `index` of experiment
+/// `name`'s grid with. It comes from the *unfiltered* grid position and
+/// the label, so `--filter` re-runs a subset with identical seeds.
+pub fn point_seed(seed: u64, name: &str, label: &str, index: usize) -> u64 {
+    SimRng::from_seed(seed).derive_seed(&format!("{name}/{label}#{index}"))
+}
+
 /// The sweep driver: executes an [`Experiment`]'s grid under the shared
 /// CLI settings and writes the observability artifacts.
 pub struct Sweep<'a> {
@@ -268,7 +275,6 @@ impl<'a> Sweep<'a> {
     /// order. With `--json`, also writes `<name>.points.json` and
     /// `<name>.manifest.json`.
     pub fn run<E: Experiment>(&self, exp: &E) -> Vec<PointRun<E::Point, E::Output>> {
-        let root = SimRng::from_seed(self.args.seed);
         let grid = exp.points(self.args.full);
         let grid_len = grid.len();
         let items: Vec<Item<E::Point>> = grid
@@ -276,9 +282,7 @@ impl<'a> Sweep<'a> {
             .enumerate()
             .map(|(index, point)| {
                 let label = exp.label(&point);
-                // Seed from the *unfiltered* grid position and label, so
-                // `--filter` re-runs a subset with identical seeds.
-                let seed = root.derive_seed(&format!("{}/{label}#{index}", exp.name()));
+                let seed = point_seed(self.args.seed, exp.name(), &label, index);
                 Item {
                     index,
                     label,
@@ -593,48 +597,45 @@ fn run_point<E: Experiment>(
         // experiments emit through the handle as they run.
         stream::install(stream::Handle::new(Arc::clone(eg), item.label.as_str()));
     }
-    if opts.check {
-        // Per worker thread: the conformance sink is thread-local, exactly
-        // like the metrics registry and trace sink.
-        conformance::reset();
-        conformance::set_enabled(true);
-    }
-    if opts.prof {
-        // `--prof` stays sim-time only: wall timing would make the artifact
-        // vary run to run and break --jobs byte-identity.
-        prof::enable(false);
-    }
-    let started = Instant::now();
-    let (output, trace_jsonl) = if opts.trace {
-        let (output, jsonl) = trace::capture_jsonl(|| exp.run(&item.point, item.seed));
-        (output, Some(jsonl))
-    } else {
-        (exp.run(&item.point, item.seed), None)
+    // Each observability channel is thread-local and collected by its own
+    // capture around the run. `--prof` stays sim-time only (`prof::capture`
+    // keeps wall timing off): wall timing would make the artifact vary run
+    // to run and break --jobs byte-identity.
+    let timed = || {
+        let started = Instant::now();
+        let output = exp.run(&item.point, item.seed);
+        (output, started.elapsed().as_secs_f64() * 1e3)
     };
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let traced = || {
+        if opts.trace {
+            let (run, jsonl) = trace::capture_jsonl(timed);
+            (run, Some(jsonl))
+        } else {
+            (timed(), None)
+        }
+    };
+    let profiled = || {
+        if opts.prof {
+            let (run, snap) = prof::capture(traced);
+            (run, Some(snap.to_json()))
+        } else {
+            (traced(), None)
+        }
+    };
+    let ((((output, wall_ms), trace_jsonl), prof_json), violations) = if opts.check {
+        let (run, (count, retained)) = conformance::capture(profiled);
+        for v in &retained {
+            eprintln!("conformance[{}]: {v}", item.label);
+        }
+        (run, count)
+    } else {
+        (profiled(), 0)
+    };
     if egress.is_some() {
         // Final snapshot + `end` record at the last epoch mark (finish
         // uninstalls the handle; a point that never marked ends at t=0).
         stream::finish(SimTime::ZERO);
     }
-    let prof_json = if opts.prof {
-        let snap = prof::snapshot();
-        prof::disable();
-        prof::reset();
-        Some(snap.to_json())
-    } else {
-        None
-    };
-    let violations = if opts.check {
-        conformance::set_enabled(false);
-        let (count, retained) = conformance::take();
-        for v in &retained {
-            eprintln!("conformance[{}]: {v}", item.label);
-        }
-        count
-    } else {
-        0
-    };
     let snapshot = metrics::snapshot();
     PointRun {
         index: item.index,

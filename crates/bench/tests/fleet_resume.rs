@@ -22,8 +22,10 @@ use std::fs;
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Two-deployment fleet (d0 = PoWiFi/UDP, d1 = Baseline/TCP), 2 sim-secs
 /// at 500 ms epochs → 4 epochs per deployment, checkpointed every epoch.
@@ -165,4 +167,42 @@ fn killed_fleet_resumes_to_byte_identical_chains() {
 
     let _ = fs::remove_dir_all(&dir_a);
     let _ = fs::remove_dir_all(&dir_b);
+}
+
+/// Chain files and their bytes, sorted.
+fn chain_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+    let files = ckpt_run::chain(dir, None).unwrap().into_iter();
+    files.map(|(e, p)| (e, fs::read(p).unwrap())).collect()
+}
+
+/// `powifi-fleetd` over a chain written for another seed exits 2 before it
+/// binds, naming the file, and leaves the chain as it was — rather than
+/// accepting a subscriber and panicking its workers.
+#[test]
+fn fleetd_refuses_another_seeds_chain_before_binding() {
+    let dir = tmp("other-seed");
+    run_in_process(&ckpt_fleet(&dir));
+    let before = chain_bytes(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_powifi-fleetd"))
+        .args(["--listen", "127.0.0.1:0", "--seed", "1", "--secs", "2"])
+        .args(["--checkpoint-every", "1", "--checkpoint-dir"])
+        .arg(&dir)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+    }
+    // A daemon still waiting for a subscriber is killed and has no code.
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    for want in ["error:", "d0.ckpt-000004", "usage: powifi-fleetd"] {
+        assert!(stderr.contains(want), "no `{want}` in:\n{stderr}");
+    }
+    let unchanged = chain_bytes(&dir) == before;
+    assert!(unchanged, "the refused run changed the chain");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,8 @@
 use powifi_bench::fleet::{fleet_session, record_stream, run_fleet, serve_fleet, FleetConfig};
 use powifi_sim::obs::agg::{aggregate_capture, AggConfig, Aggregator};
 use powifi_sim::obs::stream::{self, Egress};
-use std::io::Write;
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -126,4 +126,39 @@ fn aggregate_matches_committed_golden() {
         "fleet aggregate drifted from tests/golden/fleet_agg.txt — \
          if the change is intentional, regenerate the golden"
     );
+}
+
+/// A subscriber that reads the header and hangs up costs the others
+/// nothing: fleetd prunes it, keeps serving, and the remaining subscriber's
+/// capture is complete and aggregates to the golden.
+#[test]
+fn fleetd_keeps_serving_when_a_subscriber_disconnects() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let quitter_addr = addr.clone();
+    let quitter = thread::spawn(move || {
+        let mut header = String::new();
+        let conn = TcpStream::connect(quitter_addr).unwrap();
+        BufReader::new(conn).read_line(&mut header).unwrap();
+        header
+    });
+    let recorder = thread::spawn(move || {
+        let mut capture = Vec::new();
+        record_stream(&addr, &mut capture).unwrap();
+        String::from_utf8(capture).unwrap()
+    });
+
+    let summary = serve_fleet(&listener, &canonical_fleet(), 2).unwrap();
+    let header = quitter.join().unwrap();
+    let capture = recorder.join().unwrap();
+
+    assert!(header.contains("\"powifi_stream\":1"), "{header}");
+    assert_eq!(summary.dropped, 0, "egress dropped records");
+    let mut agg = Aggregator::new(&AggConfig::default());
+    for line in capture.lines() {
+        agg.ingest_line(line).unwrap();
+    }
+    assert_eq!(agg.seq_gaps(), 0, "seq numbers must be contiguous");
+    assert_eq!(agg.records(), summary.records);
+    assert_eq!(agg.render(), include_str!("golden/fleet_agg.txt"));
 }

@@ -5,7 +5,7 @@
 
 use serde::Value;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn office(args: &[&str], json: Option<&Path>) -> Output {
@@ -107,4 +107,57 @@ fn help_prints_the_office_usage() {
             assert!(stderr.contains(want), "{flag}: no `{want}` in:\n{stderr}");
         }
     }
+}
+
+/// All files in `dir` with their bytes, sorted by path.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut paths: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| (p.clone(), fs::read(p).unwrap()))
+        .collect()
+}
+
+/// A checkpoint that cannot start the requested run is refused before the
+/// sweep: exit 2 with `error:`, the file's name and the usage line, no
+/// artifact, and the chain left as it was. One row per case: a chain
+/// written for another seed, and a `--resume` file that is a valid
+/// container but not an office checkpoint.
+#[test]
+fn unusable_checkpoints_are_refused_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("powifi-office-refuse-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let chain = dir.join("chain");
+    let chain_arg = chain.to_str().unwrap();
+    let ckpt = ["--checkpoint-every", "1", "--ckpt-dir", chain_arg];
+    let seed_0 = [&["--seed", "0"], &ckpt[..]].concat();
+    assert_ok(&office(&seed_0, None), "seed-0 chain");
+    let foreign = dir.join("epoch-only.ckpt");
+    let body = Value::Object(vec![("epoch".into(), Value::UInt(2))]);
+    fs::write(&foreign, powifi_sim::ckpt::save(&body)).unwrap();
+
+    let seed_1 = [&["--seed", "1"], &ckpt[..]].concat();
+    let resume = ["--resume", foreign.to_str().unwrap()];
+    let rows = [
+        (&seed_1[..], "office.ckpt-000004"),
+        (&resume[..], "epoch-only.ckpt"),
+    ];
+    let before = snapshot(&chain);
+    for (args, file) in rows {
+        let json = dir.join("out");
+        let out = office(args, Some(&json));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        for want in ["error:", file, "usage: powifi-office"] {
+            assert!(stderr.contains(want), "{args:?}: no `{want}` in:\n{stderr}");
+        }
+        let artifact = json.join("office.points.json");
+        assert!(!artifact.exists(), "{args:?} wrote {}", artifact.display());
+        assert!(snapshot(&chain) == before, "{args:?} changed the chain");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

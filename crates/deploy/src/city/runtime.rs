@@ -21,8 +21,8 @@
 //! 3. every worker reads the table (sorted group order) and applies imports
 //!    to its shards: co-channel corruption for next epoch, harvest energy
 //!    for this one; per-shard MAC audits run here too;
-//! 4. **barrier** — worker 0 audits the exchange ledger through the
-//!    [`InvariantSuite`] (airtime bounds, conservation) and zeroes the
+//! 4. **barrier** — worker 0 audits the exchange ledger
+//!    ([`audit_exchange`]: airtime bounds, conservation) and zeroes the
 //!    table;
 //! 5. **barrier** — nobody starts the next epoch before the reset lands.
 //!
@@ -41,7 +41,7 @@ use powifi_mac::{
 };
 use powifi_rf::{snr, Db, Dbm, Meters, PathLoss, Transmitter};
 use powifi_sensors::sensor_pathloss;
-use powifi_sim::conformance::{self, Invariant, InvariantSuite, Violation};
+use powifi_sim::conformance;
 use powifi_sim::obs::metrics::{counter, gauge, histogram, keys};
 use powifi_sim::obs::prof;
 use powifi_sim::obs::stream as obs_stream;
@@ -351,74 +351,55 @@ pub struct EpochExchange<'a> {
     pub consumed: u64,
 }
 
-/// `city/airtime-bounds`: no group may export more airtime than the epoch
-/// holds — a torn table write or a broken busy accumulator shows up here.
-pub struct AirtimeBounds;
-
-impl Invariant<EpochExchange<'_>> for AirtimeBounds {
-    fn name(&self) -> &'static str {
-        "city/airtime-bounds"
+/// Audit one epoch's exchange, reporting into the conformance sink:
+///
+/// * `city/airtime-bounds`: no group may export more airtime than the
+///   epoch holds — a torn table write or a broken busy accumulator shows
+///   up here;
+/// * `city/exchange-conservation`: what the importers applied must equal
+///   what the table and coupling weights imply — nothing lost or
+///   double-counted across the barrier, regardless of which thread
+///   serviced which shard.
+pub fn audit_exchange(x: &EpochExchange<'_>, now: SimTime) {
+    if let Some((g, &busy)) = x.busy.iter().enumerate().find(|&(_, &b)| b > x.epoch_ns) {
+        conformance::report(
+            "city/airtime-bounds",
+            now,
+            format!(
+                "group {g} exported {busy} ns of airtime in a {} ns epoch",
+                x.epoch_ns
+            ),
+        );
     }
-    fn check(&mut self, x: &EpochExchange<'_>, _now: SimTime) -> Result<(), String> {
-        for (g, &busy) in x.busy.iter().enumerate() {
-            if busy > x.epoch_ns {
-                return Err(format!(
-                    "group {g} exported {busy} ns of airtime in a {} ns epoch",
-                    x.epoch_ns
-                ));
+    let mut expected = 0.0;
+    let mut expected_consumed = 0u64;
+    for g in 0..x.part.groups.len() {
+        let lo = x.part.couplings.partition_point(|c| c.to < g);
+        let hi = x.part.couplings.partition_point(|c| c.to <= g);
+        let mut p = 0.0;
+        for c in &x.part.couplings[lo..hi] {
+            if c.weight > 0.0 {
+                p += c.weight * (x.busy[c.from] as f64 / x.epoch_ns as f64);
+                expected_consumed += 1;
             }
         }
-        Ok(())
+        expected += (p * CORRUPTION_SCALE).min(MAX_IMPORT_CORRUPTION);
     }
-}
-
-/// `city/exchange-conservation`: what the importers applied must equal what
-/// the table and coupling weights imply — nothing lost or double-counted
-/// across the barrier, regardless of which thread serviced which shard.
-pub struct ExchangeConservation;
-
-impl Invariant<EpochExchange<'_>> for ExchangeConservation {
-    fn name(&self) -> &'static str {
-        "city/exchange-conservation"
-    }
-    fn check(&mut self, x: &EpochExchange<'_>, _now: SimTime) -> Result<(), String> {
-        let mut expected = 0.0;
-        let mut expected_consumed = 0u64;
-        for g in 0..x.part.groups.len() {
-            let lo = x.part.couplings.partition_point(|c| c.to < g);
-            let hi = x.part.couplings.partition_point(|c| c.to <= g);
-            let mut p = 0.0;
-            for c in &x.part.couplings[lo..hi] {
-                if c.weight > 0.0 {
-                    p += c.weight * (x.busy[c.from] as f64 / x.epoch_ns as f64);
-                    expected_consumed += 1;
-                }
-            }
-            expected += (p * CORRUPTION_SCALE).min(MAX_IMPORT_CORRUPTION);
-        }
-        if x.consumed != expected_consumed {
-            return Err(format!(
-                "importers consumed {} couplings, table implies {}",
-                x.consumed, expected_consumed
-            ));
-        }
-        let tol = 1e-6 * expected.abs().max(1.0);
-        if (x.applied_corruption - expected).abs() > tol {
-            return Err(format!(
-                "imported corruption {} != expected {}",
-                x.applied_corruption, expected
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Audit one epoch's exchange through the standard [`InvariantSuite`].
-pub fn audit_exchange(x: &EpochExchange<'_>, now: SimTime) -> u64 {
-    let mut suite: InvariantSuite<EpochExchange<'_>> = InvariantSuite::new();
-    suite.push(AirtimeBounds);
-    suite.push(ExchangeConservation);
-    suite.run(x, now)
+    let tol = 1e-6 * expected.abs().max(1.0);
+    let detail = if x.consumed != expected_consumed {
+        format!(
+            "importers consumed {} couplings, table implies {}",
+            x.consumed, expected_consumed
+        )
+    } else if (x.applied_corruption - expected).abs() > tol {
+        format!(
+            "imported corruption {} != expected {}",
+            x.applied_corruption, expected
+        )
+    } else {
+        return;
+    };
+    conformance::report("city/exchange-conservation", now, detail);
 }
 
 /// What one shard reports back to the caller thread when the run ends.
@@ -541,9 +522,6 @@ fn run_partitioned(topo: &CityTopology, cfg: &CityConfig, part: &Partition) -> C
     // (applied corruption, consumed couplings, exports published) per epoch.
     let acc: Mutex<(f64, u64, u64)> = Mutex::new((0.0, 0, 0));
     let barrier = Barrier::new(jobs);
-    let outcomes: Mutex<Vec<Option<ShardOutcome>>> =
-        Mutex::new((0..n_shards).map(|_| None).collect());
-    let sinks: Mutex<Vec<(usize, u64, Vec<Violation>)>> = Mutex::new(Vec::new());
     let exports_total = Mutex::new(0u64);
     // Live telemetry: the caller's stream handle (if one is installed on
     // this thread) is cloned into every worker, which emits one cumulative
@@ -552,121 +530,115 @@ fn run_partitioned(topo: &CityTopology, cfg: &CityConfig, part: &Partition) -> C
     // and nothing reads it back — so determinism is untouched.
     let stream = obs_stream::handle();
 
-    std::thread::scope(|s| {
-        for t in 0..jobs {
-            let stream = stream.clone();
-            let (table, acc, barrier, outcomes, sinks, exports_total) =
-                (&table, &acc, &barrier, &outcomes, &sinks, &exports_total);
-            let (part, ends) = (&*part, &ends);
-            s.spawn(move || {
+    // Worker `t`: run its shards through every epoch's barrier protocol and
+    // hand back their outcomes.
+    let worker = |t: usize| {
+        let stream = stream.clone();
+        // Round-robin shard ownership: shard i belongs to thread i % jobs.
+        // Ownership only affects which thread does the work, never the
+        // numbers it produces.
+        let mut shards: Vec<Shard> = (t..n_shards)
+            .step_by(jobs)
+            .map(|i| build_shard(topo, part, &part.shards[i], cfg.seed, cfg))
+            .collect();
+        let mut prev_end = SimTime::ZERO;
+        for (ei, &end) in ends.iter().enumerate() {
+            let epoch_ns = end.as_nanos() - prev_end.as_nanos();
+            let epoch = SimDuration::from_nanos(epoch_ns);
+            for sh in &mut shards {
+                sh.q.run_until(&mut sh.world, end);
+            }
+            {
+                let mut tbl = lock(&table);
+                let mut published = 0;
+                for sh in &mut shards {
+                    published += publish_exports(sh, &mut tbl);
+                }
+                lock(&acc).2 += published;
+            }
+            barrier.wait();
+            // Table complete and read-only until the reset barrier.
+            {
+                let tbl = lock(&table).clone();
+                let mut applied = (0.0, 0u64);
+                for (k, sh) in shards.iter_mut().enumerate() {
+                    let (a, c) = apply_corruption_imports(sh, part, &tbl, epoch_ns);
+                    applied.0 += a;
+                    applied.1 += c;
+                    advance_harvest(sh, topo, part, &tbl, epoch);
+                    if checking {
+                        mac_conformance::audit_now(&sh.world, end);
+                    }
+                    if let Some(hs) = &stream {
+                        let shard_ix = (t + k * jobs) as u64;
+                        emit_shard_progress(hs, shard_ix, sh, end);
+                        hs.emit_ckpt(end, Some(shard_ix), ei as u64 + 1, &shard_state_hash(sh));
+                    }
+                }
+                let mut a = lock(&acc);
+                a.0 += applied.0;
+                a.1 += applied.1;
+            }
+            barrier.wait();
+            if t == 0 {
+                let mut tbl = lock(&table);
+                let mut a = lock(&acc);
                 if checking {
-                    conformance::set_enabled(true);
+                    let ledger = EpochExchange {
+                        part,
+                        epoch_ns,
+                        busy: &tbl,
+                        applied_corruption: a.0,
+                        consumed: a.1,
+                    };
+                    audit_exchange(&ledger, end);
                 }
-                // Round-robin shard ownership: shard i belongs to thread
-                // i % jobs. Ownership only affects which thread does the
-                // work, never the numbers it produces.
-                let mut shards: Vec<Shard> = (t..n_shards)
-                    .step_by(jobs)
-                    .map(|i| build_shard(topo, part, &part.shards[i], cfg.seed, cfg))
-                    .collect();
-                let mut prev_end = SimTime::ZERO;
-                for (ei, &end) in ends.iter().enumerate() {
-                    let epoch_ns = end.as_nanos() - prev_end.as_nanos();
-                    let epoch = SimDuration::from_nanos(epoch_ns);
-                    for sh in &mut shards {
-                        sh.q.run_until(&mut sh.world, end);
-                    }
-                    {
-                        let mut tbl = lock(table);
-                        let mut published = 0;
-                        for sh in &mut shards {
-                            published += publish_exports(sh, &mut tbl);
-                        }
-                        lock(acc).2 += published;
-                    }
-                    barrier.wait();
-                    // Table complete and read-only until the reset barrier.
-                    {
-                        let tbl = lock(table).clone();
-                        let mut applied = (0.0, 0u64);
-                        for (k, sh) in shards.iter_mut().enumerate() {
-                            let (a, c) = apply_corruption_imports(sh, part, &tbl, epoch_ns);
-                            applied.0 += a;
-                            applied.1 += c;
-                            advance_harvest(sh, topo, part, &tbl, epoch);
-                            if checking {
-                                mac_conformance::audit_now(&sh.world, end);
-                            }
-                            if let Some(hs) = &stream {
-                                let shard_ix = (t + k * jobs) as u64;
-                                emit_shard_progress(hs, shard_ix, sh, end);
-                                hs.emit_ckpt(
-                                    end,
-                                    Some(shard_ix),
-                                    ei as u64 + 1,
-                                    &shard_state_hash(sh),
-                                );
-                            }
-                        }
-                        let mut a = lock(acc);
-                        a.0 += applied.0;
-                        a.1 += applied.1;
-                    }
-                    barrier.wait();
-                    if t == 0 {
-                        let mut tbl = lock(table);
-                        let mut a = lock(acc);
-                        if checking {
-                            let ledger = EpochExchange {
-                                part,
-                                epoch_ns,
-                                busy: &tbl,
-                                applied_corruption: a.0,
-                                consumed: a.1,
-                            };
-                            audit_exchange(&ledger, end);
-                        }
-                        *lock(exports_total) += a.2;
-                        tbl.iter_mut().for_each(|b| *b = 0);
-                        *a = (0.0, 0, 0);
-                    }
-                    barrier.wait();
-                    prev_end = end;
-                }
-                {
-                    let mut out = lock(outcomes);
-                    for (k, sh) in shards.iter().enumerate() {
-                        out[t + k * jobs] = Some(shard_outcome(sh));
-                    }
-                }
-                let (count, retained) = conformance::take();
-                lock(sinks).push((t, count, retained));
-            });
+                *lock(&exports_total) += a.2;
+                tbl.iter_mut().for_each(|b| *b = 0);
+                *a = (0.0, 0, 0);
+            }
+            barrier.wait();
+            prev_end = end;
         }
+        shards.iter().map(shard_outcome).collect::<Vec<_>>()
+    };
+    // Each worker thread runs under the caller's checker state and returns
+    // its violations with its outcomes; joining in thread order merges them
+    // deterministically.
+    let workers: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|t| {
+                let worker = &worker;
+                s.spawn(move || {
+                    if checking {
+                        conformance::capture(|| worker(t))
+                    } else {
+                        (worker(t), (0, Vec::new()))
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
-    let outcomes = lock(&outcomes)
-        .drain(..)
-        .map(|o| match o {
-            Some(o) => o,
-            // Unreachable: every shard index is owned by exactly one thread.
-            None => ShardOutcome {
-                events: 0,
-                frames: 0,
-                busy: Vec::new(),
-                harvested: Vec::new(),
-            },
-        })
-        .collect::<Vec<_>>();
-    let mut collected = std::mem::take(&mut *lock(&sinks));
-    collected.sort_by_key(|&(t, _, _)| t);
     let mut violations = 0;
-    for (_, count, retained) in collected {
+    let mut owned = Vec::with_capacity(jobs);
+    for (outcomes, (count, retained)) in workers {
         violations += count;
-        for v in retained {
-            conformance::report(v.rule, v.at, v.detail);
-        }
+        conformance::absorb(count, retained);
+        owned.push(outcomes.into_iter());
     }
+    // Shard i is the (i / jobs)-th of thread i % jobs: deal them back into
+    // shard order.
+    let outcomes: Vec<ShardOutcome> = (0..n_shards)
+        .filter_map(|i| owned[i % jobs].next())
+        .collect();
 
     let exports = *lock(&exports_total);
     let run = assemble_run(topo, part, &outcomes, &ends, violations, exports);
@@ -694,7 +666,6 @@ pub fn run_city_monolithic(topo: &CityTopology, cfg: &CityConfig) -> CityRun {
     let mut shard = build_shard(topo, &part, &all_groups, cfg.seed, cfg);
     let mut table = vec![0u64; part.groups.len()];
     let mut exports_total = 0u64;
-    let mut audit_violations = 0u64;
     let mut prev_end = SimTime::ZERO;
     // Same live-telemetry contract as the sharded runner, over the single
     // all-groups shard (tagged shard 0): two monolithic runs that should
@@ -720,12 +691,11 @@ pub fn run_city_monolithic(topo: &CityTopology, cfg: &CityConfig) -> CityRun {
                 applied_corruption: applied,
                 consumed,
             };
-            audit_violations += audit_exchange(&ledger, end);
+            audit_exchange(&ledger, end);
         }
         table.iter_mut().for_each(|b| *b = 0);
         prev_end = end;
     }
-    let _ = audit_violations;
     let outcomes = vec![shard_outcome(&shard)];
     // The monolithic runner reports violations through the caller's own
     // sink (it never leaves the thread), so count the delta — don't
@@ -784,5 +754,71 @@ fn assemble_run(
         busy_ns,
         harvested_j,
         violations,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::city::partition::{Coupling, Group};
+
+    /// Audit the ledger of one 1000 ns epoch over two co-channel groups,
+    /// group 0 exporting into group 1 at weight 0.5: the `rule: detail`
+    /// lines it reported.
+    fn audit(busy: &[u64], applied_corruption: f64, consumed: u64) -> Vec<String> {
+        let group = |g| Group {
+            key: g,
+            channel: powifi_rf::WifiChannel::CH6,
+            members: vec![g],
+        };
+        let coupling = Coupling {
+            from: 0,
+            to: 1,
+            weight: 0.5,
+            peak_dbm: -60.0,
+        };
+        let part = Partition {
+            groups: vec![group(0), group(1)],
+            group_of: vec![0, 1],
+            shards: vec![vec![0], vec![1]],
+            shard_of_group: vec![0, 1],
+            couplings: vec![coupling],
+            energy_imports: vec![Vec::new(), Vec::new()],
+            boundary_links: 1,
+            interaction_range_m: 100.0,
+        };
+        let _g = conformance::check();
+        let ledger = EpochExchange {
+            part: &part,
+            epoch_ns: 1_000,
+            busy,
+            applied_corruption,
+            consumed,
+        };
+        audit_exchange(&ledger, SimTime::ZERO);
+        let (count, retained) = conformance::take();
+        assert_eq!(count, retained.len() as u64);
+        retained
+            .iter()
+            .map(|v| format!("{}: {}", v.rule, v.detail))
+            .collect()
+    }
+
+    #[test]
+    fn exchange_audit_fires_under_its_rule_names() {
+        // Group 0 is busy half the epoch, so group 1 imports
+        // 0.5 × 0.5 × CORRUPTION_SCALE over its one coupling.
+        let applied = 0.5 * 0.5 * CORRUPTION_SCALE;
+        assert!(audit(&[500, 0], applied, 1).is_empty());
+        // Group 1 exports more than the epoch holds; it feeds no coupling.
+        let bounds = "city/airtime-bounds: group 1 exported 1001 ns of airtime in a 1000 ns epoch";
+        assert_eq!(audit(&[500, 1_001], applied, 1), [bounds]);
+        let consumed =
+            "city/exchange-conservation: importers consumed 2 couplings, table implies 1";
+        assert_eq!(audit(&[500, 0], applied, 2), [consumed]);
+        let over = applied + 0.1;
+        let corruption =
+            format!("city/exchange-conservation: imported corruption {over} != expected {applied}");
+        assert_eq!(audit(&[500, 0], over, 1), [corruption]);
     }
 }

@@ -202,36 +202,14 @@ pub mod r05 {
 }
 
 pub mod r06 {
-    //! R6 `sink-construction`: simulation layers emit trace events; obs and
-    //! the bench runner wire sinks. The sink constructors and
-    //! `trace::install`/`uninstall` are disallowed methods.
-    use powifi_sim::obs::trace::{self, JsonlSink, RingSink, TraceEvent, TraceSink};
+    //! R6 `trace-capture`: simulation layers emit trace events; harnesses
+    //! capture them. `trace::capture_jsonl` is a disallowed method.
+    use powifi_sim::obs::trace::{self, TraceEvent};
     use powifi_sim::SimTime;
-    use std::path::Path;
 
     #[expect(clippy::disallowed_methods, reason = "R6 fixture")]
-    pub fn ring() {
-        let _ = RingSink::unbounded();
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "R6 fixture")]
-    pub fn bounded_ring() {
-        let _ = RingSink::new(64);
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "R6 fixture")]
-    pub fn file(path: &Path) {
-        let _ = JsonlSink::create(path);
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "R6 fixture")]
-    pub fn rewire(sink: Box<dyn TraceSink>) {
-        let _ = trace::install(sink);
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "R6 fixture")]
-    pub fn unwire() {
-        let _ = trace::uninstall();
+    pub fn capture(run: impl FnOnce()) -> String {
+        trace::capture_jsonl(run).1
     }
 
     pub fn record(now: SimTime, iface: u32, qdepth: u32) {

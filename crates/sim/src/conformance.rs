@@ -1,4 +1,4 @@
-//! Runtime conformance checking: a violation sink plus pluggable invariants.
+//! Runtime conformance checking: a thread-local violation sink.
 //!
 //! The simulator's credibility rests on physics it never re-checks at run
 //! time: airtime cannot exceed wall time, DCF transmissions cannot start
@@ -6,16 +6,18 @@
 //! module is the substrate for asserting those properties *while the
 //! simulation runs*, without contaminating any simulation API:
 //!
-//! * A thread-local **violation sink** ([`report`], [`take`],
-//!   [`assert_clean`]) mirrors the [`crate::obs::metrics`] idiom: the harness
-//!   (a test, the bench sweep engine, the fuzz driver) enables checking on
-//!   its thread, the instrumented layers report into the sink as they go,
-//!   and the harness collects afterwards. Nothing in the simulation reads
-//!   the sink back, so enabling it cannot perturb results or determinism.
-//! * A generic [`Invariant`] trait plus [`InvariantSuite`] runs whole-world
-//!   audits (e.g. "per-channel busy time ≤ wall time"); a layer makes one
-//!   periodic by posting it as a self-re-posting typed event, as the MAC's
-//!   audit does.
+//! * Instrumented layers gate their checks on [`enabled`] and [`report`]
+//!   what they find into this thread's sink. A whole-world audit is plain
+//!   code that reports the same way; a layer makes one periodic by posting
+//!   it as a self-re-posting typed event, as the MAC's audit does. Nothing
+//!   in the simulation reads the sink back, so enabling it cannot perturb
+//!   results or determinism.
+//! * A harness (the bench sweep engine, the fuzz driver, the golden corpus,
+//!   the sharded city's workers) collects one way: [`capture`] runs a
+//!   closure with checking on in a sink of its own and restores the
+//!   caller's sink exactly, so checked runs nest. [`absorb`] merges a
+//!   captured pair into the current sink, as the city merges its workers'.
+//! * Tests use [`check`] and [`assert_clean`].
 //!
 //! Checks are compiled in but **off by default**; the hot paths pay one
 //! thread-local boolean read when disabled.
@@ -60,7 +62,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turn conformance checking on or off for this thread.
-pub fn set_enabled(on: bool) {
+fn set_enabled(on: bool) {
     ENABLED.with(|c| c.set(on));
 }
 
@@ -101,6 +103,33 @@ pub fn take() -> (u64, Vec<Violation>) {
     let count = COUNT.with(|c| c.replace(0));
     let log = LOG.with(|l| std::mem::take(&mut *l.borrow_mut()));
     (count, log)
+}
+
+/// Merge a captured `(count, retained)` pair into this thread's sink: the
+/// count adds in full, and the retained violations fill the free retention
+/// slots in order.
+pub fn absorb(count: u64, retained: Vec<Violation>) {
+    COUNT.with(|c| c.set(c.get().saturating_add(count)));
+    LOG.with(|l| {
+        let mut log = l.borrow_mut();
+        let room = MAX_RETAINED.saturating_sub(log.len());
+        log.extend(retained.into_iter().take(room));
+    });
+}
+
+/// Run `f` with checking enabled in a sink of its own. Returns `f`'s result
+/// with `f`'s `(count, retained)` pair, and restores the caller's enabled
+/// flag, count and retained violations exactly, so a checked sub-run
+/// leaves an enclosing checked test or sweep as it found it.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, (u64, Vec<Violation>)) {
+    let was_enabled = enabled();
+    let (count, retained) = take();
+    set_enabled(true);
+    let out = f();
+    let captured = take();
+    set_enabled(was_enabled);
+    absorb(count, retained);
+    (out, captured)
 }
 
 /// Panic with a readable report if any violation was recorded.
@@ -144,53 +173,6 @@ pub fn check() -> Guard {
 impl Drop for Guard {
     fn drop(&mut self) {
         set_enabled(false);
-    }
-}
-
-/// A whole-world invariant, audited periodically against world state.
-///
-/// Implementations either return `Err(detail)` for a single finding (the
-/// suite reports it under [`Invariant::name`]) or call [`report`] directly
-/// for multiple findings and return `Ok(())`.
-pub trait Invariant<W> {
-    /// Stable rule identifier used when reporting `Err` findings.
-    fn name(&self) -> &'static str;
-    /// Inspect the world at `now`; `Err` is reported as a violation.
-    fn check(&mut self, world: &W, now: SimTime) -> Result<(), String>;
-}
-
-/// A set of invariants audited together.
-pub struct InvariantSuite<W> {
-    checks: Vec<Box<dyn Invariant<W>>>,
-}
-
-impl<W> Default for InvariantSuite<W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W> InvariantSuite<W> {
-    /// An empty suite.
-    pub fn new() -> InvariantSuite<W> {
-        InvariantSuite { checks: Vec::new() }
-    }
-
-    /// Add an invariant to the suite.
-    pub fn push(&mut self, inv: impl Invariant<W> + 'static) {
-        self.checks.push(Box::new(inv));
-    }
-
-    /// Run every invariant once against `world` at `now`; returns the number
-    /// of violations reported during the pass.
-    pub fn run(&mut self, world: &W, now: SimTime) -> u64 {
-        let before = violation_count();
-        for inv in &mut self.checks {
-            if let Err(detail) = inv.check(world, now) {
-                report(inv.name(), now, detail);
-            }
-        }
-        violation_count() - before
     }
 }
 
@@ -255,30 +237,38 @@ mod tests {
         reset();
     }
 
-    struct NonNegative;
-    impl Invariant<i64> for NonNegative {
-        fn name(&self) -> &'static str {
-            "test/non-negative"
-        }
-        fn check(&mut self, world: &i64, _now: SimTime) -> Result<(), String> {
-            if *world < 0 {
-                Err(format!("world is {world}"))
-            } else {
-                Ok(())
-            }
-        }
+    #[test]
+    fn captures_nest_and_restore_the_callers_sink() {
+        let ((), _) = capture(|| assert!(enabled()));
+        assert!(!enabled(), "a disabled caller stays disabled");
+        let _g = check();
+        report("test/before", SimTime::ZERO, "a".into());
+        let ((), (n, inner)) = capture(|| {
+            report("test/inner", SimTime::ZERO, "b".into());
+            let ((), (m, _)) = capture(|| report("test/nested", SimTime::ZERO, "c".into()));
+            assert_eq!(m, 1);
+        });
+        assert!(enabled(), "the caller's flag is restored");
+        report("test/after", SimTime::ZERO, "d".into());
+        assert_eq!((n, inner[0].rule), (1, "test/inner"));
+        let (n, v) = take();
+        let rules: Vec<_> = v.iter().map(|v| v.rule).collect();
+        assert_eq!((n, rules), (2, vec!["test/before", "test/after"]));
     }
 
     #[test]
-    fn suite_reports_err_under_invariant_name() {
+    fn absorb_adds_the_count_and_fills_free_slots() {
         let _g = check();
-        let mut suite = InvariantSuite::new();
-        suite.push(NonNegative);
-        assert_eq!(suite.run(&5, SimTime::ZERO), 0);
-        assert_eq!(suite.run(&-2, SimTime::from_micros(1)), 1);
-        let (n, v) = take();
-        assert_eq!(n, 1);
-        assert_eq!(v[0].rule, "test/non-negative");
-        assert!(v[0].detail.contains("-2"));
+        report("test/own", SimTime::ZERO, "a".into());
+        let worker = |i| Violation {
+            rule: "test/worker",
+            at: SimTime::ZERO,
+            detail: format!("w{i}"),
+        };
+        absorb(100, (0..70).map(worker).collect());
+        let v = violations();
+        assert_eq!((violation_count(), v.len()), (101, MAX_RETAINED));
+        assert_eq!((v[0].rule, v[1].detail.as_str()), ("test/own", "w0"));
+        reset();
     }
 }

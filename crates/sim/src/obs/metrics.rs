@@ -433,11 +433,6 @@ impl RunTelemetry {
     }
 }
 
-/// Read the legacy triple for this thread without clearing anything.
-pub fn run_telemetry() -> RunTelemetry {
-    RunTelemetry::from_snapshot(&snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,7 +538,7 @@ mod tests {
         counter(keys::SIM_EVENTS).add(10);
         counter(keys::MAC_FRAMES).add(4);
         gauge(keys::MAC_OCCUPANCY).set(0.42);
-        let t = run_telemetry();
+        let t = RunTelemetry::from_snapshot(&snapshot());
         assert_eq!(t.events, 10);
         assert_eq!(t.frames, 4);
         assert_eq!(t.occupancy, 0.42);

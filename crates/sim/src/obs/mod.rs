@@ -6,8 +6,8 @@
 //! transmit-queue depth (§3.1, Fig. 5). This module gives the simulator the
 //! matching instrumentation: a [`metrics`] registry of named counters,
 //! gauges and histograms, and a [`trace`] subsystem of typed, sim-time-
-//! stamped [`trace::TraceEvent`] records emitted through a pluggable
-//! [`trace::TraceSink`].
+//! stamped [`trace::TraceEvent`] records that a harness collects with
+//! [`trace::capture_jsonl`].
 //!
 //! Both halves follow the same thread-local idiom as
 //! [`crate::conformance`]: the harness enables them on the worker thread

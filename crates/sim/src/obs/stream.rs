@@ -112,7 +112,7 @@ struct EgressState {
 
 /// The bounded, non-blocking egress queue between simulation threads and
 /// one stream consumer. `push_record` assigns the session-wide `seq` and
-/// never blocks; `pop_wait`/`drain_nonblocking` feed the consumer side.
+/// never blocks; `pop_wait` feeds the consumer side.
 #[derive(Debug)]
 pub struct Egress {
     cap: usize,
@@ -203,16 +203,6 @@ impl Egress {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-    }
-
-    /// Consumer side: move everything currently queued into `out` without
-    /// blocking. Returns `false` once the queue is closed and drained.
-    pub fn drain_nonblocking(&self, out: &mut Vec<String>) -> bool {
-        let mut st = lock(&self.state);
-        while let Some(line) = st.queue.pop_front() {
-            out.push(line);
-        }
-        !st.closed
     }
 
     /// Close the queue: producers drop everything from now on, consumers
@@ -461,10 +451,10 @@ pub fn spawn_writer(
     })
 }
 
-/// Connect to a stream consumer at `addr` (e.g. the address a
-/// `powifi-obs fleet record` listener printed), write the session header, and
-/// spawn the writer thread. This is the sanctioned socket touchpoint of
-/// the sim crates (lint R13).
+/// Connect out to a stream consumer listening at `addr`, write the session
+/// header, and spawn the writer thread. The consumer must be a listening
+/// socket: `powifi-obs fleet record` connects out too, so it cannot be one.
+/// This is the sanctioned socket touchpoint of the sim crates (lint R13).
 #[expect(clippy::disallowed_types, reason = "R13: obs::stream owns egress")]
 pub fn tcp_egress(
     addr: &str,

@@ -1,5 +1,5 @@
 //! Structured trace subsystem: typed, sim-time-stamped event records
-//! emitted through a pluggable [`TraceSink`].
+//! collected by [`capture_jsonl`].
 //!
 //! The event catalogue ([`TraceEvent`]) covers the control-loop moments the
 //! paper reasons about: MAC transmissions and contention (tx start/end,
@@ -8,23 +8,19 @@
 //! storage-voltage crossings (cold start / brownout) and MPPT updates, and
 //! TCP RTO / cwnd transitions.
 //!
-//! Dispatch is thread-local, mirroring [`crate::conformance`]: the harness
-//! [`install`]s a sink on the worker thread before a run and [`uninstall`]s
-//! it after; instrumented hot paths pay exactly one branch
-//! ([`enabled`]) when tracing is off. Timestamps are [`SimTime`] only —
-//! rendered JSONL is byte-identical for a given seed regardless of `--jobs`
-//! or debug/release.
+//! Recording is thread-local, like [`crate::conformance`]: a harness runs
+//! the simulation inside [`capture_jsonl`], which turns tracing on for the
+//! closure and hands back what it recorded; instrumented hot paths pay
+//! exactly one branch ([`enabled`]) when tracing is off. Timestamps are
+//! [`SimTime`] only — rendered JSONL is byte-identical for a given seed
+//! regardless of `--jobs` or debug/release.
 //!
-//! Sinks must be constructed only here or in the bench harness; lint rule
-//! R6 rejects sink construction inside instrumented sim crates, which are
-//! expected to go through [`emit`].
+//! Simulation layers only [`emit`]; lint rule R6 keeps [`capture_jsonl`]
+//! out of the instrumented sim crates, so only harnesses decide what is
+//! captured.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 use crate::time::SimTime;
 use serde_json::write_float;
@@ -426,120 +422,9 @@ impl TraceRecord {
     }
 }
 
-/// Destination for trace records. Implementations live in this module and
-/// the bench harness only (lint rule R6).
-pub trait TraceSink {
-    /// Consume one record.
-    fn record(&mut self, rec: &TraceRecord);
-    /// Flush any buffered output (no-op for in-memory sinks).
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-    /// Downcast support: harnesses recover their concrete sink from
-    /// [`uninstall`] via `sink.into_any().downcast::<RingSink>()`.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
-/// Bounded in-memory ring of the most recent records.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    records: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Ring keeping at most `cap` records (older records are evicted).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            records: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Ring that never evicts (capacity `usize::MAX`).
-    pub fn unbounded() -> RingSink {
-        RingSink {
-            cap: usize::MAX,
-            records: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render the retained records as JSONL (one record per line, each
-    /// line newline-terminated).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        if self.records.len() == self.cap {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(*rec);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
-/// Sink that streams records to a JSONL file as they arrive.
-pub struct JsonlSink {
-    out: BufWriter<File>,
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path` and stream records into it.
-    pub fn create(path: &Path) -> io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JsonlSink")
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        let _ = writeln!(self.out, "{}", rec.to_json_line());
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static SINK: RefCell<Option<Box<dyn TraceSink>>> = const { RefCell::new(None) };
+    static RECORDS: RefCell<Vec<TraceRecord>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Is tracing enabled on this thread? Instrumented hot paths check this
@@ -549,51 +434,26 @@ pub fn enabled() -> bool {
     ENABLED.with(Cell::get)
 }
 
-/// Install `sink` as this thread's trace destination and enable tracing.
-/// Returns the previously installed sink, if any.
-pub fn install(sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
-    let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    ENABLED.with(|e| e.set(true));
-    prev
-}
-
-/// Disable tracing on this thread and return the installed sink (flushed).
-pub fn uninstall() -> Option<Box<dyn TraceSink>> {
-    ENABLED.with(|e| e.set(false));
-    let sink = SINK.with(|s| s.borrow_mut().take());
-    sink.map(|mut s| {
-        let _ = s.flush();
-        s
-    })
-}
-
 /// Emit one event at sim time `at`. No-op when tracing is disabled.
 pub fn emit(at: SimTime, event: TraceEvent) {
     if !enabled() {
         return;
     }
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow_mut().as_mut() {
-            sink.record(&TraceRecord { at, event });
-        }
-    });
+    RECORDS.with(|r| r.borrow_mut().push(TraceRecord { at, event }));
 }
 
-/// Run `f` with a fresh unbounded ring installed on this thread, then
-/// restore whatever sink was installed before and return `f`'s result
-/// alongside the captured records rendered as JSONL.
-#[expect(clippy::disallowed_methods, reason = "R6: obs's own capture sink")]
+/// Run `f` with tracing enabled on this thread and return its result
+/// alongside the records it emitted, rendered as JSONL (one record per
+/// line, each newline-terminated). The caller's enabled flag and records
+/// are restored afterwards, so captures nest: an inner capture's records
+/// stay out of the outer one, which keeps recording after it.
 pub fn capture_jsonl<T>(f: impl FnOnce() -> T) -> (T, String) {
-    let prev = install(Box::new(RingSink::unbounded()));
+    let was_enabled = ENABLED.with(|e| e.replace(true));
+    let outer = RECORDS.with(|r| std::mem::take(&mut *r.borrow_mut()));
     let out = f();
-    let ring = uninstall();
-    if let Some(p) = prev {
-        install(p);
-    }
-    let jsonl = ring
-        .and_then(|s| s.into_any().downcast::<RingSink>().ok())
-        .map(|r| r.to_jsonl())
-        .unwrap_or_default();
+    ENABLED.with(|e| e.set(was_enabled));
+    let records = RECORDS.with(|r| std::mem::replace(&mut *r.borrow_mut(), outer));
+    let jsonl = records.iter().map(|r| r.to_json_line() + "\n").collect();
     (out, jsonl)
 }
 
@@ -630,26 +490,9 @@ mod tests {
     fn emit_is_noop_when_disabled() {
         assert!(!enabled());
         emit(SimTime::ZERO, TraceEvent::MacTxEnd { medium: 0, sta: 0 });
-        // Nothing to observe — the point is that it doesn't panic and no
-        // sink was touched.
-        assert!(uninstall().is_none());
-    }
-
-    #[test]
-    fn ring_sink_evicts_oldest() {
-        let mut ring = RingSink::new(2);
-        for sta in 0..4u32 {
-            ring.record(&TraceRecord {
-                at: SimTime::ZERO,
-                event: TraceEvent::MacTxEnd { medium: 0, sta },
-            });
-        }
-        assert_eq!(ring.dropped(), 2);
-        let stas: Vec<u32> = ring
-            .records()
-            .map(|r| r.event.entity().unwrap_or(u32::MAX))
-            .collect();
-        assert_eq!(stas, vec![2, 3]);
+        // Nothing was recorded, so a capture that emits nothing is empty.
+        let ((), jsonl) = capture_jsonl(|| ());
+        assert_eq!(jsonl, "");
     }
 
     #[test]
@@ -680,6 +523,28 @@ mod tests {
              {\"t\":2000,\"layer\":\"core\",\"kind\":\"power_packet\",\
              \"iface\":0,\"bytes\":700}\n"
         );
+    }
+
+    #[test]
+    fn captures_nest() {
+        let event = |sta| TraceEvent::MacTxEnd { medium: 0, sta };
+        let line = |sta| {
+            let rec = TraceRecord {
+                at: SimTime::ZERO,
+                event: event(sta),
+            };
+            rec.to_json_line() + "\n"
+        };
+        let (inner, outer) = capture_jsonl(|| {
+            emit(SimTime::ZERO, event(1));
+            let ((), inner) = capture_jsonl(|| emit(SimTime::ZERO, event(2)));
+            assert!(enabled(), "the outer capture keeps recording");
+            emit(SimTime::ZERO, event(3));
+            inner
+        });
+        assert_eq!(inner, line(2));
+        assert_eq!(outer, line(1) + &line(3));
+        assert!(!enabled());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! Exit codes: 0 = all topologies clean, 1 = failures found, 2 = usage.
 
 use powifi::fuzz;
+use powifi::sim::obs::{prof, trace};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: powifi-fuzz [--topologies N] [--seed S] [--inject-bug] [--city] \
@@ -97,15 +98,19 @@ fn main() -> ExitCode {
         }
         let spec = fuzz::gen_spec(seed);
         println!("replaying {}", spec.summary());
-        if prof {
-            powifi::sim::obs::prof::enable(false);
-        }
-        let (res, trace_jsonl) = if trace_path.is_some() {
-            let (res, jsonl) =
-                powifi::sim::obs::trace::capture_jsonl(|| fuzz::run_spec(&spec, cfg.inject_bug));
-            (res, Some(jsonl))
+        let traced = || {
+            if trace_path.is_some() {
+                let (res, jsonl) = trace::capture_jsonl(|| fuzz::run_spec(&spec, cfg.inject_bug));
+                (res, Some(jsonl))
+            } else {
+                (fuzz::run_spec(&spec, cfg.inject_bug), None)
+            }
+        };
+        let ((res, trace_jsonl), snap) = if prof {
+            let (run, snap) = prof::capture(traced);
+            (run, Some(snap))
         } else {
-            (fuzz::run_spec(&spec, cfg.inject_bug), None)
+            (traced(), None)
         };
         if let (Some(path), Some(jsonl)) = (&trace_path, &trace_jsonl) {
             if let Err(e) = std::fs::write(path, jsonl) {
@@ -114,10 +119,7 @@ fn main() -> ExitCode {
             }
             eprintln!("wrote {path}");
         }
-        if prof {
-            let snap = powifi::sim::obs::prof::snapshot();
-            powifi::sim::obs::prof::disable();
-            powifi::sim::obs::prof::reset();
+        if let Some(snap) = snap {
             print!("{}", snap.render_tree());
         }
         println!("frames {} · violations {}", res.frames, res.violations);

@@ -171,14 +171,21 @@ pub struct CaseResult {
     pub frames: u64,
 }
 
-/// Build and run one topology under the invariant checker. Restores the
-/// caller's checker-enabled state afterwards, so the surrounding test or
-/// sweep sink is unaffected.
+/// Build and run one topology under the invariant checker
+/// ([`conformance::capture`]), so the surrounding test or sweep sink is
+/// left as it was.
 pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
-    let was_enabled = conformance::enabled();
-    let saved = conformance::take();
-    conformance::set_enabled(true);
+    let (frames, (violations, retained)) = conformance::capture(|| run_topology(spec, inject_bug));
+    CaseResult {
+        violations,
+        retained,
+        frames,
+    }
+}
 
+/// Build and run one topology with its MAC audit installed; returns the
+/// MAC frames sent.
+fn run_topology(spec: &TopologySpec, inject_bug: bool) -> u64 {
     let mut w = CoreStack::new(Mac::new(SimRng::from_seed(spec.seed).derive("fuzz-mac")));
     if spec.mixed_bg {
         w.mac.timing = MacTiming::bg_mixed();
@@ -279,19 +286,7 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
     let end = SimTime::ZERO + spec.horizon;
     q.run_until(&mut w, end);
     mac_conformance::audit_now(&w, end);
-
-    let (violations, retained) = conformance::take();
-    let frames = w.mac.total_frames_sent();
-    // Restore the caller's sink and enabled flag.
-    conformance::set_enabled(was_enabled);
-    for v in saved.1 {
-        conformance::report(v.rule, v.at, v.detail);
-    }
-    CaseResult {
-        violations,
-        retained,
-        frames,
-    }
+    w.mac.total_frames_sent()
 }
 
 /// Shrink a failing topology: repeatedly halve the horizon, drop stations
@@ -573,13 +568,9 @@ pub struct CityCaseResult {
     pub frames: u64,
 }
 
-/// Run one city case under the checker: sharded at `spec.jobs`, then
-/// monolithic, then compare. Restores the caller's checker state.
+/// Run one city case under the checker ([`conformance::capture`]):
+/// sharded at `spec.jobs`, then monolithic, then compare.
 pub fn run_city_spec(spec: &CitySpec) -> CityCaseResult {
-    let was_enabled = conformance::enabled();
-    let saved = conformance::take();
-    conformance::set_enabled(true);
-
     let topo = build_city(spec);
     let cfg = CityConfig {
         seed: spec.seed,
@@ -588,15 +579,9 @@ pub fn run_city_spec(spec: &CitySpec) -> CityCaseResult {
         max_shard: spec.max_shard,
         ..CityConfig::default()
     };
-    let sharded = run_city(&topo, &cfg);
-    let mono = run_city_monolithic(&topo, &cfg);
+    let ((sharded, mono), (violations, retained)) =
+        conformance::capture(|| (run_city(&topo, &cfg), run_city_monolithic(&topo, &cfg)));
     let equivalent = sharded == mono;
-
-    let (violations, retained) = conformance::take();
-    conformance::set_enabled(was_enabled);
-    for v in saved.1 {
-        conformance::report(v.rule, v.at, v.detail);
-    }
     CityCaseResult {
         violations,
         retained,

@@ -181,23 +181,30 @@ pub fn scenarios() -> Vec<GoldenScenario> {
     ]
 }
 
+/// The scenario named `name`. Panics on an unknown name.
+fn scenario(name: &str) -> GoldenScenario {
+    scenarios()
+        .into_iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"))
+}
+
+/// Build scenario `name` and run it to its horizon, outside the checker.
+fn run_unchecked(name: &str) {
+    let sc = scenario(name);
+    let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
+    let mut q = Queue::new();
+    (sc.build)(&mut w, &mut q);
+    q.run_until(&mut w, SimTime::ZERO + sc.horizon);
+}
+
 /// Render a scenario's structured observability trace
 /// ([`powifi_sim::obs::trace`](crate::sim::obs::trace)) as JSONL, exactly
 /// as a `--trace` capture of the same simulation would produce it. Fully
 /// deterministic — byte-compared against `tests/golden/<name>.trace.jsonl`
 /// in CI. Panics on an unknown name.
 pub fn render_trace(name: &str) -> String {
-    let sc = scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"));
-    let ((), jsonl) = powifi_sim::obs::trace::capture_jsonl(|| {
-        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
-        let mut q = Queue::new();
-        (sc.build)(&mut w, &mut q);
-        q.run_until(&mut w, SimTime::ZERO + sc.horizon);
-    });
-    jsonl
+    powifi_sim::obs::trace::capture_jsonl(|| run_unchecked(name)).1
 }
 
 /// Render a scenario's sim-time span profile
@@ -207,48 +214,31 @@ pub fn render_trace(name: &str) -> String {
 /// deterministic and byte-compared against
 /// `tests/golden/<name>.prof.jsonl` in CI. Panics on an unknown name.
 pub fn render_prof(name: &str) -> String {
-    let sc = scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"));
-    let ((), snap) = powifi_sim::obs::prof::capture(|| {
-        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
-        let mut q = Queue::new();
-        (sc.build)(&mut w, &mut q);
-        q.run_until(&mut w, SimTime::ZERO + sc.horizon);
-    });
-    snap.to_json() + "\n"
+    powifi_sim::obs::prof::capture(|| run_unchecked(name))
+        .1
+        .to_json()
+        + "\n"
 }
 
 /// Render a scenario by name to its canonical JSON document (trailing
 /// newline included). Panics on an unknown name.
 pub fn render(name: &str) -> String {
-    let sc = scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("unknown golden scenario {name:?}"));
-    render_scenario(&sc)
+    render_scenario(&scenario(name))
 }
 
 fn render_scenario(sc: &GoldenScenario) -> String {
-    // Run under the checker in an isolated sink; restore the caller's state
-    // so golden rendering composes with an enclosing checked test.
-    let was_enabled = conformance::enabled();
-    let saved = conformance::take();
-    conformance::set_enabled(true);
-
-    let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
-    let mut q = Queue::new();
-    (sc.build)(&mut w, &mut q);
-    powifi_mac::conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(1));
-    let end = SimTime::ZERO + sc.horizon;
-    q.run_until(&mut w, end);
-    powifi_mac::conformance::audit_now(&w, end);
-    let (violations, _) = conformance::take();
-    conformance::set_enabled(was_enabled);
-    for v in saved.1 {
-        conformance::report(v.rule, v.at, v.detail);
-    }
+    // Run under the checker in a sink of its own, so golden rendering
+    // composes with an enclosing checked test.
+    let ((w, q), (violations, _)) = conformance::capture(|| {
+        let mut w = CoreStack::new(Mac::new(SimRng::from_seed(0).derive(sc.name)));
+        let mut q = Queue::new();
+        (sc.build)(&mut w, &mut q);
+        powifi_mac::conformance::install_audit(&mut w, &mut q, SimDuration::from_millis(1));
+        let end = SimTime::ZERO + sc.horizon;
+        q.run_until(&mut w, end);
+        powifi_mac::conformance::audit_now(&w, end);
+        (w, q)
+    });
 
     let mut frames = Vec::new();
     for mi in 0..w.mac.medium_count() {

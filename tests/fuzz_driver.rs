@@ -152,3 +152,25 @@ fn run_spec_restores_caller_checker_state() {
     assert_eq!(count, 1);
     assert_eq!(retained[0].rule, "test/pending");
 }
+
+/// A checked sub-run leaves a caller holding more violations than the sink
+/// retains exactly as it found it: count and retained list alike.
+#[test]
+fn checked_sub_runs_keep_a_callers_full_count() {
+    use powifi::sim::{conformance, SimTime};
+    let _g = conformance::check();
+    for i in 0..70 {
+        conformance::report("test/caller", SimTime::ZERO, format!("v{i}"));
+    }
+    let retained = conformance::violations();
+    assert_eq!(retained.len(), 64);
+
+    powifi::golden::render("solo_broadcast");
+    assert_eq!(conformance::violation_count(), 70, "after golden::render");
+    assert_eq!(conformance::violations(), retained);
+
+    fuzz::run_spec(&fuzz::gen_spec(3), false);
+    assert_eq!(conformance::violation_count(), 70, "after fuzz::run_spec");
+    assert_eq!(conformance::violations(), retained);
+    conformance::reset();
+}
