@@ -12,7 +12,7 @@
 //! `trace occupancy` recomputes the paper's Σ sizeᵢ/rateᵢ per-channel
 //! airtime from `tx_start` records (§4's tshark post-processing) as a
 //! cross-check against the MAC's own accounting, and `trace merge`
-//! interleaves per-shard or per-deployment traces by `(sim-time, seq)`.
+//! interleaves several traces by `(sim-time, seq)`.
 //! `prof diff` ignores wall-clock fields. `ckpt verify` restores a
 //! checkpoint and requires re-saving it to reproduce its hash; `ckpt
 //! bisect` binary-searches two chains for their first divergent epoch and
@@ -231,7 +231,7 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
                 if point.is_some_and(|want| want != pi) {
                     continue;
                 }
-                let _ = writeln!(out, "point {pi} ({}):", anon(&pt.label));
+                let _ = writeln!(out, "point {pi} ({}):", anon(&pt.header.label));
                 let occ = traceinspect::occupancy(pt, end_ns, sta);
                 if occ.is_empty() {
                     let _ = writeln!(out, "  (no matching tx_start records)");
@@ -300,13 +300,13 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
                 if point.is_some_and(|want| want != pi) {
                     continue;
                 }
-                let label = anon(&pt.label);
+                let label = anon(&pt.header.label);
                 let _ = match cmd {
                     "tree" => write!(
                         out,
                         "point {} ({label}) seed={}\n{}",
-                        pt.point,
-                        pt.seed,
+                        pt.header.point,
+                        pt.header.seed,
                         pt.snap.render_tree()
                     ),
                     "top" => write!(

@@ -2,7 +2,7 @@
 //! `powifi-obs prof`.
 //!
 //! A prof file is a sequence of line pairs in grid order: a point header
-//! (`{"experiment":…,"point":…,"label":…,"seed":…}`) followed by one
+//! (read by [`PointHeader::decode`], as in a trace file) followed by one
 //! span-tree snapshot (`{"wall":…,"spans":[…]}`, the output of
 //! [`ProfSnapshot::to_json`]). [`parse`] reads each snapshot back into a
 //! [`ProfSnapshot`], so the tree, folded-stack and flattened views are the
@@ -12,6 +12,7 @@
 //! * [`diff`] — first structural divergence between two files, *ignoring
 //!   wall-clock keys* so a release rerun compares clean against a golden.
 
+use crate::runner::PointHeader;
 use powifi_sim::obs::prof::{ProfSnapshot, ProfSpan};
 use powifi_sim::SimDuration;
 use serde::Value;
@@ -19,14 +20,8 @@ use serde::Value;
 /// One profiled grid point: its header plus the parsed snapshot.
 #[derive(Debug, Clone)]
 pub struct ProfPoint {
-    /// Experiment name from the header line.
-    pub experiment: String,
-    /// Position in the full grid.
-    pub point: u64,
-    /// Point label.
-    pub label: String,
-    /// Derived seed the point ran with.
-    pub seed: u64,
+    /// The point's header line.
+    pub header: PointHeader,
     /// The point's span tree.
     pub snap: ProfSnapshot,
 }
@@ -138,26 +133,13 @@ pub fn parse(text: &str) -> Result<ParsedProf, String> {
         let Value::Object(fields) = &v else {
             return Err(format!("line {line}: expected a JSON object"));
         };
-        if obj_get(fields, "experiment").is_some() {
-            // Header line. A dangling previous header (no snapshot) is a
-            // malformed file.
+        if let Some(header) = PointHeader::decode(fields, line)? {
+            // A dangling previous header (no snapshot) is a malformed file.
             if let Some((_, hl)) = pending {
                 return Err(format!("line {hl}: point header has no snapshot line"));
             }
-            pending = Some((
-                ProfPoint {
-                    experiment: get_str(fields, "experiment")
-                        .ok_or_else(|| format!("line {line}: header `experiment` not a string"))?,
-                    point: get_u64(fields, "point")
-                        .ok_or_else(|| format!("line {line}: header missing `point`"))?,
-                    label: get_str(fields, "label")
-                        .ok_or_else(|| format!("line {line}: header missing `label`"))?,
-                    seed: get_u64(fields, "seed")
-                        .ok_or_else(|| format!("line {line}: header missing `seed`"))?,
-                    snap: ProfSnapshot::default(),
-                },
-                line,
-            ));
+            let snap = ProfSnapshot::default();
+            pending = Some((ProfPoint { header, snap }, line));
         } else if obj_get(fields, "spans").is_some() {
             let (mut pt, _) = pending
                 .take()
@@ -265,7 +247,8 @@ pub fn diff(a: &ParsedProf, b: &ParsedProf) -> Option<String> {
             b.points.len()
         ));
     }
-    for (i, (x, y)) in a.points.iter().zip(&b.points).enumerate() {
+    for (i, (pa, pb)) in a.points.iter().zip(&b.points).enumerate() {
+        let (x, y) = (&pa.header, &pb.header);
         if x.experiment != y.experiment || x.point != y.point || x.label != y.label {
             return Some(format!(
                 "point {i}: header ({}, {}, {}) vs ({}, {}, {})",
@@ -275,7 +258,7 @@ pub fn diff(a: &ParsedProf, b: &ParsedProf) -> Option<String> {
         if x.seed != y.seed {
             return Some(format!("point {i}: seed {} vs {}", x.seed, y.seed));
         }
-        if let Some(d) = diff_spans(&format!("point {i}"), &x.snap.roots, &y.snap.roots) {
+        if let Some(d) = diff_spans(&format!("point {i}"), &pa.snap.roots, &pb.snap.roots) {
             return Some(d);
         }
     }
@@ -298,8 +281,8 @@ mod tests {
         let p = parse(&sample()).unwrap();
         assert_eq!(p.points.len(), 1);
         let pt = &p.points[0];
-        assert_eq!(pt.experiment, "fig05");
-        assert_eq!(pt.seed, 7);
+        assert_eq!(pt.header.experiment, "fig05");
+        assert_eq!(pt.header.seed, 7);
         assert!(!pt.snap.wall);
         assert_eq!(pt.snap.roots.len(), 1);
         assert_eq!(pt.snap.roots[0].children[0].name, "mac.dcf.tx");

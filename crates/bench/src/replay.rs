@@ -18,18 +18,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One link of a checkpoint chain: a file, its epoch, its declared hash.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainEntry {
-    /// Epoch the checkpoint covers.
-    pub epoch: u64,
-    /// The chain file.
-    pub path: PathBuf,
-    /// State hash from the container line (header only — not re-verified;
-    /// `verify`/full loads re-hash the body).
-    pub hash: String,
-}
-
 fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -53,16 +41,6 @@ pub fn header_hash(path: &Path) -> io::Result<String> {
         .next()
         .map(str::to_string)
         .ok_or_else(|| bad(format!("{}: container line missing hash", path.display())))
-}
-
-/// Load the chain in `dir` (epoch-ascending), reading only headers.
-pub fn load_chain(dir: &Path) -> io::Result<Vec<ChainEntry>> {
-    let mut out = Vec::new();
-    for (epoch, path) in ckpt_run::chain(dir, None)? {
-        let hash = header_hash(&path)?;
-        out.push(ChainEntry { epoch, path, hash });
-    }
-    Ok(out)
 }
 
 /// The first-divergence verdict of a [`bisect`].

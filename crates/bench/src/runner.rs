@@ -37,10 +37,67 @@ use powifi_sim::obs::{metrics, prof, stream, trace};
 use powifi_sim::{conformance, RunTelemetry, SimRng, SimTime};
 use serde::{Serialize, Value};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The line that opens each point of a `--trace` or `--prof` file,
+/// `{"experiment":…,"point":…,"label":…,"seed":…}`. [`Sweep`] writes it
+/// and [`PointHeader::decode`] reads it back for both inspectors: a line
+/// with an `experiment` key is a header.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PointHeader {
+    /// Experiment name (empty for a headerless trace).
+    pub experiment: String,
+    /// Position in the full grid.
+    pub point: u64,
+    /// Point label.
+    pub label: String,
+    /// Derived seed the point ran with.
+    pub seed: u64,
+}
+
+impl PointHeader {
+    fn to_line(&self) -> String {
+        let header = Value::Object(vec![
+            ("experiment".into(), Value::Str(self.experiment.clone())),
+            ("point".into(), Value::UInt(self.point)),
+            ("label".into(), Value::Str(self.label.clone())),
+            ("seed".into(), Value::UInt(self.seed)),
+        ]);
+        serde_json::to_string(&header).expect("serialize point header")
+    }
+
+    /// Read a parsed JSONL line: `Ok(None)` when it has no `experiment`
+    /// key, else the header, every field required. Errors name the
+    /// 1-based `line`.
+    pub fn decode(fields: &[(String, Value)], line: usize) -> Result<Option<PointHeader>, String> {
+        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let uint = |key: &str| {
+            match get(key) {
+                Some(Value::UInt(u)) => Some(*u),
+                Some(Value::Int(i)) => u64::try_from(*i).ok(),
+                _ => None,
+            }
+            .ok_or_else(|| format!("line {line}: header missing `{key}`"))
+        };
+        let experiment = match get("experiment") {
+            None => return Ok(None),
+            Some(Value::Str(s)) => s.clone(),
+            Some(_) => return Err(format!("line {line}: header `experiment` not a string")),
+        };
+        Ok(Some(PointHeader {
+            experiment,
+            point: uint("point")?,
+            label: match get("label") {
+                Some(Value::Str(s)) => s.clone(),
+                _ => return Err(format!("line {line}: header missing `label`")),
+            },
+            seed: uint("seed")?,
+        }))
+    }
+}
 
 /// Common CLI arguments for all bench binaries.
 #[derive(Debug, Clone)]
@@ -318,8 +375,12 @@ impl<'a> Sweep<'a> {
             let _ = join.join();
             stats
         });
-        self.write_trace(exp, &runs);
-        self.write_prof(exp, &runs);
+        self.write_points(self.args.trace.as_deref(), exp, &runs, |r| {
+            r.trace_jsonl.as_deref()
+        });
+        self.write_points(self.args.prof.as_deref(), exp, &runs, |r| {
+            r.prof_json.as_deref()
+        });
         self.write_artifacts(
             exp,
             grid_len,
@@ -404,63 +465,42 @@ impl<'a> Sweep<'a> {
             .collect()
     }
 
-    /// Write the `--trace` JSONL file: every point's trace in grid order,
-    /// each introduced by a one-line point header object. Fully
-    /// deterministic — traces are captured per point on worker threads and
-    /// concatenated in submission order here.
-    fn write_trace<E: Experiment>(&self, exp: &E, runs: &[PointRun<E::Point, E::Output>]) {
-        let Some(path) = &self.args.trace else {
+    /// Write one `--trace` or `--prof` file: each point in grid order, as
+    /// its [`PointHeader`] line followed by the lines of `body` (the point's
+    /// trace records, or its one span-tree snapshot). Fully deterministic:
+    /// each body is captured per point on a worker thread and concatenated
+    /// in submission order here.
+    fn write_points<E: Experiment>(
+        &self,
+        path: Option<&Path>,
+        exp: &E,
+        runs: &[PointRun<E::Point, E::Output>],
+        body: impl Fn(&PointRun<E::Point, E::Output>) -> Option<&str>,
+    ) {
+        let Some(path) = path else {
             return;
         };
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir).expect("create trace dir");
+                fs::create_dir_all(dir).expect("create artifact dir");
             }
         }
         let mut out = String::new();
         for r in runs {
-            let header = Value::Object(vec![
-                ("experiment".into(), Value::Str(exp.name().into())),
-                ("point".into(), Value::UInt(r.index as u64)),
-                ("label".into(), Value::Str(r.label.clone())),
-                ("seed".into(), Value::UInt(r.seed)),
-            ]);
-            out.push_str(&serde_json::to_string(&header).expect("serialize trace header"));
+            let header = PointHeader {
+                experiment: exp.name().into(),
+                point: r.index as u64,
+                label: r.label.clone(),
+                seed: r.seed,
+            };
+            out.push_str(&header.to_line());
             out.push('\n');
-            out.push_str(r.trace_jsonl.as_deref().unwrap_or(""));
-        }
-        fs::write(path, out).expect("write trace jsonl");
-        eprintln!("wrote {}", path.display());
-    }
-
-    /// Write the `--prof` JSONL file: one point-header line plus one
-    /// span-tree snapshot line per point, in grid order. Wall timing is off
-    /// during capture, so the file is byte-identical at any `--jobs` level.
-    fn write_prof<E: Experiment>(&self, exp: &E, runs: &[PointRun<E::Point, E::Output>]) {
-        let Some(path) = &self.args.prof else {
-            return;
-        };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir).expect("create prof dir");
-            }
-        }
-        let mut out = String::new();
-        for r in runs {
-            let header = Value::Object(vec![
-                ("experiment".into(), Value::Str(exp.name().into())),
-                ("point".into(), Value::UInt(r.index as u64)),
-                ("label".into(), Value::Str(r.label.clone())),
-                ("seed".into(), Value::UInt(r.seed)),
-            ]);
-            out.push_str(&serde_json::to_string(&header).expect("serialize prof header"));
-            out.push('\n');
-            if let Some(p) = &r.prof_json {
-                out.push_str(p);
+            for line in body(r).unwrap_or("").lines() {
+                out.push_str(line);
                 out.push('\n');
             }
         }
-        fs::write(path, out).expect("write prof jsonl");
+        fs::write(path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
     }
 

@@ -3,11 +3,12 @@
 //!
 //! A trace file is a sequence of JSON lines. Two line shapes exist:
 //!
-//! * **Point headers** written by the bench sweep engine
-//!   (`{"experiment":…,"point":…,"label":…,"seed":…}`) introducing one
-//!   grid point's records; and
+//! * **Point headers** written by the bench sweep engine and read by
+//!   [`PointHeader::decode`]: a line with an `experiment` key introduces
+//!   one grid point's records; and
 //! * **Records** (`{"t":…,"layer":…,"kind":…,…}`) from
-//!   `TraceRecord::to_json_line`.
+//!   `TraceRecord::to_json_line`, whose shapes [`validate`] checks against
+//!   `powifi_sim::obs::trace::CATALOGUE`, the one declaration of the format.
 //!
 //! A headerless file (e.g. a raw `capture_jsonl` dump) parses as one
 //! anonymous point. All analysis here is pure and deterministic, so the
@@ -17,6 +18,8 @@
 //! accounting (`tshark_airtime`), which lets tests cross-check the two to
 //! 1e-9 (see `tests/trace_crosscheck.rs`).
 
+use crate::runner::PointHeader;
+use powifi_sim::obs::trace::{self, FieldType};
 use powifi_sim::SimDuration;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -65,25 +68,18 @@ impl Rec {
         }
     }
 
-    /// The record's primary entity id (`sta`, `iface` or `flow`), if any.
+    /// The record's primary entity id, by the rule of
+    /// [`trace::entity_of`].
     pub fn entity(&self) -> Option<u64> {
-        self.field_u64("sta")
-            .or_else(|| self.field_u64("iface"))
-            .or_else(|| self.field_u64("flow"))
+        trace::entity_of(|name| self.field_u64(name))
     }
 }
 
 /// One grid point's worth of records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracePoint {
-    /// Experiment name from the header (empty for headerless traces).
-    pub experiment: String,
-    /// Grid index from the header.
-    pub index: u64,
-    /// Point label from the header.
-    pub label: String,
-    /// Per-point seed from the header.
-    pub seed: u64,
+    /// The point's header (all defaults for a headerless trace).
+    pub header: PointHeader,
     /// The point's records, in file order.
     pub records: Vec<Rec>,
 }
@@ -102,16 +98,6 @@ impl ParsedTrace {
     }
 }
 
-fn anonymous_point() -> TracePoint {
-    TracePoint {
-        experiment: String::new(),
-        index: 0,
-        label: String::new(),
-        seed: 0,
-        records: Vec::new(),
-    }
-}
-
 /// Parse a trace file. Returns `Err` with a line number and reason on the
 /// first malformed line.
 pub fn parse(text: &str) -> Result<ParsedTrace, String> {
@@ -125,26 +111,14 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
         let Value::Object(entries) = v else {
             return Err(format!("line {lineno}: not a JSON object"));
         };
-        let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        if let Some(Value::UInt(index)) = get("point") {
-            // Point header.
-            let text_of = |name: &str| match get(name) {
-                Some(Value::Str(s)) => s.clone(),
-                _ => String::new(),
-            };
-            let uint_of = |name: &str| match get(name) {
-                Some(Value::UInt(u)) => *u,
-                _ => 0,
-            };
+        if let Some(header) = PointHeader::decode(&entries, lineno)? {
             out.points.push(TracePoint {
-                experiment: text_of("experiment"),
-                index: *index,
-                label: text_of("label"),
-                seed: uint_of("seed"),
+                header,
                 records: Vec::new(),
             });
             continue;
         }
+        let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
         let t_ns = match get("t") {
             Some(Value::UInt(t)) => *t,
             _ => return Err(format!("line {lineno}: record missing integer `t`")),
@@ -159,7 +133,10 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
             .cloned()
             .collect();
         if out.points.is_empty() {
-            out.points.push(anonymous_point());
+            out.points.push(TracePoint {
+                header: PointHeader::default(),
+                records: Vec::new(),
+            });
         }
         out.points.last_mut().unwrap().records.push(Rec {
             t_ns,
@@ -199,179 +176,38 @@ impl Filter {
     }
 }
 
-/// One event kind's expected shape: `(kind, layer, fields)` with fields in
-/// emission order.
-type KindSchema = (
-    &'static str,
-    &'static str,
-    &'static [(&'static str, FieldTy)],
-);
-
-/// Expected schema of every event kind. Mirrors
-/// `TraceRecord::to_json_line` — extend both together.
-const SCHEMA: &[KindSchema] = &[
-    (
-        "tx_start",
-        "mac",
-        &[
-            ("medium", FieldTy::U),
-            ("sta", FieldTy::U),
-            ("frame", FieldTy::S),
-            ("bytes", FieldTy::U),
-            ("rate_mbps", FieldTy::Rate),
-            ("collided", FieldTy::B),
-        ],
-    ),
-    (
-        "tx_end",
-        "mac",
-        &[("medium", FieldTy::U), ("sta", FieldTy::U)],
-    ),
-    (
-        "backoff_draw",
-        "mac",
-        &[
-            ("medium", FieldTy::U),
-            ("sta", FieldTy::U),
-            ("slots", FieldTy::U),
-            ("cw", FieldTy::U),
-        ],
-    ),
-    (
-        "difs_defer",
-        "mac",
-        &[("medium", FieldTy::U), ("sta", FieldTy::U)],
-    ),
-    ("ack", "mac", &[("medium", FieldTy::U), ("sta", FieldTy::U)]),
-    (
-        "retry",
-        "mac",
-        &[
-            ("medium", FieldTy::U),
-            ("sta", FieldTy::U),
-            ("retries", FieldTy::U),
-        ],
-    ),
-    (
-        "drop",
-        "mac",
-        &[
-            ("medium", FieldTy::U),
-            ("sta", FieldTy::U),
-            ("reason", FieldTy::S),
-        ],
-    ),
-    (
-        "injector_gate",
-        "core",
-        &[
-            ("iface", FieldTy::U),
-            ("open", FieldTy::B),
-            ("qdepth", FieldTy::U),
-        ],
-    ),
-    (
-        "power_packet",
-        "core",
-        &[("iface", FieldTy::U), ("bytes", FieldTy::U)],
-    ),
-    (
-        "storage_cross",
-        "harvest",
-        &[
-            ("volts", FieldTy::F),
-            ("threshold", FieldTy::F),
-            ("rising", FieldTy::B),
-        ],
-    ),
-    ("cold_start", "harvest", &[("volts", FieldTy::F)]),
-    ("brownout", "harvest", &[("volts", FieldTy::F)]),
-    (
-        "mppt_update",
-        "harvest",
-        &[("vref_volts", FieldTy::F), ("factor", FieldTy::F)],
-    ),
-    (
-        "tcp_rto",
-        "net",
-        &[
-            ("flow", FieldTy::U),
-            ("rto_s", FieldTy::F),
-            ("cwnd", FieldTy::F),
-        ],
-    ),
-    (
-        "tcp_cwnd",
-        "net",
-        &[
-            ("flow", FieldTy::U),
-            ("cwnd", FieldTy::F),
-            ("ssthresh", FieldTy::F),
-            ("cause", FieldTy::S),
-        ],
-    ),
-];
-
-/// Coarse JSON type class for schema validation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FieldTy {
-    /// Unsigned integer.
-    U,
-    /// Number (float or integer; non-finite floats serialize as `null`).
-    F,
-    /// String.
-    S,
-    /// Boolean.
-    B,
-    /// A finite positive number: a rate a frame can be sent at.
-    Rate,
-}
-
-fn type_ok(ty: FieldTy, v: &Value) -> bool {
-    match ty {
-        FieldTy::U => matches!(v, Value::UInt(_)),
-        FieldTy::F => matches!(
-            v,
-            Value::Float(_) | Value::UInt(_) | Value::Int(_) | Value::Null
-        ),
-        FieldTy::S => matches!(v, Value::Str(_)),
-        FieldTy::B => matches!(v, Value::Bool(_)),
-        FieldTy::Rate => match *v {
-            Value::Float(x) => x.is_finite() && x > 0.0,
-            Value::UInt(n) => n > 0,
-            _ => false,
-        },
-    }
-}
-
-/// Validate every record against the event schema. Returns one message per
-/// problem (empty = clean): unknown kinds, wrong layer, missing/extra
-/// fields, wrong field types, and a `rate_mbps` that is not finite and
-/// positive (`occupancy` skips such a frame).
+/// Validate every record against the event catalogue
+/// ([`trace::CATALOGUE`]). Returns one message per problem (empty =
+/// clean): unknown kinds, wrong layer, missing/extra fields, wrong field
+/// types, and a `rate_mbps` that is not finite and positive (`occupancy`
+/// skips such a frame).
 pub fn validate(trace: &ParsedTrace) -> Vec<String> {
     let mut problems = Vec::new();
     for (pi, point) in trace.points.iter().enumerate() {
         for (ri, rec) in point.records.iter().enumerate() {
             let loc = format!("line {}: point {pi} record {ri} ({})", rec.line, rec.kind);
-            let Some((_, layer, fields)) = SCHEMA.iter().find(|(k, _, _)| *k == rec.kind) else {
+            let Some(spec) = trace::CATALOGUE.iter().find(|k| k.kind == rec.kind) else {
                 problems.push(format!("{loc}: unknown event kind"));
                 continue;
             };
-            if rec.layer != *layer {
-                problems.push(format!("{loc}: layer `{}` should be `{layer}`", rec.layer));
+            if rec.layer != spec.layer {
+                problems.push(format!(
+                    "{loc}: layer `{}` should be `{}`",
+                    rec.layer, spec.layer
+                ));
             }
-            for (name, ty) in *fields {
+            for &(name, ty) in spec.fields {
                 match rec.field(name) {
                     None => problems.push(format!("{loc}: missing field `{name}`")),
-                    Some(v) if !type_ok(*ty, v) => problems.push(match ty {
-                        FieldTy::Rate => format!("{loc}: field `{name}` is not a positive rate"),
+                    Some(v) if !ty.admits(v) => problems.push(match ty {
+                        FieldType::Rate => format!("{loc}: field `{name}` is not a positive rate"),
                         _ => format!("{loc}: field `{name}` has wrong type"),
                     }),
                     Some(_) => {}
                 }
             }
             for (name, _) in &rec.fields {
-                if !fields.iter().any(|(n, _)| n == name) {
+                if !spec.fields.iter().any(|(n, _)| n == name) {
                     problems.push(format!("{loc}: unexpected field `{name}`"));
                 }
             }
@@ -454,18 +290,16 @@ pub fn occupancy(point: &TracePoint, end_ns: u64, sta: Option<u64>) -> BTreeMap<
 }
 
 /// Deterministically interleave several traces' records into one
-/// timeline — the engine of `powifi-obs trace merge`, for stitching
-/// per-shard or per-deployment JSONL files from city / fleet runs back
-/// together.
+/// timeline — the engine of `powifi-obs trace merge`.
 ///
 /// The sort key is `(t, seq, source index, source line)`: `seq` is the
-/// record's own `seq` field when it carries one (records captured from
-/// an `obs::stream` wire session do), falling back to the source-file
-/// line number, so plain trace files keep their file order at equal
-/// timestamps and ties across files resolve by argument position. The
-/// key is total, so the merged order is a pure function of the inputs —
-/// re-running the merge reproduces it byte for byte. Point headers are
-/// not carried over: the merged stream is one anonymous timeline.
+/// record's own `seq` field when it carries one (no writer in this
+/// workspace adds one), falling back to the source-file line number, so
+/// trace files keep their file order at equal timestamps and ties across
+/// files resolve by argument position. The key is total, so the merged
+/// order is a pure function of the inputs — re-running the merge
+/// reproduces it byte for byte. Point headers are not carried over: the
+/// merged stream is one anonymous timeline.
 pub fn merge(traces: &[ParsedTrace]) -> Vec<&Rec> {
     let mut keyed: Vec<(u64, u64, usize, usize, &Rec)> = Vec::new();
     for (src, trace) in traces.iter().enumerate() {
@@ -489,26 +323,25 @@ pub fn diff(a: &ParsedTrace, b: &ParsedTrace) -> Option<String> {
         ));
     }
     for (pi, (pa, pb)) in a.points.iter().zip(&b.points).enumerate() {
-        if (pa.experiment.as_str(), &pa.label, pa.seed)
-            != (pb.experiment.as_str(), &pb.label, pb.seed)
-        {
+        let (ha, hb) = (&pa.header, &pb.header);
+        if (&ha.experiment, &ha.label, ha.seed) != (&hb.experiment, &hb.label, hb.seed) {
             return Some(format!(
                 "point {pi} header differs: {}/{}#{} vs {}/{}#{}",
-                pa.experiment, pa.label, pa.seed, pb.experiment, pb.label, pb.seed
+                ha.experiment, ha.label, ha.seed, hb.experiment, hb.label, hb.seed
             ));
         }
         for (ri, (ra, rb)) in pa.records.iter().zip(&pb.records).enumerate() {
             if ra.raw != rb.raw {
                 return Some(format!(
                     "point {pi} ({}) record {ri} differs:\n  a: {}\n  b: {}",
-                    pa.label, ra.raw, rb.raw
+                    ha.label, ra.raw, rb.raw
                 ));
             }
         }
         if pa.records.len() != pb.records.len() {
             return Some(format!(
                 "point {pi} ({}) record count differs: {} vs {}",
-                pa.label,
+                ha.label,
                 pa.records.len(),
                 pb.records.len()
             ));
@@ -564,7 +397,11 @@ mod tests {
         assert_eq!(t.points.len(), 1);
         let p = &t.points[0];
         assert_eq!(
-            (p.experiment.as_str(), p.label.as_str(), p.seed),
+            (
+                p.header.experiment.as_str(),
+                p.header.label.as_str(),
+                p.header.seed
+            ),
             ("demo", "p0", 7)
         );
         assert_eq!(p.records.len(), 3);
@@ -582,7 +419,7 @@ mod tests {
             .join("\n");
         let t = parse(&body).unwrap();
         assert_eq!(t.points.len(), 1);
-        assert_eq!(t.points[0].label, "");
+        assert_eq!(t.points[0].header, PointHeader::default());
         assert_eq!(t.points[0].records.len(), 3);
     }
 
@@ -590,6 +427,138 @@ mod tests {
     fn rendered_events_validate_cleanly() {
         let t = parse(&sample_jsonl()).unwrap();
         assert_eq!(validate(&t), Vec::<String>::new());
+    }
+
+    #[test]
+    fn every_kind_renders_its_pinned_line_and_validates() {
+        use powifi_sim::obs::trace::{CwndCause, DropReason};
+        let rows = [
+            (
+                TraceEvent::MacTxStart {
+                    medium: 1,
+                    sta: 2,
+                    frame: FrameClass::Management,
+                    bytes: 1536,
+                    rate_mbps: 5.5,
+                    collided: true,
+                },
+                r#"{"t":1000,"layer":"mac","kind":"tx_start","medium":1,"sta":2,"frame":"mgmt","bytes":1536,"rate_mbps":5.5,"collided":true}"#,
+            ),
+            (
+                TraceEvent::MacTxEnd { medium: 1, sta: 2 },
+                r#"{"t":2000,"layer":"mac","kind":"tx_end","medium":1,"sta":2}"#,
+            ),
+            (
+                TraceEvent::MacBackoffDraw {
+                    medium: 0,
+                    sta: 3,
+                    slots: 7,
+                    cw: 15,
+                },
+                r#"{"t":3000,"layer":"mac","kind":"backoff_draw","medium":0,"sta":3,"slots":7,"cw":15}"#,
+            ),
+            (
+                TraceEvent::MacDifsDefer { medium: 0, sta: 4 },
+                r#"{"t":4000,"layer":"mac","kind":"difs_defer","medium":0,"sta":4}"#,
+            ),
+            (
+                TraceEvent::MacAck { medium: 2, sta: 5 },
+                r#"{"t":5000,"layer":"mac","kind":"ack","medium":2,"sta":5}"#,
+            ),
+            (
+                TraceEvent::MacRetry {
+                    medium: 2,
+                    sta: 5,
+                    retries: 3,
+                },
+                r#"{"t":6000,"layer":"mac","kind":"retry","medium":2,"sta":5,"retries":3}"#,
+            ),
+            (
+                TraceEvent::MacDrop {
+                    medium: 2,
+                    sta: 5,
+                    reason: DropReason::RetryLimit,
+                },
+                r#"{"t":7000,"layer":"mac","kind":"drop","medium":2,"sta":5,"reason":"retry_limit"}"#,
+            ),
+            (
+                TraceEvent::InjectorGate {
+                    iface: 0,
+                    open: false,
+                    qdepth: 12,
+                },
+                r#"{"t":8000,"layer":"core","kind":"injector_gate","iface":0,"open":false,"qdepth":12}"#,
+            ),
+            (
+                TraceEvent::PowerPacket {
+                    iface: 1,
+                    bytes: 1500,
+                },
+                r#"{"t":9000,"layer":"core","kind":"power_packet","iface":1,"bytes":1500}"#,
+            ),
+            (
+                TraceEvent::StorageCross {
+                    volts: 2.4,
+                    threshold: 2.35,
+                    rising: true,
+                },
+                r#"{"t":10000,"layer":"harvest","kind":"storage_cross","volts":2.4,"threshold":2.35,"rising":true}"#,
+            ),
+            (
+                TraceEvent::ColdStart { volts: 2.4 },
+                r#"{"t":11000,"layer":"harvest","kind":"cold_start","volts":2.4}"#,
+            ),
+            (
+                TraceEvent::Brownout { volts: 1.8 },
+                r#"{"t":12000,"layer":"harvest","kind":"brownout","volts":1.8}"#,
+            ),
+            (
+                TraceEvent::MpptUpdate {
+                    vref_volts: 0.25,
+                    factor: f64::NAN,
+                },
+                r#"{"t":13000,"layer":"harvest","kind":"mppt_update","vref_volts":0.25,"factor":null}"#,
+            ),
+            (
+                TraceEvent::TcpRto {
+                    flow: 7,
+                    rto_s: 0.2,
+                    cwnd: 1.0,
+                },
+                r#"{"t":14000,"layer":"net","kind":"tcp_rto","flow":7,"rto_s":0.2,"cwnd":1.0}"#,
+            ),
+            (
+                TraceEvent::TcpCwnd {
+                    flow: 7,
+                    cwnd: 5.0,
+                    ssthresh: 5.0,
+                    cause: CwndCause::Recovered,
+                },
+                r#"{"t":15000,"layer":"net","kind":"tcp_cwnd","flow":7,"cwnd":5.0,"ssthresh":5.0,"cause":"recovered"}"#,
+            ),
+        ];
+        let mut text = String::new();
+        for (i, (event, want)) in rows.iter().enumerate() {
+            let line = TraceRecord {
+                at: SimTime::from_micros(i as u64 + 1),
+                event: *event,
+            }
+            .to_json_line();
+            assert_eq!(line, *want);
+            text.push_str(&line);
+            text.push('\n');
+        }
+        let t = parse(&text).unwrap();
+        assert_eq!(validate(&t), Vec::<String>::new());
+        let recs: Vec<&Rec> = t.records().collect();
+        assert_eq!(recs.len(), rows.len());
+        for (rec, (event, _)) in recs.iter().zip(&rows) {
+            assert_eq!(
+                (rec.layer.as_str(), rec.kind.as_str()),
+                (event.layer(), event.kind())
+            );
+            assert_eq!(rec.entity(), event.entity().map(u64::from), "{}", rec.raw);
+        }
     }
 
     #[test]

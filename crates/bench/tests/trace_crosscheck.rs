@@ -62,7 +62,7 @@ fn trace_derived_occupancy_matches_mac_accounting() {
     let trace_text = fs::read_to_string(&trace_path).unwrap();
     let trace = traceinspect::parse(&trace_text).expect("trace parses");
     assert_eq!(trace.points.len(), 1);
-    assert_eq!(trace.points[0].label, POINT);
+    assert_eq!(trace.points[0].header.label, POINT);
     assert!(
         traceinspect::validate(&trace).is_empty(),
         "trace must be schema-clean"

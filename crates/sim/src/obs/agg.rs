@@ -289,9 +289,9 @@ impl Aggregator {
                 self.ckpt_hashes
                     .insert((deployment, get_u64(entries, "shard"), epoch), hash);
             }
-            // Traces pass through untouched; `end` only extends max_t
-            // (already done above) so the final partial window renders.
-            "trace" | "end" => {}
+            // `end` only extends max_t (already done above) so the final
+            // partial window renders.
+            "end" => {}
             other => return Err(format!("unknown record kind `{other}`")),
         }
         Ok(())
@@ -592,6 +592,14 @@ mod tests {
         assert!(agg
             .ingest_line("{\"seq\":0,\"deployment\":\"d\",\"kind\":\"nope\",\"t\":1}")
             .is_err());
+        assert_eq!(
+            agg.ingest_line(
+                "{\"seq\":0,\"deployment\":\"d\",\"kind\":\"trace\",\"t\":1,\
+                 \"trace\":{\"t\":1,\"layer\":\"mac\",\"kind\":\"ack\",\"medium\":0,\"sta\":1}}"
+            ),
+            Err("unknown record kind `trace`".to_string()),
+            "nothing writes a `trace` record"
+        );
         assert!(agg.ingest_line("").is_ok(), "blank lines are fine");
     }
 

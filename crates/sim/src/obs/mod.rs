@@ -23,15 +23,16 @@
 //! only written at run boundaries (end-of-run totals, batched event counts).
 //!
 //! Batch artifacts are not the whole story: [`stream`] frames live
-//! metrics/trace/progress records as NDJSON over a bounded non-blocking
+//! metrics/progress/ckpt records as NDJSON over a bounded non-blocking
 //! egress (overflow drops-with-counter, never blocks the event loop), and
 //! [`agg`] rolls any such stream — live socket or recorded capture — into
 //! deterministic tumbling sim-time windows. `powifi-fleetd` serves multiple
 //! deployments over one TCP listener; `powifi-obs fleet` watches, records
 //! and aggregates them.
 //!
-//! See `docs/OBSERVABILITY.md` for the full event catalogue, the
-//! `powifi-obs` inspector, and the streaming wire format.
+//! The event catalogue is declared once, in [`trace`]. See
+//! `docs/OBSERVABILITY.md` for the event kinds, the `powifi-obs`
+//! inspector, and the streaming wire format.
 
 pub mod agg;
 pub mod metrics;

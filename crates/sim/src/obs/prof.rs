@@ -626,20 +626,33 @@ impl ProfSnapshot {
 }
 
 /// Run `f` with the profiler enabled (sim-time only, wall off) on this
-/// thread, returning its result and the final snapshot. Restores the
-/// previous enabled/wall flags afterwards, so captures nest safely.
+/// thread, returning its result and the tree it recorded. The caller's
+/// tree (hot-slot counts included), open span, tick and flags are taken
+/// first and put back afterwards, so captures nest: an inner capture's
+/// spans stay out of the outer one, which keeps recording after it.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, ProfSnapshot) {
-    let prev_enabled = enabled();
-    let prev_wall = wall_enabled();
-    enable(false);
+    let (state, cur, tick, was_enabled, was_wall) = PROF.with(|p| {
+        let mut s = p.state.borrow_mut();
+        p.flush_hot(&mut s);
+        let tick = p.tick.get();
+        p.clear_hot();
+        (
+            std::mem::replace(&mut *s, ProfState::new()),
+            p.cur.replace(0),
+            tick,
+            p.enabled.replace(true),
+            p.wall.replace(false),
+        )
+    });
     let out = f();
     let snap = snapshot();
     PROF.with(|p| {
-        p.enabled.set(prev_enabled);
-        p.wall.set(prev_wall);
-        p.state.borrow_mut().clear();
+        *p.state.borrow_mut() = state;
         p.clear_hot();
-        p.cur.set(0);
+        p.tick.set(tick);
+        p.cur.set(cur);
+        p.enabled.set(was_enabled);
+        p.wall.set(was_wall);
     });
     (out, snap)
 }
@@ -782,6 +795,41 @@ mod tests {
              \x20   t.b count=1 total=5ns self=5ns max=5ns\n"
         );
         assert_eq!(ProfSnapshot::default().render_tree(), "  (no spans)\n");
+    }
+
+    #[test]
+    fn captures_nest() {
+        let flat = |s: &ProfSnapshot| -> Vec<(String, u64, u64)> {
+            s.flatten()
+                .into_iter()
+                .map(|(path, sp)| (path, sp.count, sp.sim_self_ns))
+                .collect()
+        };
+        let (inner, outer) = capture(|| {
+            let _outer = span("t.outer");
+            attr(SimDuration::from_nanos(5));
+            drop(span("t.before"));
+            // The second entry banks its count in a hot slot.
+            drop(span("t.before"));
+            let ((), inner) = capture(|| {
+                let _inner = span("t.inner");
+                attr(SimDuration::from_nanos(1));
+            });
+            assert!(enabled(), "the outer capture keeps recording");
+            attr(SimDuration::from_nanos(7));
+            drop(span("t.after"));
+            inner
+        });
+        assert!(!enabled());
+        assert_eq!(flat(&inner), [("t.inner".to_string(), 1, 1)]);
+        assert_eq!(
+            flat(&outer),
+            [
+                ("t.outer".to_string(), 1, 12),
+                ("t.outer;t.after".to_string(), 1, 0),
+                ("t.outer;t.before".to_string(), 2, 0),
+            ]
+        );
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   with a monotonically increasing session-wide `seq` assigned at the
 //!   egress queue (the single serialization point), so a consumer detects
 //!   loss as a gap. Record kinds are `metrics` (a full
-//!   [`MetricsSnapshot`] at a sim-time epoch boundary), `trace` (one
-//!   [`trace::TraceRecord`]), `progress` (cumulative per-shard counters
-//!   from the sharded city runtime, tagged with `shard`), `ckpt` (a
-//!   checkpoint was written: the epoch it covers plus the content hash of
-//!   the state tree, so consumers can correlate resume points with the
-//!   telemetry timeline), and `end` (the deployment finished; carries the
-//!   final drop counter).
+//!   [`MetricsSnapshot`] at a sim-time epoch boundary), `progress`
+//!   (cumulative per-shard counters from the sharded city runtime, tagged
+//!   with `shard`), `ckpt` (a checkpoint was written: the epoch it covers
+//!   plus the content hash of the state tree, so consumers can correlate
+//!   resume points with the telemetry timeline), and `end` (the
+//!   deployment finished; carries the final drop counter).
 //!
 //! ## Backpressure: drop-with-counter, never block
 //!
@@ -41,7 +40,6 @@
 //! connects a stream to a TCP consumer and drains it from a writer thread.
 
 use super::metrics::{self, MetricsSnapshot};
-use super::trace::TraceRecord;
 use crate::SimTime;
 use serde_json::write_string;
 use std::cell::RefCell;
@@ -276,15 +274,6 @@ impl Handle {
         let mut body = self.body_prefix("metrics", t);
         body.push_str(",\"metrics\":");
         body.push_str(&snapshot.to_json());
-        body.push('}');
-        self.egress.push_record(&body)
-    }
-
-    /// Emit a `trace` record wrapping one structured trace event.
-    pub fn emit_trace(&self, rec: &TraceRecord) -> PushOutcome {
-        let mut body = self.body_prefix("trace", rec.at);
-        body.push_str(",\"trace\":");
-        body.push_str(&rec.to_json_line());
         body.push('}');
         self.egress.push_record(&body)
     }

@@ -8,6 +8,15 @@
 //! storage-voltage crossings (cold start / brownout) and MPPT updates, and
 //! TCP RTO / cwnd transitions.
 //!
+//! This module is the one definition of the trace record format. The
+//! `trace_catalogue!` invocation below declares each kind once: its
+//! variant, tag, layer, and fields in emission order with their JSON
+//! types ([`FieldType`]). [`TraceEvent::layer`], [`TraceEvent::kind`],
+//! [`TraceEvent::entity`] and [`TraceRecord::to_json_line`] are derived
+//! from it, and the exported [`CATALOGUE`] is what `powifi-obs trace
+//! validate` checks records against, so a new kind is an edit to this
+//! file alone.
+//!
 //! Recording is thread-local, like [`crate::conformance`]: a harness runs
 //! the simulation inside [`capture_jsonl`], which turns tracing on for the
 //! closure and hands back what it recorded; instrumented hot paths pay
@@ -23,7 +32,8 @@ use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 
 use crate::time::SimTime;
-use serde_json::write_float;
+use serde::Value;
+use serde_json::{write_float, write_string};
 
 /// Classification of a MAC frame in trace records (mirrors the MAC layer's
 /// frame kinds without depending on it).
@@ -89,202 +99,305 @@ impl CwndCause {
     }
 }
 
-/// One typed trace event. Field units: times in integer nanoseconds (the
-/// record carries the timestamp), rates in Mbps, voltages in volts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A station won arbitration and its frame hit the air.
-    MacTxStart {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Transmitting station id.
-        sta: u32,
-        /// Frame classification.
-        frame: FrameClass,
-        /// Full MPDU size in bytes.
-        bytes: u32,
-        /// PHY rate in Mbps.
-        rate_mbps: f64,
-        /// True when this transmission overlapped another winner.
-        collided: bool,
-    },
-    /// A transmission (and any ACK wait) finished.
-    MacTxEnd {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Transmitting station id.
-        sta: u32,
-    },
-    /// A station drew a fresh backoff.
-    MacBackoffDraw {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Station id.
-        sta: u32,
-        /// Slots drawn, `0..=cw`.
-        slots: u32,
-        /// Contention window the draw was taken from.
-        cw: u32,
-    },
-    /// A station wanting the medium found it busy and deferred (will
-    /// re-arm DIFS + backoff after the medium clears).
-    MacDifsDefer {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Station id.
-        sta: u32,
-    },
-    /// Unicast frame was acknowledged.
-    MacAck {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Station id whose frame was ACKed.
-        sta: u32,
-    },
-    /// Unicast frame collided and will be retried with a doubled window.
-    MacRetry {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Station id.
-        sta: u32,
-        /// Retry count after this failure.
-        retries: u32,
-    },
-    /// Frame was dropped.
-    MacDrop {
-        /// Medium (channel) index.
-        medium: u32,
-        /// Station id.
-        sta: u32,
-        /// Why it was dropped.
-        reason: DropReason,
-    },
-    /// The injector's queue-depth gate changed state (§3.1: transmit only
-    /// when the queue is shallower than the threshold).
-    InjectorGate {
-        /// Interface (router station) id.
-        iface: u32,
-        /// True when the gate opened (admitting power packets).
-        open: bool,
-        /// Transmit-queue depth observed at the decision.
-        qdepth: u32,
-    },
-    /// The injector emitted one power packet.
-    PowerPacket {
-        /// Interface (router station) id.
-        iface: u32,
-        /// Payload size in bytes.
-        bytes: u32,
-    },
-    /// Harvester storage voltage crossed the output-switch threshold.
-    StorageCross {
-        /// Storage voltage at the crossing.
-        volts: f64,
-        /// Threshold crossed.
-        threshold: f64,
-        /// True for an upward crossing.
-        rising: bool,
-    },
-    /// Output switch turned on: stored energy reached the cold-start point.
-    ColdStart {
-        /// Storage voltage at turn-on.
-        volts: f64,
-    },
-    /// Output switch turned off: the load browned out.
-    Brownout {
-        /// Storage voltage at turn-off.
-        volts: f64,
-    },
-    /// Boost-converter MPPT operating point update.
-    MpptUpdate {
-        /// MPPT reference voltage.
-        vref_volts: f64,
-        /// Relative harvest efficiency at that reference.
-        factor: f64,
-    },
-    /// TCP retransmission timeout fired.
-    TcpRto {
-        /// Flow id.
-        flow: u32,
-        /// RTO that just expired, in seconds.
-        rto_s: f64,
-        /// Congestion window after the collapse, in segments.
-        cwnd: f64,
-    },
-    /// TCP congestion window changed discontinuously.
-    TcpCwnd {
-        /// Flow id.
-        flow: u32,
-        /// New congestion window, in segments.
-        cwnd: f64,
-        /// New slow-start threshold, in segments.
-        ssthresh: f64,
-        /// What triggered the change.
-        cause: CwndCause,
-    },
+/// The JSON type of a trace field, as [`TraceRecord::to_json_line`] writes
+/// it and `powifi-obs trace validate` checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// Unsigned integer.
+    Uint,
+    /// Number; a non-finite float is written as `null`.
+    Number,
+    /// String.
+    Str,
+    /// Boolean.
+    Bool,
+    /// A finite positive number: a rate a frame can be sent at.
+    Rate,
+}
+
+impl FieldType {
+    /// Does a parsed field value have this type?
+    pub fn admits(self, v: &Value) -> bool {
+        match self {
+            FieldType::Uint => matches!(v, Value::UInt(_)),
+            FieldType::Number => matches!(
+                v,
+                Value::Float(_) | Value::UInt(_) | Value::Int(_) | Value::Null
+            ),
+            FieldType::Str => matches!(v, Value::Str(_)),
+            FieldType::Bool => matches!(v, Value::Bool(_)),
+            FieldType::Rate => {
+                matches!(*v, Value::Float(x) if x.is_finite() && x > 0.0)
+                    || matches!(*v, Value::UInt(n) if n > 0)
+            }
+        }
+    }
+}
+
+/// One event kind's record shape: `{"t":…,"layer":…,"kind":…}` followed
+/// by its fields in this order.
+#[derive(Debug)]
+pub struct KindSpec {
+    /// Stable event-kind tag.
+    pub kind: &'static str,
+    /// Subsystem that emits the kind: `mac`, `core`, `harvest`, `net`.
+    pub layer: &'static str,
+    /// Field names in emission order, each with its JSON type.
+    pub fields: &'static [(&'static str, FieldType)],
+}
+
+/// A record's primary entity, the id `powifi-obs trace filter --entity`
+/// filters on: its `sta` field, else its `iface`, else its `flow`. `get`
+/// reads one unsigned field by name.
+pub fn entity_of<T>(get: impl FnMut(&str) -> Option<T>) -> Option<T> {
+    ["sta", "iface", "flow"].into_iter().find_map(get)
+}
+
+/// One field value of an event, as it is written.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    Uint(u32),
+    Number(f64),
+    Str(&'static str),
+    Bool(bool),
+}
+
+impl Field {
+    fn write(self, out: &mut String) {
+        match self {
+            Field::Uint(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Field::Number(x) => write_float(out, x),
+            Field::Str(label) => write_string(out, label),
+            Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        }
+    }
+}
+
+/// The [`Field`] a field of the given [`FieldType`] holds; a mismatch
+/// between a field's Rust type and its declared JSON type fails to compile.
+macro_rules! field {
+    (Uint, $v:expr) => {
+        Field::Uint($v)
+    };
+    (Number, $v:expr) => {
+        Field::Number($v)
+    };
+    (Rate, $v:expr) => {
+        Field::Number($v)
+    };
+    (Str, $v:expr) => {
+        Field::Str($v.label())
+    };
+    (Bool, $v:expr) => {
+        Field::Bool($v)
+    };
+}
+
+/// Declare the event catalogue: each kind once, as a [`TraceEvent`]
+/// variant `Variant = "kind" in "layer" { field: RustType as FieldType }`
+/// with its fields in emission order. The enum, [`CATALOGUE`] and the one
+/// per-kind match behind [`TraceEvent::layer`], [`TraceEvent::kind`],
+/// [`TraceEvent::entity`] and [`TraceRecord::to_json_line`] all come from
+/// this list.
+macro_rules! trace_catalogue {
+    ($(#[$meta:meta])* pub enum TraceEvent { $(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $kind:literal in $layer:literal {
+            $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty as $json:ident,)+
+        },
+    )+ }) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $($(#[doc = $doc])* $variant { $($(#[doc = $fdoc])* $field: $ty,)+ },)+
+        }
+
+        /// Every event kind's record shape, in declaration order.
+        pub const CATALOGUE: &[KindSpec] = &[$(KindSpec {
+            kind: $kind,
+            layer: $layer,
+            fields: &[$((stringify!($field), FieldType::$json)),+],
+        }),+];
+
+        impl TraceEvent {
+            /// Call `f` with this event's catalogue entry and its field
+            /// values in emission order.
+            fn with_parts<R>(&self, f: impl FnOnce(&'static KindSpec, &[Field]) -> R) -> R {
+                enum Index {
+                    $($variant),+
+                }
+                match *self {
+                    $(TraceEvent::$variant { $($field),+ } => f(
+                        &CATALOGUE[Index::$variant as usize],
+                        &[$(field!($json, $field)),+],
+                    ),)+
+                }
+            }
+        }
+    };
+}
+
+trace_catalogue! {
+    /// One typed trace event. Field units: times in integer nanoseconds (the
+    /// record carries the timestamp), rates in Mbps, voltages in volts.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum TraceEvent {
+        /// A station won arbitration and its frame hit the air.
+        MacTxStart = "tx_start" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Transmitting station id.
+            sta: u32 as Uint,
+            /// Frame classification.
+            frame: FrameClass as Str,
+            /// Full MPDU size in bytes.
+            bytes: u32 as Uint,
+            /// PHY rate in Mbps.
+            rate_mbps: f64 as Rate,
+            /// True when this transmission overlapped another winner.
+            collided: bool as Bool,
+        },
+        /// A transmission (and any ACK wait) finished.
+        MacTxEnd = "tx_end" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Transmitting station id.
+            sta: u32 as Uint,
+        },
+        /// A station drew a fresh backoff.
+        MacBackoffDraw = "backoff_draw" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Station id.
+            sta: u32 as Uint,
+            /// Slots drawn, `0..=cw`.
+            slots: u32 as Uint,
+            /// Contention window the draw was taken from.
+            cw: u32 as Uint,
+        },
+        /// A station wanting the medium found it busy and deferred (will
+        /// re-arm DIFS + backoff after the medium clears).
+        MacDifsDefer = "difs_defer" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Station id.
+            sta: u32 as Uint,
+        },
+        /// Unicast frame was acknowledged.
+        MacAck = "ack" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Station id whose frame was ACKed.
+            sta: u32 as Uint,
+        },
+        /// Unicast frame collided and will be retried with a doubled window.
+        MacRetry = "retry" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Station id.
+            sta: u32 as Uint,
+            /// Retry count after this failure.
+            retries: u32 as Uint,
+        },
+        /// Frame was dropped.
+        MacDrop = "drop" in "mac" {
+            /// Medium (channel) index.
+            medium: u32 as Uint,
+            /// Station id.
+            sta: u32 as Uint,
+            /// Why it was dropped.
+            reason: DropReason as Str,
+        },
+        /// The injector's queue-depth gate changed state (§3.1: transmit only
+        /// when the queue is shallower than the threshold).
+        InjectorGate = "injector_gate" in "core" {
+            /// Interface (router station) id.
+            iface: u32 as Uint,
+            /// True when the gate opened (admitting power packets).
+            open: bool as Bool,
+            /// Transmit-queue depth observed at the decision.
+            qdepth: u32 as Uint,
+        },
+        /// The injector emitted one power packet.
+        PowerPacket = "power_packet" in "core" {
+            /// Interface (router station) id.
+            iface: u32 as Uint,
+            /// Payload size in bytes.
+            bytes: u32 as Uint,
+        },
+        /// Harvester storage voltage crossed the output-switch threshold.
+        StorageCross = "storage_cross" in "harvest" {
+            /// Storage voltage at the crossing.
+            volts: f64 as Number,
+            /// Threshold crossed.
+            threshold: f64 as Number,
+            /// True for an upward crossing.
+            rising: bool as Bool,
+        },
+        /// Output switch turned on: stored energy reached the cold-start point.
+        ColdStart = "cold_start" in "harvest" {
+            /// Storage voltage at turn-on.
+            volts: f64 as Number,
+        },
+        /// Output switch turned off: the load browned out.
+        Brownout = "brownout" in "harvest" {
+            /// Storage voltage at turn-off.
+            volts: f64 as Number,
+        },
+        /// Boost-converter MPPT operating point update.
+        MpptUpdate = "mppt_update" in "harvest" {
+            /// MPPT reference voltage.
+            vref_volts: f64 as Number,
+            /// Relative harvest efficiency at that reference.
+            factor: f64 as Number,
+        },
+        /// TCP retransmission timeout fired.
+        TcpRto = "tcp_rto" in "net" {
+            /// Flow id.
+            flow: u32 as Uint,
+            /// RTO that just expired, in seconds.
+            rto_s: f64 as Number,
+            /// Congestion window after the collapse, in segments.
+            cwnd: f64 as Number,
+        },
+        /// TCP congestion window changed discontinuously.
+        TcpCwnd = "tcp_cwnd" in "net" {
+            /// Flow id.
+            flow: u32 as Uint,
+            /// New congestion window, in segments.
+            cwnd: f64 as Number,
+            /// New slow-start threshold, in segments.
+            ssthresh: f64 as Number,
+            /// What triggered the change.
+            cause: CwndCause as Str,
+        },
+    }
 }
 
 impl TraceEvent {
     /// Subsystem that emitted the event: `mac`, `core`, `harvest`, `net`.
     pub fn layer(&self) -> &'static str {
-        match self {
-            TraceEvent::MacTxStart { .. }
-            | TraceEvent::MacTxEnd { .. }
-            | TraceEvent::MacBackoffDraw { .. }
-            | TraceEvent::MacDifsDefer { .. }
-            | TraceEvent::MacAck { .. }
-            | TraceEvent::MacRetry { .. }
-            | TraceEvent::MacDrop { .. } => "mac",
-            TraceEvent::InjectorGate { .. } | TraceEvent::PowerPacket { .. } => "core",
-            TraceEvent::StorageCross { .. }
-            | TraceEvent::ColdStart { .. }
-            | TraceEvent::Brownout { .. }
-            | TraceEvent::MpptUpdate { .. } => "harvest",
-            TraceEvent::TcpRto { .. } | TraceEvent::TcpCwnd { .. } => "net",
-        }
+        self.with_parts(|spec, _| spec.layer)
     }
 
     /// Stable event-kind tag used in rendered records and filters.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::MacTxStart { .. } => "tx_start",
-            TraceEvent::MacTxEnd { .. } => "tx_end",
-            TraceEvent::MacBackoffDraw { .. } => "backoff_draw",
-            TraceEvent::MacDifsDefer { .. } => "difs_defer",
-            TraceEvent::MacAck { .. } => "ack",
-            TraceEvent::MacRetry { .. } => "retry",
-            TraceEvent::MacDrop { .. } => "drop",
-            TraceEvent::InjectorGate { .. } => "injector_gate",
-            TraceEvent::PowerPacket { .. } => "power_packet",
-            TraceEvent::StorageCross { .. } => "storage_cross",
-            TraceEvent::ColdStart { .. } => "cold_start",
-            TraceEvent::Brownout { .. } => "brownout",
-            TraceEvent::MpptUpdate { .. } => "mppt_update",
-            TraceEvent::TcpRto { .. } => "tcp_rto",
-            TraceEvent::TcpCwnd { .. } => "tcp_cwnd",
-        }
+        self.with_parts(|spec, _| spec.kind)
     }
 
     /// Primary entity id (station, interface or flow) when the event has
-    /// one — the id `powifi-obs trace filter --entity` filters on.
+    /// one, by the rule of [`entity_of`].
     pub fn entity(&self) -> Option<u32> {
-        match *self {
-            TraceEvent::MacTxStart { sta, .. }
-            | TraceEvent::MacTxEnd { sta, .. }
-            | TraceEvent::MacBackoffDraw { sta, .. }
-            | TraceEvent::MacDifsDefer { sta, .. }
-            | TraceEvent::MacAck { sta, .. }
-            | TraceEvent::MacRetry { sta, .. }
-            | TraceEvent::MacDrop { sta, .. } => Some(sta),
-            TraceEvent::InjectorGate { iface, .. } | TraceEvent::PowerPacket { iface, .. } => {
-                Some(iface)
-            }
-            TraceEvent::TcpRto { flow, .. } | TraceEvent::TcpCwnd { flow, .. } => Some(flow),
-            TraceEvent::StorageCross { .. }
-            | TraceEvent::ColdStart { .. }
-            | TraceEvent::Brownout { .. }
-            | TraceEvent::MpptUpdate { .. } => None,
-        }
+        self.with_parts(|spec, values| {
+            entity_of(|name| {
+                let i = spec.fields.iter().position(|&(n, _)| n == name)?;
+                let Field::Uint(id) = values[i] else {
+                    return None;
+                };
+                Some(id)
+            })
+        })
     }
 }
 
@@ -299,126 +412,27 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Render as one line of stable JSON (no trailing newline). Field
-    /// order is fixed: `t`, `layer`, `kind`, then event-specific fields.
+    /// order is fixed: `t`, `layer`, `kind`, then the kind's fields in
+    /// [`CATALOGUE`] order.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"t\":{},\"layer\":\"{}\",\"kind\":\"{}\"",
-            self.at.as_nanos(),
-            self.event.layer(),
-            self.event.kind()
-        );
-        match self.event {
-            TraceEvent::MacTxStart {
-                medium,
-                sta,
-                frame,
-                bytes,
-                rate_mbps,
-                collided,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"medium\":{medium},\"sta\":{sta},\"frame\":\"{}\",\"bytes\":{bytes},\"rate_mbps\":",
-                    frame.label()
-                );
-                write_float(&mut s, rate_mbps);
-                let _ = write!(s, ",\"collided\":{collided}");
+        self.event.with_parts(|spec, values| {
+            let mut s = String::with_capacity(96);
+            let _ = write!(
+                s,
+                "{{\"t\":{},\"layer\":\"{}\",\"kind\":\"{}\"",
+                self.at.as_nanos(),
+                spec.layer,
+                spec.kind
+            );
+            for (&(name, _), value) in spec.fields.iter().zip(values) {
+                s.push_str(",\"");
+                s.push_str(name);
+                s.push_str("\":");
+                value.write(&mut s);
             }
-            TraceEvent::MacTxEnd { medium, sta } => {
-                let _ = write!(s, ",\"medium\":{medium},\"sta\":{sta}");
-            }
-            TraceEvent::MacBackoffDraw {
-                medium,
-                sta,
-                slots,
-                cw,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"medium\":{medium},\"sta\":{sta},\"slots\":{slots},\"cw\":{cw}"
-                );
-            }
-            TraceEvent::MacDifsDefer { medium, sta } => {
-                let _ = write!(s, ",\"medium\":{medium},\"sta\":{sta}");
-            }
-            TraceEvent::MacAck { medium, sta } => {
-                let _ = write!(s, ",\"medium\":{medium},\"sta\":{sta}");
-            }
-            TraceEvent::MacRetry {
-                medium,
-                sta,
-                retries,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"medium\":{medium},\"sta\":{sta},\"retries\":{retries}"
-                );
-            }
-            TraceEvent::MacDrop {
-                medium,
-                sta,
-                reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"medium\":{medium},\"sta\":{sta},\"reason\":\"{}\"",
-                    reason.label()
-                );
-            }
-            TraceEvent::InjectorGate {
-                iface,
-                open,
-                qdepth,
-            } => {
-                let _ = write!(s, ",\"iface\":{iface},\"open\":{open},\"qdepth\":{qdepth}");
-            }
-            TraceEvent::PowerPacket { iface, bytes } => {
-                let _ = write!(s, ",\"iface\":{iface},\"bytes\":{bytes}");
-            }
-            TraceEvent::StorageCross {
-                volts,
-                threshold,
-                rising,
-            } => {
-                s.push_str(",\"volts\":");
-                write_float(&mut s, volts);
-                s.push_str(",\"threshold\":");
-                write_float(&mut s, threshold);
-                let _ = write!(s, ",\"rising\":{rising}");
-            }
-            TraceEvent::ColdStart { volts } | TraceEvent::Brownout { volts } => {
-                s.push_str(",\"volts\":");
-                write_float(&mut s, volts);
-            }
-            TraceEvent::MpptUpdate { vref_volts, factor } => {
-                s.push_str(",\"vref_volts\":");
-                write_float(&mut s, vref_volts);
-                s.push_str(",\"factor\":");
-                write_float(&mut s, factor);
-            }
-            TraceEvent::TcpRto { flow, rto_s, cwnd } => {
-                let _ = write!(s, ",\"flow\":{flow},\"rto_s\":");
-                write_float(&mut s, rto_s);
-                s.push_str(",\"cwnd\":");
-                write_float(&mut s, cwnd);
-            }
-            TraceEvent::TcpCwnd {
-                flow,
-                cwnd,
-                ssthresh,
-                cause,
-            } => {
-                let _ = write!(s, ",\"flow\":{flow},\"cwnd\":");
-                write_float(&mut s, cwnd);
-                s.push_str(",\"ssthresh\":");
-                write_float(&mut s, ssthresh);
-                let _ = write!(s, ",\"cause\":\"{}\"", cause.label());
-            }
-        }
-        s.push('}');
-        s
+            s.push('}');
+            s
+        })
     }
 }
 
