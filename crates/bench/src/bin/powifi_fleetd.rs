@@ -31,8 +31,8 @@
 //! nanoseconds overflow a `u64`.
 
 use powifi_bench::ckpt_run::CkptPolicy;
+use powifi_bench::cli::{self, Args, Stop};
 use powifi_bench::fleet::{serve_fleet, FleetConfig};
-use powifi_bench::runner::duration_flag;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::exit;
@@ -41,116 +41,58 @@ const USAGE: &str = "usage: powifi-fleetd [--listen ADDR] [--deployments N] [--s
      [--secs S] [--epoch-ms MS] [--jobs N] [--subscribers K] \
      [--checkpoint-dir DIR] [--checkpoint-every N]";
 
-struct Args {
-    listen: String,
-    deployments: usize,
-    seed: u64,
-    secs: u64,
-    epoch_ms: u64,
-    jobs: Option<usize>,
-    subscribers: usize,
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: u64,
-}
+const VALUED: &[(&str, &str)] = &[
+    ("--listen", "an address"),
+    ("--deployments", "a positive integer"),
+    ("--seed", "an integer"),
+    ("--secs", "a positive integer"),
+    ("--epoch-ms", "a positive integer"),
+    ("--jobs", "a positive integer"),
+    ("--subscribers", "a positive integer"),
+    ("--checkpoint-dir", "a dir"),
+    ("--checkpoint-every", "a positive integer"),
+];
 
-fn next_val(it: &mut impl Iterator<Item = String>, name: &str) -> Result<String, String> {
-    it.next().ok_or(format!("{name} needs a value"))
-}
-
-fn next_num(it: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, String> {
-    next_val(it, name)?
-        .parse()
-        .map_err(|_| format!("{name} needs an integer"))
-}
-
-/// A count that must be at least one: zero is refused, not raised to one.
-fn next_count(it: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, String> {
-    match next_num(it, name)? {
-        0 => Err(format!("{name} needs a positive integer, got 0")),
-        n => Ok(n),
+/// The fleet and its subscriber count, read from the command line. A
+/// chain this fleet cannot resume is refused before anything binds or runs.
+fn read(argv: Vec<String>) -> Result<(String, FleetConfig, usize), Stop> {
+    let a = Args::read(argv, VALUED, &[])?;
+    let mut cfg = FleetConfig::default_fleet(
+        a.count("--deployments")?.unwrap_or(2) as usize,
+        a.get("--seed")?.unwrap_or(42),
+        a.duration("--secs", 1_000_000_000, true)?.unwrap_or(4),
+    );
+    let epoch_ms = a.duration("--epoch-ms", 1_000_000, true)?.unwrap_or(500);
+    cfg.epoch = powifi_sim::SimDuration::from_millis(epoch_ms);
+    if let Some(j) = a.count("--jobs")? {
+        cfg.jobs = j as usize;
     }
-}
-
-fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut a = Args {
-        listen: "127.0.0.1:7077".into(),
-        deployments: 2,
-        seed: 42,
-        secs: 4,
-        epoch_ms: 500,
-        jobs: None,
-        subscribers: 1,
-        checkpoint_dir: None,
-        checkpoint_every: 1,
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--listen" => a.listen = next_val(&mut it, "--listen")?,
-            "--checkpoint-dir" => {
-                a.checkpoint_dir = Some(PathBuf::from(next_val(&mut it, "--checkpoint-dir")?));
-            }
-            "--checkpoint-every" => {
-                a.checkpoint_every = next_count(&mut it, "--checkpoint-every")?;
-            }
-            "--deployments" => a.deployments = next_count(&mut it, "--deployments")? as usize,
-            "--seed" => a.seed = next_num(&mut it, "--seed")?,
-            "--secs" => {
-                a.secs = duration_flag("--secs", next_count(&mut it, "--secs")?, 1_000_000_000)?;
-            }
-            "--epoch-ms" => {
-                a.epoch_ms =
-                    duration_flag("--epoch-ms", next_count(&mut it, "--epoch-ms")?, 1_000_000)?;
-            }
-            "--jobs" => a.jobs = Some(next_count(&mut it, "--jobs")? as usize),
-            "--subscribers" => a.subscribers = next_count(&mut it, "--subscribers")? as usize,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+    let every = a.count("--checkpoint-every")?.unwrap_or(1);
+    if let Some(dir) = a.get::<PathBuf>("--checkpoint-dir")? {
+        cfg.ckpt = Some(CkptPolicy { dir, every });
     }
-    Ok(a)
+    let subscribers = a.count("--subscribers")?.unwrap_or(1) as usize;
+    cfg.check_chains().map_err(|e| e.to_string())?;
+    let listen = a
+        .get("--listen")?
+        .unwrap_or_else(|| "127.0.0.1:7077".into());
+    Ok((listen, cfg, subscribers))
 }
 
 fn main() {
-    let args = match parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            exit(2);
-        }
-    };
-    let mut cfg = FleetConfig::default_fleet(args.deployments, args.seed, args.secs);
-    cfg.epoch = powifi_sim::SimDuration::from_millis(args.epoch_ms);
-    if let Some(j) = args.jobs {
-        cfg.jobs = j;
-    }
-    if let Some(dir) = args.checkpoint_dir {
-        cfg.ckpt = Some(CkptPolicy {
-            dir,
-            every: args.checkpoint_every,
-        });
-    }
-    // Refuse a chain this fleet cannot resume before anything binds or runs.
-    if let Err(e) = cfg.check_chains() {
-        eprintln!("error: {e}");
-        eprintln!("{USAGE}");
-        exit(2);
-    }
-    let listener = match TcpListener::bind(&args.listen) {
+    let (listen, cfg, subscribers) = cli::parse(USAGE, read);
+    let listener = match TcpListener::bind(&listen) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.listen);
+            eprintln!("error: cannot bind {listen}: {e}");
             exit(1);
         }
     };
     match listener.local_addr() {
         Ok(addr) => eprintln!("listening on {addr}"),
-        Err(_) => eprintln!("listening on {}", args.listen),
+        Err(_) => eprintln!("listening on {listen}"),
     }
-    match serve_fleet(&listener, &cfg, args.subscribers) {
+    match serve_fleet(&listener, &cfg, subscribers) {
         Ok(summary) => {
             for out in &summary.outputs {
                 eprintln!("{}: {:.2} Mbit/s", out.name, out.throughput_mbps);

@@ -26,10 +26,10 @@
 //! 2 bad arguments, an input that cannot be opened or parsed, or a stdout
 //! that refuses the output (a closed pipe, a full disk).
 
+use powifi_bench::cli::{self, Args, Stop};
 use powifi_bench::fleet::record_stream;
 use powifi_bench::profinspect::{self, TopBy};
 use powifi_bench::replay;
-use powifi_bench::runner::duration_flag;
 use powifi_bench::traceinspect::{self, Filter};
 use powifi_sim::ckpt::{self, Checkpoint, Value, ValueExt};
 use powifi_sim::obs::agg::{AggConfig, Aggregator};
@@ -38,7 +38,6 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
-use std::str::FromStr;
 
 const USAGE: &str = "usage: powifi-obs <trace|prof|ckpt|fleet> <command> [ARG...]
   trace summary   FILE                        counts per layer/kind, time span
@@ -63,106 +62,26 @@ exit: 0 ok; 1 divergence, schema violations, failed verify, or gaps under
 a failed stdout write";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = match argv.as_slice() {
-        [help] if help == "--help" || help == "-h" => {
-            eprintln!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        [group, cmd, rest @ ..] => {
-            // Every command but `fleet watch` writes here, and stdout gets
-            // it in one write whose failure is an error like any other.
-            let mut out = String::new();
-            let outcome = run(group, cmd, rest, &mut out);
-            let mut stdout = io::stdout().lock();
-            stdout
-                .write_all(out.as_bytes())
-                .and_then(|()| stdout.flush())
-                .map_err(|e| format!("stdout: {e}"))
-                .and(outcome)
-        }
-        _ => Err("missing command".into()),
-    };
-    match outcome {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// One command's arguments: positionals in order, then the flags.
-struct Args {
-    pos: Vec<String>,
-    /// `(flag, value)` pairs, in order.
-    values: Vec<(String, String)>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    /// Read `argv`: each flag in `valued` takes the next argument as its
-    /// value, each in `switches` stands alone, any other `--flag` is
-    /// refused, and everything else is positional.
-    fn read(argv: &[String], valued: &[&str], switches: &[&str]) -> Result<Args, String> {
-        let mut a = Args {
-            pos: Vec::new(),
-            values: Vec::new(),
-            switches: Vec::new(),
+    let passed = cli::parse(USAGE, |argv| {
+        let [group, cmd, rest @ ..] = argv.as_slice() else {
+            Args::with_positionals(argv, &[], &[])?;
+            return Err("missing command".into());
         };
-        let mut it = argv.iter();
-        while let Some(arg) = it.next() {
-            if valued.contains(&arg.as_str()) {
-                let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                a.values.push((arg.clone(), v.clone()));
-            } else if switches.contains(&arg.as_str()) {
-                a.switches.push(arg.clone());
-            } else if arg.starts_with("--") {
-                return Err(format!("unknown flag `{arg}`"));
-            } else {
-                a.pos.push(arg.clone());
-            }
-        }
-        Ok(a)
-    }
-
-    /// Exactly `N` positional arguments.
-    fn files<const N: usize>(&self) -> Result<[String; N], String> {
-        self.pos
-            .clone()
-            .try_into()
-            .map_err(|got: Vec<String>| format!("expected {N} argument(s), got {}", got.len()))
-    }
-
-    /// The last value given for `flag`, parsed; `None` when absent.
-    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        match self.values.iter().rev().find(|(f, _)| f == flag) {
-            None => Ok(None),
-            Some((_, v)) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{flag} cannot take `{v}`")),
-        }
-    }
-
-    /// `flag` as a count of at least one.
-    fn positive(&self, flag: &str) -> Result<Option<u64>, String> {
-        match self.get(flag)? {
-            Some(0) => Err(format!("{flag} needs a positive count, got 0")),
-            n => Ok(n),
-        }
-    }
-
-    /// `flag` as non-negative fractional seconds, in nanoseconds.
-    fn secs(&self, flag: &str) -> Result<Option<u64>, String> {
-        match self.get::<f64>(flag)? {
-            Some(s) if !s.is_finite() || s < 0.0 => {
-                Err(format!("{flag} needs non-negative seconds, got `{s}`"))
-            }
-            s => Ok(s.map(|s| (s * 1e9).round() as u64)),
-        }
+        // Every command but `fleet watch` writes here, and stdout gets it
+        // in one write whose failure is an error like any other.
+        let mut out = String::new();
+        let outcome = run(group, cmd, rest, &mut out);
+        let mut stdout = io::stdout().lock();
+        stdout
+            .write_all(out.as_bytes())
+            .and_then(|()| stdout.flush())
+            .map_err(|e| Stop::from(format!("stdout: {e}")))
+            .and(outcome)
+    });
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }
 
@@ -186,15 +105,18 @@ fn anon(label: &str) -> &str {
 }
 
 /// Write a diff's first divergence (a negative verdict) or `same`.
-fn verdict(out: &mut String, divergence: Option<String>, same: &str) -> Result<bool, String> {
+fn verdict(out: &mut String, divergence: Option<String>, same: &str) -> Result<bool, Stop> {
     let _ = writeln!(out, "{}", divergence.as_deref().unwrap_or(same));
     Ok(divergence.is_none())
 }
 
 /// Run one command, writing its stdout to `out`: `Ok(true)` exits 0,
-/// `Ok(false)` 1 and `Err` 2.
-fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool, String> {
-    let bare = || Args::read(argv, &[], &[]);
+/// `Ok(false)` 1 and `Err` by [`cli::exit`]'s rule.
+fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool, Stop> {
+    let read = |valued: &[(&'static str, &'static str)], switches: &[&'static str]| {
+        Args::with_positionals(argv.to_vec(), valued, switches)
+    };
+    let bare = || read(&[], &[]);
     match (group, cmd) {
         ("trace", "summary") => {
             let [file] = bare()?.files()?;
@@ -202,9 +124,14 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(true)
         }
         ("trace", "filter") => {
-            let a = Args::read(
-                argv,
-                &["--layer", "--kind", "--entity", "--from", "--to"],
+            let a = read(
+                &[
+                    ("--layer", "a layer"),
+                    ("--kind", "a kind"),
+                    ("--entity", "an integer"),
+                    ("--from", "non-negative seconds"),
+                    ("--to", "non-negative seconds"),
+                ],
                 &[],
             )?;
             let [file] = a.files()?;
@@ -223,7 +150,14 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(true)
         }
         ("trace", "occupancy") => {
-            let a = Args::read(argv, &["--end", "--sta", "--point"], &[])?;
+            let a = read(
+                &[
+                    ("--end", "non-negative seconds"),
+                    ("--sta", "an integer"),
+                    ("--point", "an integer"),
+                ],
+                &[],
+            )?;
             let [file] = a.files()?;
             let end_ns = a.secs("--end")?.ok_or("occupancy needs --end SECS")?;
             let (sta, point) = (a.get("--sta")?, a.get::<usize>("--point")?);
@@ -288,14 +222,20 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(problems.is_empty())
         }
         ("prof", "tree" | "top" | "flame") => {
-            let a = Args::read(argv, &["--point", "--by", "--limit"], &[])?;
+            let a = read(
+                &[
+                    ("--point", "an integer"),
+                    ("--by", "self, total or count"),
+                    ("--limit", "a positive integer"),
+                ],
+                &[],
+            )?;
             let [file] = a.files()?;
             let point = a.get::<usize>("--point")?;
-            let by = match a.get::<String>("--by")? {
-                Some(by) => TopBy::from_flag(&by)?,
-                None => TopBy::SelfTime,
-            };
-            let limit = a.positive("--limit")?.unwrap_or(20) as usize;
+            let by = a
+                .value("--by", TopBy::from_flag)?
+                .unwrap_or(TopBy::SelfTime);
+            let limit = a.count("--limit")?.unwrap_or(20) as usize;
             for (pi, pt) in load(&file, profinspect::parse)?.points.iter().enumerate() {
                 if point.is_some_and(|want| want != pi) {
                     continue;
@@ -360,7 +300,7 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(ok)
         }
         ("ckpt", "diff") => {
-            let a = Args::read(argv, &["--limit"], &[])?;
+            let a = read(&[("--limit", "an integer")], &[])?;
             let [fa, fb] = a.files()?;
             let limit = a.get("--limit")?.unwrap_or(32);
             let (ca, cb) = (load(&fa, parse_ckpt)?, load(&fb, parse_ckpt)?);
@@ -376,7 +316,7 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(false)
         }
         ("ckpt", "bisect") => {
-            let a = Args::read(argv, &["--limit"], &[])?;
+            let a = read(&[("--limit", "an integer")], &[])?;
             let [da, db] = a.files()?;
             let limit = a.get("--limit")?.unwrap_or(32);
             let report =
@@ -400,10 +340,10 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
             Ok(true)
         }
         ("fleet", "aggregate") => {
-            let a = Args::read(argv, &["--window-ms"], &["--deny-gaps"])?;
+            let a = read(&[("--window-ms", "a positive integer")], &["--deny-gaps"])?;
             let [file] = a.files()?;
-            let ms = a.positive("--window-ms")?.unwrap_or(1000);
-            let window = SimDuration::from_millis(duration_flag("--window-ms", ms, 1_000_000)?);
+            let ms = a.duration("--window-ms", 1_000_000, true)?.unwrap_or(1000);
+            let window = SimDuration::from_millis(ms);
             let agg = load(&file, |text| {
                 let mut agg = Aggregator::new(&AggConfig { window });
                 for (i, line) in text.lines().enumerate() {
@@ -421,13 +361,13 @@ fn run(group: &str, cmd: &str, argv: &[String], out: &mut String) -> Result<bool
                 agg.records(),
                 agg.seq_gaps()
             );
-            let lost = a.switches.iter().any(|s| s == "--deny-gaps") && agg.seq_gaps() > 0;
+            let lost = a.has("--deny-gaps") && agg.seq_gaps() > 0;
             if lost {
                 eprintln!("error: --deny-gaps: stream lost records");
             }
             Ok(!lost)
         }
-        _ => Err(format!("unknown command `{group} {cmd}`")),
+        _ => Err(format!("unknown command `{group} {cmd}`").into()),
     }
 }
 

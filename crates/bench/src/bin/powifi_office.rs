@@ -8,11 +8,10 @@
 //!
 //! Runs one §4.1 office deployment as a one-point sweep, so it inherits
 //! every observability artifact (`--json` points/manifest, `--trace`,
-//! `--metrics`, `--stream`) — and adds the checkpoint lifecycle:
+//! `--metrics`, `--prof`) — and adds the checkpoint lifecycle:
 //!
 //! * `--checkpoint-every N` writes a chain file every N epochs into
-//!   `--ckpt-dir` (default: the `--json` dir), announcing each write as a
-//!   `ckpt` stream record carrying the state hash;
+//!   `--ckpt-dir` (default: the `--json` dir);
 //! * with an existing chain in `--ckpt-dir`, the run *crash-resumes* from
 //!   the newest valid checkpoint instead of cold-starting;
 //! * `--resume FILE` resumes from one explicit checkpoint file;
@@ -26,7 +25,8 @@
 //! Inspect or bisect the chains it writes with `powifi-obs ckpt`.
 
 use powifi_bench::ckpt_run::{self, CkptPolicy, ResumeInfo};
-use powifi_bench::runner::{duration_flag, point_seed};
+use powifi_bench::cli::{self, Args, Stop};
+use powifi_bench::runner::{self, point_seed};
 use powifi_bench::{banner, BenchArgs, Experiment, Sweep};
 use powifi_core::Scheme;
 use powifi_deploy::{OfficeConfig, OfficeRun, OfficeSpec, TrafficSpec};
@@ -166,118 +166,70 @@ impl Experiment for OfficeExperiment {
     }
 }
 
-/// The checkpoint flags, which no other sweep binary takes.
-#[derive(Default)]
-struct CkptFlags {
-    /// `--checkpoint-every`: write a chain file every N epochs.
-    every: Option<u64>,
-    /// `--ckpt-dir`: where the chain lives (default: the `--json` dir).
-    dir: Option<PathBuf>,
-    /// `--resume`: resume from this file instead of cold-starting.
-    resume: Option<PathBuf>,
+/// The office's own flags; it also takes the sweep's.
+const VALUED: &[(&str, &str)] = &[
+    ("--scheme", "a scheme"),
+    ("--traffic", "udp:RATE, tcp or none"),
+    ("--secs", "an integer"),
+    ("--epoch-ms", "a positive integer"),
+    ("--checkpoint-every", "a positive integer"),
+    ("--ckpt-dir", "a dir"),
+    ("--resume", "a file"),
+];
+
+fn scheme(v: &str) -> Option<Scheme> {
+    use Scheme::*;
+    [
+        Baseline,
+        BlindUdp,
+        NoQueue,
+        PoWiFi,
+        EqualShare(Bitrate::G12),
+    ]
+    .into_iter()
+    .find(|&s| scheme_tag(s) == v)
 }
 
-/// Print `msg` and the usage line, and exit 2.
-fn refuse(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
-    exit(2);
-}
-
-fn need(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or(format!("{flag} needs a value"))
-}
-
-/// A count of at least one.
-fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = need(it, flag)?;
-    v.parse()
-        .ok()
-        .filter(|&n: &u64| n >= 1)
-        .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
-}
-
-/// Split our flags from the shared sweep flags (which BenchArgs parses).
-fn split_args() -> Result<(OfficeParams, CkptFlags, Vec<String>), String> {
-    let mut params = OfficeParams {
-        scheme: Scheme::PoWiFi,
-        traffic: TrafficSpec::Udp { rate_mbps: 10.0 },
-        secs: 4,
-        epoch: SimDuration::from_millis(500),
+fn traffic(v: &str) -> Option<TrafficSpec> {
+    let udp = |rate: &str| {
+        rate.parse()
+            .ok()
+            .map(|rate_mbps| TrafficSpec::Udp { rate_mbps })
     };
-    let mut ckpt = CkptFlags::default();
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scheme" => {
-                params.scheme = match need(&mut it, "--scheme")?.as_str() {
-                    "baseline" => Scheme::Baseline,
-                    "blind_udp" => Scheme::BlindUdp,
-                    "no_queue" => Scheme::NoQueue,
-                    "powifi" => Scheme::PoWiFi,
-                    "equal_share" => Scheme::EqualShare(Bitrate::G12),
-                    other => return Err(format!("unknown scheme `{other}`")),
-                };
-            }
-            "--traffic" => {
-                let v = need(&mut it, "--traffic")?;
-                params.traffic = if v == "tcp" {
-                    TrafficSpec::Tcp
-                } else if v == "none" {
-                    TrafficSpec::None
-                } else if let Some(rate) = v.strip_prefix("udp:") {
-                    let rate_mbps = rate
-                        .parse()
-                        .map_err(|_| format!("--traffic udp:RATE needs a number, got `{rate}`"))?;
-                    TrafficSpec::Udp { rate_mbps }
-                } else {
-                    return Err(format!("--traffic takes udp:RATE, tcp or none, got `{v}`"));
-                };
-            }
-            "--secs" => {
-                let v = need(&mut it, "--secs")?;
-                let secs = v
-                    .parse()
-                    .map_err(|_| format!("--secs needs an integer, got `{v}`"))?;
-                params.secs = duration_flag("--secs", secs, 1_000_000_000)?;
-            }
-            "--epoch-ms" => {
-                let ms = positive(&mut it, "--epoch-ms")?;
-                params.epoch =
-                    SimDuration::from_millis(duration_flag("--epoch-ms", ms, 1_000_000)?);
-            }
-            "--checkpoint-every" => ckpt.every = Some(positive(&mut it, "--checkpoint-every")?),
-            "--ckpt-dir" => ckpt.dir = Some(need(&mut it, "--ckpt-dir")?.into()),
-            "--resume" => ckpt.resume = Some(need(&mut it, "--resume")?.into()),
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                exit(0);
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    Ok((params, ckpt, rest))
+    [TrafficSpec::Tcp, TrafficSpec::None]
+        .into_iter()
+        .find(|&t| traffic_tag(t) == v)
+        .or_else(|| udp(v.strip_prefix("udp:")?))
 }
 
-fn main() {
-    let (params, ckpt, rest) = split_args().unwrap_or_else(|e| refuse(&e));
-    let mut args = BenchArgs::parse_from(rest).unwrap_or_else(|e| refuse(&e));
-    let policy = ckpt.every.map(|every| {
-        let dir = ckpt
-            .dir
-            .clone()
-            .or_else(|| args.json_dir.clone())
-            .unwrap_or_else(|| {
-                refuse("--checkpoint-every needs --ckpt-dir (or --json) for the chain")
-            });
-        CkptPolicy { dir, every }
-    });
+/// The office run and the sweep settings, read from the command line in
+/// one pass.
+fn read(argv: Vec<String>) -> Result<(OfficeExperiment, BenchArgs), Stop> {
+    let a = Args::read(argv, &[VALUED, runner::VALUED].concat(), runner::SWITCHES)?;
+    let args = BenchArgs::from_args(&a)?;
+    let udp_10 = TrafficSpec::Udp { rate_mbps: 10.0 };
+    let params = OfficeParams {
+        scheme: a.value("--scheme", scheme)?.unwrap_or(Scheme::PoWiFi),
+        traffic: a.value("--traffic", traffic)?.unwrap_or(udp_10),
+        secs: a.duration("--secs", 1_000_000_000, false)?.unwrap_or(4),
+        epoch: SimDuration::from_millis(a.duration("--epoch-ms", 1_000_000, true)?.unwrap_or(500)),
+    };
+    let dir = a.get("--ckpt-dir")?.or_else(|| args.json_dir.clone());
+    let policy = match (a.count("--checkpoint-every")?, dir) {
+        (None, _) => None,
+        (Some(every), Some(dir)) => Some(CkptPolicy { dir, every }),
+        (Some(_), None) => Err("--checkpoint-every needs --ckpt-dir (or --json) for the chain")?,
+    };
     let exp = OfficeExperiment {
         params,
         policy,
-        resume: ckpt.resume,
+        resume: a.get("--resume")?,
     };
+    Ok((exp, args))
+}
+
+fn main() {
+    let (exp, mut args) = cli::parse(USAGE, read);
     // Make the run's start up front, exactly as the sweep will (under the
     // checker for `--check`: a checked run's checkpoint resumes only into
     // a checked run). A chain or file that cannot start this run is refused
@@ -291,7 +243,7 @@ fn main() {
         start()
     };
     args.resumed_from = resumed
-        .unwrap_or_else(|e| refuse(&e))
+        .unwrap_or_else(|e| cli::exit(USAGE, e.into()))
         .map(|i| (i.epoch, i.hash));
     banner(
         "powifi-office",

@@ -10,8 +10,18 @@
 //!     --distance-ft 12 --wall sheetrock --occupancy 90
 //! ```
 
+use powifi_bench::cli::{self, Args, Stop};
 use powifi_rf::{Dbm, Hertz, WallMaterial};
 use powifi_sensors::{exposure_at, Camera, TemperatureSensor, UsbCharger};
+
+const USAGE: &str = "usage: powifi_plan [--distance-ft N] \
+     [--wall glass|wood|hollow|sheetrock]... [--occupancy PCT]";
+
+const VALUED: &[(&str, &str)] = &[
+    ("--distance-ft", "a non-negative number"),
+    ("--wall", "glass, wood, hollow or sheetrock"),
+    ("--occupancy", "a non-negative number"),
+];
 
 struct Plan {
     distance_ft: f64,
@@ -19,58 +29,27 @@ struct Plan {
     cumulative_occupancy: f64,
 }
 
-fn parse_wall(name: &str) -> WallMaterial {
+fn wall(name: &str) -> Option<WallMaterial> {
     match name.to_ascii_lowercase().as_str() {
-        "glass" => WallMaterial::Glass1In,
-        "wood" => WallMaterial::Wood1_8In,
-        "hollow" => WallMaterial::HollowWall5_4In,
-        "sheetrock" => WallMaterial::SheetRock7_9In,
-        other => {
-            eprintln!("unknown wall '{other}' (use glass|wood|hollow|sheetrock)");
-            std::process::exit(2);
-        }
+        "glass" => Some(WallMaterial::Glass1In),
+        "wood" => Some(WallMaterial::Wood1_8In),
+        "hollow" => Some(WallMaterial::HollowWall5_4In),
+        "sheetrock" => Some(WallMaterial::SheetRock7_9In),
+        _ => None,
     }
 }
 
-fn parse() -> Plan {
-    let mut plan = Plan {
-        distance_ft: 10.0,
-        walls: Vec::new(),
-        cumulative_occupancy: 90.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--distance-ft" => {
-                plan.distance_ft = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--distance-ft N")
-            }
-            "--wall" => plan
-                .walls
-                .push(parse_wall(&it.next().expect("--wall NAME"))),
-            "--occupancy" => {
-                plan.cumulative_occupancy = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--occupancy PCT")
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: powifi_plan [--distance-ft N] [--wall glass|wood|hollow|sheetrock]... [--occupancy PCT]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    plan
+fn read(argv: Vec<String>) -> Result<Plan, Stop> {
+    let a = Args::read(argv, VALUED, &[])?;
+    Ok(Plan {
+        distance_ft: a.non_negative("--distance-ft")?.unwrap_or(10.0),
+        walls: a.all("--wall", wall)?,
+        cumulative_occupancy: a.non_negative("--occupancy")?.unwrap_or(90.0),
+    })
 }
 
 fn main() {
-    let plan = parse();
+    let plan = cli::parse(USAGE, read);
     let duty = (plan.cumulative_occupancy / 100.0 / 3.0).clamp(0.0, 1.0);
     let exposure: Vec<(Hertz, Dbm, f64)> = exposure_at(plan.distance_ft, duty, &plan.walls);
 

@@ -7,10 +7,12 @@
 //! it to the [`Sweep`] driver, which executes points in parallel
 //! (`--jobs`), derives a deterministic per-point seed, and — with
 //! `--json DIR` — writes machine-readable artifacts for EXPERIMENTS.md.
+//! Every binary reads its command line through [`cli`].
 //! The `powifi-obs` inspector reads those artifacts back through
 //! [`traceinspect`], [`profinspect`], [`replay`] and [`fleet`].
 
 pub mod ckpt_run;
+pub mod cli;
 pub mod fleet;
 pub mod profinspect;
 pub mod replay;

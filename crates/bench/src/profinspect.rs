@@ -4,7 +4,8 @@
 //! A prof file is a sequence of line pairs in grid order: a point header
 //! (read by [`PointHeader::decode`], as in a trace file) followed by one
 //! span-tree snapshot (`{"wall":…,"spans":[…]}`, the output of
-//! [`ProfSnapshot::to_json`]). [`parse`] reads each snapshot back into a
+//! [`ProfSnapshot::to_json`]). A headerless first snapshot, such as the
+//! golden corpus's bare dump, reads as one anonymous point. [`parse`] reads each snapshot back into a
 //! [`ProfSnapshot`], so the tree, folded-stack and flattened views are the
 //! snapshot's own renderers. This module adds what only a reader needs:
 //!
@@ -118,12 +119,14 @@ pub fn parse_snapshot(text: &str) -> Result<ProfSnapshot, String> {
     }
 }
 
-/// Parse a prof JSONL file. Rejects malformed JSON, missing headers and
+/// Parse a prof JSONL file. A headerless first snapshot reads as one
+/// anonymous point (all-default header), as a headerless trace does.
+/// Rejects malformed JSON, any later snapshot without its header and
 /// snapshot lines that don't match the prof schema, naming the offending
 /// 1-based line.
 pub fn parse(text: &str) -> Result<ParsedProf, String> {
     let mut out = ParsedProf::default();
-    let mut pending: Option<(ProfPoint, usize)> = None;
+    let mut pending: Option<(PointHeader, usize)> = None;
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         if raw.trim().is_empty() {
@@ -138,14 +141,17 @@ pub fn parse(text: &str) -> Result<ParsedProf, String> {
             if let Some((_, hl)) = pending {
                 return Err(format!("line {hl}: point header has no snapshot line"));
             }
-            let snap = ProfSnapshot::default();
-            pending = Some((ProfPoint { header, snap }, line));
+            pending = Some((header, line));
         } else if obj_get(fields, "spans").is_some() {
-            let (mut pt, _) = pending
-                .take()
-                .ok_or_else(|| format!("line {line}: snapshot with no preceding header"))?;
-            pt.snap = snapshot(fields, line)?;
-            out.points.push(pt);
+            // A file's first snapshot may come without a header (a bare
+            // `ProfSnapshot::to_json` dump): it is one anonymous point.
+            let header = match pending.take() {
+                Some((header, _)) => header,
+                None if out.points.is_empty() => PointHeader::default(),
+                None => return Err(format!("line {line}: snapshot with no preceding header")),
+            };
+            let snap = snapshot(fields, line)?;
+            out.points.push(ProfPoint { header, snap });
         } else {
             return Err(format!(
                 "line {line}: neither a point header nor a snapshot"
@@ -170,13 +176,13 @@ pub enum TopBy {
 }
 
 impl TopBy {
-    /// Parse a `--by` value.
-    pub fn from_flag(s: &str) -> Result<TopBy, String> {
+    /// Read a `--by` value: `self`, `total` or `count`.
+    pub fn from_flag(s: &str) -> Option<TopBy> {
         match s {
-            "self" => Ok(TopBy::SelfTime),
-            "total" => Ok(TopBy::Total),
-            "count" => Ok(TopBy::Count),
-            other => Err(format!("--by must be self|total|count, got `{other}`")),
+            "self" => Some(TopBy::SelfTime),
+            "total" => Some(TopBy::Total),
+            "count" => Some(TopBy::Count),
+            _ => None,
         }
     }
 
@@ -289,13 +295,24 @@ mod tests {
     }
 
     #[test]
+    fn headerless_snapshot_is_one_anonymous_point() {
+        let p = parse(&format!("{SNAP}\n")).unwrap();
+        assert_eq!(p.points.len(), 1);
+        assert_eq!(p.points[0].header, PointHeader::default());
+        assert_eq!(p.points[0].snap.roots[0].name, "sim.event");
+    }
+
+    #[test]
     fn parse_errors_name_the_line() {
         let e = parse("{\"bogus\":1}\n").unwrap_err();
         assert!(e.starts_with("line 1:"), "{e}");
         let e = parse(&format!("{HEADER}\n")).unwrap_err();
         assert!(e.contains("no snapshot"), "{e}");
-        let e = parse(&format!("{SNAP}\n")).unwrap_err();
-        assert!(e.contains("no preceding header"), "{e}");
+        let e = parse(&format!("{SNAP}\n{SNAP}\n")).unwrap_err();
+        assert!(
+            e.contains("line 2: snapshot with no preceding header"),
+            "{e}"
+        );
         let bad_span = r#"{"wall":false,"spans":[{"name":"x","count":1}]}"#;
         let e = parse(&format!("{HEADER}\n{bad_span}\n")).unwrap_err();
         assert!(e.contains("line 2") && e.contains("sim_self_ns"), "{e}");

@@ -16,9 +16,9 @@
 //!   executed, MAC frames, occupancy — fully deterministic) and
 //!   `<name>.manifest.json` (engine version, CLI, wall-clock per point —
 //!   the only place timing appears, so artifact diffs stay meaningful).
-//! * **One CLI.** [`BenchArgs::parse`] handles `--seed/--full/--json/
-//!   --jobs/--filter/--check/--trace/--metrics/--prof` for every binary,
-//!   rejecting malformed input with a usage message and exit code 2.
+//! * **One CLI.** [`BenchArgs::parse`] reads `--seed/--full/--json/
+//!   --jobs/--filter/--check/--trace/--metrics/--prof` for every binary
+//!   through [`cli`], refusing malformed input with the usage and exit 2.
 //! * **Deep observability.** `--trace FILE` captures every point's
 //!   structured trace (`powifi_sim::obs::trace`) into one JSONL file in
 //!   grid order, each point introduced by a header line; `--metrics`
@@ -32,14 +32,14 @@
 //!   periodic audits, violations are counted per point, and the sweep
 //!   panics after reporting if any point violated an invariant.
 
+use crate::cli;
 use powifi_sim::ckpt::Ckpt;
-use powifi_sim::obs::{metrics, prof, stream, trace};
-use powifi_sim::{conformance, RunTelemetry, SimRng, SimTime};
+use powifi_sim::obs::{metrics, prof, trace};
+use powifi_sim::{conformance, RunTelemetry, SimRng};
 use serde::{Serialize, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The line that opens each point of a `--trace` or `--prof` file,
@@ -121,12 +121,6 @@ pub struct BenchArgs {
     /// Write a per-point sim-time span profile (JSONL) to this file.
     /// Captured with wall timing off, so the artifact is deterministic.
     pub prof: Option<PathBuf>,
-    /// Stream live telemetry to this TCP address (`host:port`) while the
-    /// sweep runs: each point gets a `powifi_sim::obs::stream` handle
-    /// tagged with its label, so epoch-stepped experiments emit `metrics`
-    /// records as they go. Observational only — the egress never blocks,
-    /// so results are unchanged.
-    pub stream: Option<String>,
     /// Resume provenance `(epoch, state hash)`, recorded in the manifest as
     /// `resumed_from` so points from resumed runs are distinguishable from
     /// straight-through runs. Not a CLI flag — `powifi-office` sets it after
@@ -135,100 +129,59 @@ pub struct BenchArgs {
 }
 
 const USAGE: &str = "usage: [--seed N] [--full] [--json DIR] [--jobs N] [--filter SUBSTR] \
-     [--check] [--trace FILE] [--metrics] [--prof FILE] [--stream ADDR]";
+     [--check] [--trace FILE] [--metrics] [--prof FILE]";
+
+/// The sweep's valued flags, each with the noun its errors use.
+pub const VALUED: &[(&str, &str)] = &[
+    ("--seed", "an integer"),
+    ("--json", "a dir"),
+    ("--jobs", "a positive integer"),
+    ("--filter", "a substring"),
+    ("--trace", "a file"),
+    ("--prof", "a file"),
+];
+
+/// The sweep's switches.
+pub const SWITCHES: &[&str] = &["--full", "--check", "--metrics"];
 
 impl Default for BenchArgs {
+    /// The settings of a command line without flags.
     fn default() -> Self {
-        BenchArgs {
-            seed: 42,
-            full: false,
-            json_dir: None,
-            jobs: default_jobs(),
-            filter: None,
-            check: false,
-            trace: None,
-            metrics: false,
-            prof: None,
-            stream: None,
-            resumed_from: None,
-        }
+        Self::from_args(&cli::Args::default()).expect("no flags, no refusal")
     }
-}
-
-/// `n`, the value of the duration flag `flag` in units of `unit_ns`
-/// nanoseconds, when its nanoseconds fit in a `u64`; otherwise an error.
-pub fn duration_flag(flag: &str, n: u64, unit_ns: u64) -> Result<u64, String> {
-    n.checked_mul(unit_ns)
-        .map(|_| n)
-        .ok_or(format!("{flag} {n} overflows 64-bit nanoseconds"))
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl BenchArgs {
-    /// Parse the shared CLI from `std::env::args`. Malformed input prints
-    /// the usage line to stderr and exits with code 2.
+    /// Parse the shared CLI from the process's arguments by
+    /// [`cli::exit`]'s rule: `--help` exits 0, malformed input exits 2.
     pub fn parse() -> BenchArgs {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
+        cli::parse(USAGE, |argv| {
+            Ok(Self::from_args(&cli::Args::read(argv, VALUED, SWITCHES)?)?)
+        })
     }
 
     /// Parse from an explicit argument list (testable core of [`parse`]).
+    /// `--help` is an `Err` here: only a binary's entry point exits.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs an integer")?;
-                    out.seed = v
-                        .parse()
-                        .map_err(|_| format!("--seed needs an integer, got `{v}`"))?;
-                }
-                "--full" => out.full = true,
-                "--json" => {
-                    out.json_dir = Some(PathBuf::from(it.next().ok_or("--json needs a dir")?));
-                }
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a positive integer")?;
-                    out.jobs = v
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
-                }
-                "--filter" => {
-                    out.filter = Some(it.next().ok_or("--filter needs a substring")?);
-                }
-                "--check" => out.check = true,
-                "--trace" => {
-                    out.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file")?));
-                }
-                "--metrics" => out.metrics = true,
-                "--prof" => {
-                    out.prof = Some(PathBuf::from(it.next().ok_or("--prof needs a file")?));
-                }
-                "--stream" => {
-                    out.stream = Some(it.next().ok_or("--stream needs host:port")?);
-                }
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(out)
+        Self::from_args(&cli::Args::read(args, VALUED, SWITCHES)?)
+    }
+
+    /// The sweep settings of a command line read with [`VALUED`] and
+    /// [`SWITCHES`] among its flags.
+    pub fn from_args(a: &cli::Args) -> Result<BenchArgs, String> {
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        Ok(BenchArgs {
+            seed: a.get("--seed")?.unwrap_or(42),
+            full: a.has("--full"),
+            json_dir: a.get("--json")?,
+            jobs: a.count("--jobs")?.map_or_else(cores, |n| n as usize),
+            filter: a.get("--filter")?,
+            check: a.has("--check"),
+            trace: a.get("--trace")?,
+            metrics: a.has("--metrics"),
+            prof: a.get("--prof")?,
+            resumed_from: None,
+        })
     }
 
     /// Write a serializable result as `<name>.json` when `--json` was given.
@@ -353,41 +306,14 @@ impl<'a> Sweep<'a> {
             })
             .collect();
         let started = Instant::now();
-        // `--stream`: one shared egress + writer thread for the whole
-        // sweep; every point pushes tagged records through it. Connection
-        // failure is fatal up front — a silently dead stream would defeat
-        // the point of asking for one.
-        let streamer = self.args.stream.as_deref().map(|addr| {
-            let session = stream::SessionInfo {
-                run_id: exp.name().into(),
-                seed: self.args.seed,
-                git_sha: crate::report::git_head_sha(),
-            };
-            match stream::tcp_egress(addr, &session, stream::DEFAULT_QUEUE_CAP) {
-                Ok(pair) => pair,
-                Err(e) => panic!("--stream {addr}: {e}"),
-            }
-        });
-        let runs = self.execute(exp, items, streamer.as_ref().map(|(eg, _)| eg));
-        let stream_stats = streamer.map(|(eg, join)| {
-            let stats = (eg.dropped(), eg.peak_depth() as u64);
-            eg.close();
-            let _ = join.join();
-            stats
-        });
+        let runs = self.execute(exp, items);
         self.write_points(self.args.trace.as_deref(), exp, &runs, |r| {
             r.trace_jsonl.as_deref()
         });
         self.write_points(self.args.prof.as_deref(), exp, &runs, |r| {
             r.prof_json.as_deref()
         });
-        self.write_artifacts(
-            exp,
-            grid_len,
-            &runs,
-            started.elapsed().as_secs_f64() * 1e3,
-            stream_stats,
-        );
+        self.write_artifacts(exp, grid_len, &runs, started.elapsed().as_secs_f64() * 1e3);
         if self.args.check {
             let total: u64 = runs.iter().map(|r| r.violations).sum();
             if total > 0 {
@@ -409,7 +335,6 @@ impl<'a> Sweep<'a> {
         &self,
         exp: &E,
         items: Vec<Item<E::Point>>,
-        egress: Option<&Arc<stream::Egress>>,
     ) -> Vec<PointRun<E::Point, E::Output>> {
         let jobs = self.args.jobs.clamp(1, items.len().max(1));
         let opts = PointOpts {
@@ -421,7 +346,7 @@ impl<'a> Sweep<'a> {
         if jobs == 1 {
             return items
                 .into_iter()
-                .map(|it| run_point(exp, it, opts, egress))
+                .map(|it| run_point(exp, it, opts))
                 .collect();
         }
         let n = items.len();
@@ -451,7 +376,6 @@ impl<'a> Sweep<'a> {
                             point: item.point.clone(),
                         },
                         opts,
-                        egress,
                     );
                     slots.lock()[i] = Some(run);
                 });
@@ -510,7 +434,6 @@ impl<'a> Sweep<'a> {
         grid_len: usize,
         runs: &[PointRun<E::Point, E::Output>],
         total_wall_ms: f64,
-        stream_stats: Option<(u64, u64)>,
     ) {
         let Some(dir) = &self.args.json_dir else {
             return;
@@ -550,23 +473,6 @@ impl<'a> Sweep<'a> {
             ),
             ("grid_points".into(), Value::UInt(grid_len as u64)),
             ("run_points".into(), Value::UInt(runs.len() as u64)),
-            (
-                // `--stream` egress health: how many records the bounded
-                // queue dropped (0 = every seq reached the consumer) and
-                // the deepest it got. `null` when not streaming.
-                "stream".into(),
-                match stream_stats {
-                    Some((dropped, peak)) => Value::Object(vec![
-                        (
-                            "addr".into(),
-                            Value::Str(self.args.stream.clone().unwrap_or_default()),
-                        ),
-                        ("dropped".into(), Value::UInt(dropped)),
-                        ("peak_queue_depth".into(), Value::UInt(peak)),
-                    ]),
-                    None => Value::Null,
-                },
-            ),
             (
                 // Resume provenance: which checkpoint this run picked up
                 // from, or `null` for a straight-through run. Lets a
@@ -629,14 +535,8 @@ fn run_point<E: Experiment>(
     exp: &E,
     item: Item<E::Point>,
     opts: PointOpts,
-    egress: Option<&Arc<stream::Egress>>,
 ) -> PointRun<E::Point, E::Output> {
     metrics::reset();
-    if let Some(eg) = egress {
-        // Tag this point's records with its label; epoch-stepped
-        // experiments emit through the handle as they run.
-        stream::install(stream::Handle::new(Arc::clone(eg), item.label.as_str()));
-    }
     // Each observability channel is thread-local and collected by its own
     // capture around the run. `--prof` stays sim-time only (`prof::capture`
     // keeps wall timing off): wall timing would make the artifact vary run
@@ -671,11 +571,6 @@ fn run_point<E: Experiment>(
     } else {
         (profiled(), 0)
     };
-    if egress.is_some() {
-        // Final snapshot + `end` record at the last epoch mark (finish
-        // uninstalls the handle; a point that never marked ends at t=0).
-        stream::finish(SimTime::ZERO);
-    }
     let snapshot = metrics::snapshot();
     PointRun {
         index: item.index,
@@ -990,6 +885,8 @@ mod tests {
             &["--checkpoint-every", "2"][..],
             &["--ckpt-dir", "chain"][..],
             &["--resume", "chain/office.ckpt-000002"][..],
+            // The sweep streams nowhere: `powifi-fleetd` serves streams.
+            &["--stream", "127.0.0.1:9"][..],
         ] {
             let r = BenchArgs::parse_from(bad.iter().map(|s| s.to_string()));
             assert!(r.is_err(), "{bad:?} should be rejected");

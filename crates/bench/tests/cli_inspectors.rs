@@ -261,7 +261,7 @@ fn prof_subcommands_and_exit_codes() {
         (
             vec!["prof", "top", &a, "--limit", "0"],
             2,
-            Stderr("--limit needs a positive count"),
+            Stderr("--limit needs a positive integer"),
         ),
         (
             vec!["prof", "nonsense", &a],
@@ -310,7 +310,7 @@ fn ckpt_subcommands_and_exit_codes() {
         (
             vec!["ckpt", "info", office, "--limit", "3"],
             2,
-            Stderr("unknown flag `--limit`"),
+            Stderr("unknown argument `--limit`"),
         ),
         (
             vec!["ckpt", "rewind", office],
@@ -375,7 +375,7 @@ fn fleet_aggregate_exit_codes() {
         (
             vec!["fleet", "aggregate", &ok, "--window-ms", "0"],
             2,
-            Stderr("--window-ms needs a positive count"),
+            Stderr("--window-ms needs a positive integer"),
         ),
         (
             vec![

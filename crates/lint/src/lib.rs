@@ -414,8 +414,9 @@ pub mod r12 {
 }
 
 pub mod r13 {
-    //! R13 `socket-outside-stream`: `obs::stream` owns network egress.
-    //! Socket types are disallowed; `stream.rs` carries the one carve-out.
+    //! R13 `socket-outside-stream`: the sim crates open no sockets.
+    //! Socket types are disallowed with no carve-out; `obs::stream` drains
+    //! into any writer and `powifi-fleetd` owns the sockets.
 
     #[expect(clippy::disallowed_types, reason = "R13 fixture: a rename")]
     pub use std::net::TcpStream as Wire;
@@ -432,7 +433,7 @@ pub mod r13 {
 
     pub fn describe() -> &'static str {
         // "TcpStream" in a comment or a string is documentation, not I/O.
-        "egress rides a TcpStream owned by obs::stream"
+        "egress rides a TcpStream owned by powifi-fleetd"
     }
 }
 

@@ -35,9 +35,9 @@
 //! sim-time order, and the aggregation layer ([`super::agg`]) reduces any
 //! interleaving of the same records to byte-identical output.
 //!
-//! This module is the one place in the simulation crates allowed to touch
-//! `std::net` (lint rule R13 `socket-outside-stream`): [`tcp_egress`]
-//! connects a stream to a TCP consumer and drains it from a writer thread.
+//! Nothing in the simulation crates touches `std::net` (lint rule R13):
+//! [`spawn_writer`] drains a stream into any writer, and `powifi-fleetd`
+//! owns the sockets.
 
 use super::metrics::{self, MetricsSnapshot};
 use crate::SimTime;
@@ -423,8 +423,8 @@ pub fn finish(t: SimTime) {
 /// queue so producers start dropping instead of filling a dead buffer).
 /// Join the returned handle after [`Egress::close`] to flush.
 ///
-/// Generic over the writer so captures can go to files in tests; the TCP
-/// entry point is [`tcp_egress`].
+/// Generic over the writer: `powifi-fleetd` fans out to its subscribers'
+/// sockets, and tests capture into memory.
 pub fn spawn_writer(
     egress: Arc<Egress>,
     mut writer: impl std::io::Write + Send + 'static,
@@ -438,24 +438,6 @@ pub fn spawn_writer(
         }
         let _ = writer.flush();
     })
-}
-
-/// Connect out to a stream consumer listening at `addr`, write the session
-/// header, and spawn the writer thread. The consumer must be a listening
-/// socket: `powifi-obs fleet record` connects out too, so it cannot be one.
-/// This is the sanctioned socket touchpoint of the sim crates (lint R13).
-#[expect(clippy::disallowed_types, reason = "R13: obs::stream owns egress")]
-pub fn tcp_egress(
-    addr: &str,
-    session: &SessionInfo,
-    cap: usize,
-) -> std::io::Result<(Arc<Egress>, std::thread::JoinHandle<()>)> {
-    let stream = std::net::TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let egress = Egress::new(cap);
-    egress.push_raw(&session.header_line());
-    let join = spawn_writer(Arc::clone(&egress), std::io::BufWriter::new(stream));
-    Ok((egress, join))
 }
 
 #[cfg(test)]

@@ -21,58 +21,59 @@
 
 use powifi::fuzz;
 use powifi::sim::obs::{prof, trace};
+use powifi_bench::cli::{self, Args, Stop};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: powifi-fuzz [--topologies N] [--seed S] [--inject-bug] [--city] \
      [--replay SEED [--trace FILE] [--prof]]";
 
-fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("powifi-fuzz: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+/// What one invocation does, read from the command line.
+struct Run {
+    cfg: fuzz::FuzzConfig,
+    city: bool,
+    replay: Option<u64>,
+    trace: Option<String>,
+    prof: bool,
+}
+
+fn read(argv: Vec<String>) -> Result<Run, Stop> {
+    let a = Args::read(
+        argv,
+        &[
+            ("--topologies", "a positive integer"),
+            ("--seed", "an integer"),
+            ("--replay", "a seed"),
+            ("--trace", "a file"),
+        ],
+        &["--inject-bug", "--city", "--prof"],
+    )?;
+    let d = fuzz::FuzzConfig::default();
+    let run = Run {
+        cfg: fuzz::FuzzConfig {
+            topologies: a.count("--topologies")?.unwrap_or(d.topologies),
+            base_seed: a.get("--seed")?.unwrap_or(d.base_seed),
+            inject_bug: a.has("--inject-bug"),
+            ..d
+        },
+        city: a.has("--city"),
+        replay: a.get("--replay")?,
+        trace: a.get("--trace")?,
+        prof: a.has("--prof"),
+    };
+    let (traced, bug) = (run.trace.is_some() || run.prof, run.cfg.inject_bug);
+    let why = match (run.replay, run.city) {
+        (None, _) if traced => "--trace/--prof only apply to --replay runs",
+        (Some(_), true) if traced || bug => "--city replay takes no --trace/--prof/--inject-bug",
+        (None, true) if bug => "--inject-bug applies to the MAC stack mode only",
+        _ => return Ok(run),
+    };
+    Err(why.into())
 }
 
 fn main() -> ExitCode {
-    let mut cfg = fuzz::FuzzConfig::default();
-    let mut replay_seed: Option<u64> = None;
-    let mut trace_path: Option<String> = None;
-    let mut prof = false;
-    let mut city = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--topologies" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => cfg.topologies = n,
-                _ => return usage_err("--topologies needs a positive integer"),
-            },
-            "--seed" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => cfg.base_seed = s,
-                _ => return usage_err("--seed needs an integer"),
-            },
-            "--inject-bug" => cfg.inject_bug = true,
-            "--city" => city = true,
-            "--replay" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => replay_seed = Some(s),
-                _ => return usage_err("--replay needs a seed"),
-            },
-            "--trace" => match args.next() {
-                Some(path) => trace_path = Some(path),
-                None => return usage_err("--trace needs a file"),
-            },
-            "--prof" => prof = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_err(&format!("unknown argument {other:?}")),
-        }
-    }
-
-    if let Some(seed) = replay_seed {
-        if city {
-            if trace_path.is_some() || prof || cfg.inject_bug {
-                return usage_err("--city replay takes no --trace/--prof/--inject-bug");
-            }
+    let run = cli::parse(USAGE, read);
+    if let Some(seed) = run.replay {
+        if run.city {
             let spec = fuzz::gen_city_spec(seed);
             println!("replaying {}", spec.summary());
             let res = fuzz::replay_city(seed);
@@ -99,22 +100,23 @@ fn main() -> ExitCode {
         let spec = fuzz::gen_spec(seed);
         println!("replaying {}", spec.summary());
         let traced = || {
-            if trace_path.is_some() {
-                let (res, jsonl) = trace::capture_jsonl(|| fuzz::run_spec(&spec, cfg.inject_bug));
+            if run.trace.is_some() {
+                let (res, jsonl) =
+                    trace::capture_jsonl(|| fuzz::run_spec(&spec, run.cfg.inject_bug));
                 (res, Some(jsonl))
             } else {
-                (fuzz::run_spec(&spec, cfg.inject_bug), None)
+                (fuzz::run_spec(&spec, run.cfg.inject_bug), None)
             }
         };
-        let ((res, trace_jsonl), snap) = if prof {
-            let (run, snap) = prof::capture(traced);
-            (run, Some(snap))
+        let ((res, trace_jsonl), snap) = if run.prof {
+            let (out, snap) = prof::capture(traced);
+            (out, Some(snap))
         } else {
             (traced(), None)
         };
-        if let (Some(path), Some(jsonl)) = (&trace_path, &trace_jsonl) {
+        if let (Some(path), Some(jsonl)) = (&run.trace, &trace_jsonl) {
             if let Err(e) = std::fs::write(path, jsonl) {
-                eprintln!("powifi-fuzz: cannot write {path}: {e}");
+                eprintln!("error: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }
             eprintln!("wrote {path}");
@@ -132,19 +134,12 @@ fn main() -> ExitCode {
             ExitCode::from(1)
         };
     }
-    if trace_path.is_some() || prof {
-        return usage_err("--trace/--prof only apply to --replay runs");
-    }
-
-    if city {
-        if cfg.inject_bug {
-            return usage_err("--inject-bug applies to the MAC stack mode only");
-        }
+    if run.city {
         println!(
             "fuzzing {} city worlds from base seed {}",
-            cfg.topologies, cfg.base_seed,
+            run.cfg.topologies, run.cfg.base_seed,
         );
-        let report = fuzz::run_city_campaign(&cfg);
+        let report = fuzz::run_city_campaign(&run.cfg);
         print!("{}", report.render());
         return if report.failures.is_empty() {
             ExitCode::SUCCESS
@@ -155,15 +150,15 @@ fn main() -> ExitCode {
 
     println!(
         "fuzzing {} topologies from base seed {}{}",
-        cfg.topologies,
-        cfg.base_seed,
-        if cfg.inject_bug {
+        run.cfg.topologies,
+        run.cfg.base_seed,
+        if run.cfg.inject_bug {
             " (timing bug injected)"
         } else {
             ""
         },
     );
-    let report = fuzz::run(&cfg);
+    let report = fuzz::run(&run.cfg);
     print!("{}", report.render());
     if report.failures.is_empty() {
         ExitCode::SUCCESS

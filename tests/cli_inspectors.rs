@@ -1,7 +1,9 @@
 //! `powifi-fuzz --replay` writes the same artifacts the sweeps do: a
 //! `--trace` capture and, with `--prof`, the span tree in the format of
 //! `powifi-obs prof tree`. The inspector's own exit codes are pinned in
-//! the bench crate's `tests/cli_inspectors.rs`.
+//! the bench crate's `tests/cli_inspectors.rs`, and the command-line
+//! contract every bench binary keeps in its `tests/cli_errors.rs`;
+//! `powifi-fuzz` keeps it too.
 
 use std::fs;
 use std::path::PathBuf;
@@ -47,4 +49,25 @@ fn fuzz_replay_supports_trace_and_prof() {
     let bad = Command::new(FUZZ_BIN).arg("--prof").output().unwrap();
     assert_eq!(bad.status.code(), Some(2));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `--help` prints the usage on stderr and exits 0; an unknown flag, a
+/// valued flag missing its value and a `--prof` outside `--replay` print
+/// `error:` and the usage on stderr and exit 2. None writes to stdout.
+#[test]
+fn fuzz_keeps_the_cli_contract() {
+    for (args, code) in [
+        (&["--help"][..], 0),
+        (&["--frobnicate"][..], 2),
+        (&["--seed"][..], 2),
+        (&["--prof"][..], 2),
+    ] {
+        let out = Command::new(FUZZ_BIN).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let context = format!("{args:?}: stderr:\n{stderr}");
+        assert_eq!(out.status.code(), Some(code), "{context}");
+        assert!(out.stdout.is_empty(), "{context}\nstdout not empty");
+        assert!(stderr.contains("usage: powifi-fuzz"), "{context}");
+        assert_eq!(stderr.contains("error:"), code == 2, "{context}");
+    }
 }
